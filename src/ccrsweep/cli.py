@@ -19,27 +19,25 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec, apply_kraus, dilate, kraus_set, validate_kraus
 from .linalg import outer, partial_trace, partial_transpose, hermitian_eigenvalues
-from .measures import (
-    concurrence_x_state,
-    hs_coherence,
-    hs_predictability,
-    linear_entropy,
-    sector_decomposition,
-)
+from .measures import sector_decomposition
 from .reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
+    IDENTITIES,
     CCRReport,
     IdentityId,
     _sudden_death_bisection,
     ccr_report,
     initial_state,
+    is_balanced,
+    local_measures,
 )
 
 #: Initial-state grid matching the curve families usually plotted.
@@ -70,8 +68,13 @@ class SweepConfig:
     def __post_init__(self):
         if not self.channels:
             raise ValueError("channels: must name at least one channel")
+        if not self.x_values:
+            raise ValueError("x: must name at least one value")
         if not all(0.0 <= x <= 1.0 for x in self.x_values):
             raise ValueError(f"x: values must lie in [0, 1], got {self.x_values}")
+        for i, x in enumerate(self.x_values):
+            if x in self.x_values[:i]:
+                raise ValueError(f"x: duplicate value {x}")
         if self.p_count < 2:
             raise ValueError(f"p_count: must be >= 2, got {self.p_count}")
         if not 0.0 <= self.p_start <= self.p_stop <= 1.0:
@@ -97,16 +100,18 @@ class SweepConfig:
         mu = self.mu if kind is ChannelKind.CADC else 0.0
         return ChannelSpec(kind, p, mu)
 
+    def points(self) -> Iterator[tuple[ChannelSpec, float]]:
+        """(spec, x) per grid point, ordered channel / x asc / p asc; the bit
+        flip channel is evaluated at x = 1/sqrt(2) only."""
+        for kind in self.channels:
+            for x in (BALANCED_X,) if kind is ChannelKind.BFC else sorted(self.x_values):
+                for p in self.p_grid():
+                    yield self.spec(kind, p), x
+
 
 def run_sweep(cfg: SweepConfig) -> list[CCRReport]:
-    """One report per (channel, x, p), ordered channel / x asc / p asc."""
-    reports = []
-    for kind in cfg.channels:
-        xs = (BALANCED_X,) if kind is ChannelKind.BFC else tuple(sorted(cfg.x_values))
-        for x in xs:
-            for p in cfg.p_grid():
-                reports.append(ccr_report(cfg.spec(kind, p), x))
-    return reports
+    """One report per grid point, in ``SweepConfig.points`` order."""
+    return [ccr_report(spec, x) for spec, x in cfg.points()]
 
 
 def _report_row(report: CCRReport) -> dict[str, object]:
@@ -120,7 +125,8 @@ def _report_row(report: CCRReport) -> dict[str, object]:
         row[name] = report.measures.get(name)
     row["residual_ccr"] = report.residuals[IdentityId.CCR_UNIVERSAL]
     headline = APPLICABLE_IDENTITIES[report.channel.kind][0]
-    row["residual_channel_identity"] = report.residuals[headline]
+    in_domain = IDENTITIES[headline].domain(report.channel, report.x)
+    row["residual_channel_identity"] = report.residuals[headline] if in_domain else None
     return row
 
 
@@ -146,7 +152,8 @@ def render_json(reports: list[CCRReport]) -> str:
 
 def emit(reports: list[CCRReport], fmt: str, path: str) -> None:
     """Write the report table; field names and order are identical for both
-    formats, with inapplicable measures left empty (CSV) or null (JSON)."""
+    formats, with inapplicable measures and off-domain identity residuals
+    left empty (CSV) or null (JSON)."""
     if not reports:
         raise ValueError("nothing to emit: no reports were produced")
     text = render_csv(reports) if fmt == "csv" else render_json(reports)
@@ -171,35 +178,20 @@ class _Tracker:
             self.worst[name] = (value, where)
 
 
-def _lean_ccr_residual(spec: ChannelSpec, x: float) -> float:
-    psi, layout = initial_state(spec.kind, x)
-    dres = dilate(spec, psi, layout)
-    rho_a = partial_trace(outer(dres.state, dres.layout), {"A"})
-    return abs(
-        hs_predictability(rho_a) + hs_coherence(rho_a) + linear_entropy(rho_a) - 0.5
-    )
-
-
 def _verify_reports(cfg: SweepConfig, t: _Tracker) -> None:
-    for report in run_sweep(cfg):
-        kind = report.channel.kind
+    """One report per grid point: its in-domain identities, column invariants
+    and, for two-qubit kinds, checks on the dilated state it kept."""
+    for spec, x in cfg.points():
+        report = ccr_report(spec, x)
+        kind = spec.kind
         where = f"{kind.value} x={report.x:g} p={report.p:g}"
-        t.track("ccr_universal", report.residuals[IdentityId.CCR_UNIVERSAL], where)
-        for ident in APPLICABLE_IDENTITIES[kind]:
-            if (
-                ident is IdentityId.THREE_HALVES
-                and kind is not ChannelKind.PFC
-                and abs(report.x - BALANCED_X) > 1e-12
-            ):
-                # for the sigma_y-branch kinds the A-E_A correlated coherence
-                # is (1 + 2 x^2 (1-x^2)) S_l, which reaches 3/2 S_l only at
-                # x = 1/sqrt(2); off that point the 3/2 form is not an identity
-                continue
-            t.track(ident.value, report.residuals[ident], where)
+        for ident, residual in report.residuals.items():
+            if IDENTITIES[ident].domain(spec, report.x):
+                t.track(ident.value, residual, where)
         m = report.measures
         if kind is ChannelKind.ADC:
             t.track("adc_entropy_dominance", max(0.0, m["Cc_AB"] - m["S_l_A"]), where)
-            if abs(report.x - BALANCED_X) <= 1e-12:
+            if is_balanced(report.x):
                 # data-property check of the x = 1/sqrt(2) columns against the
                 # closed forms of the marginal diag((1+p)/2, (1-p)/2)
                 p = report.p
@@ -222,19 +214,38 @@ def _verify_reports(cfg: SweepConfig, t: _Tracker) -> None:
             t.track("dc_terminal_locality", abs(m["S_l_A"]), where)
             t.track("dc_terminal_locality", abs(m["C_global"] - m["C_hs_A"]), where)
             t.track("dc_terminal_locality", abs(m["Cc_AEA"]), where)
+        if kind.n_system_qubits == 2:
+            _verify_state(report, cfg.tolerance, t, where)
+
+
+def _verify_state(report: CCRReport, tolerance: float, t: _Tracker, where: str) -> None:
+    """PPT and sector checks on the dilated state of a two-qubit report."""
+    kind, dres = report.channel.kind, report.state
+    rho_g = outer(dres.state, dres.layout)
+    rho_ab = partial_trace(rho_g, {"A", "B"})
+    lam_ab = hermitian_eigenvalues(partial_transpose(rho_ab, "A"))[0]
+    entangled_but_ppt = report.measures["concurrence_AB"] > 1e-10 and lam_ab >= -tolerance
+    t.track("xstate_ppt_consistency", 1.0 if entangled_but_ppt else 0.0, where)
+    if kind in (ChannelKind.PDC, ChannelKind.BFC):
+        for labels, sub in ((("A", "E_A"), "A"), (("A", "E_B"), "A"),
+                            (("E_A", "E_B"), "E_A")):
+            rho = partial_trace(rho_g, set(labels))
+            lam = hermitian_eigenvalues(partial_transpose(rho, sub))[0]
+            t.track("cross_partition_ppt", max(0.0, -float(lam)), where)
+    sectors = sector_decomposition(dres.state, dres.layout)
+    t.track("sector_total_consistency", abs(sectors.total - report.measures["C_global"]), where)
 
 
 def _verify_ccr_extended(cfg: SweepConfig, t: _Tracker) -> None:
-    xs = [round(0.1 * i, 1) for i in range(11)]
-    for kind in cfg.channels:
-        kind_xs = [BALANCED_X] if kind is ChannelKind.BFC else xs
-        for x in kind_xs:
-            for p in cfg.p_grid():
-                t.track(
-                    "ccr_universal",
-                    _lean_ccr_residual(cfg.spec(kind, p), x),
-                    f"{kind.value} x={x:g} p={p:g}",
-                )
+    """CCR on every tenth of x, which the grid's x values need not cover."""
+    ccr = IDENTITIES[IdentityId.CCR_UNIVERSAL].residual
+    wide = replace(cfg, x_values=tuple(round(0.1 * i, 1) for i in range(11)))
+    for spec, x in wide.points():
+        psi, layout = initial_state(spec.kind, x)
+        dres = dilate(spec, psi, layout)
+        rho_a = partial_trace(outer(dres.state, dres.layout), {"A"})
+        where = f"{spec.kind.value} x={x:g} p={spec.p:g}"
+        t.track("ccr_universal", ccr(local_measures(rho_a)), where)
 
 
 def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
@@ -282,36 +293,6 @@ def _verify_cadc_limit(cfg: SweepConfig, t: _Tracker) -> None:
         )
 
 
-def _verify_ppt_and_concurrence(cfg: SweepConfig, t: _Tracker) -> None:
-    two_qubit = [k for k in cfg.channels if k.n_system_qubits == 2]
-    for kind in two_qubit:
-        xs = (BALANCED_X,) if kind is ChannelKind.BFC else tuple(sorted(cfg.x_values))
-        for x in xs:
-            for p in cfg.p_grid():
-                spec = cfg.spec(kind, p)
-                where = f"{kind.value} x={x:g} p={p:g}"
-                psi, layout = initial_state(kind, x)
-                dres = dilate(spec, psi, layout)
-                rho_g = outer(dres.state, dres.layout)
-                rho_ab = partial_trace(rho_g, {"A", "B"})
-                conc = concurrence_x_state(rho_ab)
-                lam_ab = hermitian_eigenvalues(partial_transpose(rho_ab, "A"))[0]
-                entangled_but_ppt = conc > 1e-10 and lam_ab >= -cfg.tolerance
-                t.track("xstate_ppt_consistency", 1.0 if entangled_but_ppt else 0.0, where)
-                if kind in (ChannelKind.PDC, ChannelKind.BFC):
-                    for labels, sub in ((("A", "E_A"), "A"), (("A", "E_B"), "A"),
-                                        (("E_A", "E_B"), "E_A")):
-                        rho = partial_trace(rho_g, set(labels))
-                        lam = hermitian_eigenvalues(partial_transpose(rho, sub))[0]
-                        t.track("cross_partition_ppt", max(0.0, -float(lam)), where)
-                sectors = sector_decomposition(dres.state, dres.layout)
-                t.track(
-                    "sector_total_consistency",
-                    abs(sectors.total - hs_coherence(rho_g)),
-                    where,
-                )
-
-
 def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:
     if ChannelKind.ADC not in cfg.channels:
         return
@@ -331,7 +312,6 @@ def verify_command(cfg: SweepConfig) -> int:
     _verify_ccr_extended(cfg, t)
     _verify_kraus(cfg, t)
     _verify_cadc_limit(cfg, t)
-    _verify_ppt_and_concurrence(cfg, t)
     _verify_sudden_death(cfg, t)
 
     failures = 0
@@ -384,8 +364,18 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+#: Config-file key -> (SweepConfig field, parser).  Each key is also the
+#: argparse dest of its flag; SweepConfig supplies the defaults.
 _CONFIG_KEYS = {
-    "channels", "x", "p_start", "p_stop", "p_count", "mu", "format", "out", "tolerance",
+    "channels": ("channels", _parse_channels),
+    "x": ("x_values", _parse_floats),
+    "p_start": ("p_start", float),
+    "p_stop": ("p_stop", float),
+    "p_count": ("p_count", int),
+    "mu": ("mu", float),
+    "format": ("fmt", str),
+    "out": ("output", str),
+    "tolerance": ("tolerance", float),
 }
 
 
@@ -393,28 +383,18 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         file_values = read_config_file(args.config)
-        unknown = set(file_values) - _CONFIG_KEYS
+        unknown = file_values.keys() - _CONFIG_KEYS.keys()
         if unknown:
             raise ValueError(f"config file: unknown keys {sorted(unknown)}")
 
-    def pick(flag_value, key: str, convert, default):
+    given = {}
+    for key, (name, convert) in _CONFIG_KEYS.items():
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return convert(file_values[key])
-        return default
-
-    return SweepConfig(
-        channels=pick(args.channels, "channels", _parse_channels, tuple(ChannelKind)),
-        x_values=pick(args.x, "x", _parse_floats, DEFAULT_X),
-        p_start=pick(args.p_start, "p_start", float, 0.0),
-        p_stop=pick(args.p_stop, "p_stop", float, 1.0),
-        p_count=pick(args.p_count, "p_count", int, 101),
-        mu=pick(args.mu, "mu", float, 1.0),
-        output=pick(getattr(args, "out", None), "out", str, None),
-        fmt=pick(getattr(args, "format", None), "format", str, "csv"),
-        tolerance=pick(getattr(args, "tolerance", None), "tolerance", float, 1e-10),
-    )
+            given[name] = flag_value
+        elif key in file_values:
+            given[name] = convert(file_values[key])
+    return SweepConfig(**given)
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec, DilationResult, dilate
-from .linalg import SubsystemLayout, outer, partial_trace, qubits
+from .linalg import DensityOperator, SubsystemLayout, outer, partial_trace, qubits
 from .measures import (
     concurrence_x_state,
     correlated_coherence_hs,
@@ -33,6 +34,11 @@ PPT_TOL = 1e-10
 
 #: Amplitude of the balanced superposition; the bit flip analysis is pinned here.
 BALANCED_X = 1.0 / math.sqrt(2.0)
+
+
+def is_balanced(x: float) -> bool:
+    """Whether x is the balanced amplitude 1/sqrt(2), up to grid round-off."""
+    return abs(x - BALANCED_X) <= 1e-12
 
 
 class IdentityId(enum.Enum):
@@ -54,27 +60,68 @@ class IdentityId(enum.Enum):
     THREE_HALVES = "three_halves"
 
 
-#: Identities applicable per channel kind, the first being the channel's
-#: headline redistribution identity (reported as residual_channel_identity).
+@dataclass(frozen=True)
+class Identity:
+    """Kinds an identity is asserted for, the (spec, x) points where it
+    holds, and its residual |LHS - RHS| over a report's measure columns."""
+
+    kinds: tuple[ChannelKind, ...]
+    residual: Callable[[dict[str, float]], float]
+    domain: Callable[[ChannelSpec, float], bool] = lambda spec, x: True
+
+
+#: Every identity, in the order reports list them: CCR_UNIVERSAL first, then
+#: per kind its headline identity (reported as residual_channel_identity).
+IDENTITIES: dict[IdentityId, Identity] = {
+    # d_A = 2 throughout, so the pure-state budget of subsystem A is 1/2.
+    IdentityId.CCR_UNIVERSAL: Identity(
+        tuple(ChannelKind), lambda m: abs(m["P_hs_A"] + m["C_hs_A"] + m["S_l_A"] - 0.5)),
+    IdentityId.ADC_REDISTRIBUTION: Identity(
+        (ChannelKind.ADC,), lambda m: abs(m["S_l_A"] - (m["Cc_AB"] + m["Cc_AEA"] + m["Cc_AEB"]))),
+    # The two CADC identities are those of the fully correlated map (mu = 1).
+    IdentityId.CADC_REDISTRIBUTION: Identity(
+        (ChannelKind.CADC,), lambda m: abs(m["S_l_A"] - (m["Cc_ABE"] - m["Cc_EAEB"])),
+        lambda spec, x: spec.mu == 1.0),
+    # Constant in p at the initial entanglement entropy (1/2 at x=1/sqrt2).
+    IdentityId.CADC_ENV_COMPLEMENT: Identity(
+        (ChannelKind.CADC,), lambda m: abs(m["Cc_EAEB"] + m["Cc_AB"] - m["S_l_initial"]),
+        lambda spec, x: spec.mu == 1.0),
+    IdentityId.PDC_SUBTRACTION: Identity(
+        (ChannelKind.PDC,), lambda m: abs(m["S_l_A"] - (m["C_global"] - m["C_env"]))),
+    IdentityId.PDC_NL_SUM: Identity(
+        (ChannelKind.PDC,), lambda m: abs(
+            m["sector_AB"] + m["sector_ABEA"] + m["sector_ABEB"] + m["sector_ABEAEB"]
+            - m["S_l_initial"])),
+    IdentityId.BFC_FOUR_TERM: Identity(
+        (ChannelKind.BFC,),
+        lambda m: abs(m["S_l_A"] - (m["Cc_AB"] + m["Cc_AEA"] + m["Cc_AEB"] - m["Cc_EAEB"]))),
+    # For the sigma_y-branch kinds the A-E_A correlated coherence is
+    # (1 + 2 x^2 (1-x^2)) S_l, which reaches 3/2 S_l only at x = 1/sqrt(2).
+    IdentityId.THREE_HALVES: Identity(
+        (ChannelKind.PFC, ChannelKind.BPFC, ChannelKind.DC),
+        lambda m: abs(m["Cc_AEA"] - 1.5 * m["S_l_A"]),
+        lambda spec, x: spec.kind is ChannelKind.PFC or is_balanced(x)),
+    IdentityId.PFC_COHERENCE_SPLIT: Identity(
+        (ChannelKind.PFC,), lambda m: abs(m["C_hs_A_initial"] - (m["C_hs_A"] + m["S_l_A"]))),
+}
+
+#: Identities applicable per channel kind besides CCR_UNIVERSAL, headline first.
 APPLICABLE_IDENTITIES: dict[ChannelKind, tuple[IdentityId, ...]] = {
-    ChannelKind.ADC: (IdentityId.ADC_REDISTRIBUTION,),
-    ChannelKind.CADC: (IdentityId.CADC_REDISTRIBUTION, IdentityId.CADC_ENV_COMPLEMENT),
-    ChannelKind.PDC: (IdentityId.PDC_SUBTRACTION, IdentityId.PDC_NL_SUM),
-    ChannelKind.BFC: (IdentityId.BFC_FOUR_TERM,),
-    ChannelKind.PFC: (IdentityId.THREE_HALVES, IdentityId.PFC_COHERENCE_SPLIT),
-    ChannelKind.BPFC: (IdentityId.THREE_HALVES,),
-    ChannelKind.DC: (IdentityId.THREE_HALVES,),
+    kind: tuple(ident for ident, row in IDENTITIES.items() if kind in row.kinds)[1:]
+    for kind in ChannelKind
 }
 
 
 @dataclass(frozen=True)
 class CCRReport:
-    """All measures and identity residuals for one (channel, x, p) point."""
+    """All measures and identity residuals for one (channel, x, p) point,
+    with the dilated global state they were measured on."""
 
     channel: ChannelSpec
     x: float
     measures: dict[str, float]
     residuals: dict[IdentityId, float]
+    state: DilationResult = field(compare=False)  # a function of (channel, x)
 
     @property
     def p(self) -> float:
@@ -92,26 +139,22 @@ def initial_state(kind: ChannelKind, x: float) -> tuple[np.ndarray, SubsystemLay
     return psi, qubits("A")
 
 
-def _initial_local_measures(kind: ChannelKind, x: float) -> dict[str, float]:
-    psi, layout = initial_state(kind, x)
-    rho_a = partial_trace(outer(psi, layout), {"A"})
-    return {
-        "P_hs_A_initial": hs_predictability(rho_a),
-        "C_hs_A_initial": hs_coherence(rho_a),
-        "S_l_initial": linear_entropy(rho_a),
-    }
+LOCAL_COLUMNS = ("P_hs_A", "C_hs_A", "S_l_A")
+INITIAL_COLUMNS = ("P_hs_A_initial", "C_hs_A_initial", "S_l_initial")
+
+
+def local_measures(rho_a: DensityOperator, names=LOCAL_COLUMNS) -> dict[str, float]:
+    """Predictability, coherence and linear entropy of A's marginal, keyed by ``names``."""
+    return dict(zip(names, (hs_predictability(rho_a), hs_coherence(rho_a), linear_entropy(rho_a))))
 
 
 def _two_qubit_measures(spec: ChannelSpec, dres: DilationResult) -> dict[str, float]:
     rho_g = outer(dres.state, dres.layout)
-    rho_a = partial_trace(rho_g, {"A"})
     rho_ab = partial_trace(rho_g, {"A", "B"})
     rho_env = partial_trace(rho_g, {"E_A", "E_B"})
 
     m = {
-        "P_hs_A": hs_predictability(rho_a),
-        "C_hs_A": hs_coherence(rho_a),
-        "S_l_A": linear_entropy(rho_a),
+        **local_measures(partial_trace(rho_g, {"A"})),
         "Cc_AB": correlated_coherence_hs(rho_g, ("A", "B")),
         "Cc_AEA": correlated_coherence_hs(rho_g, ("A", "E_A")),
         "Cc_AEB": correlated_coherence_hs(rho_g, ("A", "E_B")),
@@ -141,11 +184,8 @@ def _two_qubit_measures(spec: ChannelSpec, dres: DilationResult) -> dict[str, fl
 
 def _one_qubit_measures(dres: DilationResult) -> dict[str, float]:
     rho_g = outer(dres.state, dres.layout)
-    rho_a = partial_trace(rho_g, {"A"})
     return {
-        "P_hs_A": hs_predictability(rho_a),
-        "C_hs_A": hs_coherence(rho_a),
-        "S_l_A": linear_entropy(rho_a),
+        **local_measures(partial_trace(rho_g, {"A"})),
         "Cc_AEA": correlated_coherence_hs(rho_g, ("A", "E_A")),
         "C_global": hs_coherence(rho_g),
         "ppt_AEA": float(is_ppt(rho_g, "A", PPT_TOL)),
@@ -157,7 +197,8 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
 
     ``x`` parameterizes the initial state and must lie in [0, 1]; for the
     bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
-    is formulated for.
+    is formulated for.  Every identity of the kind gets a residual, also
+    where the point lies outside the identity's domain.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
@@ -170,13 +211,14 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
         measures = _two_qubit_measures(spec, dres)
     else:
         measures = _one_qubit_measures(dres)
-    measures.update(_initial_local_measures(spec.kind, x))
+    measures.update(local_measures(partial_trace(outer(psi, layout), {"A"}), INITIAL_COLUMNS))
 
     residuals = {
-        ident: _identity_residual(ident, measures)
-        for ident in (IdentityId.CCR_UNIVERSAL,) + APPLICABLE_IDENTITIES[spec.kind]
+        ident: row.residual(measures)
+        for ident, row in IDENTITIES.items()
+        if spec.kind in row.kinds
     }
-    return CCRReport(spec, x, measures, residuals)
+    return CCRReport(spec, x, measures, residuals, dres)
 
 
 def check_identity(identity: IdentityId, report: CCRReport) -> float:
@@ -185,35 +227,10 @@ def check_identity(identity: IdentityId, report: CCRReport) -> float:
     Raises ValueError when the identity does not apply to the report's
     channel kind.
     """
-    kind = report.channel.kind
-    if identity is not IdentityId.CCR_UNIVERSAL and identity not in APPLICABLE_IDENTITIES[kind]:
+    row, kind = IDENTITIES[identity], report.channel.kind
+    if kind not in row.kinds:
         raise ValueError(f"{identity.value} does not apply to {kind.value}")
-    return _identity_residual(identity, report.measures)
-
-
-def _identity_residual(identity: IdentityId, m: dict[str, float]) -> float:
-    if identity is IdentityId.CCR_UNIVERSAL:
-        # d_A = 2 throughout, so the pure-state budget of subsystem A is 1/2.
-        return abs(m["P_hs_A"] + m["C_hs_A"] + m["S_l_A"] - 0.5)
-    if identity is IdentityId.ADC_REDISTRIBUTION:
-        return abs(m["S_l_A"] - (m["Cc_AB"] + m["Cc_AEA"] + m["Cc_AEB"]))
-    if identity is IdentityId.CADC_REDISTRIBUTION:
-        return abs(m["S_l_A"] - (m["Cc_ABE"] - m["Cc_EAEB"]))
-    if identity is IdentityId.CADC_ENV_COMPLEMENT:
-        # Constant in p at the initial entanglement entropy (1/2 at x=1/sqrt2).
-        return abs(m["Cc_EAEB"] + m["Cc_AB"] - m["S_l_initial"])
-    if identity is IdentityId.PDC_SUBTRACTION:
-        return abs(m["S_l_A"] - (m["C_global"] - m["C_env"]))
-    if identity is IdentityId.PDC_NL_SUM:
-        nl = m["sector_AB"] + m["sector_ABEA"] + m["sector_ABEB"] + m["sector_ABEAEB"]
-        return abs(nl - m["S_l_initial"])
-    if identity is IdentityId.BFC_FOUR_TERM:
-        return abs(m["S_l_A"] - (m["Cc_AB"] + m["Cc_AEA"] + m["Cc_AEB"] - m["Cc_EAEB"]))
-    if identity is IdentityId.PFC_COHERENCE_SPLIT:
-        return abs(m["C_hs_A_initial"] - (m["C_hs_A"] + m["S_l_A"]))
-    if identity is IdentityId.THREE_HALVES:
-        return abs(m["Cc_AEA"] - 1.5 * m["S_l_A"])
-    raise ValueError(f"unhandled identity {identity}")  # pragma: no cover
+    return row.residual(report.measures)
 
 
 def _adc_concurrence(x: float, p: float) -> float:

@@ -48,6 +48,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="x:"):
             small_config(x_values=(1.5,))
 
+    def test_x_nonempty(self):
+        with pytest.raises(ValueError, match="x: must name at least one value"):
+            small_config(x_values=())
+
+    def test_x_duplicates_rejected(self):
+        with pytest.raises(ValueError, match="x: duplicate value 0.5"):
+            small_config(x_values=(0.2, 0.5, 0.5))
+
     def test_fractional_mu_with_correlated_damping(self):
         with pytest.raises(ValueError, match="mu"):
             small_config(channels=(ChannelKind.CADC,), mu=0.5)
@@ -132,6 +140,21 @@ class TestEmit:
         assert rows[0]["Cc_AB"] is None
         assert rows[0]["channel"] == "dc"
 
+    def test_off_domain_headline_residual_left_empty(self):
+        # the CADC identities are those of mu = 1; 3/2 holds for dc at 1/sqrt(2) only
+        for cfg, expect_empty in (
+            (small_config(channels=(ChannelKind.CADC,), mu=0.0, p_count=3), True),
+            (small_config(channels=(ChannelKind.CADC,), mu=1.0, p_count=3), False),
+            (small_config(channels=(ChannelKind.DC,), p_count=3), True),
+            (small_config(channels=(ChannelKind.DC,), x_values=(INV_SQRT2,), p_count=3), False),
+        ):
+            lines = render_csv(run_sweep(cfg)).splitlines()
+            header = lines[0].split(",")
+            for line in lines[1:]:
+                row = dict(zip(header, line.split(",")))
+                assert (row["residual_channel_identity"] == "") is expect_empty
+                assert row["residual_ccr"] != ""
+
     def test_nothing_to_emit(self, tmp_path):
         with pytest.raises(ValueError, match="no reports"):
             emit([], "csv", str(tmp_path / "x.csv"))
@@ -156,6 +179,22 @@ class TestVerifyCommand:
         cfg = small_config(p_count=6, tolerance=1e-16)
         assert verify_command(cfg) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_all_channel_check_names(self, capsys):
+        cfg = small_config(channels=tuple(ChannelKind), p_count=3, x_values=(0.5, INV_SQRT2))
+        assert verify_command(cfg) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == [
+            "adc_entropy_dominance", "adc_redistribution", "adc_sudden_death",
+            "adc_symmetric_columns", "bfc_four_term", "cadc_env_complement",
+            "cadc_memoryless_limit", "cadc_redistribution", "ccr_universal",
+            "cross_partition_ppt", "dc_terminal_locality", "dilation_kraus_agreement",
+            "dilation_norm", "kraus_completeness", "pdc_nl_sum",
+            "pdc_predictability_invariance", "pdc_subtraction", "pfc_coherence_split",
+            "pfc_predictability_invariance", "sector_total_consistency", "three_halves",
+            "xstate_ppt_consistency",
+        ]
+        assert lines[-1] == "22/22 checks within tolerance 1e-10"
 
     def test_channel_filter_limits_checks(self, capsys):
         cfg = small_config(channels=(ChannelKind.PFC,), p_count=6)
@@ -198,6 +237,24 @@ class TestMain:
         base = ["verify", "--channels", "pfc", "--x", "0.5", "--p-count", "4"]
         assert main(base) == 0
         assert main(base + ["--tolerance", "1e-16"]) == 1
+
+    def test_verify_memoryless_correlated_damping(self, capsys):
+        argv = ["verify", "--channels", "cadc", "--mu", "0", "--x", "0.5", "--p-count", "5"]
+        assert main(argv) == 0
+        assert "cadc_redistribution" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize(
+        "x, message",
+        [("", "x: must name at least one value"), ("0.5,0.5", "x: duplicate value 0.5")],
+    )
+    def test_bad_x_list_is_config_error(self, tmp_path, capsys, command, x, message):
+        argv = [command, "--channels", "adc", "--x", x]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "rows.csv")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "sweep.cfg"

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ccrsweep.channels import ChannelKind, ChannelSpec
+from ccrsweep.channels import ChannelKind, ChannelSpec, dilate
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
+    IDENTITIES,
     IdentityId,
     ccr_report,
     check_identity,
+    initial_state,
     sudden_death_point,
 )
 
@@ -67,10 +69,43 @@ class TestReportValues:
         assert "mutual_info_AB" not in r.measures
         assert "Cc_AEA" in r.measures
 
+    def test_report_keeps_its_dilated_state(self):
+        for kind in ChannelKind:
+            r = ccr_report(spec_for(kind, 0.3), 0.5)
+            expected = dilate(r.channel, *initial_state(kind, r.x))
+            assert r.state.layout == expected.layout
+            assert np.array_equal(r.state.state, expected.state)
+            assert r == ccr_report(r.channel, r.x)
+
     def test_residuals_cover_applicable_identities(self):
         for kind in ChannelKind:
             r = ccr_report(spec_for(kind, 0.3), 0.5)
             assert set(r.residuals) == {IdentityId.CCR_UNIVERSAL, *APPLICABLE_IDENTITIES[kind]}
+
+
+class TestIdentityTable:
+    def test_one_row_per_identity(self):
+        assert set(IDENTITIES) == set(IdentityId)
+
+    def test_headline_per_kind(self):
+        headlines = {kind: APPLICABLE_IDENTITIES[kind][0] for kind in ChannelKind}
+        assert headlines == {
+            ChannelKind.ADC: IdentityId.ADC_REDISTRIBUTION,
+            ChannelKind.CADC: IdentityId.CADC_REDISTRIBUTION,
+            ChannelKind.PDC: IdentityId.PDC_SUBTRACTION,
+            ChannelKind.BFC: IdentityId.BFC_FOUR_TERM,
+            ChannelKind.PFC: IdentityId.THREE_HALVES,
+            ChannelKind.BPFC: IdentityId.THREE_HALVES,
+            ChannelKind.DC: IdentityId.THREE_HALVES,
+        }
+
+    def test_off_domain_residuals_still_reported(self):
+        r = ccr_report(ChannelSpec(ChannelKind.CADC, 0.5, 0.0), 0.5)
+        assert not IDENTITIES[IdentityId.CADC_REDISTRIBUTION].domain(r.channel, r.x)
+        assert r.residuals[IdentityId.CADC_REDISTRIBUTION] > 1e-3
+        r = ccr_report(ChannelSpec(ChannelKind.BPFC, 0.5), 0.4)
+        assert not IDENTITIES[IdentityId.THREE_HALVES].domain(r.channel, r.x)
+        assert r.residuals[IdentityId.THREE_HALVES] > 1e-3
 
 
 class TestCheckIdentity:

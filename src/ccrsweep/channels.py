@@ -133,10 +133,10 @@ def _local_isometry(kind: ChannelKind, p: float) -> np.ndarray:
     """Isometry V : H_k -> H_k (x) H_Ek with V|j> = U|j,0>, as a (2,2,2) tensor.
 
     Index order is V[m, e, j]: system output m, environment output e, system
-    input j.
+    input j.  The memoryless part of CADC damps each qubit as ADC does.
     """
     V = np.zeros((2, 2, 2), dtype=complex)
-    if kind is ChannelKind.ADC:
+    if kind in (ChannelKind.ADC, ChannelKind.CADC):
         V[0, 0, 0] = 1.0
         V[1, 0, 1] = np.sqrt(1.0 - p)  # excited state survives
         V[0, 1, 1] = np.sqrt(p)        # decays, photon emitted
@@ -223,18 +223,15 @@ def dilate(spec: ChannelSpec, system, sys_layout: SubsystemLayout) -> DilationRe
     if kind is ChannelKind.DC and float(np.abs(psi.imag).max()) > 1e-12:
         raise ValueError("the depolarizing dilation requires real amplitudes")
 
-    if kind is ChannelKind.CADC:
-        if spec.mu == 1.0:
-            W = _correlated_isometry(spec.p)
-            out = np.einsum("sec,c->se", W, psi)
-        elif spec.mu == 0.0:
-            V = _local_isometry(ChannelKind.ADC, spec.p)
-            out = np.einsum("aej,bfk,jk->abef", V, V, psi.reshape(2, 2))
-        else:
-            raise ValueError(
-                "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
-                "a two-qubit environment (apply kraus_set instead)"
-            )
+    # mu is nonzero for CADC only (ChannelSpec enforces it)
+    if spec.mu not in (0.0, 1.0):
+        raise ValueError(
+            "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
+            "a two-qubit environment (apply kraus_set instead)"
+        )
+    if spec.mu == 1.0:
+        W = _correlated_isometry(spec.p)
+        out = np.einsum("sec,c->se", W, psi)
     elif n == 2:
         V = _local_isometry(kind, spec.p)
         out = np.einsum("aej,bfk,jk->abef", V, V, psi.reshape(2, 2))
@@ -252,16 +249,12 @@ def kraus_set(spec: ChannelSpec) -> KrausSet:
     returns {sqrt(1-mu) K_i (x) K_j} U {sqrt(mu) K_e^corr}.
     """
     kind = spec.kind
-    if kind is ChannelKind.CADC:
-        local = _local_kraus(ChannelKind.ADC, spec.p)
-        ops = [
-            np.sqrt(1.0 - spec.mu) * np.kron(ka, kb) for ka in local for kb in local
-        ]
-        W = _correlated_isometry(spec.p)
-        ops += [np.sqrt(spec.mu) * W[:, e, :] for e in range(4)]
-    elif kind.n_system_qubits == 2:
+    if kind.n_system_qubits == 2:
         local = _local_kraus(kind, spec.p)
-        ops = [np.kron(ka, kb) for ka in local for kb in local]
+        ops = [np.sqrt(1.0 - spec.mu) * np.kron(ka, kb) for ka in local for kb in local]
+        if kind is ChannelKind.CADC:
+            W = _correlated_isometry(spec.p)
+            ops += [np.sqrt(spec.mu) * W[:, e, :] for e in range(4)]
     else:
         ops = _local_kraus(kind, spec.p)
     return KrausSet(tuple(_prune(ops)), spec)

@@ -26,11 +26,13 @@ import numpy as np
 
 from .channels import ChannelKind, ChannelSpec, apply_kraus, dilate, kraus_set, validate_kraus
 from .linalg import outer, partial_trace, partial_transpose, hermitian_eigenvalues
-from .measures import sector_decomposition
+from .measures import is_ppt, sector_decomposition
 from .reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
     IDENTITIES,
+    PAIRS,
+    PPT_TOL,
     CCRReport,
     IdentityId,
     _sudden_death_bisection,
@@ -77,9 +79,9 @@ class SweepConfig:
                 raise ValueError(f"x: duplicate value {x}")
         if self.p_count < 2:
             raise ValueError(f"p_count: must be >= 2, got {self.p_count}")
-        if not 0.0 <= self.p_start <= self.p_stop <= 1.0:
+        if not 0.0 <= self.p_start < self.p_stop <= 1.0:
             raise ValueError(
-                f"p_start/p_stop: need 0 <= start <= stop <= 1, got {self.p_start}, {self.p_stop}"
+                f"p_start/p_stop: need 0 <= start < stop <= 1, got {self.p_start}, {self.p_stop}"
             )
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu: must lie in [0, 1], got {self.mu}")
@@ -90,8 +92,8 @@ class SweepConfig:
             )
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format: must be csv or json, got {self.fmt!r}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance: must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < 1.0:
+            raise ValueError(f"tolerance: must lie strictly between 0 and 1, got {self.tolerance}")
 
     def p_grid(self) -> list[float]:
         return [float(p) for p in np.linspace(self.p_start, self.p_stop, self.p_count)]
@@ -215,22 +217,20 @@ def _verify_reports(cfg: SweepConfig, t: _Tracker) -> None:
             t.track("dc_terminal_locality", abs(m["C_global"] - m["C_hs_A"]), where)
             t.track("dc_terminal_locality", abs(m["Cc_AEA"]), where)
         if kind.n_system_qubits == 2:
-            _verify_state(report, cfg.tolerance, t, where)
+            _verify_state(report, t, where)
 
 
-def _verify_state(report: CCRReport, tolerance: float, t: _Tracker, where: str) -> None:
+def _verify_state(report: CCRReport, t: _Tracker, where: str) -> None:
     """PPT and sector checks on the dilated state of a two-qubit report."""
     kind, dres = report.channel.kind, report.state
     rho_g = outer(dres.state, dres.layout)
-    rho_ab = partial_trace(rho_g, {"A", "B"})
-    lam_ab = hermitian_eigenvalues(partial_transpose(rho_ab, "A"))[0]
-    entangled_but_ppt = report.measures["concurrence_AB"] > 1e-10 and lam_ab >= -tolerance
+    rho_ab = partial_trace(rho_g, PAIRS["AB"])
+    entangled_but_ppt = report.measures["concurrence_AB"] > 1e-10 and is_ppt(rho_ab, "A", PPT_TOL)
     t.track("xstate_ppt_consistency", 1.0 if entangled_but_ppt else 0.0, where)
     if kind in (ChannelKind.PDC, ChannelKind.BFC):
-        for labels, sub in ((("A", "E_A"), "A"), (("A", "E_B"), "A"),
-                            (("E_A", "E_B"), "E_A")):
-            rho = partial_trace(rho_g, set(labels))
-            lam = hermitian_eigenvalues(partial_transpose(rho, sub))[0]
+        for name in ("AEA", "AEB", "EAEB"):
+            rho = partial_trace(rho_g, PAIRS[name])
+            lam = hermitian_eigenvalues(partial_transpose(rho, PAIRS[name][0]))[0]
             t.track("cross_partition_ppt", max(0.0, -float(lam)), where)
     sectors = sector_decomposition(dres.state, dres.layout)
     t.track("sector_total_consistency", abs(sectors.total - report.measures["C_global"]), where)
@@ -331,6 +331,10 @@ def verify_command(cfg: SweepConfig) -> int:
 # --------------------------------------------------------------------------
 
 
+class _OptionError(ValueError, argparse.ArgumentTypeError):
+    """A bad list value; argparse prints its message, config files see a ValueError."""
+
+
 def _parse_channels(text: str) -> tuple[ChannelKind, ...]:
     kinds = []
     for token in text.split(","):
@@ -341,12 +345,15 @@ def _parse_channels(text: str) -> tuple[ChannelKind, ...]:
             kinds.append(ChannelKind(token))
         except ValueError:
             names = ",".join(k.value for k in ChannelKind)
-            raise ValueError(f"channels: unknown channel {token!r} (choose from {names})")
+            raise _OptionError(f"channels: unknown channel {token!r} (choose from {names})")
     return tuple(kinds)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise _OptionError(f"x: {exc}") from None
 
 
 def read_config_file(path: str) -> dict[str, str]:

@@ -47,7 +47,8 @@ def correlated_coherence_hs(rho_global: DensityOperator, blocks: Sequence[str]) 
     """Joint coherence of the named subsystems minus their local coherences.
 
     ``blocks`` is a sequence of single subsystem labels; the joint reduced
-    state over all of them is compared against each one-label marginal.  Two
+    state over all of them is compared against each one-label marginal,
+    traced from the joint, so passing the joint reduced state is free.  Two
     blocks give the usual bipartite correlated coherence; more blocks
     subtract every single-label local coherence from the joint one.
     """
@@ -56,7 +57,7 @@ def correlated_coherence_hs(rho_global: DensityOperator, blocks: Sequence[str]) 
     joint = partial_trace(rho_global, blocks)
     total = hs_coherence(joint)
     for label in blocks:
-        total -= hs_coherence(partial_trace(rho_global, {label}))
+        total -= hs_coherence(partial_trace(joint, {label}))
     return total
 
 
@@ -72,14 +73,15 @@ def re_correlated_coherence(rho_global: DensityOperator, blocks: Sequence[str]) 
     """Relative-entropy correlated coherence of two subsystems.
 
     Basis independent and equal to the quantum mutual information
-    S(X) + S(Y) - S(XY); only defined here for exactly two blocks.
+    S(X) + S(Y) - S(XY); only defined here for exactly two blocks.  The
+    marginals are traced from the joint, so passing the joint state is free.
     """
     if len(blocks) != 2:
         raise ValueError(f"expected exactly two blocks, got {len(blocks)}")
     joint = partial_trace(rho_global, blocks)
     s_joint = von_neumann_entropy(joint)
     s_locals = sum(
-        von_neumann_entropy(partial_trace(rho_global, {label})) for label in blocks
+        von_neumann_entropy(partial_trace(joint, {label})) for label in blocks
     )
     return float(s_locals - s_joint)
 

@@ -130,13 +130,10 @@ class CCRReport:
 
 def initial_state(kind: ChannelKind, x: float) -> tuple[np.ndarray, SubsystemLayout]:
     """x|0..0> + sqrt(1-x^2)|1..1> on the kind's system layout."""
-    y = math.sqrt(max(0.0, 1.0 - x * x))
-    if kind.n_system_qubits == 2:
-        psi = np.zeros(4, dtype=complex)
-        psi[0], psi[3] = x, y
-        return psi, qubits("A", "B")
-    psi = np.array([x, y], dtype=complex)
-    return psi, qubits("A")
+    labels = ("A", "B")[: kind.n_system_qubits]
+    psi = np.zeros(2 ** len(labels), dtype=complex)
+    psi[0], psi[-1] = x, math.sqrt(max(0.0, 1.0 - x * x))
+    return psi, qubits(*labels)
 
 
 LOCAL_COLUMNS = ("P_hs_A", "C_hs_A", "S_l_A")
@@ -148,26 +145,36 @@ def local_measures(rho_a: DensityOperator, names=LOCAL_COLUMNS) -> dict[str, flo
     return dict(zip(names, (hs_predictability(rho_a), hs_coherence(rho_a), linear_entropy(rho_a))))
 
 
-def _two_qubit_measures(spec: ChannelSpec, dres: DilationResult) -> dict[str, float]:
-    rho_g = outer(dres.state, dres.layout)
-    rho_ab = partial_trace(rho_g, {"A", "B"})
-    rho_env = partial_trace(rho_g, {"E_A", "E_B"})
+#: The two-factor partitions of the global state a report measures, each
+#: traced once; the first label is the factor a partial transpose acts on.
+PAIRS: dict[str, tuple[str, str]] = {
+    "AB": ("A", "B"),
+    "AEA": ("A", "E_A"),
+    "AEB": ("A", "E_B"),
+    "EAEB": ("E_A", "E_B"),
+}
 
-    m = {
-        **local_measures(partial_trace(rho_g, {"A"})),
-        "Cc_AB": correlated_coherence_hs(rho_g, ("A", "B")),
-        "Cc_AEA": correlated_coherence_hs(rho_g, ("A", "E_A")),
-        "Cc_AEB": correlated_coherence_hs(rho_g, ("A", "E_B")),
-        "Cc_EAEB": correlated_coherence_hs(rho_g, ("E_A", "E_B")),
-        "Cc_ABE": correlated_coherence_hs(rho_g, ("A", "B", "E_A", "E_B")),
-        "C_global": hs_coherence(rho_g),
-        "C_env": hs_coherence(rho_env),
-        "concurrence_AB": concurrence_x_state(rho_ab),
-        "ppt_AEA": float(is_ppt(partial_trace(rho_g, {"A", "E_A"}), "A", PPT_TOL)),
-        "ppt_AEB": float(is_ppt(partial_trace(rho_g, {"A", "E_B"}), "A", PPT_TOL)),
-        "ppt_EAEB": float(is_ppt(rho_env, "E_A", PPT_TOL)),
-        "mutual_info_AB": re_correlated_coherence(rho_g, ("A", "B")),
+
+def _measures(spec: ChannelSpec, dres: DilationResult) -> dict[str, float]:
+    """Every measure column of a dilated state, one trace per pair its layout has."""
+    rho_g = outer(dres.state, dres.layout)
+    pairs = {
+        name: partial_trace(rho_g, pair)
+        for name, pair in PAIRS.items()
+        if set(pair) <= set(dres.layout.labels)
     }
+    m = {**local_measures(partial_trace(pairs["AEA"], {"A"})), "C_global": hs_coherence(rho_g)}
+    for name, rho in pairs.items():
+        m[f"Cc_{name}"] = correlated_coherence_hs(rho, PAIRS[name])
+        if name != "AB":  # A-B entanglement is reported as a concurrence
+            m[f"ppt_{name}"] = float(is_ppt(rho, PAIRS[name][0], PPT_TOL))
+    if "AB" in pairs:
+        m.update(
+            Cc_ABE=correlated_coherence_hs(rho_g, dres.layout.labels),
+            C_env=hs_coherence(pairs["EAEB"]),
+            concurrence_AB=concurrence_x_state(pairs["AB"]),
+            mutual_info_AB=re_correlated_coherence(pairs["AB"], PAIRS["AB"]),
+        )
     if spec.kind is ChannelKind.PDC:
         sectors = sector_decomposition(dres.state, dres.layout)
         m.update(
@@ -180,16 +187,6 @@ def _two_qubit_measures(spec: ChannelSpec, dres: DilationResult) -> dict[str, fl
             sector_EB=sectors.weight({"E_B"}),
         )
     return m
-
-
-def _one_qubit_measures(dres: DilationResult) -> dict[str, float]:
-    rho_g = outer(dres.state, dres.layout)
-    return {
-        **local_measures(partial_trace(rho_g, {"A"})),
-        "Cc_AEA": correlated_coherence_hs(rho_g, ("A", "E_A")),
-        "C_global": hs_coherence(rho_g),
-        "ppt_AEA": float(is_ppt(rho_g, "A", PPT_TOL)),
-    }
 
 
 def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
@@ -207,10 +204,7 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
 
     psi, layout = initial_state(spec.kind, x)
     dres = dilate(spec, psi, layout)
-    if spec.kind.n_system_qubits == 2:
-        measures = _two_qubit_measures(spec, dres)
-    else:
-        measures = _one_qubit_measures(dres)
+    measures = _measures(spec, dres)
     measures.update(local_measures(partial_trace(outer(psi, layout), {"A"}), INITIAL_COLUMNS))
 
     residuals = {
@@ -236,7 +230,7 @@ def check_identity(identity: IdentityId, report: CCRReport) -> float:
 def _adc_concurrence(x: float, p: float) -> float:
     psi, layout = initial_state(ChannelKind.ADC, x)
     dres = dilate(ChannelSpec(ChannelKind.ADC, p), psi, layout)
-    rho_ab = partial_trace(outer(dres.state, dres.layout), {"A", "B"})
+    rho_ab = partial_trace(outer(dres.state, dres.layout), PAIRS["AB"])
     return concurrence_x_state(rho_ab)
 
 

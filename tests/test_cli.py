@@ -68,6 +68,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="tolerance"):
             small_config(tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [1.0, math.inf])
+    def test_tolerance_below_one(self, tolerance):
+        # a 0/1 indicator check could never fail at such a bound
+        with pytest.raises(ValueError, match="tolerance"):
+            small_config(tolerance=tolerance)
+
+    def test_empty_p_interval_rejected(self):
+        with pytest.raises(ValueError, match="p_start/p_stop"):
+            small_config(p_start=0.5, p_stop=0.5, p_count=3)
+
 
 class TestRunSweep:
     def test_cardinality(self):
@@ -225,6 +235,39 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--channels", "warp", "--out", "x.csv"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--channels", "adc,warp", "unknown channel 'warp' (choose from adc,cadc,pdc,"),
+            ("--x", "0.5,abc", "argument --x: x: could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_bad_list_token_named(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", flag, value, "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_empty_p_interval_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--p-start", "0.5", "--p-stop", "0.5", "--p-count", "3",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "p_start/p_stop" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerance", ["1", "inf"])
+    def test_tolerance_at_least_one_is_config_error(self, capsys, tolerance):
+        assert main(["verify", "--channels", "pfc", "--tolerance", tolerance]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_verify_loose_tolerance_passes(self, capsys):
+        # the PPT threshold is fixed; a looser residual bound must not fail it
+        argv = ["verify", "--channels", "adc,cadc", "--x", "0.5", "--p-count", "11",
+                "--tolerance", "0.3"]
+        assert main(argv) == 0
+        assert "PASS  xstate_ppt_consistency" in capsys.readouterr().out
 
     def test_unwritable_path(self, capsys):
         rc = main([

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccrsweep.channels import ChannelKind, ChannelSpec, dilate
 from ccrsweep.reports import (
@@ -213,3 +215,26 @@ class TestSuddenDeath:
             sudden_death_point(0.0)
         with pytest.raises(ValueError, match="strictly inside"):
             sudden_death_point(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(ChannelKind)),
+    x=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, INV_SQRT2]),
+    p=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+    mu=st.sampled_from([0.0, 1.0]),
+)
+def test_report_identities_property(kind, x, p, mu):
+    r = ccr_report(ChannelSpec(kind, p, mu if kind is ChannelKind.CADC else 0.0), x)
+    assert r.residuals[IdentityId.CCR_UNIVERSAL] <= 1e-10
+    for ident, residual in r.residuals.items():
+        if IDENTITIES[ident].domain(r.channel, r.x):  # r.x: BFC pins its own x
+            assert residual <= 1e-10, ident
+    if kind is ChannelKind.ADC:
+        # rho_A = diag(a, b) after damping x|00> + sqrt(1-x^2)|11>
+        a = x * x + (1 - x * x) * p
+        b = (1 - x * x) * (1 - p)
+        m = r.measures
+        assert m["P_hs_A"] == pytest.approx(a * a + b * b - 0.5, abs=1e-12)
+        assert m["S_l_A"] == pytest.approx(1 - a * a - b * b, abs=1e-12)
+        assert m["C_hs_A"] == pytest.approx(0.0, abs=1e-12)

@@ -3,10 +3,11 @@
 Each memoryless channel is defined by the isometry its interaction unitary
 induces on one (system qubit, fresh environment qubit) pair, with the
 environment starting in |0>.  The correlated amplitude damping channel acts
-jointly on the two-qubit system and a shared two-qubit environment.  Kraus
-operators are obtained by projecting the same isometry onto the environment
-basis, K_e = <e|U|0>_E, so the operator-sum route and the dilate-then-trace
-route realize the same map by construction.
+jointly on the two-qubit system and a shared two-qubit environment.  The
+one definition of a channel is ``_isometry``, the tensor W[s, e, c] =
+<s, e|U|c, 0>_E: ``dilate`` contracts it with the input state and ``kraus_set``
+slices it along the environment basis, K_e = <e|U|0>_E, so the operator-sum
+route and the dilate-then-trace route realize the same map by construction.
 
 Channel roster and noise parameter p in [0, 1]:
 
@@ -34,7 +35,7 @@ Channel roster and noise parameter p in [0, 1]:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,10 +61,6 @@ class ChannelKind(enum.Enum):
     @property
     def n_system_qubits(self) -> int:
         return 2 if self in _TWO_QUBIT_KINDS else 1
-
-    @property
-    def shared_environment(self) -> bool:
-        return self is ChannelKind.CADC
 
 
 _TWO_QUBIT_KINDS = frozenset(
@@ -185,13 +182,18 @@ def _correlated_isometry(p: float) -> np.ndarray:
     return W
 
 
-def _local_kraus(kind: ChannelKind, p: float) -> list[np.ndarray]:
-    V = _local_isometry(kind, p)
-    return [V[:, e, :] for e in range(2)]
+def _isometry(spec: ChannelSpec) -> np.ndarray:
+    """The whole channel as one tensor W[s, e, c] = <s, e|U|c, 0>_E.
 
-
-def _prune(ops: list[np.ndarray]) -> list[np.ndarray]:
-    return [k for k in ops if np.linalg.norm(k) >= PRUNE_TOL]
+    The local V for one-qubit kinds, V (x) V as (4, 4, 4) for memoryless
+    two-qubit kinds (CADC at mu = 0 too), the correlated isometry at mu = 1.
+    """
+    if spec.mu == 1.0:
+        return _correlated_isometry(spec.p)
+    V = _local_isometry(spec.kind, spec.p)
+    if spec.kind.n_system_qubits == 1:
+        return V
+    return np.einsum("aej,bfk->abefjk", V, V).reshape(4, 4, 4)
 
 
 def dilate(spec: ChannelSpec, system, sys_layout: SubsystemLayout) -> DilationResult:
@@ -229,35 +231,24 @@ def dilate(spec: ChannelSpec, system, sys_layout: SubsystemLayout) -> DilationRe
             "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
             "a two-qubit environment (apply kraus_set instead)"
         )
-    if spec.mu == 1.0:
-        W = _correlated_isometry(spec.p)
-        out = np.einsum("sec,c->se", W, psi)
-    elif n == 2:
-        V = _local_isometry(kind, spec.p)
-        out = np.einsum("aej,bfk,jk->abef", V, V, psi.reshape(2, 2))
-    else:
-        V = _local_isometry(kind, spec.p)
-        out = np.einsum("aej,j->ae", V, psi)
-
+    out = np.einsum("sec,c->se", _isometry(spec), psi)
     return DilationResult(state_vector(out.reshape(-1)), out_layout)
 
 
 def kraus_set(spec: ChannelSpec) -> KrausSet:
     """Kraus operators of the channel, K_e = <e|U|0>_E, zero operators pruned.
 
-    Memoryless two-qubit kinds return the product set {K_i (x) K_j}; CADC
-    returns {sqrt(1-mu) K_i (x) K_j} U {sqrt(mu) K_e^corr}.
+    Each K_e is a slice of :func:`_isometry`, the tensor :func:`dilate` also
+    contracts.  CADC at fractional mu returns the union
+    {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}.
     """
-    kind = spec.kind
-    if kind.n_system_qubits == 2:
-        local = _local_kraus(kind, spec.p)
-        ops = [np.sqrt(1.0 - spec.mu) * np.kron(ka, kb) for ka in local for kb in local]
-        if kind is ChannelKind.CADC:
-            W = _correlated_isometry(spec.p)
-            ops += [np.sqrt(spec.mu) * W[:, e, :] for e in range(4)]
+    if spec.mu in (0.0, 1.0):
+        W = _isometry(spec)
+        ops = [W[:, e, :] for e in range(W.shape[1])]
     else:
-        ops = _local_kraus(kind, spec.p)
-    return KrausSet(tuple(_prune(ops)), spec)
+        ops = [np.sqrt(w) * k for m, w in ((0.0, 1.0 - spec.mu), (1.0, spec.mu))
+               for k in kraus_set(replace(spec, mu=m)).operators]
+    return KrausSet(tuple(k for k in ops if np.linalg.norm(k) >= PRUNE_TOL), spec)
 
 
 def validate_kraus(ks: KrausSet) -> float:

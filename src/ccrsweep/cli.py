@@ -279,16 +279,21 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
 
 
 def _verify_cadc_limit(cfg: SweepConfig, t: _Tracker) -> None:
+    """CADC at mu = 0 against amplitude damping of both qubits in closed form."""
     if ChannelKind.CADC not in cfg.channels:
         return
-    psi, layout = initial_state(ChannelKind.CADC, 0.5)
+    x = 0.5
+    psi, layout = initial_state(ChannelKind.CADC, x)
     rho0 = outer(psi, layout)
+    y = psi[-1].real
     for p in cfg.p_grid():
         memoryless = apply_kraus(rho0, kraus_set(ChannelSpec(ChannelKind.CADC, p, 0.0)))
-        plain = apply_kraus(rho0, kraus_set(ChannelSpec(ChannelKind.ADC, p)))
+        split = y * y * p * (1.0 - p)
+        closed = np.diag([x * x + (y * p) ** 2, split, split, (y * (1.0 - p)) ** 2]).astype(complex)
+        closed[0, 3] = closed[3, 0] = x * y * (1.0 - p)
         t.track(
             "cadc_memoryless_limit",
-            float(np.abs(memoryless.mat - plain.mat).max()),
+            float(np.abs(memoryless.mat - closed).max()),
             f"cadc p={p:g}",
         )
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccrsweep.channels import (
     ChannelKind,
@@ -280,3 +282,33 @@ class TestApplyKraus:
         rho = apply_kraus(outer(excited, lay), ks)
         assert rho.mat[3, 3] == pytest.approx(0.2, abs=1e-15)
         assert rho.mat[0, 0] == pytest.approx(0.8, abs=1e-15)
+
+
+X_VALUES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1 / math.sqrt(2)])
+P_VALUES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@settings(max_examples=25, deadline=None)
+@given(x=X_VALUES, p=P_VALUES, mu=st.sampled_from([0.0, 1.0]))
+def test_kraus_and_dilation_agree_property(kind, x, p, mu):
+    spec = ChannelSpec(kind, p, mu if kind is ChannelKind.CADC else 0.0)
+    psi, lay = system_state(kind, x)
+    ks = kraus_set(spec)
+    assert validate_kraus(ks) <= 1e-12
+    via_kraus = apply_kraus(outer(psi, lay), ks)
+    dres = dilate(spec, psi, lay)
+    via_dilation = partial_trace(outer(dres.state, dres.layout), set(lay.labels))
+    assert np.abs(via_kraus.mat - via_dilation.mat).max() <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(x=X_VALUES, p=P_VALUES, mu=st.floats(0.0, 1.0))
+def test_cadc_mixture_property(x, p, mu):
+    psi, lay = system_state(ChannelKind.CADC, x)
+    rho = outer(psi, lay)
+
+    def channel(m):
+        return apply_kraus(rho, kraus_set(ChannelSpec(ChannelKind.CADC, p, m))).mat
+
+    assert np.abs(channel(mu) - ((1 - mu) * channel(0.0) + mu * channel(1.0))).max() <= 1e-12

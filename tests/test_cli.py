@@ -286,6 +286,21 @@ class TestMain:
         assert main(argv) == 0
         assert "cadc_redistribution" not in capsys.readouterr().out
 
+    def test_cadc_memoryless_limit_catches_wrong_damping(self, monkeypatch, capsys):
+        # Damping with probability p^2 instead of p changes ADC and CADC alike,
+        # so only the closed-form reference can notice it.
+        from ccrsweep import channels
+
+        local = channels._local_isometry
+
+        def squared(kind, p):
+            return local(kind, p * p if kind in (ChannelKind.ADC, ChannelKind.CADC) else p)
+
+        monkeypatch.setattr(channels, "_local_isometry", squared)
+        argv = ["verify", "--channels", "cadc", "--mu", "0", "--x", "0.5", "--p-count", "5"]
+        assert main(argv) == 1
+        assert "FAIL  cadc_memoryless_limit" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize(
         "x, message",

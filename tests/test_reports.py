@@ -217,9 +217,9 @@ class TestSuddenDeath:
             sudden_death_point(1.0)
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda k: k.value)
+@settings(max_examples=25, deadline=None)
 @given(
-    kind=st.sampled_from(list(ChannelKind)),
     x=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, INV_SQRT2]),
     p=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
     mu=st.sampled_from([0.0, 1.0]),

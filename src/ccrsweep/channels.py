@@ -5,7 +5,8 @@ induces on one (system qubit, fresh environment qubit) pair, with the
 environment starting in |0>.  The correlated amplitude damping channel acts
 jointly on the two-qubit system and a shared two-qubit environment.  The
 one definition of a channel is ``_isometry``, the tensor W[s, e, c] =
-<s, e|U|c, 0>_E: ``dilate`` contracts it with the input state and ``kraus_set``
+<s, e|U|c, 0>_E: ``dilate_block`` stacks it over p and contracts it with the
+input state (``dilate`` is a block of one) and ``kraus_set``
 slices it along the environment basis, K_e = <e|U|0>_E, so the operator-sum
 route and the dilate-then-trace route realize the same map by construction.
 
@@ -36,10 +37,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityOperator, SubsystemLayout, qubits, state_vector
+from .linalg import DensityOperator, SubsystemLayout, check_norms, qubits, state_vector
 
 #: Kraus operators with Frobenius norm below this are dropped (they appear at
 #: the endpoints p = 0, 1 and would only clutter completeness checks).
@@ -187,7 +189,13 @@ def _isometry(spec: ChannelSpec) -> np.ndarray:
 
     The local V for one-qubit kinds, V (x) V as (4, 4, 4) for memoryless
     two-qubit kinds (CADC at mu = 0 too), the correlated isometry at mu = 1.
+    CADC at fractional mu (the only kind with mu != 0) raises ValueError.
     """
+    if spec.mu not in (0.0, 1.0):
+        raise ValueError(
+            "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
+            "a two-qubit environment (apply kraus_set instead)"
+        )
     if spec.mu == 1.0:
         return _correlated_isometry(spec.p)
     V = _local_isometry(spec.kind, spec.p)
@@ -197,19 +205,33 @@ def _isometry(spec: ChannelSpec) -> np.ndarray:
 
 
 def dilate(spec: ChannelSpec, system, sys_layout: SubsystemLayout) -> DilationResult:
-    """Evolve a pure system state jointly with fresh |0> environment qubits.
+    """Evolve a pure system state jointly with fresh |0> environment qubits:
+    a block of one of :func:`dilate_block`, which names the errors."""
+    amplitudes, layout = dilate_block((spec,), system, sys_layout)
+    return DilationResult(amplitudes[0], layout)
 
-    The returned layout appends one environment label ``E_<label>`` per
-    system qubit; for CADC the two environment qubits are acted on jointly
-    but keep individual labels so partial traces can address them.
 
-    Raises ValueError when the system arity does not match the channel kind,
-    when a depolarizing input has complex amplitudes (its identity-plus-
-    sigma_y realization describes the intended mixture only on real
-    amplitude vectors), or for CADC with fractional mu (the mixed map has no
-    dilation on a two-qubit environment; use the Kraus route instead).
+def block_kind(specs: Sequence[ChannelSpec]) -> ChannelKind:
+    """The one channel kind of a block of specs; ValueError if empty or mixed."""
+    if not specs or any(spec.kind is not specs[0].kind for spec in specs):
+        raise ValueError("a block needs one or more specs of one channel kind")
+    return specs[0].kind
+
+
+def dilate_block(
+    specs: Sequence[ChannelSpec], system, sys_layout: SubsystemLayout
+) -> tuple[np.ndarray, SubsystemLayout]:
+    """Dilate one system state through specs of one channel kind at once.
+
+    Returns the global amplitudes, one read-only row per spec, and the global
+    layout with one environment label ``E_<label>`` per system qubit (CADC
+    acts on both jointly).  Raises ValueError for an empty or mixed-kind
+    block, when the system arity does not match the kind, when a
+    depolarizing input has complex amplitudes (its identity-plus-sigma_y
+    realization describes the intended mixture only on real amplitudes), or
+    for CADC with fractional mu (see :func:`_isometry`).
     """
-    kind = spec.kind
+    kind = block_kind(specs)
     n = kind.n_system_qubits
     if len(sys_layout.labels) != n or any(d != 2 for d in sys_layout.dims):
         raise ValueError(
@@ -225,14 +247,11 @@ def dilate(spec: ChannelSpec, system, sys_layout: SubsystemLayout) -> DilationRe
     if kind is ChannelKind.DC and float(np.abs(psi.imag).max()) > 1e-12:
         raise ValueError("the depolarizing dilation requires real amplitudes")
 
-    # mu is nonzero for CADC only (ChannelSpec enforces it)
-    if spec.mu not in (0.0, 1.0):
-        raise ValueError(
-            "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
-            "a two-qubit environment (apply kraus_set instead)"
-        )
-    out = np.einsum("sec,c->se", _isometry(spec), psi)
-    return DilationResult(state_vector(out.reshape(-1)), out_layout)
+    W = np.array([_isometry(spec) for spec in specs])
+    out = np.einsum("psec,c->pse", W, psi).reshape(len(specs), out_layout.dim)
+    check_norms(out)
+    out.setflags(write=False)
+    return out, out_layout
 
 
 def kraus_set(spec: ChannelSpec) -> KrausSet:

@@ -36,10 +36,9 @@ from .reports import (
     CCRReport,
     IdentityId,
     _sudden_death_bisection,
-    ccr_report,
     initial_state,
     is_balanced,
-    local_measures,
+    report_block,
 )
 
 #: Initial-state grid matching the curve families usually plotted.
@@ -102,18 +101,19 @@ class SweepConfig:
         mu = self.mu if kind is ChannelKind.CADC else 0.0
         return ChannelSpec(kind, p, mu)
 
-    def points(self) -> Iterator[tuple[ChannelSpec, float]]:
-        """(spec, x) per grid point, ordered channel / x asc / p asc; the bit
-        flip channel is evaluated at x = 1/sqrt(2) only."""
-        for kind in self.channels:
-            for x in (BALANCED_X,) if kind is ChannelKind.BFC else sorted(self.x_values):
-                for p in self.p_grid():
-                    yield self.spec(kind, p), x
+
+def _reports(cfg: SweepConfig) -> Iterator[CCRReport]:
+    """One report per grid point, ordered channel / x asc / p asc and
+    evaluated one (channel, x) block at a time; the bit flip channel is
+    evaluated at x = 1/sqrt(2) only."""
+    for kind in cfg.channels:
+        for x in (BALANCED_X,) if kind is ChannelKind.BFC else sorted(cfg.x_values):
+            yield from report_block([cfg.spec(kind, p) for p in cfg.p_grid()], x)
 
 
 def run_sweep(cfg: SweepConfig) -> list[CCRReport]:
-    """One report per grid point, in ``SweepConfig.points`` order."""
-    return [ccr_report(spec, x) for spec, x in cfg.points()]
+    """One report per grid point, ordered channel / x asc / p asc."""
+    return list(_reports(cfg))
 
 
 def _report_row(report: CCRReport) -> dict[str, object]:
@@ -183,8 +183,8 @@ class _Tracker:
 def _verify_reports(cfg: SweepConfig, t: _Tracker) -> None:
     """One report per grid point: its in-domain identities, column invariants
     and, for two-qubit kinds, checks on the dilated state it kept."""
-    for spec, x in cfg.points():
-        report = ccr_report(spec, x)
+    for report in _reports(cfg):
+        spec = report.channel
         kind = spec.kind
         where = f"{kind.value} x={report.x:g} p={report.p:g}"
         for ident, residual in report.residuals.items():
@@ -238,14 +238,10 @@ def _verify_state(report: CCRReport, t: _Tracker, where: str) -> None:
 
 def _verify_ccr_extended(cfg: SweepConfig, t: _Tracker) -> None:
     """CCR on every tenth of x, which the grid's x values need not cover."""
-    ccr = IDENTITIES[IdentityId.CCR_UNIVERSAL].residual
     wide = replace(cfg, x_values=tuple(round(0.1 * i, 1) for i in range(11)))
-    for spec, x in wide.points():
-        psi, layout = initial_state(spec.kind, x)
-        dres = dilate(spec, psi, layout)
-        rho_a = partial_trace(outer(dres.state, dres.layout), {"A"})
-        where = f"{spec.kind.value} x={x:g} p={spec.p:g}"
-        t.track("ccr_universal", ccr(local_measures(rho_a)), where)
+    for report in _reports(wide):
+        where = f"{report.channel.kind.value} x={report.x:g} p={report.p:g}"
+        t.track("ccr_universal", report.residuals[IdentityId.CCR_UNIVERSAL], where)
 
 
 def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:

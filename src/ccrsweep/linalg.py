@@ -80,11 +80,35 @@ def state_vector(amplitudes) -> np.ndarray:
     Raises ValueError when | ||psi||^2 - 1 | exceeds ``NORM_TOL``.
     """
     psi = np.array(amplitudes, dtype=complex).reshape(-1)
-    norm2 = float(np.vdot(psi, psi).real)
-    if abs(norm2 - 1.0) > NORM_TOL:
-        raise ValueError(f"state vector is not normalized: ||psi||^2 = {norm2!r}")
+    check_norms(psi)
     psi.setflags(write=False)
     return psi
+
+
+def check_norms(psi: np.ndarray) -> None:
+    """Raise ValueError unless a vector, or each of a stack (..., n), has norm 1 to ``NORM_TOL``."""
+    norm2 = (psi.conj() * psi).real.sum(axis=-1)
+    deviation = np.abs(norm2 - 1.0)
+    if deviation.max() > NORM_TOL:
+        worst = float(norm2.flat[deviation.argmax()])
+        raise ValueError(f"state vector is not normalized: ||psi||^2 = {worst!r}")
+
+
+def check_density(mat: np.ndarray, spectrum: bool = True) -> None:
+    """Raise ValueError, naming the worst defect, unless a matrix, or each of a
+    stack (..., d, d), is Hermitian to ``HERMITIAN_TOL`` with trace 1 to
+    ``TRACE_TOL`` and, with ``spectrum``, no eigenvalue below ``EIGENVALUE_FLOOR``."""
+    herm_defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
+    if herm_defect > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: defect {herm_defect!r}")
+    tr = mat.trace(0, -2, -1)
+    deviation = np.abs(tr - 1.0)
+    if deviation.max() > TRACE_TOL:
+        raise ValueError(f"trace must be 1, got {complex(tr.flat[deviation.argmax()])!r}")
+    if spectrum:
+        lo = float(np.linalg.eigvalsh(mat)[..., 0].min())
+        if lo < EIGENVALUE_FLOOR:
+            raise ValueError(f"minimum eigenvalue {lo!r} below {EIGENVALUE_FLOOR}")
 
 
 @dataclass(frozen=True)
@@ -112,16 +136,7 @@ class DensityOperator:
                 f"matrix dimension {mat.shape[0]} does not match layout "
                 f"{self.layout.labels} of dimension {self.layout.dim}"
             )
-        herm_defect = float(np.abs(mat - mat.conj().T).max())
-        if herm_defect > HERMITIAN_TOL:
-            raise ValueError(f"matrix is not Hermitian: defect {herm_defect!r}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr!r}")
-        if check_spectrum:
-            lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < EIGENVALUE_FLOOR:
-                raise ValueError(f"minimum eigenvalue {lo!r} below {EIGENVALUE_FLOOR}")
+        check_density(mat, check_spectrum)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -190,15 +205,16 @@ def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
+    """Ascending real eigenvalues of a Hermitian matrix, or per matrix of a
+    stack (..., d, d).
 
     Raises ValueError for non-square input or a Hermiticity defect above
     ``tol``.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    defect = float(np.abs(m - m.conj().T).max())
+    defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: defect {defect!r} > {tol!r}")
     return np.linalg.eigvalsh(m)

@@ -14,76 +14,105 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
+    check_norms,
     hermitian_eigenvalues,
     outer,
     partial_trace,
     partial_transpose,
-    state_vector,
 )
 
 X_STATE_TOL = 1e-12
 
 
-def hs_coherence(rho: DensityOperator) -> float:
-    """Hilbert-Schmidt (l2) coherence: sum of squared off-diagonal moduli."""
-    abs2 = np.abs(rho.mat) ** 2
-    np.fill_diagonal(abs2, 0.0)
-    return float(abs2.sum())
+def _mat(rho) -> np.ndarray:
+    return rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
 
 
-def hs_predictability(rho: DensityOperator) -> float:
+def hs_coherence(rho):
+    """Hilbert-Schmidt (l2) coherence: sum of squared off-diagonal moduli.
+
+    Like every measure here, it takes a DensityOperator or a stack of
+    matrices (..., d, d), and a stack gives one value per matrix.
+    """
+    abs2 = np.abs(_mat(rho)) ** 2
+    d = abs2.shape[-1]
+    flat = abs2.reshape(abs2.shape[:-2] + (d * d,))
+    flat[..., :: d + 1] = 0.0  # the diagonal
+    return flat.sum(axis=-1)
+
+
+def hs_predictability(rho):
     """Population imbalance sum_j rho_jj^2 - 1/d."""
-    diag = rho.mat.diagonal().real
-    return float((diag**2).sum() - 1.0 / rho.dim)
+    m = _mat(rho)
+    diag = m.diagonal(0, -2, -1).real
+    return (diag**2).sum(axis=-1) - 1.0 / m.shape[-1]
 
 
-def linear_entropy(rho: DensityOperator) -> float:
+def linear_entropy(rho):
     """1 - Tr rho^2: mixedness, and for a subsystem of a pure global state
     its correlation with everything else."""
-    return float(1.0 - np.einsum("ij,ji->", rho.mat, rho.mat).real)
+    m = _mat(rho)
+    return 1.0 - np.einsum("...ij,...ji->...", m, m).real
 
 
-def correlated_coherence_hs(rho_global: DensityOperator, blocks: Sequence[str]) -> float:
+def _joint(rho, blocks: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The joint state of ``blocks`` and its factor dimensions: traced from a
+    DensityOperator, or ``rho`` itself, a stack of states of those qubits."""
+    if isinstance(rho, DensityOperator):
+        joint = partial_trace(rho, blocks)
+        return joint.mat, joint.layout.dims
+    return np.asarray(rho), (2,) * len(blocks)
+
+
+def factor_marginals(joint: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+    """The one-factor marginals of a stack of joint states (..., D, D) over
+    factors of dimensions ``dims``, each traced from the joint."""
+    n = len(dims)
+    t = joint.reshape(joint.shape[:-2] + tuple(dims) * 2)
+    cols = [[n if j == k else j for j in range(n)] for k in range(n)]
+    return [np.einsum(t, [..., *range(n), *cols[k]], [..., k, n]) for k in range(n)]
+
+
+def correlated_coherence_hs(rho_global, blocks: Sequence[str]):
     """Joint coherence of the named subsystems minus their local coherences.
 
     ``blocks`` is a sequence of single subsystem labels; the joint reduced
     state over all of them is compared against each one-label marginal,
     traced from the joint, so passing the joint reduced state is free.  Two
     blocks give the usual bipartite correlated coherence; more blocks
-    subtract every single-label local coherence from the joint one.
+    subtract every single-label local coherence from the joint one.  An
+    array ``rho_global`` is taken as that joint state of the ``blocks``
+    qubits, in their order, or a stack of them.
     """
     if len(blocks) == 0:
         raise ValueError("correlated coherence needs at least one block")
-    joint = partial_trace(rho_global, blocks)
+    joint, dims = _joint(rho_global, blocks)
     total = hs_coherence(joint)
-    for label in blocks:
-        total -= hs_coherence(partial_trace(joint, {label}))
+    for marginal in factor_marginals(joint, dims):
+        total = total - hs_coherence(marginal)
     return total
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
+def von_neumann_entropy(rho):
     """-sum_i lam_i log2 lam_i with round-off negatives clamped to zero."""
-    lam = hermitian_eigenvalues(rho.mat)
-    lam = np.clip(lam, 0.0, None)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log2(lam)).sum())
+    lam = np.clip(hermitian_eigenvalues(_mat(rho)), 0.0, None)
+    return -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
 
 
-def re_correlated_coherence(rho_global: DensityOperator, blocks: Sequence[str]) -> float:
+def re_correlated_coherence(rho_global, blocks: Sequence[str]):
     """Relative-entropy correlated coherence of two subsystems.
 
     Basis independent and equal to the quantum mutual information
     S(X) + S(Y) - S(XY); only defined here for exactly two blocks.  The
-    marginals are traced from the joint, so passing the joint state is free.
+    marginals are traced from the joint, so passing the joint state, or a
+    stack of them as in :func:`correlated_coherence_hs`, is free.
     """
     if len(blocks) != 2:
         raise ValueError(f"expected exactly two blocks, got {len(blocks)}")
-    joint = partial_trace(rho_global, blocks)
+    joint, dims = _joint(rho_global, blocks)
     s_joint = von_neumann_entropy(joint)
-    s_locals = sum(
-        von_neumann_entropy(partial_trace(joint, {label})) for label in blocks
-    )
-    return float(s_locals - s_joint)
+    s_locals = sum(von_neumann_entropy(m) for m in factor_marginals(joint, dims))
+    return s_locals - s_joint
 
 
 def concurrence_pure(psi, layout: SubsystemLayout, cut: Iterable[str]) -> float:
@@ -92,38 +121,43 @@ def concurrence_pure(psi, layout: SubsystemLayout, cut: Iterable[str]) -> float:
     return float(np.sqrt(max(0.0, 2.0 * linear_entropy(rho_cut))))
 
 
-def _require_x_state(mat: np.ndarray) -> None:
-    off_mask = np.ones((4, 4), dtype=bool)
-    off_mask[np.arange(4), np.arange(4)] = False
-    off_mask[np.arange(4), np.arange(4)[::-1]] = False
-    worst = float(np.abs(mat[off_mask]).max())
+_X_OFF = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
+def concurrence_x_state(rho):
+    """Closed-form concurrence 2 max(0, L1, L2) for a two-qubit X state.
+
+    L1 = |rho_14| - sqrt(rho_22 rho_33), L2 = |rho_23| - sqrt(rho_11 rho_44).
+    Raises ValueError when a matrix is not X-shaped (the formula would be
+    silently wrong), naming the largest off-X modulus of the stack.
+    """
+    m = _mat(rho)
+    if m.shape[-1] != 4:
+        raise ValueError(f"X-state concurrence needs a two-qubit state, dim {m.shape[-1]}")
+    worst = float(np.abs(m[..., _X_OFF]).max())
     if worst > X_STATE_TOL:
         raise ValueError(
             f"not an X state: entry of modulus {worst!r} outside diagonal/anti-diagonal"
         )
+    diag = np.clip(m.diagonal(0, -2, -1).real, 0.0, None)
+    lam1 = np.abs(m[..., 0, 3]) - np.sqrt(diag[..., 1] * diag[..., 2])
+    lam2 = np.abs(m[..., 1, 2]) - np.sqrt(diag[..., 0] * diag[..., 3])
+    lam = np.maximum(lam1, lam2)
+    return 2.0 * np.where(lam > 0.0, lam, 0.0)
 
 
-def concurrence_x_state(rho: DensityOperator) -> float:
-    """Closed-form concurrence 2 max(0, L1, L2) for a two-qubit X state.
+def is_ppt(rho, subsystem: str, tol: float = 1e-10):
+    """Positivity of the partial transpose across ``subsystem`` vs the rest.
 
-    L1 = |rho_14| - sqrt(rho_22 rho_33), L2 = |rho_23| - sqrt(rho_11 rho_44).
-    Raises ValueError when the matrix is not X-shaped (the formula would be
-    silently wrong).
+    An array ``rho`` is a two-qubit state, or a stack (..., 4, 4) of them,
+    with ``subsystem`` as its first qubit.
     """
-    if rho.dim != 4:
-        raise ValueError(f"X-state concurrence needs a two-qubit state, dim {rho.dim}")
-    m = rho.mat
-    _require_x_state(m)
-    diag = np.clip(m.diagonal().real, 0.0, None)
-    lam1 = abs(m[0, 3]) - np.sqrt(diag[1] * diag[2])
-    lam2 = abs(m[1, 2]) - np.sqrt(diag[0] * diag[3])
-    return float(2.0 * max(0.0, lam1, lam2))
-
-
-def is_ppt(rho: DensityOperator, subsystem: str, tol: float = 1e-10) -> bool:
-    """Positivity of the partial transpose across ``subsystem`` vs the rest."""
-    lam = hermitian_eigenvalues(partial_transpose(rho, subsystem))
-    return bool(lam[0] >= -tol)
+    if isinstance(rho, DensityOperator):
+        pt = partial_transpose(rho, subsystem)
+    else:
+        t = np.asarray(rho).reshape(np.shape(rho)[:-2] + (2, 2, 2, 2))
+        pt = np.swapaxes(t, -4, -2).reshape(np.shape(rho))
+    return hermitian_eigenvalues(pt)[..., 0] >= -tol
 
 
 @dataclass(frozen=True)
@@ -132,7 +166,9 @@ class SectorDecomposition:
 
     ``weights`` maps a set of labels to the summed weight 2|c_a|^2|c_b|^2 of
     all basis pairs (a, b) whose multi-indices differ exactly on those
-    labels; ``total`` is the Hilbert-Schmidt coherence of the projector.
+    labels, listing only sets with a pair of nonzero amplitudes; ``total``
+    is the Hilbert-Schmidt coherence of the projector.  For a stack of
+    states every value is an array over the stack.
     """
 
     weights: dict[frozenset[str], float]
@@ -143,22 +179,24 @@ class SectorDecomposition:
 
 
 def sector_decomposition(psi, layout: SubsystemLayout) -> SectorDecomposition:
-    """Attribute each coherence term of |psi><psi| to the factors it spans."""
-    psi = state_vector(psi)
-    if psi.size != layout.dim:
-        raise ValueError(f"state dimension {psi.size} != layout dimension {layout.dim}")
-    digits = np.array(np.unravel_index(np.arange(psi.size), layout.dims)).T
-    support = [i for i in range(psi.size) if psi[i] != 0.0]
+    """Attribute each coherence term of |psi><psi|, for one state or a stack
+    (..., dim), to the factors it spans."""
+    psi = np.array(psi, dtype=complex)
+    if psi.shape[-1] != layout.dim:
+        raise ValueError(f"state dimension {psi.shape[-1]} != layout dimension {layout.dim}")
+    check_norms(psi)
+    digits = np.array(np.unravel_index(np.arange(layout.dim), layout.dims))
+    # sector[a, b] has one bit per factor the multi-indices of a and b differ on
+    differ = digits[:, :, np.newaxis] != digits[:, np.newaxis, :]
+    sector = np.tensordot(1 << np.arange(len(layout.dims)), differ, 1)
     prob = np.abs(psi) ** 2
-
-    weights: dict[frozenset[str], float] = {}
-    total = 0.0
-    for a_pos, a in enumerate(support):
-        for b in support[a_pos + 1:]:
-            w = 2.0 * prob[a] * prob[b]
-            differ = frozenset(
-                layout.labels[k] for k in range(len(layout.dims)) if digits[a, k] != digits[b, k]
-            )
-            weights[differ] = weights.get(differ, 0.0) + w
-            total += w
-    return SectorDecomposition(weights, total)
+    w = prob[..., :, np.newaxis] * prob[..., np.newaxis, :]  # each pair (a, b) twice
+    nonzero = (psi != 0.0).reshape(-1, layout.dim)
+    supported = (nonzero[:, :, np.newaxis] & nonzero[:, np.newaxis, :]).any(axis=0)
+    codes = sorted(set(sector[supported & (sector > 0)].tolist()))
+    sums = np.einsum("...ab,abk->k...", w, (sector[..., np.newaxis] == codes).astype(float))
+    weights = {
+        frozenset(lab for k, lab in enumerate(layout.labels) if code >> k & 1): total
+        for code, total in zip(codes, sums)
+    }
+    return SectorDecomposition(weights, w[..., sector > 0].sum(axis=-1))

@@ -4,8 +4,10 @@ A report evaluates one (channel, x, p) triple: the initial pure state
 x|0..0> + sqrt(1-x^2)|1..1> is dilated through the channel, every applicable
 predictability / coherence / correlation measure of the resulting global
 pure state is computed, and the residual of every identity the channel obeys
-is recorded.  All quantities come from the numerical pipeline; closed forms
-appear only in the test suite as expected values.
+is recorded.  Reports are evaluated a block at a time, one (kind, mu, x)
+over many p, by :func:`report_block`; :func:`ccr_report` is a block of one.
+All quantities come from the numerical pipeline; closed forms appear only in
+the test suite as expected values.
 """
 
 from __future__ import annotations
@@ -13,15 +15,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, DilationResult, dilate
-from .linalg import DensityOperator, SubsystemLayout, outer, partial_trace, qubits
+from .channels import ChannelKind, ChannelSpec, DilationResult, block_kind, dilate_block
+from .linalg import SubsystemLayout, check_density, qubits
 from .measures import (
     concurrence_x_state,
     correlated_coherence_hs,
+    factor_marginals,
     hs_coherence,
     hs_predictability,
     is_ppt,
@@ -140,8 +143,9 @@ LOCAL_COLUMNS = ("P_hs_A", "C_hs_A", "S_l_A")
 INITIAL_COLUMNS = ("P_hs_A_initial", "C_hs_A_initial", "S_l_initial")
 
 
-def local_measures(rho_a: DensityOperator, names=LOCAL_COLUMNS) -> dict[str, float]:
-    """Predictability, coherence and linear entropy of A's marginal, keyed by ``names``."""
+def local_measures(rho_a, names=LOCAL_COLUMNS) -> dict[str, float]:
+    """Predictability, coherence and linear entropy of A's marginal (or of a
+    stack of them), keyed by ``names``."""
     return dict(zip(names, (hs_predictability(rho_a), hs_coherence(rho_a), linear_entropy(rho_a))))
 
 
@@ -155,64 +159,97 @@ PAIRS: dict[str, tuple[str, str]] = {
 }
 
 
-def _measures(spec: ChannelSpec, dres: DilationResult) -> dict[str, float]:
-    """Every measure column of a dilated state, one trace per pair its layout has."""
-    rho_g = outer(dres.state, dres.layout)
+#: The coherence sectors reported for phase damping, by the factors they span.
+SECTORS = (("A", "B"), ("A", "B", "E_A"), ("A", "B", "E_B"), ("A", "B", "E_A", "E_B"),
+           ("E_A", "E_B"), ("E_A",), ("E_B",))
+
+
+def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, keep: Sequence[str]) -> np.ndarray:
+    """Reduced states (P, d, d) on ``keep`` of pure states (P, dim): M M^dag,
+    with M the amplitudes reshaped to (P, kept factors, the rest)."""
+    t = amplitudes.reshape((-1,) + layout.dims)
+    axes = [1 + layout.position(label) for label in keep]
+    rest = [a for a in range(1, t.ndim) if a not in axes]
+    m = t.transpose([0, *axes, *rest])
+    m = m.reshape(len(t), math.prod(layout.dims[a - 1] for a in axes), -1)
+    return m @ m.conj().swapaxes(-1, -2)
+
+
+def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: SubsystemLayout):
+    """Every measure column, as arrays over the block, of dilated states
+    (P, dim): each pair of ``PAIRS`` the layout has is formed once as a
+    stack and every measure runs on the stacks."""
     pairs = {
-        name: partial_trace(rho_g, pair)
+        name: _reduced(amplitudes, layout, pair)
         for name, pair in PAIRS.items()
-        if set(pair) <= set(dres.layout.labels)
+        if set(pair) <= set(layout.labels)
     }
-    m = {**local_measures(partial_trace(pairs["AEA"], {"A"})), "C_global": hs_coherence(rho_g)}
+    rho_a = factor_marginals(pairs["AEA"], (2, 2))[0]
+    check_density(np.stack(list(pairs.values())))
+    check_density(rho_a)
+    m = {**local_measures(rho_a), "C_global": 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)}
     for name, rho in pairs.items():
         m[f"Cc_{name}"] = correlated_coherence_hs(rho, PAIRS[name])
         if name != "AB":  # A-B entanglement is reported as a concurrence
-            m[f"ppt_{name}"] = float(is_ppt(rho, PAIRS[name][0], PPT_TOL))
+            m[f"ppt_{name}"] = is_ppt(rho, PAIRS[name][0], PPT_TOL).astype(float)
     if "AB" in pairs:
         m.update(
-            Cc_ABE=correlated_coherence_hs(rho_g, dres.layout.labels),
+            Cc_ABE=correlated_coherence_hs(_reduced(amplitudes, layout, layout.labels), layout.labels),
             C_env=hs_coherence(pairs["EAEB"]),
             concurrence_AB=concurrence_x_state(pairs["AB"]),
             mutual_info_AB=re_correlated_coherence(pairs["AB"], PAIRS["AB"]),
         )
-    if spec.kind is ChannelKind.PDC:
-        sectors = sector_decomposition(dres.state, dres.layout)
-        m.update(
-            sector_AB=sectors.weight({"A", "B"}),
-            sector_ABEA=sectors.weight({"A", "B", "E_A"}),
-            sector_ABEB=sectors.weight({"A", "B", "E_B"}),
-            sector_ABEAEB=sectors.weight({"A", "B", "E_A", "E_B"}),
-            sector_EAEB=sectors.weight({"E_A", "E_B"}),
-            sector_EA=sectors.weight({"E_A"}),
-            sector_EB=sectors.weight({"E_B"}),
-        )
+    if kind is ChannelKind.PDC:
+        sectors = sector_decomposition(amplitudes, layout)
+        for labels in SECTORS:  # sector_AB, ..., sector_EB
+            m["sector_" + "".join(labels).replace("_", "")] = sectors.weight(labels)
     return m
+
+
+def report_block(specs: Sequence[ChannelSpec], x: float) -> list[CCRReport]:
+    """Reports at one x for specs of one channel kind, evaluated as one stack.
+
+    ``x`` parameterizes the initial state and must lie in [0, 1]; for the
+    bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
+    is formulated for.  Every reduced state formed is checked to be a
+    density matrix.  Every identity of the kind gets a residual, also where
+    the point lies outside the identity's domain.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x must lie in [0, 1], got {x!r}")
+    kind = block_kind(specs)
+    if kind is ChannelKind.BFC:
+        x = BALANCED_X
+
+    psi, sys_layout = initial_state(kind, x)
+    amplitudes, layout = dilate_block(specs, psi, sys_layout)
+    measures = _measure_columns(kind, amplitudes, layout)
+    initial = _reduced(psi[np.newaxis], sys_layout, ("A",))
+    check_density(initial)
+    measures.update(local_measures(initial[0], INITIAL_COLUMNS))
+    residuals = {
+        ident: row.residual(measures)
+        for ident, row in IDENTITIES.items()
+        if kind in row.kinds
+    }
+
+    def rows(columns: dict) -> list[dict]:
+        values = [v.tolist() if np.ndim(v) else [float(v)] * len(specs) for v in columns.values()]
+        return [dict(zip(columns, row)) for row in zip(*values)]
+
+    return [
+        CCRReport(spec, x, m, r, DilationResult(state, layout))
+        for spec, m, r, state in zip(specs, rows(measures), rows(residuals), amplitudes)
+    ]
 
 
 def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     """Evolve the initial state through the channel and measure everything.
 
-    ``x`` parameterizes the initial state and must lie in [0, 1]; for the
-    bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
-    is formulated for.  Every identity of the kind gets a residual, also
-    where the point lies outside the identity's domain.
+    A block of one (see :func:`report_block`): ``x`` must lie in [0, 1] and
+    is pinned to 1/sqrt(2) for the bit flip channel.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if spec.kind is ChannelKind.BFC:
-        x = BALANCED_X
-
-    psi, layout = initial_state(spec.kind, x)
-    dres = dilate(spec, psi, layout)
-    measures = _measures(spec, dres)
-    measures.update(local_measures(partial_trace(outer(psi, layout), {"A"}), INITIAL_COLUMNS))
-
-    residuals = {
-        ident: row.residual(measures)
-        for ident, row in IDENTITIES.items()
-        if spec.kind in row.kinds
-    }
-    return CCRReport(spec, x, measures, residuals, dres)
+    return report_block((spec,), x)[0]
 
 
 def check_identity(identity: IdentityId, report: CCRReport) -> float:
@@ -227,19 +264,12 @@ def check_identity(identity: IdentityId, report: CCRReport) -> float:
     return row.residual(report.measures)
 
 
-def _adc_concurrence(x: float, p: float) -> float:
-    psi, layout = initial_state(ChannelKind.ADC, x)
-    dres = dilate(ChannelSpec(ChannelKind.ADC, p), psi, layout)
-    rho_ab = partial_trace(outer(dres.state, dres.layout), PAIRS["AB"])
-    return concurrence_x_state(rho_ab)
-
-
 def _sudden_death_bisection(x: float, iterations: int = 60) -> float:
     """Largest p with positive concurrence, located by bisection."""
     lo, hi = 0.0, 1.0
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if _adc_concurrence(x, mid) > 0.0:
+        if ccr_report(ChannelSpec(ChannelKind.ADC, mid), x).measures["concurrence_AB"] > 0.0:
             lo = mid
         else:
             hi = mid

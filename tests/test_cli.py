@@ -4,6 +4,7 @@ import math
 import pytest
 
 from ccrsweep.channels import ChannelKind
+from ccrsweep.reports import IDENTITIES, IdentityId
 from ccrsweep.cli import (
     CSV_COLUMNS,
     DEFAULT_X,
@@ -95,6 +96,17 @@ class TestRunSweep:
         reports = run_sweep(cfg)
         assert len(reports) == 3
         assert all(r.x == INV_SQRT2 for r in reports)
+
+    def test_identities_hold_on_dense_grid(self):
+        reports = run_sweep(SweepConfig(p_count=1001))
+        assert len(reports) == 31031
+        worst = {}
+        for r in reports:
+            for ident, residual in r.residuals.items():
+                if IDENTITIES[ident].domain(r.channel, r.x):
+                    worst[ident] = max(worst.get(ident, 0.0), residual)
+        assert set(worst) == set(IdentityId)
+        assert max(worst.values()) <= 1e-10, worst
 
     def test_sudden_death_visible_in_concurrence_column(self):
         cfg = small_config(p_count=101)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from ccrsweep.linalg import (
     DensityOperator,
     SubsystemLayout,
+    check_density,
+    check_norms,
     hermitian_eigenvalues,
     outer,
     partial_trace,
@@ -131,6 +133,31 @@ class TestDensityOperatorValidation:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityOperator(np.diag([1.5, -0.5]), qubits("A"))
+
+
+class TestStackedChecks:
+    def test_density_stack_names_the_bad_row(self):
+        good = np.stack([np.diag([0.25, 0.75]), np.eye(2) / 2]).astype(complex)
+        check_density(good)
+        with pytest.raises(ValueError, match=r"trace must be 1, got \(0\.9\+0j\)"):
+            check_density(np.stack([*good, np.diag([0.4, 0.5])]))
+        with pytest.raises(ValueError, match="not Hermitian: defect 0.1"):
+            check_density(np.stack([*good, np.array([[1.0, 0.1], [0.0, 0.0]])]))
+        with pytest.raises(ValueError, match="minimum eigenvalue -0.5 "):
+            check_density(np.stack([*good, np.diag([1.5, -0.5])]))
+        check_density(np.stack([*good, np.diag([1.5, -0.5])]), spectrum=False)
+
+    def test_norm_stack_names_the_bad_row(self):
+        check_norms(np.array([[1.0, 0.0], [0.6, 0.8j]]))
+        with pytest.raises(ValueError, match=r"\|\|psi\|\|\^2 = 2\.0"):
+            check_norms(np.array([[1.0, 0.0], [1.0, 1.0], [0.6, 0.8]]))
+
+    def test_stacked_eigenvalues(self):
+        rng = np.random.default_rng(5)
+        mats = np.stack([random_density(rng, 4).mat for _ in range(3)])
+        got = hermitian_eigenvalues(mats)
+        for lam, m in zip(got, mats):
+            assert np.array_equal(lam, hermitian_eigenvalues(m))
 
 
 class TestPartialTrace:

@@ -252,6 +252,15 @@ class TestXStateConcurrence:
         with pytest.raises(ValueError, match="two-qubit"):
             concurrence_x_state(DensityOperator(np.eye(2) / 2, qubits("A")))
 
+    def test_stacked_block_with_one_non_x_row_rejected(self):
+        rows = [partial_trace(outer(*damped_pair_state(0.4, p)), {"A", "B"}).mat
+                for p in (0.1, 0.5, 0.9)]
+        assert concurrence_x_state(np.stack(rows)).shape == (3,)
+        leaky = rows[1].copy()
+        leaky[0, 1] = leaky[1, 0] = 3e-12
+        with pytest.raises(ValueError, match=r"not an X state: entry of modulus 3e-12 "):
+            concurrence_x_state(np.stack([rows[0], leaky, rows[2]]))
+
 
 class TestPpt:
     def test_bell_state_is_entangled(self):
@@ -342,3 +351,33 @@ def test_complementarity_saturates_for_pure_states(seed, dims):
             hs_predictability(marginal) + hs_coherence(marginal) + linear_entropy(marginal)
         )
         assert abs(total - (d - 1) / d) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_stacks_give_the_per_matrix_values(seed, n):
+    # every measure on a stack (n, 4, 4) of two-qubit states, or on a stack
+    # of four-qubit pure states, equals the measure of each matrix alone
+    rng = np.random.default_rng(seed)
+    lay = qubits("A", "B", "E_A", "E_B")
+    psis = np.stack([random_state(rng, 16) for _ in range(n)])
+    globals_ = [outer(psi, lay) for psi in psis]
+    pairs = [partial_trace(rho, {"A", "E_A"}) for rho in globals_]
+    stack = np.stack([rho.mat for rho in pairs])
+    for measure in (hs_coherence, hs_predictability, linear_entropy, von_neumann_entropy):
+        got = measure(stack)
+        assert got.shape == (n,)
+        for value, rho in zip(got, pairs):
+            assert abs(value - measure(rho)) <= 1e-14, measure.__name__
+    for measure in (correlated_coherence_hs, re_correlated_coherence):
+        got = measure(stack, ("A", "E_A"))
+        for value, rho, rho_g in zip(got, pairs, globals_):
+            assert abs(value - measure(rho_g, ("A", "E_A"))) <= 1e-14, measure.__name__
+    assert list(is_ppt(stack, "A")) == [is_ppt(rho, "A") for rho in pairs]
+    sectors = sector_decomposition(psis, lay)
+    for i, psi in enumerate(psis):
+        alone = sector_decomposition(psi, lay)
+        assert sectors.weights.keys() == alone.weights.keys()
+        for labels, weight in alone.weights.items():
+            assert abs(sectors.weights[labels][i] - weight) <= 1e-14
+        assert abs(sectors.total[i] - alone.total) <= 1e-14

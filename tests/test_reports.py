@@ -14,6 +14,7 @@ from ccrsweep.reports import (
     ccr_report,
     check_identity,
     initial_state,
+    report_block,
     sudden_death_point,
 )
 
@@ -60,6 +61,15 @@ class TestReportValues:
     def test_x_out_of_range(self):
         with pytest.raises(ValueError, match="x must lie"):
             ccr_report(ChannelSpec(ChannelKind.ADC, 0.5), 1.2)
+
+    @pytest.mark.parametrize(
+        "specs",
+        [[], [ChannelSpec(ChannelKind.ADC, 0.1), ChannelSpec(ChannelKind.PDC, 0.1)]],
+        ids=["empty", "mixed"],
+    )
+    def test_block_needs_one_kind(self, specs):
+        with pytest.raises(ValueError, match="one channel kind"):
+            report_block(specs, 0.5)
 
     def test_bit_flip_pins_x(self):
         r = ccr_report(ChannelSpec(ChannelKind.BFC, 0.3), 0.2)
@@ -238,3 +248,29 @@ def test_report_identities_property(kind, x, p, mu):
         assert m["P_hs_A"] == pytest.approx(a * a + b * b - 0.5, abs=1e-12)
         assert m["S_l_A"] == pytest.approx(1 - a * a - b * b, abs=1e-12)
         assert m["C_hs_A"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda k: k.value)
+@settings(max_examples=10, deadline=None)
+@given(
+    x=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, INV_SQRT2]),
+    ps=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=1, max_size=12),
+    mu=st.sampled_from([0.0, 1.0]),
+)
+def test_block_rows_match_single_reports(kind, x, ps, mu):
+    # no row of a block may leak into another: each equals the block of one at its p
+    specs = [ChannelSpec(kind, p, mu if kind is ChannelKind.CADC else 0.0) for p in ps]
+    block = report_block(specs, x)
+    assert [r.channel for r in block] == specs
+    for r in block:
+        single = ccr_report(r.channel, x)
+        assert r.x == single.x
+        assert r.measures.keys() == single.measures.keys()
+        assert r.residuals.keys() == single.residuals.keys()
+        for name, value in r.measures.items():
+            assert abs(value - single.measures[name]) <= 1e-15, name
+        for ident, value in r.residuals.items():
+            assert abs(value - single.residuals[ident]) <= 1e-15, ident
+        expected = dilate(r.channel, *initial_state(kind, r.x))
+        assert r.state.layout == expected.layout
+        assert r.state.state.tobytes() == expected.state.tobytes()

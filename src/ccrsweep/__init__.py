@@ -14,10 +14,8 @@ from .linalg import (
     outer,
     partial_trace,
     partial_transpose,
-    purity,
     qubits,
     state_vector,
-    tensor_product,
 )
 from .channels import (
     ChannelKind,
@@ -31,13 +29,13 @@ from .channels import (
 )
 from .measures import (
     SectorDecomposition,
-    concurrence_pure,
     concurrence_x_state,
     correlated_coherence_hs,
     hs_coherence,
     hs_predictability,
     is_ppt,
     linear_entropy,
+    ppt_min_eigenvalue,
     re_correlated_coherence,
     sector_decomposition,
     von_neumann_entropy,
@@ -70,7 +68,6 @@ __all__ = [
     "apply_kraus",
     "ccr_report",
     "check_identity",
-    "concurrence_pure",
     "concurrence_x_state",
     "correlated_coherence_hs",
     "dilate",
@@ -83,16 +80,15 @@ __all__ = [
     "kraus_set",
     "linear_entropy",
     "outer",
+    "ppt_min_eigenvalue",
     "partial_trace",
     "partial_transpose",
-    "purity",
     "qubits",
     "re_correlated_coherence",
     "run_sweep",
     "sector_decomposition",
     "state_vector",
     "sudden_death_point",
-    "tensor_product",
     "validate_kraus",
     "verify_command",
     "von_neumann_entropy",

@@ -4,9 +4,9 @@
 them as CSV or JSON in a fixed column order with shortest round-trip float
 formatting, so identical configurations produce byte-identical files.
 
-``ccrsweep verify`` re-derives every identity and invariant on a grid and
-exits 0 exactly when the worst residual of each named check stays within
-tolerance, printing the worst offender per check.
+``ccrsweep verify`` re-derives every identity and invariant on the grid's
+blocks and on every tenth of x, and exits 0 exactly when the worst residual
+of each named check stays within tolerance, printing the worst offender.
 
 Options may come from a flat ``key=value`` config file (``--config``);
 command-line flags win over file values.  Exit codes: 0 success, 1 tolerance
@@ -19,14 +19,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, apply_kraus, dilate, kraus_set, validate_kraus
-from .linalg import outer, partial_trace, partial_transpose, hermitian_eigenvalues
-from .measures import is_ppt, sector_decomposition
+from .channels import (_TWO_QUBIT_KINDS, ChannelKind, ChannelSpec, apply_kraus, dilate_block,
+                       kraus_set, validate_kraus)
+from .linalg import SubsystemLayout, outer
+from .measures import is_ppt, ppt_min_eigenvalue, sector_decomposition
 from .reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
@@ -34,7 +35,10 @@ from .reports import (
     PAIRS,
     PPT_TOL,
     CCRReport,
+    Identity,
     IdentityId,
+    _block_columns,
+    _reduced,
     _sudden_death_bisection,
     initial_state,
     is_balanced,
@@ -43,6 +47,9 @@ from .reports import (
 
 #: Initial-state grid matching the curve families usually plotted.
 DEFAULT_X = (0.1, 0.2, 0.25, 0.5, BALANCED_X)
+
+#: Every tenth of x, which verify covers besides the grid's x values.
+TENTHS = tuple(round(0.1 * i, 1) for i in range(11))
 
 CSV_COLUMNS = (
     "channel", "mu", "x", "p",
@@ -102,13 +109,19 @@ class SweepConfig:
         return ChannelSpec(kind, p, mu)
 
 
-def _reports(cfg: SweepConfig) -> Iterator[CCRReport]:
-    """One report per grid point, ordered channel / x asc / p asc and
-    evaluated one (channel, x) block at a time; the bit flip channel is
-    evaluated at x = 1/sqrt(2) only."""
+def _blocks(cfg: SweepConfig, x_values) -> Iterator[tuple[list[ChannelSpec], float]]:
+    """The (specs, x) of each (channel, x) block over ``x_values``, ordered
+    channel / x asc, each spec list p asc; the bit flip channel is evaluated
+    at x = 1/sqrt(2) only."""
     for kind in cfg.channels:
-        for x in (BALANCED_X,) if kind is ChannelKind.BFC else sorted(cfg.x_values):
-            yield from report_block([cfg.spec(kind, p) for p in cfg.p_grid()], x)
+        for x in (BALANCED_X,) if kind is ChannelKind.BFC else sorted(x_values):
+            yield [cfg.spec(kind, p) for p in cfg.p_grid()], x
+
+
+def _reports(cfg: SweepConfig) -> Iterator[CCRReport]:
+    """One report per grid point, ordered channel / x asc / p asc."""
+    for specs, x in _blocks(cfg, cfg.x_values):
+        yield from report_block(specs, x)
 
 
 def run_sweep(cfg: SweepConfig) -> list[CCRReport]:
@@ -174,104 +187,101 @@ class _Tracker:
 
     worst: dict[str, tuple[float, str]] = field(default_factory=dict)
 
-    def track(self, name: str, value: float, where: str) -> None:
-        value = float(value)
-        if name not in self.worst or value > self.worst[name][0]:
-            self.worst[name] = (value, where)
+    def track(self, name: str, values, where: Callable[[int], str]) -> None:
+        """Record the largest of ``values`` (the first on ties) if it beats the
+        worst so far, placed by ``where(index)``; an empty array records nothing."""
+        values = np.asarray(values, dtype=float)
+        if values.size == 0:
+            return
+        i = int(values.argmax())
+        if name not in self.worst or values[i] > self.worst[name][0]:
+            self.worst[name] = (float(values[i]), where(i))
 
 
-def _verify_reports(cfg: SweepConfig, t: _Tracker) -> None:
-    """One report per grid point: its in-domain identities, column invariants
-    and, for two-qubit kinds, checks on the dilated state it kept."""
-    for report in _reports(cfg):
-        spec = report.channel
-        kind = spec.kind
-        where = f"{kind.value} x={report.x:g} p={report.p:g}"
-        for ident, residual in report.residuals.items():
-            if IDENTITIES[ident].domain(spec, report.x):
-                t.track(ident.value, residual, where)
-        m = report.measures
-        if kind is ChannelKind.ADC:
-            t.track("adc_entropy_dominance", max(0.0, m["Cc_AB"] - m["S_l_A"]), where)
-            if is_balanced(report.x):
-                # data-property check of the x = 1/sqrt(2) columns against the
-                # closed forms of the marginal diag((1+p)/2, (1-p)/2)
-                p = report.p
-                t.track(
-                    "adc_symmetric_columns",
-                    max(
-                        abs(m["P_hs_A"] - p * p / 2),
-                        abs(m["Cc_AB"] - (1 - p) ** 2 / 2),
-                        abs(m["S_l_A"] - (1 - p * p) / 2),
-                    ),
-                    where,
-                )
-        if kind in (ChannelKind.PDC, ChannelKind.PFC):
-            t.track(
-                f"{kind.value}_predictability_invariance",
-                abs(m["P_hs_A"] - m["P_hs_A_initial"]),
-                where,
-            )
-        if kind is ChannelKind.DC and report.p == 1.0:
-            t.track("dc_terminal_locality", abs(m["S_l_A"]), where)
-            t.track("dc_terminal_locality", abs(m["C_global"] - m["C_hs_A"]), where)
-            t.track("dc_terminal_locality", abs(m["Cc_AEA"]), where)
+#: The checks of verify beside IDENTITIES, by name, over a block's measure
+#: columns, its "p" column and, for two-qubit kinds, its _state_columns.
+CHECKS: dict[str, Identity] = {
+    "adc_entropy_dominance": Identity(
+        (ChannelKind.ADC,), lambda m: np.maximum(0.0, m["Cc_AB"] - m["S_l_A"])),
+    # the x = 1/sqrt(2) columns against the closed forms of the marginal
+    # diag((1+p)/2, (1-p)/2)
+    "adc_symmetric_columns": Identity((ChannelKind.ADC,), lambda m: np.maximum.reduce([
+        abs(m["P_hs_A"] - m["p"] ** 2 / 2), abs(m["Cc_AB"] - (1 - m["p"]) ** 2 / 2),
+        abs(m["S_l_A"] - (1 - m["p"] ** 2) / 2)]), lambda spec, x: is_balanced(x)),
+    **{f"{kind.value}_predictability_invariance": Identity(
+        (kind,), lambda m: abs(m["P_hs_A"] - m["P_hs_A_initial"]))
+       for kind in (ChannelKind.PDC, ChannelKind.PFC)},
+    "dc_terminal_locality": Identity((ChannelKind.DC,), lambda m: np.maximum.reduce([
+        abs(m["S_l_A"]), abs(m["C_global"] - m["C_hs_A"]), abs(m["Cc_AEA"])]),
+        lambda spec, x: spec.p == 1.0),
+    "xstate_ppt_consistency": Identity(tuple(_TWO_QUBIT_KINDS), lambda m: m["entangled_but_ppt"]),
+    "cross_partition_ppt": Identity(
+        (ChannelKind.PDC, ChannelKind.BFC), lambda m: m["cross_ppt_defect"]),
+    "sector_total_consistency": Identity(
+        tuple(_TWO_QUBIT_KINDS), lambda m: abs(m["sector_total"] - m["C_global"])),
+}
+
+
+def _state_columns(m: dict, amplitudes: np.ndarray, layout: SubsystemLayout) -> dict:
+    """PPT and sector columns of a two-qubit block's dilated states."""
+    rho_ab = _reduced(amplitudes, layout, PAIRS["AB"])
+    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & is_ppt(rho_ab, "A", PPT_TOL)
+    cross = [
+        ppt_min_eigenvalue(_reduced(amplitudes, layout, PAIRS[name]), PAIRS[name][0])
+        for name in ("AEA", "AEB", "EAEB")
+    ]
+    return {
+        "entangled_but_ppt": entangled_but_ppt.astype(float),
+        "cross_ppt_defect": np.maximum(0.0, -np.min(cross, axis=0)),
+        "sector_total": sector_decomposition(amplitudes, layout).total,
+    }
+
+
+def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
+    """Every row of IDENTITIES and CHECKS, on the points of its domain, over
+    one block per (channel, x) for the grid's x values and every tenth of x."""
+    for specs, x in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
+        x, m, residuals, amplitudes, layout = _block_columns(specs, x)
+        kind = specs[0].kind
+        m = {**m, "p": np.array([spec.p for spec in specs])}
         if kind.n_system_qubits == 2:
-            _verify_state(report, t, where)
-
-
-def _verify_state(report: CCRReport, t: _Tracker, where: str) -> None:
-    """PPT and sector checks on the dilated state of a two-qubit report."""
-    kind, dres = report.channel.kind, report.state
-    rho_g = outer(dres.state, dres.layout)
-    rho_ab = partial_trace(rho_g, PAIRS["AB"])
-    entangled_but_ppt = report.measures["concurrence_AB"] > 1e-10 and is_ppt(rho_ab, "A", PPT_TOL)
-    t.track("xstate_ppt_consistency", 1.0 if entangled_but_ppt else 0.0, where)
-    if kind in (ChannelKind.PDC, ChannelKind.BFC):
-        for name in ("AEA", "AEB", "EAEB"):
-            rho = partial_trace(rho_g, PAIRS[name])
-            lam = hermitian_eigenvalues(partial_transpose(rho, PAIRS[name][0]))[0]
-            t.track("cross_partition_ppt", max(0.0, -float(lam)), where)
-    sectors = sector_decomposition(dres.state, dres.layout)
-    t.track("sector_total_consistency", abs(sectors.total - report.measures["C_global"]), where)
-
-
-def _verify_ccr_extended(cfg: SweepConfig, t: _Tracker) -> None:
-    """CCR on every tenth of x, which the grid's x values need not cover."""
-    wide = replace(cfg, x_values=tuple(round(0.1 * i, 1) for i in range(11)))
-    for report in _reports(wide):
-        where = f"{report.channel.kind.value} x={report.x:g} p={report.p:g}"
-        t.track("ccr_universal", report.residuals[IdentityId.CCR_UNIVERSAL], where)
+            m.update(_state_columns(m, amplitudes, layout))
+        rows = [(ident.value, IDENTITIES[ident], r) for ident, r in residuals.items()]
+        rows += [(name, row, row.residual(m)) for name, row in CHECKS.items() if kind in row.kinds]
+        for name, row, values in rows:
+            at = np.flatnonzero([row.domain(spec, x) for spec in specs])
+            t.track(name, np.broadcast_to(values, len(specs))[at],
+                    lambda i: f"{kind.value} x={x:g} p={specs[at[i]].p:g}")
 
 
 def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
+    """The dilation of each (kind, mu, x) over the p grid against the
+    operator-sum route, applied per p."""
+    ps = cfg.p_grid()
     for kind in cfg.channels:
-        for p in cfg.p_grid():
-            mus = (0.0, 0.5, 1.0) if kind is ChannelKind.CADC else (0.0,)
-            for mu in mus:
-                spec = ChannelSpec(kind, p, mu)
-                where = f"{kind.value} p={p:g} mu={mu:g}"
-                ks = kraus_set(spec)
-                t.track("kraus_completeness", validate_kraus(ks), where)
-                if kind is ChannelKind.CADC and mu == 0.5:
-                    continue  # no two-qubit-environment dilation to compare
-                for x in (0.5, BALANCED_X):
-                    psi, layout = initial_state(kind, x)
-                    dres = dilate(spec, psi, layout)
-                    t.track(
-                        "dilation_norm",
-                        abs(float(np.vdot(dres.state, dres.state).real) - 1.0),
-                        where,
-                    )
-                    via_dilation = partial_trace(
-                        outer(dres.state, dres.layout), set(layout.labels)
-                    )
-                    via_kraus = apply_kraus(outer(psi, layout), ks)
-                    t.track(
-                        "dilation_kraus_agreement",
-                        float(np.abs(via_dilation.mat - via_kraus.mat).max()),
-                        f"{where} x={x:g}",
-                    )
+        for mu in (0.0, 0.5, 1.0) if kind is ChannelKind.CADC else (0.0,):
+            specs = [ChannelSpec(kind, p, mu) for p in ps]
+            sets = [kraus_set(spec) for spec in specs]
+
+            def where(i: int) -> str:
+                return f"{kind.value} p={ps[i]:g} mu={mu:g}"
+
+            t.track("kraus_completeness", [validate_kraus(ks) for ks in sets], where)
+            if mu == 0.5:
+                continue  # no two-qubit-environment dilation to compare
+            for x in (0.5, BALANCED_X):
+                psi, layout = initial_state(kind, x)
+                amplitudes, global_layout = dilate_block(specs, psi, layout)
+                norms = (amplitudes.conj() * amplitudes).real.sum(axis=-1)
+                t.track("dilation_norm", abs(norms - 1.0), where)
+                via_dilation = _reduced(amplitudes, global_layout, layout.labels)
+                rho0 = outer(psi, layout)
+                via_kraus = np.array([apply_kraus(rho0, ks).mat for ks in sets])
+                t.track(
+                    "dilation_kraus_agreement",
+                    np.abs(via_dilation - via_kraus).max(axis=(1, 2)),
+                    lambda i: f"{where(i)} x={x:g}",
+                )
 
 
 def _verify_cadc_limit(cfg: SweepConfig, t: _Tracker) -> None:
@@ -282,35 +292,32 @@ def _verify_cadc_limit(cfg: SweepConfig, t: _Tracker) -> None:
     psi, layout = initial_state(ChannelKind.CADC, x)
     rho0 = outer(psi, layout)
     y = psi[-1].real
-    for p in cfg.p_grid():
+    ps = cfg.p_grid()
+    deviations = []
+    for p in ps:
         memoryless = apply_kraus(rho0, kraus_set(ChannelSpec(ChannelKind.CADC, p, 0.0)))
         split = y * y * p * (1.0 - p)
         closed = np.diag([x * x + (y * p) ** 2, split, split, (y * (1.0 - p)) ** 2]).astype(complex)
         closed[0, 3] = closed[3, 0] = x * y * (1.0 - p)
-        t.track(
-            "cadc_memoryless_limit",
-            float(np.abs(memoryless.mat - closed).max()),
-            f"cadc p={p:g}",
-        )
+        deviations.append(float(np.abs(memoryless.mat - closed).max()))
+    t.track("cadc_memoryless_limit", deviations, lambda i: f"cadc p={ps[i]:g}")
 
 
 def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:
     if ChannelKind.ADC not in cfg.channels:
         return
-    for x in (0.1, 0.2, 0.25, 0.3, 0.5):
-        closed = x / math.sqrt(1.0 - x * x)
-        t.track(
-            "adc_sudden_death",
-            abs(closed - _sudden_death_bisection(x)),
-            f"adc x={x:g}",
-        )
+    xs = (0.1, 0.2, 0.25, 0.3, 0.5)
+    t.track(
+        "adc_sudden_death",
+        [abs(x / math.sqrt(1.0 - x * x) - _sudden_death_bisection(x)) for x in xs],
+        lambda i: f"adc x={xs[i]:g}",
+    )
 
 
 def verify_command(cfg: SweepConfig) -> int:
     """Run every invariant check; print one worst-offender line per check."""
     t = _Tracker()
-    _verify_reports(cfg, t)
-    _verify_ccr_extended(cfg, t)
+    _verify_blocks(cfg, t)
     _verify_kraus(cfg, t)
     _verify_cadc_limit(cfg, t)
     _verify_sudden_death(cfg, t)

@@ -145,15 +145,6 @@ class DensityOperator:
         return self.mat.shape[0]
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (a x b)[(i*rb + k), (j*cb + l)] = a[i,j] * b[k,l]."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("tensor_product expects two matrices")
-    return np.kron(a, b)
-
-
 def outer(psi, layout: SubsystemLayout) -> DensityOperator:
     """Rank-1 projector |psi><psi| as a density operator on ``layout``."""
     psi = state_vector(psi)
@@ -218,8 +209,3 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarr
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: defect {defect!r} > {tol!r}")
     return np.linalg.eigvalsh(m)
-
-
-def purity(rho: DensityOperator) -> float:
-    """Tr rho^2, in [1/d, 1]."""
-    return float(np.einsum("ij,ji->", rho.mat, rho.mat).real)

@@ -16,7 +16,6 @@ from .linalg import (
     SubsystemLayout,
     check_norms,
     hermitian_eigenvalues,
-    outer,
     partial_trace,
     partial_transpose,
 )
@@ -115,12 +114,6 @@ def re_correlated_coherence(rho_global, blocks: Sequence[str]):
     return s_locals - s_joint
 
 
-def concurrence_pure(psi, layout: SubsystemLayout, cut: Iterable[str]) -> float:
-    """Concurrence of a pure state across a cut: sqrt(2 (1 - Tr rho_cut^2))."""
-    rho_cut = partial_trace(outer(psi, layout), cut)
-    return float(np.sqrt(max(0.0, 2.0 * linear_entropy(rho_cut))))
-
-
 _X_OFF = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
@@ -146,8 +139,8 @@ def concurrence_x_state(rho):
     return 2.0 * np.where(lam > 0.0, lam, 0.0)
 
 
-def is_ppt(rho, subsystem: str, tol: float = 1e-10):
-    """Positivity of the partial transpose across ``subsystem`` vs the rest.
+def ppt_min_eigenvalue(rho, subsystem: str):
+    """Smallest eigenvalue of the partial transpose across ``subsystem``.
 
     An array ``rho`` is a two-qubit state, or a stack (..., 4, 4) of them,
     with ``subsystem`` as its first qubit.
@@ -157,7 +150,13 @@ def is_ppt(rho, subsystem: str, tol: float = 1e-10):
     else:
         t = np.asarray(rho).reshape(np.shape(rho)[:-2] + (2, 2, 2, 2))
         pt = np.swapaxes(t, -4, -2).reshape(np.shape(rho))
-    return hermitian_eigenvalues(pt)[..., 0] >= -tol
+    return hermitian_eigenvalues(pt)[..., 0]
+
+
+def is_ppt(rho, subsystem: str, tol: float = 1e-10):
+    """Positivity of the partial transpose across ``subsystem`` vs the rest,
+    up to ``tol``; ``rho`` as in :func:`ppt_min_eigenvalue`."""
+    return ppt_min_eigenvalue(rho, subsystem) >= -tol
 
 
 @dataclass(frozen=True)

@@ -206,15 +206,10 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
     return m
 
 
-def report_block(specs: Sequence[ChannelSpec], x: float) -> list[CCRReport]:
-    """Reports at one x for specs of one channel kind, evaluated as one stack.
-
-    ``x`` parameterizes the initial state and must lie in [0, 1]; for the
-    bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
-    is formulated for.  Every reduced state formed is checked to be a
-    density matrix.  Every identity of the kind gets a residual, also where
-    the point lies outside the identity's domain.
-    """
+def _block_columns(specs: Sequence[ChannelSpec], x: float):
+    """The arrays behind :func:`report_block`: the x evaluated (pinned for
+    the bit flip channel), the measure and identity-residual columns, the
+    dilated amplitudes (P, dim) and their layout."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     kind = block_kind(specs)
@@ -232,6 +227,19 @@ def report_block(specs: Sequence[ChannelSpec], x: float) -> list[CCRReport]:
         for ident, row in IDENTITIES.items()
         if kind in row.kinds
     }
+    return x, measures, residuals, amplitudes, layout
+
+
+def report_block(specs: Sequence[ChannelSpec], x: float) -> list[CCRReport]:
+    """Reports at one x for specs of one channel kind, evaluated as one stack.
+
+    ``x`` parameterizes the initial state and must lie in [0, 1]; for the
+    bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
+    is formulated for.  Every reduced state formed is checked to be a
+    density matrix.  Every identity of the kind gets a residual, also where
+    the point lies outside the identity's domain.
+    """
+    x, measures, residuals, amplitudes, layout = _block_columns(specs, x)
 
     def rows(columns: dict) -> list[dict]:
         values = [v.tolist() if np.ndim(v) else [float(v)] * len(specs) for v in columns.values()]

@@ -14,7 +14,8 @@ from ccrsweep.channels import (
     kraus_set,
     validate_kraus,
 )
-from ccrsweep.linalg import outer, partial_trace, purity, qubits
+from ccrsweep.linalg import outer, partial_trace, qubits
+from ccrsweep.measures import linear_entropy
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -128,7 +129,7 @@ class TestDilate:
         psi, lay = system_state(kind, 0.37)
         dres = dilate(spec_for(kind, p), psi, lay)
         assert abs(float(np.vdot(dres.state, dres.state).real) - 1.0) <= 1e-12
-        assert abs(purity(outer(dres.state, dres.layout)) - 1.0) <= 1e-12
+        assert abs(linear_entropy(outer(dres.state, dres.layout))) <= 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_inner_products_preserved(self, kind):

@@ -1,14 +1,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from ccrsweep.channels import ChannelKind
-from ccrsweep.reports import IDENTITIES, IdentityId
+from ccrsweep.channels import ChannelKind, ChannelSpec
+from ccrsweep.linalg import hermitian_eigenvalues, outer, partial_trace, partial_transpose
+from ccrsweep.measures import is_ppt, sector_decomposition
+from ccrsweep.reports import IDENTITIES, PAIRS, PPT_TOL, IdentityId, _block_columns
 from ccrsweep.cli import (
     CSV_COLUMNS,
     DEFAULT_X,
     SweepConfig,
+    _state_columns,
+    _Tracker,
     build_config,
     emit,
     main,
@@ -225,6 +230,62 @@ class TestVerifyCommand:
         assert "pfc_coherence_split" in out
         assert "adc_redistribution" not in out
         assert "cross_partition_ppt" not in out
+
+    def test_rows_outside_their_domain_on_every_block_stay_untracked(self, capsys):
+        # no balanced x and no p = 1: the ADC closed-form columns, the DC
+        # terminal point and the DC 3/2 relation have no point to check
+        assert main(["verify", "--channels", "adc,dc", "--x", "0.5", "--p-stop", "0.9"]) == 0
+        names = [line.split()[1] for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert "adc_entropy_dominance" in names
+        for absent in ("adc_symmetric_columns", "dc_terminal_locality", "three_halves"):
+            assert absent not in names
+
+
+class TestTracker:
+    def test_first_max_wins_and_only_the_winner_is_placed(self):
+        placed = []
+
+        def where(i):
+            placed.append(i)
+            return f"row {i}"
+
+        t = _Tracker()
+        t.track("c", [0.1, 0.3, 0.3, 0.2], where)
+        assert t.worst["c"] == (0.3, "row 1")
+        t.track("c", np.array([0.3]), where)  # a tie keeps the earlier worst
+        assert t.worst["c"] == (0.3, "row 1")
+        t.track("c", [0.5, 0.4], where)
+        assert t.worst["c"] == (0.5, "row 0")
+        assert placed == [1, 0]
+
+    def test_empty_array_records_nothing(self):
+        t = _Tracker()
+        t.track("c", np.array([]), lambda i: pytest.fail("an empty array was placed"))
+        assert t.worst == {}
+
+
+@pytest.mark.parametrize("kind", [k for k in ChannelKind if k.n_system_qubits == 2])
+@pytest.mark.parametrize("x", [0.0, 0.3, INV_SQRT2, 1.0])
+def test_state_columns_match_the_per_point_route(kind, x):
+    # reference: each dilated state as a DensityOperator, its pairs by
+    # partial_trace, PPT by partial_transpose and an eigensolve per matrix
+    mu = 1.0 if kind is ChannelKind.CADC else 0.0
+    specs = [ChannelSpec(kind, p, mu) for p in (0.0, 0.15, 0.5, 0.85, 1.0)]
+    x, m, _, amplitudes, layout = _block_columns(specs, x)
+    columns = _state_columns(m, amplitudes, layout)
+    for i, psi in enumerate(amplitudes):
+        rho_g = outer(psi, layout)
+        rho_ab = partial_trace(rho_g, PAIRS["AB"])
+        entangled_but_ppt = m["concurrence_AB"][i] > 1e-10 and is_ppt(rho_ab, "A", PPT_TOL)
+        assert columns["entangled_but_ppt"][i] == float(entangled_but_ppt)
+        defect = 0.0
+        for name in ("AEA", "AEB", "EAEB"):
+            rho = partial_trace(rho_g, PAIRS[name])
+            lam = hermitian_eigenvalues(partial_transpose(rho, PAIRS[name][0]))[0]
+            defect = max(defect, -float(lam))
+        assert abs(columns["cross_ppt_defect"][i] - defect) <= 1e-14
+        total = sector_decomposition(psi, layout).total
+        assert abs(columns["sector_total"][i] - total) <= 1e-14
 
 
 class TestMain:

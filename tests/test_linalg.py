@@ -12,11 +12,10 @@ from ccrsweep.linalg import (
     outer,
     partial_trace,
     partial_transpose,
-    purity,
     qubits,
     state_vector,
-    tensor_product,
 )
+from ccrsweep.measures import linear_entropy
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -52,44 +51,6 @@ class TestLayout:
         assert lay.dim == 16
 
 
-class TestTensorProduct:
-    def test_identity(self):
-        assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projector_placement(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        assert np.array_equal(tensor_product(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_matches_four_index_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        got = tensor_product(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    for l in range(3):
-                        # scalar and vectorized complex multiplies may differ
-                        # by one ulp, hence the tolerance
-                        assert got[i * 3 + k, j * 3 + l] == pytest.approx(
-                            a[i, j] * b[k, l], abs=1e-15
-                        )
-
-    def test_associative_and_trace_multiplicative(self):
-        rng = np.random.default_rng(11)
-        mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (2, 2, 3)]
-        a, b, c = mats
-        lhs = tensor_product(tensor_product(a, b), c)
-        rhs = tensor_product(a, tensor_product(b, c))
-        assert np.abs(lhs - rhs).max() <= 1e-15 * np.abs(lhs).max()
-        assert np.trace(tensor_product(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-    def test_rejects_vectors(self):
-        with pytest.raises(ValueError):
-            tensor_product(np.ones(2), np.eye(2))
-
-
 class TestStateAndOuter:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -114,7 +75,7 @@ class TestStateAndOuter:
         rng = np.random.default_rng(3)
         for dim in (2, 4, 8):
             rho = outer(random_state(rng, dim), SubsystemLayout(("S",), (dim,)))
-            assert abs(purity(rho) - 1.0) <= 1e-12
+            assert abs(linear_entropy(rho)) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match layout"):
@@ -183,7 +144,7 @@ class TestPartialTrace:
         lay = SubsystemLayout(("A", "B"), (2, 3))
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
-        joint = DensityOperator(tensor_product(rho_a.mat, rho_b.mat), lay)
+        joint = DensityOperator(np.kron(rho_a.mat, rho_b.mat), lay)
         back = partial_trace(joint, {"A"})
         assert np.abs(back.mat - rho_a.mat).max() <= 1e-12
 
@@ -273,6 +234,11 @@ class TestHermitianEigenvalues:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             hermitian_eigenvalues(np.ones((2, 3)))
+
+
+def purity(rho):
+    """Tr rho^2, read from the library as 1 - linear entropy."""
+    return 1.0 - linear_entropy(rho)
 
 
 class TestPurity:

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from ccrsweep.linalg import DensityOperator, SubsystemLayout, outer, qubits, partial_trace
 from ccrsweep.measures import (
-    concurrence_pure,
     concurrence_x_state,
     correlated_coherence_hs,
     hs_coherence,
     hs_predictability,
     is_ppt,
     linear_entropy,
+    ppt_min_eigenvalue,
     re_correlated_coherence,
     sector_decomposition,
     von_neumann_entropy,
@@ -200,26 +200,29 @@ class TestMutualInformation:
 
 
 class TestConcurrence:
+    """Concurrence of pure pairs a|00> + b|11>, whose closed form is 2|ab|."""
+
     def test_bell_is_maximal(self):
-        assert concurrence_pure(BELL, qubits("A", "B"), {"A"}) == pytest.approx(1.0)
+        assert concurrence_x_state(outer(BELL, qubits("A", "B"))) == pytest.approx(1.0)
 
     def test_product_state(self):
-        psi = np.kron([1, 0], [1 / math.sqrt(2), 1 / math.sqrt(2)]).astype(complex)
-        # the square root halves the significant digits of the entropy noise
-        assert concurrence_pure(psi, qubits("A", "B"), {"A"}) == pytest.approx(0.0, abs=1e-7)
+        for psi in np.eye(4, dtype=complex):  # |00>, |01>, |10>, |11>
+            assert concurrence_x_state(outer(psi, qubits("A", "B"))) == 0.0
 
     def test_partially_entangled_pair(self):
         x = 0.6
         psi = np.zeros(4, dtype=complex)
         psi[0], psi[3] = x, math.sqrt(1 - x * x)
-        assert concurrence_pure(psi, qubits("A", "B"), {"A"}) == pytest.approx(0.96, abs=1e-12)
+        assert concurrence_x_state(outer(psi, qubits("A", "B"))) == pytest.approx(0.96, abs=1e-12)
 
     def test_squared_concurrence_is_twice_entropy(self):
         rng = np.random.default_rng(43)
         lay = qubits("A", "B")
         for _ in range(20):
-            psi = random_state(rng, 4)
-            c = concurrence_pure(psi, lay, {"A"})
+            a, b = random_state(rng, 2)
+            psi = np.array([a, 0, 0, b])
+            c = concurrence_x_state(outer(psi, lay))
+            assert c == pytest.approx(2 * abs(a * b), abs=1e-12)
             s = linear_entropy(partial_trace(outer(psi, lay), {"A"}))
             assert c * c == pytest.approx(2 * s, abs=1e-12)
 
@@ -374,6 +377,8 @@ def test_stacks_give_the_per_matrix_values(seed, n):
         for value, rho, rho_g in zip(got, pairs, globals_):
             assert abs(value - measure(rho_g, ("A", "E_A"))) <= 1e-14, measure.__name__
     assert list(is_ppt(stack, "A")) == [is_ppt(rho, "A") for rho in pairs]
+    for value, rho in zip(ppt_min_eigenvalue(stack, "A"), pairs):
+        assert abs(value - ppt_min_eigenvalue(rho, "A")) <= 1e-14
     sectors = sector_decomposition(psis, lay)
     for i, psi in enumerate(psis):
         alone = sector_decomposition(psi, lay)

@@ -28,7 +28,6 @@ from .channels import (
     validate_kraus,
 )
 from .measures import (
-    SectorDecomposition,
     concurrence_x_state,
     correlated_coherence_hs,
     hs_coherence,
@@ -62,7 +61,6 @@ __all__ = [
     "DilationResult",
     "IdentityId",
     "KrausSet",
-    "SectorDecomposition",
     "SubsystemLayout",
     "SweepConfig",
     "apply_kraus",

@@ -33,7 +33,6 @@ from .reports import (
     BALANCED_X,
     IDENTITIES,
     PAIRS,
-    PPT_TOL,
     CCRReport,
     Identity,
     IdentityId,
@@ -188,14 +187,16 @@ class _Tracker:
     worst: dict[str, tuple[float, str]] = field(default_factory=dict)
 
     def track(self, name: str, values, where: Callable[[int], str]) -> None:
-        """Record the largest of ``values`` (the first on ties) if it beats the
-        worst so far, placed by ``where(index)``; an empty array records nothing."""
+        """Record the largest of ``values`` (the first on ties; NaN ranks above
+        every number) if it beats the worst so far, placed by ``where(index)``;
+        an empty array records nothing."""
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
-        i = int(values.argmax())
-        if name not in self.worst or values[i] > self.worst[name][0]:
-            self.worst[name] = (float(values[i]), where(i))
+        i = int(values.argmax())  # the first NaN, if any
+        new, old = float(values[i]), self.worst.get(name, (None,))[0]
+        if old is None or new > old or math.isnan(new) > math.isnan(old):
+            self.worst[name] = (new, where(i))
 
 
 #: The checks of verify beside IDENTITIES, by name, over a block's measure
@@ -222,18 +223,16 @@ CHECKS: dict[str, Identity] = {
 }
 
 
-def _state_columns(m: dict, amplitudes: np.ndarray, layout: SubsystemLayout) -> dict:
-    """PPT and sector columns of a two-qubit block's dilated states."""
-    rho_ab = _reduced(amplitudes, layout, PAIRS["AB"])
-    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & is_ppt(rho_ab, "A", PPT_TOL)
-    cross = [
-        ppt_min_eigenvalue(_reduced(amplitudes, layout, PAIRS[name]), PAIRS[name][0])
-        for name in ("AEA", "AEB", "EAEB")
-    ]
+def _state_columns(m: dict, pairs: dict, amplitudes: np.ndarray, layout: SubsystemLayout) -> dict:
+    """PPT and sector columns of a two-qubit block, from its pair stacks and
+    dilated states."""
+    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & is_ppt(pairs["AB"], "A")
+    cross = [ppt_min_eigenvalue(pairs[name], PAIRS[name][0]) for name in ("AEA", "AEB", "EAEB")]
+    sectors = sector_decomposition(amplitudes, layout)
     return {
         "entangled_but_ppt": entangled_but_ppt.astype(float),
         "cross_ppt_defect": np.maximum(0.0, -np.min(cross, axis=0)),
-        "sector_total": sector_decomposition(amplitudes, layout).total,
+        "sector_total": sum(sectors.values(), np.zeros(len(amplitudes))),
     }
 
 
@@ -241,11 +240,11 @@ def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
     """Every row of IDENTITIES and CHECKS, on the points of its domain, over
     one block per (channel, x) for the grid's x values and every tenth of x."""
     for specs, x in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
-        x, m, residuals, amplitudes, layout = _block_columns(specs, x)
+        x, m, residuals, amplitudes, layout, pairs = _block_columns(specs, x)
         kind = specs[0].kind
         m = {**m, "p": np.array([spec.p for spec in specs])}
         if kind.n_system_qubits == 2:
-            m.update(_state_columns(m, amplitudes, layout))
+            m.update(_state_columns(m, pairs, amplitudes, layout))
         rows = [(ident.value, IDENTITIES[ident], r) for ident, r in residuals.items()]
         rows += [(name, row, row.residual(m)) for name, row in CHECKS.items() if kind in row.kinds]
         for name, row, values in rows:

@@ -14,8 +14,8 @@ functions, so values can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,13 +61,6 @@ class SubsystemLayout:
         """Factor positions of ``labels``, sorted into layout order."""
         return sorted(self.position(lab) for lab in labels)
 
-    def restrict(self, keep: Iterable[str]) -> "SubsystemLayout":
-        """Sub-layout containing only ``keep``, in the original factor order."""
-        pos = self.positions(keep)
-        return SubsystemLayout(
-            tuple(self.labels[i] for i in pos), tuple(self.dims[i] for i in pos)
-        )
-
 
 def qubits(*labels: str) -> SubsystemLayout:
     """Layout of one qubit per label."""
@@ -86,29 +79,39 @@ def state_vector(amplitudes) -> np.ndarray:
 
 
 def check_norms(psi: np.ndarray) -> None:
-    """Raise ValueError unless a vector, or each of a stack (..., n), has norm 1 to ``NORM_TOL``."""
+    """Raise ValueError unless a vector, or each of a stack (..., n), is
+    finite with norm 1 to ``NORM_TOL``."""
     norm2 = (psi.conj() * psi).real.sum(axis=-1)
     deviation = np.abs(norm2 - 1.0)
-    if deviation.max() > NORM_TOL:
+    if not deviation.max() <= NORM_TOL:  # a NaN deviation fails too
+        if not np.isfinite(psi).all():
+            raise ValueError("state vector has non-finite amplitudes")
         worst = float(norm2.flat[deviation.argmax()])
         raise ValueError(f"state vector is not normalized: ||psi||^2 = {worst!r}")
 
 
-def check_density(mat: np.ndarray, spectrum: bool = True) -> None:
+def _check_hermitian(mat: np.ndarray) -> None:
+    """Raise ValueError unless a matrix, or each of a stack (..., d, d), is
+    finite and Hermitian to ``HERMITIAN_TOL``."""
+    defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
+    if not defect <= HERMITIAN_TOL:  # a NaN defect fails too
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has non-finite entries")
+        raise ValueError(f"matrix is not Hermitian: defect {defect!r} > {HERMITIAN_TOL!r}")
+
+
+def check_density(mat: np.ndarray) -> None:
     """Raise ValueError, naming the worst defect, unless a matrix, or each of a
-    stack (..., d, d), is Hermitian to ``HERMITIAN_TOL`` with trace 1 to
-    ``TRACE_TOL`` and, with ``spectrum``, no eigenvalue below ``EIGENVALUE_FLOOR``."""
-    herm_defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
-    if herm_defect > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: defect {herm_defect!r}")
+    stack (..., d, d), is finite and Hermitian to ``HERMITIAN_TOL`` with trace
+    1 to ``TRACE_TOL`` and no eigenvalue below ``EIGENVALUE_FLOOR``."""
+    _check_hermitian(mat)
     tr = mat.trace(0, -2, -1)
     deviation = np.abs(tr - 1.0)
     if deviation.max() > TRACE_TOL:
         raise ValueError(f"trace must be 1, got {complex(tr.flat[deviation.argmax()])!r}")
-    if spectrum:
-        lo = float(np.linalg.eigvalsh(mat)[..., 0].min())
-        if lo < EIGENVALUE_FLOOR:
-            raise ValueError(f"minimum eigenvalue {lo!r} below {EIGENVALUE_FLOOR}")
+    lo = float(np.linalg.eigvalsh(mat)[..., 0].min())
+    if lo < EIGENVALUE_FLOOR:
+        raise ValueError(f"minimum eigenvalue {lo!r} below {EIGENVALUE_FLOOR}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +125,8 @@ class DensityOperator:
 
     mat: np.ndarray
     layout: SubsystemLayout
-    # Constructors that are positive by construction (a projector of a
-    # normalized vector) may skip the eigensolve; spectra are still bounded
-    # by the Hermiticity and trace checks plus the rank-1 structure.
-    check_spectrum: InitVar[bool] = True
 
-    def __post_init__(self, check_spectrum: bool):
+    def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
@@ -136,7 +135,7 @@ class DensityOperator:
                 f"matrix dimension {mat.shape[0]} does not match layout "
                 f"{self.layout.labels} of dimension {self.layout.dim}"
             )
-        check_density(mat, check_spectrum)
+        check_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -152,7 +151,18 @@ def outer(psi, layout: SubsystemLayout) -> DensityOperator:
         raise ValueError(
             f"state of dimension {psi.size} does not match layout of dimension {layout.dim}"
         )
-    return DensityOperator(np.outer(psi, psi.conj()), layout, check_spectrum=False)
+    return DensityOperator(np.outer(psi, psi.conj()), layout)
+
+
+def _partial_trace(mats: np.ndarray, dims: Sequence[int], keep: list[int]) -> np.ndarray:
+    """Reduced states on the factor positions ``keep`` (ascending) of a stack
+    (..., D, D) over factors of dimensions ``dims``, by one einsum."""
+    n = len(dims)
+    t = mats.reshape(mats.shape[:-2] + tuple(dims) * 2)
+    cols = [n + j if j in keep else j for j in range(n)]
+    out = np.einsum(t, [..., *range(n), *cols], [..., *keep, *(n + k for k in keep)])
+    d = math.prod(dims[k] for k in keep)
+    return out.reshape(mats.shape[:-2] + (d, d))
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
@@ -164,18 +174,21 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     keep = set(keep)
     if not keep:
         raise ValueError("must keep at least one subsystem")
-    pos_keep = rho.layout.positions(keep)
-    n = len(rho.layout.dims)
-    if len(pos_keep) == n:
+    layout = rho.layout
+    pos = layout.positions(keep)
+    if len(pos) == len(layout.dims):
         return rho
-    dims = rho.layout.dims
-    tensor = rho.mat.reshape(dims + dims)
-    remaining = list(dims)
-    for i in sorted(set(range(n)) - set(pos_keep), reverse=True):
-        tensor = np.trace(tensor, axis1=i, axis2=i + len(remaining))
-        remaining.pop(i)
-    d = int(np.prod(remaining))
-    return DensityOperator(tensor.reshape(d, d), rho.layout.restrict(keep))
+    return DensityOperator(
+        _partial_trace(rho.mat, layout.dims, pos),
+        SubsystemLayout(tuple(layout.labels[i] for i in pos), tuple(layout.dims[i] for i in pos)),
+    )
+
+
+def _partial_transpose(mats: np.ndarray, dims: Sequence[int], i: int) -> np.ndarray:
+    """Transpose the indices of factor position ``i`` of a stack (..., D, D)."""
+    n = len(dims)
+    t = mats.reshape(mats.shape[:-2] + tuple(dims) * 2)
+    return np.swapaxes(t, i - 2 * n, i - n).reshape(mats.shape)
 
 
 def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
@@ -186,26 +199,20 @@ def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
     transposition twice restores the input.
     """
     i = rho.layout.position(subsystem)
-    dims = rho.layout.dims
-    n = len(dims)
-    tensor = rho.mat.reshape(dims + dims)
-    out = np.swapaxes(tensor, i, i + n).reshape(rho.layout.dim, rho.layout.dim)
-    out = np.ascontiguousarray(out)
+    out = np.ascontiguousarray(_partial_transpose(rho.mat, rho.layout.dims, i))
     out.setflags(write=False)
     return out
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix, or per matrix of a
     stack (..., d, d).
 
-    Raises ValueError for non-square input or a Hermiticity defect above
-    ``tol``.
+    Raises ValueError for non-square input, a non-finite entry or a
+    Hermiticity defect above ``HERMITIAN_TOL``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect!r} > {tol!r}")
+    _check_hermitian(m)
     return np.linalg.eigvalsh(m)

@@ -6,14 +6,15 @@ product basis of the operator's layout.  Entropies use log base 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
+    _partial_trace,
+    _partial_transpose,
     check_norms,
     hermitian_eigenvalues,
     partial_trace,
@@ -21,6 +22,9 @@ from .linalg import (
 )
 
 X_STATE_TOL = 1e-12
+
+#: The partial transpose of a PPT state has no eigenvalue below -PPT_TOL.
+PPT_TOL = 1e-10
 
 
 def _mat(rho) -> np.ndarray:
@@ -66,10 +70,7 @@ def _joint(rho, blocks: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
 def factor_marginals(joint: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """The one-factor marginals of a stack of joint states (..., D, D) over
     factors of dimensions ``dims``, each traced from the joint."""
-    n = len(dims)
-    t = joint.reshape(joint.shape[:-2] + tuple(dims) * 2)
-    cols = [[n if j == k else j for j in range(n)] for k in range(n)]
-    return [np.einsum(t, [..., *range(n), *cols[k]], [..., k, n]) for k in range(n)]
+    return [_partial_trace(joint, dims, [k]) for k in range(len(dims))]
 
 
 def correlated_coherence_hs(rho_global, blocks: Sequence[str]):
@@ -148,54 +149,39 @@ def ppt_min_eigenvalue(rho, subsystem: str):
     if isinstance(rho, DensityOperator):
         pt = partial_transpose(rho, subsystem)
     else:
-        t = np.asarray(rho).reshape(np.shape(rho)[:-2] + (2, 2, 2, 2))
-        pt = np.swapaxes(t, -4, -2).reshape(np.shape(rho))
+        pt = _partial_transpose(np.asarray(rho), (2, 2), 0)
     return hermitian_eigenvalues(pt)[..., 0]
 
 
-def is_ppt(rho, subsystem: str, tol: float = 1e-10):
+def is_ppt(rho, subsystem: str):
     """Positivity of the partial transpose across ``subsystem`` vs the rest,
-    up to ``tol``; ``rho`` as in :func:`ppt_min_eigenvalue`."""
-    return ppt_min_eigenvalue(rho, subsystem) >= -tol
+    up to ``PPT_TOL``; ``rho`` as in :func:`ppt_min_eigenvalue`."""
+    return ppt_min_eigenvalue(rho, subsystem) >= -PPT_TOL
 
 
-@dataclass(frozen=True)
-class SectorDecomposition:
-    """Coherence of a pure state split by which subsystems each term spans.
+def sector_decomposition(psi, layout: SubsystemLayout) -> dict[frozenset[str], np.ndarray]:
+    """Coherence of a pure qubit state |psi><psi|, or of each of a stack
+    (..., dim), split by the factors each term spans.
 
-    ``weights`` maps a set of labels to the summed weight 2|c_a|^2|c_b|^2 of
-    all basis pairs (a, b) whose multi-indices differ exactly on those
-    labels, listing only sets with a pair of nonzero amplitudes; ``total``
-    is the Hilbert-Schmidt coherence of the projector.  For a stack of
-    states every value is an array over the stack.
+    Maps a set of labels to the summed weight 2|c_a|^2|c_b|^2 of all basis
+    pairs (a, b) whose multi-indices differ exactly on those labels, i.e.
+    sum_a |c_a|^2 |c_(a xor mask)|^2 for the mask of those qubits.  Lists
+    only sets with a pair of nonzero amplitudes (in some state of a stack);
+    the weights sum to the Hilbert-Schmidt coherence of the projector.
     """
-
-    weights: dict[frozenset[str], float]
-    total: float
-
-    def weight(self, labels: Iterable[str]) -> float:
-        return self.weights.get(frozenset(labels), 0.0)
-
-
-def sector_decomposition(psi, layout: SubsystemLayout) -> SectorDecomposition:
-    """Attribute each coherence term of |psi><psi|, for one state or a stack
-    (..., dim), to the factors it spans."""
     psi = np.array(psi, dtype=complex)
+    if set(layout.dims) != {2}:
+        raise ValueError(f"sector weights need a qubit layout, got dims {layout.dims}")
     if psi.shape[-1] != layout.dim:
         raise ValueError(f"state dimension {psi.shape[-1]} != layout dimension {layout.dim}")
     check_norms(psi)
-    digits = np.array(np.unravel_index(np.arange(layout.dim), layout.dims))
-    # sector[a, b] has one bit per factor the multi-indices of a and b differ on
-    differ = digits[:, :, np.newaxis] != digits[:, np.newaxis, :]
-    sector = np.tensordot(1 << np.arange(len(layout.dims)), differ, 1)
+    n, index = len(layout.dims), np.arange(layout.dim)
     prob = np.abs(psi) ** 2
-    w = prob[..., :, np.newaxis] * prob[..., np.newaxis, :]  # each pair (a, b) twice
     nonzero = (psi != 0.0).reshape(-1, layout.dim)
-    supported = (nonzero[:, :, np.newaxis] & nonzero[:, np.newaxis, :]).any(axis=0)
-    codes = sorted(set(sector[supported & (sector > 0)].tolist()))
-    sums = np.einsum("...ab,abk->k...", w, (sector[..., np.newaxis] == codes).astype(float))
-    weights = {
-        frozenset(lab for k, lab in enumerate(layout.labels) if code >> k & 1): total
-        for code, total in zip(codes, sums)
-    }
-    return SectorDecomposition(weights, w[..., sector > 0].sum(axis=-1))
+    weights = {}
+    for mask in range(1, layout.dim):  # bit n-1-k of a mask is factor k
+        flip = index ^ mask
+        if (nonzero & nonzero[:, flip]).any():
+            labels = [lab for k, lab in enumerate(layout.labels) if mask >> (n - 1 - k) & 1]
+            weights[frozenset(labels)] = (prob * prob[..., flip]).sum(axis=-1)
+    return weights

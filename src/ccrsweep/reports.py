@@ -33,8 +33,6 @@ from .measures import (
     sector_decomposition,
 )
 
-PPT_TOL = 1e-10
-
 #: Amplitude of the balanced superposition; the bit flip analysis is pinned here.
 BALANCED_X = 1.0 / math.sqrt(2.0)
 
@@ -177,8 +175,9 @@ def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, keep: Sequence[str
 
 def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: SubsystemLayout):
     """Every measure column, as arrays over the block, of dilated states
-    (P, dim): each pair of ``PAIRS`` the layout has is formed once as a
-    stack and every measure runs on the stacks."""
+    (P, dim), and the pair stacks they were measured on: each pair of
+    ``PAIRS`` the layout has is formed once as a stack, every measure runs
+    on the stacks and every one-factor marginal is traced from a pair."""
     pairs = {
         name: _reduced(amplitudes, layout, pair)
         for name, pair in PAIRS.items()
@@ -191,10 +190,12 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
     for name, rho in pairs.items():
         m[f"Cc_{name}"] = correlated_coherence_hs(rho, PAIRS[name])
         if name != "AB":  # A-B entanglement is reported as a concurrence
-            m[f"ppt_{name}"] = is_ppt(rho, PAIRS[name][0], PPT_TOL).astype(float)
+            m[f"ppt_{name}"] = is_ppt(rho, PAIRS[name][0]).astype(float)
     if "AB" in pairs:
+        # the joint coherence of the pure global state is C_global
+        singles = factor_marginals(pairs["AB"], (2, 2)) + factor_marginals(pairs["EAEB"], (2, 2))
         m.update(
-            Cc_ABE=correlated_coherence_hs(_reduced(amplitudes, layout, layout.labels), layout.labels),
+            Cc_ABE=m["C_global"] - sum(hs_coherence(rho) for rho in singles),
             C_env=hs_coherence(pairs["EAEB"]),
             concurrence_AB=concurrence_x_state(pairs["AB"]),
             mutual_info_AB=re_correlated_coherence(pairs["AB"], PAIRS["AB"]),
@@ -202,14 +203,15 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
     if kind is ChannelKind.PDC:
         sectors = sector_decomposition(amplitudes, layout)
         for labels in SECTORS:  # sector_AB, ..., sector_EB
-            m["sector_" + "".join(labels).replace("_", "")] = sectors.weight(labels)
-    return m
+            m["sector_" + "".join(labels).replace("_", "")] = sectors.get(frozenset(labels), 0.0)
+    return m, pairs
 
 
 def _block_columns(specs: Sequence[ChannelSpec], x: float):
     """The arrays behind :func:`report_block`: the x evaluated (pinned for
     the bit flip channel), the measure and identity-residual columns, the
-    dilated amplitudes (P, dim) and their layout."""
+    dilated amplitudes (P, dim), their layout and the stacks of ``PAIRS``
+    the measures were taken on."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     kind = block_kind(specs)
@@ -218,7 +220,7 @@ def _block_columns(specs: Sequence[ChannelSpec], x: float):
 
     psi, sys_layout = initial_state(kind, x)
     amplitudes, layout = dilate_block(specs, psi, sys_layout)
-    measures = _measure_columns(kind, amplitudes, layout)
+    measures, pairs = _measure_columns(kind, amplitudes, layout)
     initial = _reduced(psi[np.newaxis], sys_layout, ("A",))
     check_density(initial)
     measures.update(local_measures(initial[0], INITIAL_COLUMNS))
@@ -227,7 +229,7 @@ def _block_columns(specs: Sequence[ChannelSpec], x: float):
         for ident, row in IDENTITIES.items()
         if kind in row.kinds
     }
-    return x, measures, residuals, amplitudes, layout
+    return x, measures, residuals, amplitudes, layout, pairs
 
 
 def report_block(specs: Sequence[ChannelSpec], x: float) -> list[CCRReport]:
@@ -239,7 +241,7 @@ def report_block(specs: Sequence[ChannelSpec], x: float) -> list[CCRReport]:
     density matrix.  Every identity of the kind gets a residual, also where
     the point lies outside the identity's domain.
     """
-    x, measures, residuals, amplitudes, layout = _block_columns(specs, x)
+    x, measures, residuals, amplitudes, layout, _ = _block_columns(specs, x)
 
     def rows(columns: dict) -> list[dict]:
         values = [v.tolist() if np.ndim(v) else [float(v)] * len(specs) for v in columns.values()]
@@ -272,15 +274,16 @@ def check_identity(identity: IdentityId, report: CCRReport) -> float:
     return row.residual(report.measures)
 
 
-def _sudden_death_bisection(x: float, iterations: int = 60) -> float:
-    """Largest p with positive concurrence, located by bisection."""
+def _sudden_death_bisection(x: float) -> float:
+    """Largest p with positive concurrence, bracketed by ten amplitude
+    damping blocks of 65 points: each narrows the bracket 64-fold, to a
+    width of 2^-60 after the last."""
     lo, hi = 0.0, 1.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if ccr_report(ChannelSpec(ChannelKind.ADC, mid), x).measures["concurrence_AB"] > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    for _ in range(10):  # the concurrence is positive at lo and not at hi
+        ps = np.linspace(lo, hi, 65).tolist()
+        _, m, *_ = _block_columns([ChannelSpec(ChannelKind.ADC, p) for p in ps], x)
+        i = int(np.flatnonzero(m["concurrence_AB"] > 0.0)[-1])
+        lo, hi = ps[i], ps[i + 1]
     return 0.5 * (lo + hi)
 
 

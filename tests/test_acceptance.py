@@ -174,12 +174,12 @@ def test_criterion_5_phase_damping():
             q = 1 - p
             pair_env = 4 * y2**2 * (q**3 * p + q * p**3)  # both lone-qubit groups
             for got, want in [
-                (s.weight({"A", "B"}), 2 * g * q * q),
-                (s.weight({"A", "B", "E_A"}), 2 * g * p * q),
-                (s.weight({"A", "B", "E_B"}), 2 * g * p * q),
-                (s.weight({"A", "B", "E_A", "E_B"}), 2 * g * p * p),
-                (s.weight({"E_A", "E_B"}), 4 * y2**2 * q * q * p * p),
-                (s.weight({"E_A"}) + s.weight({"E_B"}), pair_env),
+                (s.get(frozenset({"A", "B"}), 0.0), 2 * g * q * q),
+                (s.get(frozenset({"A", "B", "E_A"}), 0.0), 2 * g * p * q),
+                (s.get(frozenset({"A", "B", "E_B"}), 0.0), 2 * g * p * q),
+                (s.get(frozenset({"A", "B", "E_A", "E_B"}), 0.0), 2 * g * p * p),
+                (s.get(frozenset({"E_A", "E_B"}), 0.0), 4 * y2**2 * q * q * p * p),
+                (s.get(frozenset({"E_A"}), 0.0) + s.get(frozenset({"E_B"}), 0.0), pair_env),
             ]:
                 worst_sector = max(worst_sector, abs(got - want))
 

@@ -6,8 +6,8 @@ import pytest
 
 from ccrsweep.channels import ChannelKind, ChannelSpec
 from ccrsweep.linalg import hermitian_eigenvalues, outer, partial_trace, partial_transpose
-from ccrsweep.measures import is_ppt, sector_decomposition
-from ccrsweep.reports import IDENTITIES, PAIRS, PPT_TOL, IdentityId, _block_columns
+from ccrsweep.measures import correlated_coherence_hs, is_ppt, sector_decomposition
+from ccrsweep.reports import IDENTITIES, PAIRS, IdentityId, _block_columns
 from ccrsweep.cli import (
     CSV_COLUMNS,
     DEFAULT_X,
@@ -258,6 +258,14 @@ class TestTracker:
         assert t.worst["c"] == (0.5, "row 0")
         assert placed == [1, 0]
 
+    def test_nan_ranks_as_the_worst_value(self):
+        t = _Tracker()
+        t.track("c", [1e-16], lambda i: "finite")
+        t.track("c", [0.5, np.nan, np.nan], lambda i: f"nan {i}")
+        t.track("c", [np.inf], lambda i: "inf")
+        value, where = t.worst["c"]
+        assert math.isnan(value) and where == "nan 1"
+
     def test_empty_array_records_nothing(self):
         t = _Tracker()
         t.track("c", np.array([]), lambda i: pytest.fail("an empty array was placed"))
@@ -271,12 +279,14 @@ def test_state_columns_match_the_per_point_route(kind, x):
     # partial_trace, PPT by partial_transpose and an eigensolve per matrix
     mu = 1.0 if kind is ChannelKind.CADC else 0.0
     specs = [ChannelSpec(kind, p, mu) for p in (0.0, 0.15, 0.5, 0.85, 1.0)]
-    x, m, _, amplitudes, layout = _block_columns(specs, x)
-    columns = _state_columns(m, amplitudes, layout)
+    x, m, _, amplitudes, layout, pairs = _block_columns(specs, x)
+    columns = _state_columns(m, pairs, amplitudes, layout)
     for i, psi in enumerate(amplitudes):
         rho_g = outer(psi, layout)
+        cc_abe = correlated_coherence_hs(rho_g, ("A", "B", "E_A", "E_B"))
+        assert abs(m["Cc_ABE"][i] - cc_abe) <= 1e-14
         rho_ab = partial_trace(rho_g, PAIRS["AB"])
-        entangled_but_ppt = m["concurrence_AB"][i] > 1e-10 and is_ppt(rho_ab, "A", PPT_TOL)
+        entangled_but_ppt = m["concurrence_AB"][i] > 1e-10 and is_ppt(rho_ab, "A")
         assert columns["entangled_but_ppt"][i] == float(entangled_but_ppt)
         defect = 0.0
         for name in ("AEA", "AEB", "EAEB"):
@@ -284,7 +294,7 @@ def test_state_columns_match_the_per_point_route(kind, x):
             lam = hermitian_eigenvalues(partial_transpose(rho, PAIRS[name][0]))[0]
             defect = max(defect, -float(lam))
         assert abs(columns["cross_ppt_defect"][i] - defect) <= 1e-14
-        total = sector_decomposition(psi, layout).total
+        total = sum(sector_decomposition(psi, layout).values())
         assert abs(columns["sector_total"][i] - total) <= 1e-14
 
 

@@ -45,9 +45,11 @@ class TestLayout:
         with pytest.raises(ValueError, match="unknown subsystem"):
             qubits("A", "B").position("C")
 
-    def test_restrict_keeps_layout_order(self):
+    def test_reduced_layout_keeps_layout_order(self):
         lay = qubits("A", "B", "E_A", "E_B")
-        assert lay.restrict({"E_A", "A"}).labels == ("A", "E_A")
+        psi = np.zeros(16, dtype=complex)
+        psi[0] = 1.0
+        assert partial_trace(outer(psi, lay), {"E_A", "A"}).layout.labels == ("A", "E_A")
         assert lay.dim == 16
 
 
@@ -106,7 +108,18 @@ class TestStackedChecks:
             check_density(np.stack([*good, np.array([[1.0, 0.1], [0.0, 0.0]])]))
         with pytest.raises(ValueError, match="minimum eigenvalue -0.5 "):
             check_density(np.stack([*good, np.diag([1.5, -0.5])]))
-        check_density(np.stack([*good, np.diag([1.5, -0.5])]), spectrum=False)
+
+    def test_non_finite_density_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(np.array([[1.0, np.inf], [0.0, 0.0]]))
+
+    def test_non_finite_amplitudes_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_norms(np.array([np.nan, 0j]))
+        with pytest.raises(ValueError, match="non-finite"):
+            check_norms(np.array([[1.0, 0.0], [np.inf, 0.0]]))
 
     def test_norm_stack_names_the_bad_row(self):
         check_norms(np.array([[1.0, 0.0], [0.6, 0.8j]]))
@@ -267,6 +280,20 @@ def test_partial_trace_preserves_trace_property(seed, dims):
     labels = tuple("ABCD"[: len(dims)])
     lay = SubsystemLayout(labels, dims)
     rho = outer(random_state(rng, lay.dim), lay)
+
+    def sequential_partial_trace(keep):
+        # reference: trace out one factor at a time with np.trace, the last first
+        tensor = rho.mat.reshape(dims + dims)
+        remaining = list(dims)
+        for i in sorted(set(range(len(dims))) - set(lay.positions(keep)), reverse=True):
+            tensor = np.trace(tensor, axis1=i, axis2=i + len(remaining))
+            remaining.pop(i)
+        d = int(np.prod(remaining))
+        return tensor.reshape(d, d)
+
+    for keep in [{label} for label in labels] + [set(labels[1:]), {labels[0], labels[-1]}]:
+        expected = sequential_partial_trace(keep)
+        assert np.abs(partial_trace(rho, keep).mat - expected).max() <= 1e-15
     for label in labels:
         reduced = partial_trace(rho, {label})
         assert np.trace(reduced.mat).real == pytest.approx(1.0, abs=1e-12)

@@ -247,7 +247,7 @@ class TestXStateConcurrence:
 
     def test_non_x_matrix_rejected(self):
         m = np.full((4, 4), 0.25, dtype=complex)
-        rho = DensityOperator(m, qubits("A", "B"), check_spectrum=False)
+        rho = DensityOperator(m, qubits("A", "B"))
         with pytest.raises(ValueError, match="not an X state"):
             concurrence_x_state(rho)
 
@@ -313,13 +313,13 @@ class TestSectorDecomposition:
         y2 = 1 - x * x
         psi, lay = dephased_pair_state(x, p)
         sectors = sector_decomposition(psi, lay)
-        assert sectors.weight({"A", "B"}) == pytest.approx(
+        assert sectors[frozenset({"A", "B"})] == pytest.approx(
             2 * x * x * y2 * (1 - p) ** 2, abs=1e-13
         )
-        assert sectors.weight({"E_A", "E_B"}) == pytest.approx(
+        assert sectors[frozenset({"E_A", "E_B"})] == pytest.approx(
             4 * y2**2 * (1 - p) ** 2 * p * p, abs=1e-13
         )
-        assert sectors.weight({"A", "B", "E_A", "E_B"}) == pytest.approx(
+        assert sectors[frozenset({"A", "B", "E_A", "E_B"})] == pytest.approx(
             2 * x * x * y2 * p * p, abs=1e-13
         )
 
@@ -327,8 +327,8 @@ class TestSectorDecomposition:
         psi = np.zeros(4, dtype=complex)
         psi[2] = 1.0
         sectors = sector_decomposition(psi, qubits("A", "B"))
-        assert sectors.weights == {}
-        assert sectors.total == 0.0
+        assert sectors == {}
+        assert sum(sectors.values()) == 0.0
 
     def test_total_matches_projector_coherence(self):
         rng = np.random.default_rng(47)
@@ -336,7 +336,12 @@ class TestSectorDecomposition:
         for _ in range(10):
             psi = random_state(rng, 8)
             sectors = sector_decomposition(psi, lay)
-            assert sectors.total == pytest.approx(hs_coherence(outer(psi, lay)), abs=1e-12)
+            total = sum(sectors.values())
+            assert total == pytest.approx(hs_coherence(outer(psi, lay)), abs=1e-12)
+
+    def test_non_qubit_layout_rejected(self):
+        with pytest.raises(ValueError, match="qubit layout"):
+            sector_decomposition(np.eye(6)[0], SubsystemLayout(("A", "B"), (2, 3)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,7 +387,34 @@ def test_stacks_give_the_per_matrix_values(seed, n):
     sectors = sector_decomposition(psis, lay)
     for i, psi in enumerate(psis):
         alone = sector_decomposition(psi, lay)
-        assert sectors.weights.keys() == alone.weights.keys()
-        for labels, weight in alone.weights.items():
-            assert abs(sectors.weights[labels][i] - weight) <= 1e-14
-        assert abs(sectors.total[i] - alone.total) <= 1e-14
+        assert sectors.keys() == alone.keys()
+        for labels, weight in alone.items():
+            assert abs(sectors[labels][i] - weight) <= 1e-14
+
+    def pairing_sectors(psi):
+        # reference: every basis pair (a, b) with nonzero amplitudes in some
+        # state, grouped by the factors its multi-indices differ on
+        digits = np.array(np.unravel_index(np.arange(lay.dim), lay.dims))
+        differ = digits[:, :, np.newaxis] != digits[:, np.newaxis, :]
+        sector = np.tensordot(1 << np.arange(len(lay.dims)), differ, 1)
+        prob = np.abs(psi) ** 2
+        w = prob[..., :, np.newaxis] * prob[..., np.newaxis, :]
+        nonzero = (psi != 0.0).reshape(-1, lay.dim)
+        supported = (nonzero[:, :, np.newaxis] & nonzero[:, np.newaxis, :]).any(axis=0)
+        codes = sorted(set(sector[supported & (sector > 0)].tolist()))
+        return {
+            frozenset(lab for k, lab in enumerate(lay.labels) if code >> k & 1):
+                w[..., sector == code].sum(axis=-1)
+            for code in codes
+        }
+
+    # the XOR form against that pairing on the stack, on basis states and on
+    # states with zero amplitudes
+    sparse = psis * (rng.random((n, 16)) < 0.3)
+    sparse[:, 5] += 1.0
+    sparse /= np.linalg.norm(sparse, axis=1, keepdims=True)
+    for states in (psis, np.eye(16)[[3]], np.eye(16)[[0, 9]], sparse, sparse[0]):
+        got, want = sector_decomposition(states, lay), pairing_sectors(states)
+        assert got.keys() == want.keys()
+        for labels, weight in want.items():
+            assert np.abs(got[labels] - weight).max() <= 1e-15

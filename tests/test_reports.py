@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccrsweep import reports
 from ccrsweep.channels import ChannelKind, ChannelSpec, dilate
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
     IDENTITIES,
     IdentityId,
+    _sudden_death_bisection,
     ccr_report,
     check_identity,
     initial_state,
@@ -219,6 +221,18 @@ class TestSuddenDeath:
             else:
                 hi = mid
         assert sudden_death_point(x) == pytest.approx((lo + hi) / 2, abs=1e-8)
+
+    @pytest.mark.parametrize("x", [0.1, 0.2, 0.25, 0.3, 0.5])
+    def test_bisection_finds_the_root_in_ten_blocks(self, monkeypatch, x):
+        calls, block_columns = [], reports._block_columns
+
+        def counted(specs, x):
+            calls.append(len(specs))
+            return block_columns(specs, x)
+
+        monkeypatch.setattr(reports, "_block_columns", counted)
+        assert abs(_sudden_death_bisection(x) - x / math.sqrt(1 - x * x)) <= 1e-15
+        assert len(calls) <= 10
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="strictly inside"):

@@ -5,10 +5,11 @@ induces on one (system qubit, fresh environment qubit) pair, with the
 environment starting in |0>.  The correlated amplitude damping channel acts
 jointly on the two-qubit system and a shared two-qubit environment.  The
 one definition of a channel is ``_isometry``, the tensor W[s, e, c] =
-<s, e|U|c, 0>_E: ``dilate_block`` stacks it over p and contracts it with the
-input state (``dilate`` is a block of one) and ``kraus_set``
-slices it along the environment basis, K_e = <e|U|0>_E, so the operator-sum
-route and the dilate-then-trace route realize the same map by construction.
+<s, e|U|c, 0>_E over an array of p: ``dilate_block`` builds it once over a
+block's p and contracts it with the input state (``dilate`` is a block of
+one) and ``kraus_set`` slices the one-p tensor along the environment basis,
+K_e = <e|U|0>_E, so the operator-sum route and the dilate-then-trace route
+realize the same map by construction.
 
 Channel roster and noise parameter p in [0, 1]:
 
@@ -128,80 +129,85 @@ class DilationResult:
     layout: SubsystemLayout
 
 
-def _local_isometry(kind: ChannelKind, p: float) -> np.ndarray:
-    """Isometry V : H_k -> H_k (x) H_Ek with V|j> = U|j,0>, as a (2,2,2) tensor.
+def _local_isometry(kind: ChannelKind, p) -> np.ndarray:
+    """Isometry V : H_k -> H_k (x) H_Ek with V|j> = U|j,0>, as a (..., 2,2,2)
+    tensor over the shape of ``p`` (a noise value or an array of them).
 
-    Index order is V[m, e, j]: system output m, environment output e, system
-    input j.  The memoryless part of CADC damps each qubit as ADC does.
+    Index order is V[..., m, e, j]: system output m, environment output e,
+    system input j.  The memoryless part of CADC damps each qubit as ADC does.
     """
-    V = np.zeros((2, 2, 2), dtype=complex)
+    V = np.zeros(np.shape(p) + (2, 2, 2), dtype=complex)
     if kind in (ChannelKind.ADC, ChannelKind.CADC):
-        V[0, 0, 0] = 1.0
-        V[1, 0, 1] = np.sqrt(1.0 - p)  # excited state survives
-        V[0, 1, 1] = np.sqrt(p)        # decays, photon emitted
+        V[..., 0, 0, 0] = 1.0
+        V[..., 1, 0, 1] = np.sqrt(1.0 - p)  # excited state survives
+        V[..., 0, 1, 1] = np.sqrt(p)        # decays, photon emitted
     elif kind is ChannelKind.PDC:
-        V[0, 0, 0] = 1.0
-        V[1, 0, 1] = np.sqrt(1.0 - p)
-        V[1, 1, 1] = np.sqrt(p)        # environment tagged, no transition
+        V[..., 0, 0, 0] = 1.0
+        V[..., 1, 0, 1] = np.sqrt(1.0 - p)
+        V[..., 1, 1, 1] = np.sqrt(p)        # environment tagged, no transition
     elif kind is ChannelKind.BFC:
         keep, flip = np.sqrt(1.0 - p / 2.0), np.sqrt(p / 2.0)
-        V[0, 0, 0] = keep
-        V[1, 1, 0] = flip
-        V[1, 0, 1] = keep
-        V[0, 1, 1] = flip
+        V[..., 0, 0, 0] = keep
+        V[..., 1, 1, 0] = flip
+        V[..., 1, 0, 1] = keep
+        V[..., 0, 1, 1] = flip
     elif kind is ChannelKind.PFC:
-        V[0, 0, 0] = np.sqrt(1.0 - p)
-        V[0, 1, 0] = np.sqrt(p)
-        V[1, 0, 1] = np.sqrt(1.0 - p)
-        V[1, 1, 1] = -np.sqrt(p)       # pi phase on |1>
+        keep, flip = np.sqrt(1.0 - p), np.sqrt(p)
+        V[..., 0, 0, 0] = keep
+        V[..., 0, 1, 0] = flip
+        V[..., 1, 0, 1] = keep
+        V[..., 1, 1, 1] = -flip             # pi phase on |1>
     elif kind is ChannelKind.BPFC:
-        V[0, 0, 0] = np.sqrt(1.0 - p)
-        V[1, 1, 0] = 1j * np.sqrt(p)   # sigma_y branch
-        V[1, 0, 1] = np.sqrt(1.0 - p)
-        V[0, 1, 1] = -1j * np.sqrt(p)
+        keep, flip = np.sqrt(1.0 - p), np.sqrt(p)
+        V[..., 0, 0, 0] = keep
+        V[..., 1, 1, 0] = 1j * flip         # sigma_y branch
+        V[..., 1, 0, 1] = keep
+        V[..., 0, 1, 1] = -1j * flip
     elif kind is ChannelKind.DC:
         keep, mix = np.sqrt((1.0 + p) / 2.0), np.sqrt((1.0 - p) / 2.0)
-        V[0, 0, 0] = keep
-        V[1, 1, 0] = 1j * mix          # sigma_y branch
-        V[1, 0, 1] = keep
-        V[0, 1, 1] = -1j * mix
+        V[..., 0, 0, 0] = keep
+        V[..., 1, 1, 0] = 1j * mix          # sigma_y branch
+        V[..., 1, 0, 1] = keep
+        V[..., 0, 1, 1] = -1j * mix
     else:
         raise ValueError(f"{kind} has no single-qubit interaction")
     return V
 
 
-def _correlated_isometry(p: float) -> np.ndarray:
-    """Fully correlated amplitude damping isometry as a (4,4,4) tensor W[s,e,c].
+def _correlated_isometry(p) -> np.ndarray:
+    """Fully correlated amplitude damping isometry as a (..., 4,4,4) tensor
+    W[..., s, e, c] over the shape of ``p``.
 
     Only |11> decays, and it decays jointly into the shared environment
     excitation |11>_E; the other basis states pass through untouched.
     """
-    W = np.zeros((4, 4, 4), dtype=complex)
+    W = np.zeros(np.shape(p) + (4, 4, 4), dtype=complex)
     for c in range(3):
-        W[c, 0, c] = 1.0
-    W[3, 0, 3] = np.sqrt(1.0 - p)
-    W[0, 3, 3] = np.sqrt(p)
+        W[..., c, 0, c] = 1.0
+    W[..., 3, 0, 3] = np.sqrt(1.0 - p)
+    W[..., 0, 3, 3] = np.sqrt(p)
     return W
 
 
-def _isometry(spec: ChannelSpec) -> np.ndarray:
-    """The whole channel as one tensor W[s, e, c] = <s, e|U|c, 0>_E.
+def _isometry(kind: ChannelKind, p, mu: float) -> np.ndarray:
+    """The channel at each noise value of ``p`` as one tensor stack
+    W[..., s, e, c] = <s, e|U|c, 0>_E.
 
-    The local V for one-qubit kinds, V (x) V as (4, 4, 4) for memoryless
+    The local V for one-qubit kinds, V (x) V as (..., 4, 4, 4) for memoryless
     two-qubit kinds (CADC at mu = 0 too), the correlated isometry at mu = 1.
     CADC at fractional mu (the only kind with mu != 0) raises ValueError.
     """
-    if spec.mu not in (0.0, 1.0):
+    if mu not in (0.0, 1.0):
         raise ValueError(
             "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
             "a two-qubit environment (apply kraus_set instead)"
         )
-    if spec.mu == 1.0:
-        return _correlated_isometry(spec.p)
-    V = _local_isometry(spec.kind, spec.p)
-    if spec.kind.n_system_qubits == 1:
+    if mu == 1.0:
+        return _correlated_isometry(p)
+    V = _local_isometry(kind, p)
+    if kind.n_system_qubits == 1:
         return V
-    return np.einsum("aej,bfk->abefjk", V, V).reshape(4, 4, 4)
+    return np.einsum("...aej,...bfk->...abefjk", V, V).reshape(V.shape[:-3] + (4, 4, 4))
 
 
 def dilate(spec: ChannelSpec, system, sys_layout: SubsystemLayout) -> DilationResult:
@@ -212,21 +218,23 @@ def dilate(spec: ChannelSpec, system, sys_layout: SubsystemLayout) -> DilationRe
 
 
 def block_kind(specs: Sequence[ChannelSpec]) -> ChannelKind:
-    """The one channel kind of a block of specs; ValueError if empty or mixed."""
+    """The one channel kind of a block of specs of one mu; ValueError if empty or mixed."""
     if not specs or any(spec.kind is not specs[0].kind for spec in specs):
         raise ValueError("a block needs one or more specs of one channel kind")
+    if any(spec.mu != specs[0].mu for spec in specs):
+        raise ValueError(f"a block needs one mu, got mu in {sorted({spec.mu for spec in specs})}")
     return specs[0].kind
 
 
 def dilate_block(
     specs: Sequence[ChannelSpec], system, sys_layout: SubsystemLayout
 ) -> tuple[np.ndarray, SubsystemLayout]:
-    """Dilate one system state through specs of one channel kind at once.
+    """Dilate one system state through specs of one (kind, mu) at once.
 
     Returns the global amplitudes, one read-only row per spec, and the global
     layout with one environment label ``E_<label>`` per system qubit (CADC
-    acts on both jointly).  Raises ValueError for an empty or mixed-kind
-    block, when the system arity does not match the kind, when a
+    acts on both jointly).  Raises ValueError for an empty block, one that
+    mixes kinds or mu, when the system arity does not match the kind, when a
     depolarizing input has complex amplitudes (its identity-plus-sigma_y
     realization describes the intended mixture only on real amplitudes), or
     for CADC with fractional mu (see :func:`_isometry`).
@@ -247,7 +255,7 @@ def dilate_block(
     if kind is ChannelKind.DC and float(np.abs(psi.imag).max()) > 1e-12:
         raise ValueError("the depolarizing dilation requires real amplitudes")
 
-    W = np.array([_isometry(spec) for spec in specs])
+    W = _isometry(kind, np.array([spec.p for spec in specs]), specs[0].mu)
     out = np.einsum("psec,c->pse", W, psi).reshape(len(specs), out_layout.dim)
     check_norms(out)
     out.setflags(write=False)
@@ -262,7 +270,7 @@ def kraus_set(spec: ChannelSpec) -> KrausSet:
     {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}.
     """
     if spec.mu in (0.0, 1.0):
-        W = _isometry(spec)
+        W = _isometry(spec.kind, spec.p, spec.mu)
         ops = [W[:, e, :] for e in range(W.shape[1])]
     else:
         ops = [np.sqrt(w) * k for m, w in ((0.0, 1.0 - spec.mu), (1.0, spec.mu))

@@ -273,7 +273,7 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
                 amplitudes, global_layout = dilate_block(specs, psi, layout)
                 norms = (amplitudes.conj() * amplitudes).real.sum(axis=-1)
                 t.track("dilation_norm", abs(norms - 1.0), where)
-                via_dilation = _reduced(amplitudes, global_layout, layout.labels)
+                via_dilation = _reduced(amplitudes, global_layout, layout.labels)[0]
                 rho0 = outer(psi, layout)
                 via_kraus = np.array([apply_kraus(rho0, ks).mat for ks in sets])
                 t.track(

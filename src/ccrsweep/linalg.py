@@ -13,6 +13,7 @@ functions, so values can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -62,8 +63,9 @@ class SubsystemLayout:
         return sorted(self.position(lab) for lab in labels)
 
 
+@functools.lru_cache(maxsize=64)
 def qubits(*labels: str) -> SubsystemLayout:
-    """Layout of one qubit per label."""
+    """Layout of one qubit per label, built once and shared (it is immutable)."""
     return SubsystemLayout(tuple(labels), (2,) * len(labels))
 
 
@@ -93,7 +95,8 @@ def check_norms(psi: np.ndarray) -> None:
 def _check_hermitian(mat: np.ndarray) -> None:
     """Raise ValueError unless a matrix, or each of a stack (..., d, d), is
     finite and Hermitian to ``HERMITIAN_TOL``."""
-    defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
+    with np.errstate(all="ignore"):  # inf - inf is a NaN defect, reported below
+        defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if not defect <= HERMITIAN_TOL:  # a NaN defect fails too
         if not np.isfinite(mat).all():
             raise ValueError("matrix has non-finite entries")

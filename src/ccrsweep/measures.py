@@ -110,9 +110,8 @@ def re_correlated_coherence(rho_global, blocks: Sequence[str]):
     if len(blocks) != 2:
         raise ValueError(f"expected exactly two blocks, got {len(blocks)}")
     joint, dims = _joint(rho_global, blocks)
-    s_joint = von_neumann_entropy(joint)
-    s_locals = sum(von_neumann_entropy(m) for m in factor_marginals(joint, dims))
-    return s_locals - s_joint
+    s_x, s_y = von_neumann_entropy(np.stack(factor_marginals(joint, dims)))
+    return s_x + s_y - von_neumann_entropy(joint)
 
 
 _X_OFF = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])

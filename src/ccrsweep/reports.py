@@ -141,10 +141,14 @@ LOCAL_COLUMNS = ("P_hs_A", "C_hs_A", "S_l_A")
 INITIAL_COLUMNS = ("P_hs_A_initial", "C_hs_A_initial", "S_l_initial")
 
 
-def local_measures(rho_a, names=LOCAL_COLUMNS) -> dict[str, float]:
-    """Predictability, coherence and linear entropy of A's marginal (or of a
-    stack of them), keyed by ``names``."""
-    return dict(zip(names, (hs_predictability(rho_a), hs_coherence(rho_a), linear_entropy(rho_a))))
+def local_measures(rho_a: np.ndarray, initial: np.ndarray) -> dict[str, np.ndarray]:
+    """Predictability, coherence and linear entropy of A's marginals (P, 2, 2)
+    and of the initial marginal (1, 2, 2), checked and measured as one stack."""
+    both = np.concatenate([rho_a, initial])
+    check_density(both)
+    values = (hs_predictability(both), hs_coherence(both), linear_entropy(both))
+    return {**{name: v[:-1] for name, v in zip(LOCAL_COLUMNS, values)},
+            **{name: v[-1] for name, v in zip(INITIAL_COLUMNS, values)}}
 
 
 #: The two-factor partitions of the global state a report measures, each
@@ -162,40 +166,45 @@ SECTORS = (("A", "B"), ("A", "B", "E_A"), ("A", "B", "E_B"), ("A", "B", "E_A", "
            ("E_A", "E_B"), ("E_A",), ("E_B",))
 
 
-def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, keep: Sequence[str]) -> np.ndarray:
-    """Reduced states (P, d, d) on ``keep`` of pure states (P, dim): M M^dag,
-    with M the amplitudes reshaped to (P, kept factors, the rest)."""
+def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: Sequence[str]) -> np.ndarray:
+    """Reduced states (K, P, d, d) on each of K equal-dimension ``keeps`` of
+    pure states (P, dim): M M^dag by one matmul, with each M the amplitudes
+    reshaped to (P, kept factors, the rest)."""
     t = amplitudes.reshape((-1,) + layout.dims)
-    axes = [1 + layout.position(label) for label in keep]
-    rest = [a for a in range(1, t.ndim) if a not in axes]
-    m = t.transpose([0, *axes, *rest])
-    m = m.reshape(len(t), math.prod(layout.dims[a - 1] for a in axes), -1)
+    ms = []
+    for keep in keeps:
+        axes = [1 + layout.position(label) for label in keep]
+        m = t.transpose([0, *axes, *(a for a in range(1, t.ndim) if a not in axes)])
+        ms.append(m.reshape(len(t), math.prod(t.shape[a] for a in axes), -1))
+    m = np.stack(ms)
     return m @ m.conj().swapaxes(-1, -2)
 
 
-def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: SubsystemLayout):
+def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: SubsystemLayout,
+                     initial: np.ndarray):
     """Every measure column, as arrays over the block, of dilated states
-    (P, dim), and the pair stacks they were measured on: each pair of
-    ``PAIRS`` the layout has is formed once as a stack, every measure runs
-    on the stacks and every one-factor marginal is traced from a pair."""
-    pairs = {
-        name: _reduced(amplitudes, layout, pair)
-        for name, pair in PAIRS.items()
-        if set(pair) <= set(layout.labels)
-    }
-    rho_a = factor_marginals(pairs["AEA"], (2, 2))[0]
-    check_density(np.stack(list(pairs.values())))
-    check_density(rho_a)
-    m = {**local_measures(rho_a), "C_global": 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)}
-    for name, rho in pairs.items():
-        m[f"Cc_{name}"] = correlated_coherence_hs(rho, PAIRS[name])
-        if name != "AB":  # A-B entanglement is reported as a concurrence
-            m[f"ppt_{name}"] = is_ppt(rho, PAIRS[name][0]).astype(float)
+    (P, dim) and of the initial marginal of A (1, 2, 2), and the pair stacks
+    the measures were taken on.  The pairs of ``PAIRS`` the layout has form
+    one stack (K, P, 4, 4) and each measure runs once on it; its one-factor
+    marginals are traced once and give A's marginal and Cc_ABE."""
+    names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
+    stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
+    pairs = dict(zip(names, stack))
+    check_density(stack)
+    firsts, seconds = factor_marginals(stack, (2, 2))
+    m = local_measures(firsts[names.index("AEA")], initial)
+    m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
+    # a stack of qubit pairs: each pair's first label is its first qubit
+    m.update(zip([f"Cc_{name}" for name in names], correlated_coherence_hs(stack, ("1st", "2nd"))))
+    # A-B entanglement is reported as a concurrence; AB, where present, is first
+    cross = int("AB" in pairs)
+    m.update(zip([f"ppt_{name}" for name in names[cross:]],
+                 is_ppt(stack[cross:], "1st").astype(float)))
     if "AB" in pairs:
         # the joint coherence of the pure global state is C_global
-        singles = factor_marginals(pairs["AB"], (2, 2)) + factor_marginals(pairs["EAEB"], (2, 2))
+        local = hs_coherence(firsts) + hs_coherence(seconds)
         m.update(
-            Cc_ABE=m["C_global"] - sum(hs_coherence(rho) for rho in singles),
+            Cc_ABE=m["C_global"] - (local[names.index("AB")] + local[names.index("EAEB")]),
             C_env=hs_coherence(pairs["EAEB"]),
             concurrence_AB=concurrence_x_state(pairs["AB"]),
             mutual_info_AB=re_correlated_coherence(pairs["AB"], PAIRS["AB"]),
@@ -220,10 +229,8 @@ def _block_columns(specs: Sequence[ChannelSpec], x: float):
 
     psi, sys_layout = initial_state(kind, x)
     amplitudes, layout = dilate_block(specs, psi, sys_layout)
-    measures, pairs = _measure_columns(kind, amplitudes, layout)
-    initial = _reduced(psi[np.newaxis], sys_layout, ("A",))
-    check_density(initial)
-    measures.update(local_measures(initial[0], INITIAL_COLUMNS))
+    initial = _reduced(psi[np.newaxis], sys_layout, ("A",))[0]
+    measures, pairs = _measure_columns(kind, amplitudes, layout, initial)
     residuals = {
         ident: row.residual(measures)
         for ident, row in IDENTITIES.items()

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccrsweep.channels import (
+    PRUNE_TOL,
     ChannelKind,
     ChannelSpec,
     KrausSet,
+    _isometry,
     apply_kraus,
     dilate,
+    dilate_block,
     kraus_set,
     validate_kraus,
 )
@@ -147,6 +150,42 @@ class TestDilate:
             d1 = dilate(spec, v1, lay)
             d2 = dilate(spec, v2, lay)
             assert np.vdot(d1.state, d2.state) == pytest.approx(np.vdot(v1, v2), abs=1e-12)
+
+
+class TestIsometryOverP:
+    """The isometry built once over a block's p grid is, slice by slice, the
+    isometry built at each p alone, and both routes read those slices."""
+
+    PS = np.linspace(0.0, 1.0, 101)
+
+    @pytest.mark.parametrize(
+        "kind, mu", [(kind, 0.0) for kind in ALL_KINDS] + [(ChannelKind.CADC, 1.0)],
+        ids=lambda v: getattr(v, "value", f"mu={v}"),
+    )
+    def test_block_and_kraus_read_per_p_slices_bytewise(self, kind, mu):
+        psi, layout = system_state(kind, 0.6)
+        stacked = _isometry(kind, self.PS, mu)
+        amplitudes, _ = dilate_block([ChannelSpec(kind, p, mu) for p in self.PS], psi, layout)
+        for i, p in enumerate(self.PS):
+            W = _isometry(kind, p, mu)
+            assert stacked[i].tobytes() == W.tobytes()
+            alone = np.einsum("psec,c->pse", W[np.newaxis], psi).reshape(-1)
+            assert amplitudes[i].tobytes() == alone.tobytes()
+            slices = [W[:, e, :] for e in range(W.shape[1])]
+            kept = [k for k in slices if np.linalg.norm(k) >= PRUNE_TOL]
+            ops = kraus_set(ChannelSpec(kind, p, mu)).operators
+            assert [k.tobytes() for k in ops] == [k.tobytes() for k in kept]
+
+    @pytest.mark.parametrize("build", ["dilate_block", "report_block"])
+    def test_block_of_mixed_mu_rejected(self, build):
+        from ccrsweep.reports import report_block
+
+        specs = [ChannelSpec(ChannelKind.CADC, 0.5, 1.0), ChannelSpec(ChannelKind.CADC, 0.5, 0.0)]
+        with pytest.raises(ValueError, match=r"one mu, got mu in \[0\.0, 1\.0\]"):
+            if build == "dilate_block":
+                dilate_block(specs, *system_state(ChannelKind.CADC, 0.5))
+            else:
+                report_block(specs, 0.5)
 
 
 class TestKrausSet:

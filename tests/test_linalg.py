@@ -115,6 +115,19 @@ class TestStackedChecks:
         with pytest.raises(ValueError, match="non-finite"):
             hermitian_eigenvalues(np.array([[1.0, np.inf], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "mat",
+        [[[np.inf, 0.0], [0.0, 1.0]], [[0.5, np.inf], [np.inf, 0.5]],
+         [[0.5, complex(0, np.inf)], [complex(0, -np.inf), 0.5]]],
+        ids=["diagonal", "symmetric", "imaginary"],
+    )
+    @pytest.mark.parametrize("check", [check_density, hermitian_eigenvalues])
+    def test_infinity_meeting_infinity_rejected_without_warning(self, check, mat):
+        # inf - inf in the Hermiticity defect must not surface as a
+        # RuntimeWarning (an error under this suite's warning filter)
+        with pytest.raises(ValueError, match="non-finite"):
+            check(np.array(mat, dtype=complex))
+
     def test_non_finite_amplitudes_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             check_norms(np.array([np.nan, 0j]))

@@ -196,6 +196,44 @@ class TestGridProperties:
             assert m["C_global"] == pytest.approx(m["C_hs_A"], abs=1e-12)
 
 
+class TestBlockCost:
+    """Each measure runs once per block on a stack, so a block's eigen-solves
+    and partial traces are few and do not depend on how many p it holds."""
+
+    #: (eigvalsh, partial traces) per block, by the kind's system qubits
+    MOST = {2: (5, 6), 1: (3, 4)}
+
+    @pytest.mark.parametrize(
+        "kind, mu", [(kind, 1.0 if kind is ChannelKind.CADC else 0.0) for kind in ChannelKind]
+        + [(ChannelKind.CADC, 0.0)],
+        ids=lambda v: getattr(v, "value", f"mu={v}"),
+    )
+    def test_calls_per_block(self, monkeypatch, kind, mu):
+        from ccrsweep import linalg, measures
+
+        counts = {}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        trace = counted("partial_trace", linalg._partial_trace)
+        for module in (linalg, measures):  # measures binds the name on import
+            monkeypatch.setattr(module, "_partial_trace", trace)
+        per_block = []
+        for n in (1, 101):
+            counts.clear()
+            report_block([ChannelSpec(kind, p, mu) for p in np.linspace(0.0, 1.0, n)], 0.5)
+            per_block.append(dict(counts))
+        assert per_block[0] == per_block[1]
+        most_eig, most_trace = self.MOST[kind.n_system_qubits]
+        assert 0 < per_block[0]["eigvalsh"] <= most_eig
+        assert 0 < per_block[0]["partial_trace"] <= most_trace
+
+
 class TestSuddenDeath:
     def test_closed_form_value(self):
         assert sudden_death_point(0.5) == pytest.approx(1 / math.sqrt(3), abs=1e-12)

@@ -48,7 +48,7 @@ from .reports import (
     initial_state,
     sudden_death_point,
 )
-from .cli import SweepConfig, emit, run_sweep, verify_command
+from .cli import SweepConfig, emit, run_sweep, sweep_table, verify_command
 
 __version__ = "0.1.0"
 
@@ -87,6 +87,7 @@ __all__ = [
     "sector_decomposition",
     "state_vector",
     "sudden_death_point",
+    "sweep_table",
     "validate_kraus",
     "verify_command",
     "von_neumann_entropy",

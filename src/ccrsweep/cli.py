@@ -27,12 +27,11 @@ import numpy as np
 from .channels import (_TWO_QUBIT_KINDS, ChannelKind, ChannelSpec, apply_kraus, dilate_block,
                        kraus_set, validate_kraus)
 from .linalg import SubsystemLayout, outer
-from .measures import is_ppt, ppt_min_eigenvalue, sector_decomposition
+from .measures import is_ppt, sector_decomposition
 from .reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
     IDENTITIES,
-    PAIRS,
     CCRReport,
     Identity,
     IdentityId,
@@ -117,60 +116,65 @@ def _blocks(cfg: SweepConfig, x_values) -> Iterator[tuple[list[ChannelSpec], flo
             yield [cfg.spec(kind, p) for p in cfg.p_grid()], x
 
 
-def _reports(cfg: SweepConfig) -> Iterator[CCRReport]:
-    """One report per grid point, ordered channel / x asc / p asc."""
-    for specs, x in _blocks(cfg, cfg.x_values):
-        yield from report_block(specs, x)
-
-
 def run_sweep(cfg: SweepConfig) -> list[CCRReport]:
     """One report per grid point, ordered channel / x asc / p asc."""
-    return list(_reports(cfg))
+    return [r for specs, x in _blocks(cfg, cfg.x_values) for r in report_block(specs, x)]
 
 
-def _report_row(report: CCRReport) -> dict[str, object]:
-    row: dict[str, object] = {
-        "channel": report.channel.kind.value,
-        "mu": report.channel.mu,
-        "x": report.x,
-        "p": report.p,
-    }
-    for name in CSV_COLUMNS[4:-2]:
-        row[name] = report.measures.get(name)
-    row["residual_ccr"] = report.residuals[IdentityId.CCR_UNIVERSAL]
-    headline = APPLICABLE_IDENTITIES[report.channel.kind][0]
-    in_domain = IDENTITIES[headline].domain(report.channel, report.x)
-    row["residual_channel_identity"] = report.residuals[headline] if in_domain else None
-    return row
+#: A sweep table: one dict per (channel, x) block, in row order, mapping each
+#: of CSV_COLUMNS to the block's cells (str, real or None), p ascending.
+Table = list[dict[str, list]]
 
 
-def _fmt_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return repr(float(value))  # shortest decimal that round-trips
+def sweep_table(cfg: SweepConfig) -> Table:
+    """The sweep's rows as block columns, ordered channel / x asc / p asc:
+    inapplicable measures and off-domain headline residuals are None."""
+    table = []
+    for specs, x in _blocks(cfg, cfg.x_values):
+        x, m, residuals, *_ = _block_columns(specs, x)
+        kind, n = specs[0].kind, len(specs)
+        headline = APPLICABLE_IDENTITIES[kind][0]
+        block = {"channel": [kind.value] * n, "mu": [specs[0].mu] * n, "x": [x] * n,
+                 "p": [spec.p for spec in specs]}
+        block.update({name: m[name].tolist() if name in m else [None] * n
+                      for name in CSV_COLUMNS[4:-2]})
+        block["residual_ccr"] = residuals[IdentityId.CCR_UNIVERSAL].tolist()
+        block["residual_channel_identity"] = [
+            r if IDENTITIES[headline].domain(spec, x) else None
+            for spec, r in zip(specs, residuals[headline].tolist())]
+        table.append(block)
+    return table
 
 
-def render_csv(reports: list[CCRReport]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for report in reports:
-        row = _report_row(report)
-        lines.append(",".join(_fmt_cell(row[name]) for name in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+def _rows(table: Table, null: str, text: Callable, real: Callable) -> Iterator[tuple[str, ...]]:
+    """The table's rows as cells of text, each column of a block formatted
+    at once: None as ``null``, strings by ``text`` and reals by ``real``."""
+    for block in table:
+        yield from zip(*(
+            [null if v is None else text(v) if type(v) is str else real(v) for v in block[name]]
+            for name in CSV_COLUMNS))
 
 
-def render_json(reports: list[CCRReport]) -> str:
-    return json.dumps([_report_row(r) for r in reports], indent=2) + "\n"
+def render_csv(table: Table) -> str:
+    rows = _rows(table, "", str, lambda v: repr(float(v)))  # the shortest round-trip decimal
+    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, rows)]) + "\n"
 
 
-def emit(reports: list[CCRReport], fmt: str, path: str) -> None:
-    """Write the report table; field names and order are identical for both
-    formats, with inapplicable measures and off-domain identity residuals
-    left empty (CSV) or null (JSON)."""
-    if not reports:
+def render_json(table: Table) -> str:
+    """The table as a JSON array of row objects, laid out as ``json.dumps``
+    with ``indent=2`` lays it out."""
+    row = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in CSV_COLUMNS) + "\n  }"
+    rows = [row % cells for cells in _rows(table, "null", json.dumps, repr)]
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+
+
+def emit(table: Table, fmt: str, path: str) -> None:
+    """Write the table of :func:`sweep_table`; field names and order are
+    identical for both formats, with inapplicable measures and off-domain
+    identity residuals left empty (CSV) or null (JSON)."""
+    if not table:
         raise ValueError("nothing to emit: no reports were produced")
-    text = render_csv(reports) if fmt == "csv" else render_json(reports)
+    text = render_csv(table) if fmt == "csv" else render_json(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -223,15 +227,15 @@ CHECKS: dict[str, Identity] = {
 }
 
 
-def _state_columns(m: dict, pairs: dict, amplitudes: np.ndarray, layout: SubsystemLayout) -> dict:
-    """PPT and sector columns of a two-qubit block, from its pair stacks and
-    dilated states."""
+def _state_columns(m: dict, pairs: dict, cross_min: np.ndarray, amplitudes: np.ndarray,
+                   layout: SubsystemLayout) -> dict:
+    """PPT and sector columns of a two-qubit block, from its pair stacks, the
+    cross pairs' smallest partial-transpose eigenvalues and dilated states."""
     entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & is_ppt(pairs["AB"], "A")
-    cross = [ppt_min_eigenvalue(pairs[name], PAIRS[name][0]) for name in ("AEA", "AEB", "EAEB")]
     sectors = sector_decomposition(amplitudes, layout)
     return {
         "entangled_but_ppt": entangled_but_ppt.astype(float),
-        "cross_ppt_defect": np.maximum(0.0, -np.min(cross, axis=0)),
+        "cross_ppt_defect": np.maximum(0.0, -cross_min.min(axis=0)),
         "sector_total": sum(sectors.values(), np.zeros(len(amplitudes))),
     }
 
@@ -240,11 +244,11 @@ def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
     """Every row of IDENTITIES and CHECKS, on the points of its domain, over
     one block per (channel, x) for the grid's x values and every tenth of x."""
     for specs, x in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
-        x, m, residuals, amplitudes, layout, pairs = _block_columns(specs, x)
+        x, m, residuals, amplitudes, layout, pairs, cross_min = _block_columns(specs, x)
         kind = specs[0].kind
         m = {**m, "p": np.array([spec.p for spec in specs])}
         if kind.n_system_qubits == 2:
-            m.update(_state_columns(m, pairs, amplitudes, layout))
+            m.update(_state_columns(m, pairs, cross_min, amplitudes, layout))
         rows = [(ident.value, IDENTITIES[ident], r) for ident, r in residuals.items()]
         rows += [(name, row, row.residual(m)) for name, row in CHECKS.items() if kind in row.kinds]
         for name, row, values in rows:
@@ -450,8 +454,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep":
         try:
-            reports = run_sweep(cfg)
-            emit(reports, cfg.fmt, cfg.output)
+            emit(sweep_table(cfg), cfg.fmt, cfg.output)
         except OSError as exc:
             print(f"ccrsweep: {exc}", file=sys.stderr)
             return 1

@@ -83,7 +83,8 @@ def state_vector(amplitudes) -> np.ndarray:
 def check_norms(psi: np.ndarray) -> None:
     """Raise ValueError unless a vector, or each of a stack (..., n), is
     finite with norm 1 to ``NORM_TOL``."""
-    norm2 = (psi.conj() * psi).real.sum(axis=-1)
+    with np.errstate(all="ignore"):  # an overflow is an inf norm, reported below
+        norm2 = (psi.conj() * psi).real.sum(axis=-1)
     deviation = np.abs(norm2 - 1.0)
     if not deviation.max() <= NORM_TOL:  # a NaN deviation fails too
         if not np.isfinite(psi).all():
@@ -94,9 +95,9 @@ def check_norms(psi: np.ndarray) -> None:
 
 def _check_hermitian(mat: np.ndarray) -> None:
     """Raise ValueError unless a matrix, or each of a stack (..., d, d), is
-    finite and Hermitian to ``HERMITIAN_TOL``."""
-    with np.errstate(all="ignore"):  # inf - inf is a NaN defect, reported below
-        defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
+    finite and Hermitian to ``HERMITIAN_TOL``.  Callers run it under
+    ``np.errstate(all="ignore")``: inf - inf is a NaN defect, reported here."""
+    defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if not defect <= HERMITIAN_TOL:  # a NaN defect fails too
         if not np.isfinite(mat).all():
             raise ValueError("matrix has non-finite entries")
@@ -107,8 +108,9 @@ def check_density(mat: np.ndarray) -> None:
     """Raise ValueError, naming the worst defect, unless a matrix, or each of a
     stack (..., d, d), is finite and Hermitian to ``HERMITIAN_TOL`` with trace
     1 to ``TRACE_TOL`` and no eigenvalue below ``EIGENVALUE_FLOOR``."""
-    _check_hermitian(mat)
-    tr = mat.trace(0, -2, -1)
+    with np.errstate(all="ignore"):  # an overflowing trace is inf, reported below
+        _check_hermitian(mat)
+        tr = mat.trace(0, -2, -1)
     deviation = np.abs(tr - 1.0)
     if deviation.max() > TRACE_TOL:
         raise ValueError(f"trace must be 1, got {complex(tr.flat[deviation.argmax()])!r}")
@@ -217,5 +219,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _check_hermitian(m)
+    with np.errstate(all="ignore"):
+        _check_hermitian(m)
     return np.linalg.eigvalsh(m)

@@ -22,13 +22,14 @@ import numpy as np
 from .channels import ChannelKind, ChannelSpec, DilationResult, block_kind, dilate_block
 from .linalg import SubsystemLayout, check_density, qubits
 from .measures import (
+    PPT_TOL,
     concurrence_x_state,
     correlated_coherence_hs,
     factor_marginals,
     hs_coherence,
     hs_predictability,
-    is_ppt,
     linear_entropy,
+    ppt_min_eigenvalue,
     re_correlated_coherence,
     sector_decomposition,
 )
@@ -183,9 +184,10 @@ def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: Sequence[s
 def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: SubsystemLayout,
                      initial: np.ndarray):
     """Every measure column, as arrays over the block, of dilated states
-    (P, dim) and of the initial marginal of A (1, 2, 2), and the pair stacks
-    the measures were taken on.  The pairs of ``PAIRS`` the layout has form
-    one stack (K, P, 4, 4) and each measure runs once on it; its one-factor
+    (P, dim) and of the initial marginal of A (1, 2, 2), the pair stacks the
+    measures were taken on and the cross pairs' (3, P) smallest partial-
+    transpose eigenvalues.  The pairs of ``PAIRS`` the layout has form one
+    stack (K, P, 4, 4) and each measure runs once on it; its one-factor
     marginals are traced once and give A's marginal and Cc_ABE."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
@@ -198,8 +200,8 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
     m.update(zip([f"Cc_{name}" for name in names], correlated_coherence_hs(stack, ("1st", "2nd"))))
     # A-B entanglement is reported as a concurrence; AB, where present, is first
     cross = int("AB" in pairs)
-    m.update(zip([f"ppt_{name}" for name in names[cross:]],
-                 is_ppt(stack[cross:], "1st").astype(float)))
+    cross_min = ppt_min_eigenvalue(stack[cross:], "1st")
+    m.update(zip([f"ppt_{name}" for name in names[cross:]], (cross_min >= -PPT_TOL).astype(float)))
     if "AB" in pairs:
         # the joint coherence of the pure global state is C_global
         local = hs_coherence(firsts) + hs_coherence(seconds)
@@ -213,14 +215,14 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
         sectors = sector_decomposition(amplitudes, layout)
         for labels in SECTORS:  # sector_AB, ..., sector_EB
             m["sector_" + "".join(labels).replace("_", "")] = sectors.get(frozenset(labels), 0.0)
-    return m, pairs
+    return m, pairs, cross_min
 
 
 def _block_columns(specs: Sequence[ChannelSpec], x: float):
     """The arrays behind :func:`report_block`: the x evaluated (pinned for
     the bit flip channel), the measure and identity-residual columns, the
-    dilated amplitudes (P, dim), their layout and the stacks of ``PAIRS``
-    the measures were taken on."""
+    dilated amplitudes (P, dim), their layout, and the pair stacks and the
+    cross pairs' partial-transpose minima that the measures used."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     kind = block_kind(specs)
@@ -230,13 +232,13 @@ def _block_columns(specs: Sequence[ChannelSpec], x: float):
     psi, sys_layout = initial_state(kind, x)
     amplitudes, layout = dilate_block(specs, psi, sys_layout)
     initial = _reduced(psi[np.newaxis], sys_layout, ("A",))[0]
-    measures, pairs = _measure_columns(kind, amplitudes, layout, initial)
+    measures, pairs, cross_min = _measure_columns(kind, amplitudes, layout, initial)
     residuals = {
         ident: row.residual(measures)
         for ident, row in IDENTITIES.items()
         if kind in row.kinds
     }
-    return x, measures, residuals, amplitudes, layout, pairs
+    return x, measures, residuals, amplitudes, layout, pairs, cross_min
 
 
 def report_block(specs: Sequence[ChannelSpec], x: float) -> list[CCRReport]:
@@ -248,7 +250,7 @@ def report_block(specs: Sequence[ChannelSpec], x: float) -> list[CCRReport]:
     density matrix.  Every identity of the kind gets a residual, also where
     the point lies outside the identity's domain.
     """
-    x, measures, residuals, amplitudes, layout, _ = _block_columns(specs, x)
+    x, measures, residuals, amplitudes, layout, *_ = _block_columns(specs, x)
 
     def rows(columns: dict) -> list[dict]:
         values = [v.tolist() if np.ndim(v) else [float(v)] * len(specs) for v in columns.values()]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ccrsweep.channels import ChannelKind, ChannelSpec, apply_kraus, dilate, kraus_set, validate_kraus
-from ccrsweep.cli import SweepConfig, render_csv, run_sweep, verify_command
+from ccrsweep.cli import SweepConfig, render_csv, sweep_table, verify_command
 from ccrsweep.linalg import outer, partial_trace
 from ccrsweep.measures import (
     hs_coherence,
@@ -316,8 +316,8 @@ def test_criterion_8_operator_sum_equals_dilation():
 
 def test_criterion_9_determinism_and_verify():
     cfg = SweepConfig()
-    first = render_csv(run_sweep(cfg))
-    second = render_csv(run_sweep(cfg))
+    first = render_csv(sweep_table(cfg))
+    second = render_csv(sweep_table(cfg))
     identical = first == second
     rc = verify_command(cfg)
     ok = identical and rc == 0

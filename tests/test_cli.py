@@ -7,18 +7,23 @@ import pytest
 from ccrsweep.channels import ChannelKind, ChannelSpec
 from ccrsweep.linalg import hermitian_eigenvalues, outer, partial_trace, partial_transpose
 from ccrsweep.measures import correlated_coherence_hs, is_ppt, sector_decomposition
-from ccrsweep.reports import IDENTITIES, PAIRS, IdentityId, _block_columns
+from ccrsweep.reports import APPLICABLE_IDENTITIES, IDENTITIES, PAIRS, IdentityId, _block_columns
 from ccrsweep.cli import (
     CSV_COLUMNS,
     DEFAULT_X,
+    TENTHS,
     SweepConfig,
+    _blocks,
     _state_columns,
     _Tracker,
+    _verify_blocks,
     build_config,
     emit,
     main,
     render_csv,
+    render_json,
     run_sweep,
+    sweep_table,
     verify_command,
 )
 
@@ -129,7 +134,7 @@ class TestRunSweep:
 class TestEmit:
     def test_csv_header(self, tmp_path):
         out = tmp_path / "table.csv"
-        emit(run_sweep(small_config(p_count=3)), "csv", str(out))
+        emit(sweep_table(small_config(p_count=3)), "csv", str(out))
         first = out.read_text().splitlines()[0]
         assert first == (
             "channel,mu,x,p,P_hs_A,C_hs_A,S_l_A,Cc_AB,Cc_AEA,Cc_AEB,Cc_EAEB,Cc_ABE,"
@@ -139,7 +144,7 @@ class TestEmit:
 
     def test_one_qubit_rows_leave_pair_cells_empty(self):
         cfg = small_config(channels=(ChannelKind.PFC,), p_count=3)
-        lines = render_csv(run_sweep(cfg)).splitlines()
+        lines = render_csv(sweep_table(cfg)).splitlines()
         header = lines[0].split(",")
         row = dict(zip(header, lines[1].split(",")))
         assert row["channel"] == "pfc"
@@ -148,7 +153,7 @@ class TestEmit:
         assert row["Cc_AEA"] != ""
 
     def test_csv_round_trip_is_byte_identical(self):
-        text = render_csv(run_sweep(small_config(p_count=4)))
+        text = render_csv(sweep_table(small_config(p_count=4)))
         lines = text.splitlines()
         rebuilt = [lines[0]]
         for line in lines[1:]:
@@ -160,7 +165,7 @@ class TestEmit:
 
     def test_json_mirrors_csv_fields(self, tmp_path):
         out = tmp_path / "table.json"
-        emit(run_sweep(small_config(channels=(ChannelKind.DC,), p_count=3)), "json", str(out))
+        emit(sweep_table(small_config(channels=(ChannelKind.DC,), p_count=3)), "json", str(out))
         rows = json.loads(out.read_text())
         assert len(rows) == 3
         assert list(rows[0].keys()) == list(CSV_COLUMNS)
@@ -175,7 +180,7 @@ class TestEmit:
             (small_config(channels=(ChannelKind.DC,), p_count=3), True),
             (small_config(channels=(ChannelKind.DC,), x_values=(INV_SQRT2,), p_count=3), False),
         ):
-            lines = render_csv(run_sweep(cfg)).splitlines()
+            lines = render_csv(sweep_table(cfg)).splitlines()
             header = lines[0].split(",")
             for line in lines[1:]:
                 row = dict(zip(header, line.split(",")))
@@ -189,9 +194,81 @@ class TestEmit:
     def test_determinism(self, tmp_path):
         cfg = small_config(channels=(ChannelKind.ADC, ChannelKind.PFC), p_count=7)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(run_sweep(cfg), "csv", str(a))
-        emit(run_sweep(cfg), "csv", str(b))
+        emit(sweep_table(cfg), "csv", str(a))
+        emit(sweep_table(cfg), "csv", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def per_report_rows(cfg):
+    """The table as the per-report route built it: one row per run_sweep
+    report, the headline residual left out off its identity's domain."""
+    rows = []
+    for r in run_sweep(cfg):
+        row = {"channel": r.channel.kind.value, "mu": r.channel.mu, "x": r.x, "p": r.p}
+        row.update({name: r.measures.get(name) for name in CSV_COLUMNS[4:-2]})
+        row["residual_ccr"] = r.residuals[IdentityId.CCR_UNIVERSAL]
+        headline = APPLICABLE_IDENTITIES[r.channel.kind][0]
+        in_domain = IDENTITIES[headline].domain(r.channel, r.x)
+        row["residual_channel_identity"] = r.residuals[headline] if in_domain else None
+        rows.append(row)
+    return rows
+
+
+def per_report_csv(rows):
+    def cell(v):
+        return "" if v is None else v if isinstance(v, str) else repr(float(v))
+
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(cell(row[name]) for name in CSV_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestSweepTable:
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig(p_count=11),
+        SweepConfig(channels=(ChannelKind.CADC,), mu=0.0, p_count=11),
+        small_config(channels=(ChannelKind.DC,), x_values=(0.3, INV_SQRT2), p_count=7),
+        small_config(channels=(ChannelKind.PFC, ChannelKind.BPFC, ChannelKind.DC),
+                     x_values=(0, 0.45, 1), p_count=6),  # JSON writes integer x as given
+    ], ids=["default", "cadc-mu0", "dc-off-and-on-balanced", "one-qubit"])
+    def test_renders_the_per_report_rows_byte_for_byte(self, cfg):
+        rows = per_report_rows(cfg)
+        table = sweep_table(cfg)
+        assert render_csv(table) == per_report_csv(rows)
+        assert render_json(table) == json.dumps(rows, indent=2) + "\n"
+
+    def test_one_dict_of_columns_per_block(self):
+        cfg = small_config(channels=(ChannelKind.ADC, ChannelKind.BFC), x_values=(0.5, 0.2),
+                           p_count=3)
+        table = sweep_table(cfg)
+        assert [(b["channel"][0], b["x"][0]) for b in table] == [
+            ("adc", 0.2), ("adc", 0.5), ("bfc", INV_SQRT2)]
+        for block in table:
+            assert list(block) == list(CSV_COLUMNS)
+            assert all(len(cells) == 3 for cells in block.values())
+            assert block["p"] == [0.0, 0.5, 1.0]
+
+    def test_empty_table_renders_as_empty_json_array(self):
+        assert render_json([]) == json.dumps([], indent=2) + "\n"
+        assert render_csv([]) == ",".join(CSV_COLUMNS) + "\n"
+
+    def test_sweep_command_builds_no_report_objects(self, monkeypatch, tmp_path):
+        from ccrsweep import reports
+
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        original = reports.CCRReport
+        monkeypatch.setattr(reports, "CCRReport", counted)
+        for fmt in ("csv", "json"):
+            argv = ["sweep", "--p-count", "3", "--format", fmt, "--out", str(tmp_path / "t")]
+            assert main(argv) == 0
+        assert built == []
+        run_sweep(small_config(p_count=3))  # the per-report view still builds them
+        assert len(built) == 3
 
 
 class TestVerifyCommand:
@@ -279,8 +356,8 @@ def test_state_columns_match_the_per_point_route(kind, x):
     # partial_trace, PPT by partial_transpose and an eigensolve per matrix
     mu = 1.0 if kind is ChannelKind.CADC else 0.0
     specs = [ChannelSpec(kind, p, mu) for p in (0.0, 0.15, 0.5, 0.85, 1.0)]
-    x, m, _, amplitudes, layout, pairs = _block_columns(specs, x)
-    columns = _state_columns(m, pairs, amplitudes, layout)
+    x, m, _, amplitudes, layout, pairs, cross_min = _block_columns(specs, x)
+    columns = _state_columns(m, pairs, cross_min, amplitudes, layout)
     for i, psi in enumerate(amplitudes):
         rho_g = outer(psi, layout)
         cc_abe = correlated_coherence_hs(rho_g, ("A", "B", "E_A", "E_B"))
@@ -296,6 +373,27 @@ def test_state_columns_match_the_per_point_route(kind, x):
         assert abs(columns["cross_ppt_defect"][i] - defect) <= 1e-14
         total = sum(sector_decomposition(psi, layout).values())
         assert abs(columns["sector_total"][i] - total) <= 1e-14
+
+
+#: eigen-solves per verify block, by the kind's system qubits: the engine's
+#: (its cross-pair PPT spectra included) and, for two qubits, the A-B PPT test
+VERIFY_EIGVALSH = {2: 6, 1: 3}
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)
+def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cfg = small_config(channels=(kind,), p_count=5)
+    _verify_blocks(cfg, _Tracker())
+    blocks = len(list(_blocks(cfg, set(cfg.x_values) | set(TENTHS))))
+    assert 0 < len(calls) <= VERIFY_EIGVALSH[kind.n_system_qubits] * blocks
 
 
 class TestMain:

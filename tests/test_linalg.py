@@ -134,6 +134,15 @@ class TestStackedChecks:
         with pytest.raises(ValueError, match="non-finite"):
             check_norms(np.array([[1.0, 0.0], [np.inf, 0.0]]))
 
+    def test_overflowing_norm_rejected_without_warning(self):
+        # |1e200|^2 overflows to inf; that is a norm defect, not a RuntimeWarning
+        with pytest.raises(ValueError, match=r"not normalized: \|\|psi\|\|\^2 = inf"):
+            check_norms(np.array([1e200, 0j]))
+
+    def test_overflowing_trace_rejected_without_warning(self):
+        with pytest.raises(ValueError, match=r"trace must be 1, got \(inf\+0j\)"):
+            check_density(np.diag([1e308, 1e308]).astype(complex))
+
     def test_norm_stack_names_the_bad_row(self):
         check_norms(np.array([[1.0, 0.0], [0.6, 0.8j]]))
         with pytest.raises(ValueError, match=r"\|\|psi\|\|\^2 = 2\.0"):

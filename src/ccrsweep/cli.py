@@ -146,26 +146,21 @@ def sweep_table(cfg: SweepConfig) -> Table:
     return table
 
 
-def _rows(table: Table, null: str, text: Callable, real: Callable) -> Iterator[tuple[str, ...]]:
-    """The table's rows as cells of text, each column of a block formatted
-    at once: None as ``null``, strings by ``text`` and reals by ``real``."""
-    for block in table:
-        yield from zip(*(
-            [null if v is None else text(v) if type(v) is str else real(v) for v in block[name]]
-            for name in CSV_COLUMNS))
-
-
 def render_csv(table: Table) -> str:
-    rows = _rows(table, "", str, lambda v: repr(float(v)))  # the shortest round-trip decimal
-    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, rows)]) + "\n"
+    """The table as CSV, each column of a block formatted at once: None as
+    an empty cell, a real as the shortest decimal that round-trips."""
+    lines = [",".join(CSV_COLUMNS)]
+    for block in table:
+        columns = (["" if v is None else v if isinstance(v, str) else repr(float(v))
+                    for v in block[name]] for name in CSV_COLUMNS)
+        lines += map(",".join, zip(*columns))
+    return "\n".join(lines) + "\n"
 
 
 def render_json(table: Table) -> str:
-    """The table as a JSON array of row objects, laid out as ``json.dumps``
-    with ``indent=2`` lays it out."""
-    row = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in CSV_COLUMNS) + "\n  }"
-    rows = [row % cells for cells in _rows(table, "null", json.dumps, repr)]
-    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+    rows = [dict(zip(CSV_COLUMNS, cells)) for block in table
+            for cells in zip(*(block[name] for name in CSV_COLUMNS))]
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def emit(table: Table, fmt: str, path: str) -> None:

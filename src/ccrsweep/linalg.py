@@ -95,9 +95,9 @@ def check_norms(psi: np.ndarray) -> None:
 
 def _check_hermitian(mat: np.ndarray) -> None:
     """Raise ValueError unless a matrix, or each of a stack (..., d, d), is
-    finite and Hermitian to ``HERMITIAN_TOL``.  Callers run it under
-    ``np.errstate(all="ignore")``: inf - inf is a NaN defect, reported here."""
-    defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
+    finite and Hermitian to ``HERMITIAN_TOL``."""
+    with np.errstate(all="ignore"):  # inf - inf is a NaN defect, reported below
+        defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
     if not defect <= HERMITIAN_TOL:  # a NaN defect fails too
         if not np.isfinite(mat).all():
             raise ValueError("matrix has non-finite entries")
@@ -108,8 +108,8 @@ def check_density(mat: np.ndarray) -> None:
     """Raise ValueError, naming the worst defect, unless a matrix, or each of a
     stack (..., d, d), is finite and Hermitian to ``HERMITIAN_TOL`` with trace
     1 to ``TRACE_TOL`` and no eigenvalue below ``EIGENVALUE_FLOOR``."""
+    _check_hermitian(mat)
     with np.errstate(all="ignore"):  # an overflowing trace is inf, reported below
-        _check_hermitian(mat)
         tr = mat.trace(0, -2, -1)
     deviation = np.abs(tr - 1.0)
     if deviation.max() > TRACE_TOL:
@@ -219,6 +219,5 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    with np.errstate(all="ignore"):
-        _check_hermitian(m)
+    _check_hermitian(m)
     return np.linalg.eigvalsh(m)

@@ -230,12 +230,15 @@ class TestSweepTable:
         small_config(channels=(ChannelKind.DC,), x_values=(0.3, INV_SQRT2), p_count=7),
         small_config(channels=(ChannelKind.PFC, ChannelKind.BPFC, ChannelKind.DC),
                      x_values=(0, 0.45, 1), p_count=6),  # JSON writes integer x as given
-    ], ids=["default", "cadc-mu0", "dc-off-and-on-balanced", "one-qubit"])
+        SweepConfig(channels=(ChannelKind.ADC, ChannelKind.CADC),
+                    x_values=tuple(np.linspace(0.1, 0.9, 3)), mu=np.float64(1.0), p_count=4),
+    ], ids=["default", "cadc-mu0", "dc-off-and-on-balanced", "one-qubit", "numpy-floats"])
     def test_renders_the_per_report_rows_byte_for_byte(self, cfg):
         rows = per_report_rows(cfg)
         table = sweep_table(cfg)
         assert render_csv(table) == per_report_csv(rows)
         assert render_json(table) == json.dumps(rows, indent=2) + "\n"
+        assert json.loads(render_json(table)) == json.loads(json.dumps(rows))
 
     def test_one_dict_of_columns_per_block(self):
         cfg = small_config(channels=(ChannelKind.ADC, ChannelKind.BFC), x_values=(0.5, 0.2),

@@ -83,8 +83,8 @@ def state_vector(amplitudes) -> np.ndarray:
 def check_norms(psi: np.ndarray) -> None:
     """Raise ValueError unless a vector, or each of a stack (..., n), is
     finite with norm 1 to ``NORM_TOL``."""
-    with np.errstate(all="ignore"):  # an overflow is an inf norm, reported below
-        norm2 = (psi.conj() * psi).real.sum(axis=-1)
+    # einsum raises no overflow warning: an overflowing norm is inf, reported below
+    norm2 = np.einsum("...i,...i->...", psi.conj(), psi).real
     deviation = np.abs(norm2 - 1.0)
     if not deviation.max() <= NORM_TOL:  # a NaN deviation fails too
         if not np.isfinite(psi).all():
@@ -109,8 +109,7 @@ def check_density(mat: np.ndarray) -> None:
     stack (..., d, d), is finite and Hermitian to ``HERMITIAN_TOL`` with trace
     1 to ``TRACE_TOL`` and no eigenvalue below ``EIGENVALUE_FLOOR``."""
     _check_hermitian(mat)
-    with np.errstate(all="ignore"):  # an overflowing trace is inf, reported below
-        tr = mat.trace(0, -2, -1)
+    tr = np.einsum("...ii->...", mat)  # as in check_norms, an overflow is an inf trace
     deviation = np.abs(tr - 1.0)
     if deviation.max() > TRACE_TOL:
         raise ValueError(f"trace must be 1, got {complex(tr.flat[deviation.argmax()])!r}")

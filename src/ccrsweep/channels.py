@@ -9,7 +9,9 @@ one definition of a channel is ``_isometry``, the tensor W[s, e, c] =
 block's p and contracts it with the input state (``dilate`` is a block of
 one) and ``kraus_set`` slices the one-p tensor along the environment basis,
 K_e = <e|U|0>_E, so the operator-sum route and the dilate-then-trace route
-realize the same map by construction.
+realize the same map by construction.  The operator sum itself has one
+implementation, ``_operator_sums``, over a stack of Kraus sets;
+``validate_kraus`` and ``apply_kraus`` are its one-set case.
 
 Channel roster and noise parameter p in [0, 1]:
 
@@ -278,13 +280,31 @@ def kraus_set(spec: ChannelSpec) -> KrausSet:
     return KrausSet(tuple(k for k in ops if np.linalg.norm(k) >= PRUNE_TOL), spec)
 
 
+def _operator_sums(sets: Sequence[KrausSet], rhos: np.ndarray | None = None):
+    """Completeness defects max_ij |sum_e K^dag K - I|_ij of same-dimension
+    Kraus sets (P,) and, given input states ``rhos`` (R, d, d), the images
+    sum_e K rho K^dag of each state under each set (R, P, d, d), else None.
+
+    The sets form one operator stack (P, nK, d, d); sets pruned at the
+    endpoints get zero operators, which add nothing to either sum.  Raises
+    ValueError when images are asked of a set whose completeness defect
+    exceeds ``COMPLETENESS_TOL`` (the map would not preserve trace).
+    """
+    d = sets[0].dim
+    ops = np.zeros((len(sets), max(len(ks.operators) for ks in sets), d, d), dtype=complex)
+    for i, ks in enumerate(sets):
+        ops[i, : len(ks.operators)] = ks.operators
+    defects = np.abs(np.einsum("pkji,pkjl->pil", ops.conj(), ops) - np.eye(d)).max(axis=(-2, -1))
+    if rhos is None:
+        return defects, None
+    if defects.max() > COMPLETENESS_TOL:
+        raise ValueError(f"incomplete Kraus set: defect {float(defects.max())!r}")
+    return defects, np.einsum("pkij,rjl,pkml->rpim", ops, rhos, ops.conj())
+
+
 def validate_kraus(ks: KrausSet) -> float:
     """Completeness defect max_ij |sum_e K^dag K - I|_ij."""
-    d = ks.dim
-    acc = np.zeros((d, d), dtype=complex)
-    for k in ks.operators:
-        acc += k.conj().T @ k
-    return float(np.abs(acc - np.eye(d)).max())
+    return float(_operator_sums([ks])[0][0])
 
 
 def apply_kraus(rho: DensityOperator, ks: KrausSet) -> DensityOperator:
@@ -295,10 +315,4 @@ def apply_kraus(rho: DensityOperator, ks: KrausSet) -> DensityOperator:
     """
     if ks.dim != rho.dim:
         raise ValueError(f"Kraus dimension {ks.dim} != state dimension {rho.dim}")
-    defect = validate_kraus(ks)
-    if defect > COMPLETENESS_TOL:
-        raise ValueError(f"incomplete Kraus set: defect {defect!r}")
-    out = np.zeros_like(rho.mat)
-    for k in ks.operators:
-        out = out + k @ rho.mat @ k.conj().T
-    return DensityOperator(out, rho.layout)
+    return DensityOperator(_operator_sums([ks], rho.mat[np.newaxis])[1][0, 0], rho.layout)

@@ -24,9 +24,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .channels import (_TWO_QUBIT_KINDS, ChannelKind, ChannelSpec, apply_kraus, dilate_block,
-                       kraus_set, validate_kraus)
-from .linalg import SubsystemLayout, outer
+from .channels import (_TWO_QUBIT_KINDS, ChannelKind, ChannelSpec, _operator_sums, dilate_block,
+                       kraus_set)
+from .linalg import SubsystemLayout, check_density
 from .measures import is_ppt, sector_decomposition
 from .reports import (
     APPLICABLE_IDENTITIES,
@@ -252,32 +252,43 @@ def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
                     lambda i: f"{kind.value} x={x:g} p={specs[at[i]].p:g}")
 
 
+def _kraus_images(specs: list[ChannelSpec], rhos=None):
+    """The completeness defects of each spec's kraus_set and, for input
+    states ``rhos`` (R, d, d), their images (R, P, d, d), checked as density
+    matrices at once (see :func:`channels._operator_sums`)."""
+    defects, images = _operator_sums([kraus_set(spec) for spec in specs], rhos)
+    if images is not None:
+        check_density(images)
+    return defects, images
+
+
 def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
     """The dilation of each (kind, mu, x) over the p grid against the
-    operator-sum route, applied per p."""
+    operator-sum route, applied to the p grid's Kraus sets as one stack."""
     ps = cfg.p_grid()
+    xs = (0.5, BALANCED_X)
     for kind in cfg.channels:
+        states = [initial_state(kind, x) for x in xs]
         for mu in (0.0, 0.5, 1.0) if kind is ChannelKind.CADC else (0.0,):
             specs = [ChannelSpec(kind, p, mu) for p in ps]
-            sets = [kraus_set(spec) for spec in specs]
 
             def where(i: int) -> str:
                 return f"{kind.value} p={ps[i]:g} mu={mu:g}"
 
-            t.track("kraus_completeness", [validate_kraus(ks) for ks in sets], where)
-            if mu == 0.5:
-                continue  # no two-qubit-environment dilation to compare
-            for x in (0.5, BALANCED_X):
-                psi, layout = initial_state(kind, x)
+            # mu = 0.5 has no two-qubit-environment dilation to compare
+            rhos = None if mu == 0.5 else np.array([np.outer(psi, psi.conj()) for psi, _ in states])
+            defects, via_kraus = _kraus_images(specs, rhos)
+            t.track("kraus_completeness", defects, where)
+            if via_kraus is None:
+                continue
+            for x, (psi, layout), images in zip(xs, states, via_kraus):
                 amplitudes, global_layout = dilate_block(specs, psi, layout)
                 norms = (amplitudes.conj() * amplitudes).real.sum(axis=-1)
                 t.track("dilation_norm", abs(norms - 1.0), where)
                 via_dilation = _reduced(amplitudes, global_layout, layout.labels)[0]
-                rho0 = outer(psi, layout)
-                via_kraus = np.array([apply_kraus(rho0, ks).mat for ks in sets])
                 t.track(
                     "dilation_kraus_agreement",
-                    np.abs(via_dilation - via_kraus).max(axis=(1, 2)),
+                    np.abs(via_dilation - images).max(axis=(1, 2)),
                     lambda i: f"{where(i)} x={x:g}",
                 )
 
@@ -287,18 +298,18 @@ def _verify_cadc_limit(cfg: SweepConfig, t: _Tracker) -> None:
     if ChannelKind.CADC not in cfg.channels:
         return
     x = 0.5
-    psi, layout = initial_state(ChannelKind.CADC, x)
-    rho0 = outer(psi, layout)
+    psi, _ = initial_state(ChannelKind.CADC, x)
     y = psi[-1].real
     ps = cfg.p_grid()
-    deviations = []
-    for p in ps:
-        memoryless = apply_kraus(rho0, kraus_set(ChannelSpec(ChannelKind.CADC, p, 0.0)))
-        split = y * y * p * (1.0 - p)
-        closed = np.diag([x * x + (y * p) ** 2, split, split, (y * (1.0 - p)) ** 2]).astype(complex)
-        closed[0, 3] = closed[3, 0] = x * y * (1.0 - p)
-        deviations.append(float(np.abs(memoryless.mat - closed).max()))
-    t.track("cadc_memoryless_limit", deviations, lambda i: f"cadc p={ps[i]:g}")
+    specs = [ChannelSpec(ChannelKind.CADC, p, 0.0) for p in ps]
+    memoryless = _kraus_images(specs, np.outer(psi, psi.conj())[np.newaxis])[1][0]
+    p = np.array(ps)
+    split = y * y * p * (1.0 - p)
+    diag = np.stack([x * x + (y * p) ** 2, split, split, (y * (1.0 - p)) ** 2], axis=-1)
+    closed = (diag[:, np.newaxis, :] * np.eye(4)).astype(complex)
+    closed[:, 0, 3] = closed[:, 3, 0] = x * y * (1.0 - p)
+    t.track("cadc_memoryless_limit", np.abs(memoryless - closed).max(axis=(1, 2)),
+            lambda i: f"cadc p={ps[i]:g}")
 
 
 def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:

@@ -24,7 +24,6 @@ from .linalg import SubsystemLayout, check_density, qubits
 from .measures import (
     PPT_TOL,
     concurrence_x_state,
-    correlated_coherence_hs,
     factor_marginals,
     hs_coherence,
     hs_predictability,
@@ -188,7 +187,7 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
     measures were taken on and the cross pairs' (3, P) smallest partial-
     transpose eigenvalues.  The pairs of ``PAIRS`` the layout has form one
     stack (K, P, 4, 4) and each measure runs once on it; its one-factor
-    marginals are traced once and give A's marginal and Cc_ABE."""
+    marginals are traced once and give A's marginal, the Cc_* and Cc_ABE."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
     pairs = dict(zip(names, stack))
@@ -196,15 +195,16 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
     firsts, seconds = factor_marginals(stack, (2, 2))
     m = local_measures(firsts[names.index("AEA")], initial)
     m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
-    # a stack of qubit pairs: each pair's first label is its first qubit
-    m.update(zip([f"Cc_{name}" for name in names], correlated_coherence_hs(stack, ("1st", "2nd"))))
+    # correlated_coherence_hs of each pair, from the marginals traced above
+    hs_first, hs_second = hs_coherence(firsts), hs_coherence(seconds)
+    m.update(zip([f"Cc_{name}" for name in names], hs_coherence(stack) - hs_first - hs_second))
     # A-B entanglement is reported as a concurrence; AB, where present, is first
     cross = int("AB" in pairs)
     cross_min = ppt_min_eigenvalue(stack[cross:], "1st")
     m.update(zip([f"ppt_{name}" for name in names[cross:]], (cross_min >= -PPT_TOL).astype(float)))
     if "AB" in pairs:
         # the joint coherence of the pure global state is C_global
-        local = hs_coherence(firsts) + hs_coherence(seconds)
+        local = hs_first + hs_second
         m.update(
             Cc_ABE=m["C_global"] - (local[names.index("AB")] + local[names.index("EAEB")]),
             C_env=hs_coherence(pairs["EAEB"]),
@@ -286,12 +286,17 @@ def check_identity(identity: IdentityId, report: CCRReport) -> float:
 def _sudden_death_bisection(x: float) -> float:
     """Largest p with positive concurrence, bracketed by ten amplitude
     damping blocks of 65 points: each narrows the bracket 64-fold, to a
-    width of 2^-60 after the last."""
+    width of 2^-60 after the last.  A block runs only the engine stages the
+    A-B concurrence needs: the dilation and the checked A-B pair."""
+    psi, sys_layout = initial_state(ChannelKind.ADC, x)
     lo, hi = 0.0, 1.0
     for _ in range(10):  # the concurrence is positive at lo and not at hi
         ps = np.linspace(lo, hi, 65).tolist()
-        _, m, *_ = _block_columns([ChannelSpec(ChannelKind.ADC, p) for p in ps], x)
-        i = int(np.flatnonzero(m["concurrence_AB"] > 0.0)[-1])
+        amplitudes, layout = dilate_block([ChannelSpec(ChannelKind.ADC, p) for p in ps],
+                                          psi, sys_layout)
+        ab = _reduced(amplitudes, layout, PAIRS["AB"])[0]
+        check_density(ab)
+        i = int(np.flatnonzero(concurrence_x_state(ab) > 0.0)[-1])
         lo, hi = ps[i], ps[i + 1]
     return 0.5 * (lo + hi)
 

@@ -11,6 +11,7 @@ from ccrsweep.channels import (
     ChannelSpec,
     KrausSet,
     _isometry,
+    _operator_sums,
     apply_kraus,
     dilate,
     dilate_block,
@@ -322,6 +323,47 @@ class TestApplyKraus:
         rho = apply_kraus(outer(excited, lay), ks)
         assert rho.mat[3, 3] == pytest.approx(0.2, abs=1e-15)
         assert rho.mat[0, 0] == pytest.approx(0.8, abs=1e-15)
+
+
+class TestOperatorSums:
+    """The stacked operator sum over a block of Kraus sets, one per p, against
+    an explicit loop over each set's operators."""
+
+    GRIDS = [P_GRID, [0.0, 1.0], [1.0, 0.37, 0.0]]  # with the pruned endpoints
+
+    @pytest.mark.parametrize(
+        "kind, mu", [(kind, 0.0) for kind in ALL_KINDS]
+        + [(ChannelKind.CADC, 0.5), (ChannelKind.CADC, 1.0)],
+        ids=lambda v: getattr(v, "value", f"mu={v}"),
+    )
+    @pytest.mark.parametrize("grid", range(len(GRIDS)))
+    def test_matches_a_loop_over_the_operators(self, kind, mu, grid):
+        sets = [kraus_set(ChannelSpec(kind, p, mu)) for p in self.GRIDS[grid]]
+        states = [system_state(kind, x) for x in (0.0, 0.31, 1 / math.sqrt(2))]
+        rhos = np.array([outer(psi, lay).mat for psi, lay in states])
+        defects, images = _operator_sums(sets, rhos)
+        assert images.shape == (len(rhos), len(sets)) + rhos.shape[1:]
+        for i, ks in enumerate(sets):
+            completeness = sum(k.conj().T @ k for k in ks.operators)
+            assert abs(defects[i] - np.abs(completeness - np.eye(ks.dim)).max()) <= 1e-15
+            for rho, image in zip(rhos, images[:, i]):
+                expected = sum(k @ rho @ k.conj().T for k in ks.operators)
+                assert np.abs(image - expected).max() <= 1e-15
+
+    def test_defects_alone_need_no_states(self):
+        sets = [kraus_set(ChannelSpec(ChannelKind.ADC, p)) for p in (0.0, 0.5, 1.0)]
+        defects, images = _operator_sums(sets)
+        assert images is None
+        assert defects.tolist() == [validate_kraus(ks) for ks in sets]
+
+    def test_one_incomplete_set_rejects_the_block(self):
+        sets = [kraus_set(ChannelSpec(ChannelKind.PFC, p)) for p in (0.0, 0.5, 1.0)]
+        sets[1] = KrausSet((0.9 * np.eye(2),), ChannelSpec(ChannelKind.PFC, 0.5))
+        psi, lay = system_state(ChannelKind.PFC, 0.8)
+        defects, _ = _operator_sums(sets)  # measuring the defects is allowed
+        assert defects[1] == pytest.approx(0.19, abs=1e-15)
+        with pytest.raises(ValueError, match="incomplete"):
+            _operator_sums(sets, outer(psi, lay).mat[np.newaxis])
 
 
 X_VALUES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1 / math.sqrt(2)])

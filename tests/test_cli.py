@@ -17,6 +17,7 @@ from ccrsweep.cli import (
     _state_columns,
     _Tracker,
     _verify_blocks,
+    _verify_kraus,
     build_config,
     emit,
     main,
@@ -397,6 +398,34 @@ def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
     _verify_blocks(cfg, _Tracker())
     blocks = len(list(_blocks(cfg, set(cfg.x_values) | set(TENTHS))))
     assert 0 < len(calls) <= VERIFY_EIGVALSH[kind.n_system_qubits] * blocks
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)
+def test_verify_kraus_checks_each_image_stack_at_once(monkeypatch, kind):
+    # one eigen-solve per (kind, mu, x) image stack at most, and no
+    # DensityOperator per p, however many p the grid holds
+    from ccrsweep import linalg
+
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(linalg.DensityOperator, "__post_init__",
+                        counted("density_operator", linalg.DensityOperator.__post_init__))
+    stacks = 2 * (2 if kind is ChannelKind.CADC else 1)  # (mu with a dilation) x (two x)
+    per_grid = []
+    for p_count in (5, 101):
+        counts.clear()
+        _verify_kraus(small_config(channels=(kind,), p_count=p_count), _Tracker())
+        per_grid.append(dict(counts))
+    assert per_grid[0] == per_grid[1]
+    assert 0 < per_grid[0]["eigvalsh"] <= stacks
+    assert per_grid[0].get("density_operator", 0) <= stacks
 
 
 class TestMain:

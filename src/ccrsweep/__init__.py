@@ -48,7 +48,7 @@ from .reports import (
     initial_state,
     sudden_death_point,
 )
-from .cli import SweepConfig, emit, run_sweep, sweep_table, verify_command
+from .cli import SweepConfig, emit, sweep_table, verify_command
 
 __version__ = "0.1.0"
 
@@ -83,7 +83,6 @@ __all__ = [
     "partial_transpose",
     "qubits",
     "re_correlated_coherence",
-    "run_sweep",
     "sector_decomposition",
     "state_vector",
     "sudden_death_point",

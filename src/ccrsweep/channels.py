@@ -215,33 +215,25 @@ def _isometry(kind: ChannelKind, p, mu: float) -> np.ndarray:
 def dilate(spec: ChannelSpec, system, sys_layout: SubsystemLayout) -> DilationResult:
     """Evolve a pure system state jointly with fresh |0> environment qubits:
     a block of one of :func:`dilate_block`, which names the errors."""
-    amplitudes, layout = dilate_block((spec,), system, sys_layout)
+    amplitudes, layout = dilate_block(spec.kind, np.array([spec.p]), spec.mu, system, sys_layout)
     return DilationResult(amplitudes[0], layout)
 
 
-def block_kind(specs: Sequence[ChannelSpec]) -> ChannelKind:
-    """The one channel kind of a block of specs of one mu; ValueError if empty or mixed."""
-    if not specs or any(spec.kind is not specs[0].kind for spec in specs):
-        raise ValueError("a block needs one or more specs of one channel kind")
-    if any(spec.mu != specs[0].mu for spec in specs):
-        raise ValueError(f"a block needs one mu, got mu in {sorted({spec.mu for spec in specs})}")
-    return specs[0].kind
-
-
 def dilate_block(
-    specs: Sequence[ChannelSpec], system, sys_layout: SubsystemLayout
+    kind: ChannelKind, ps: np.ndarray, mu: float, system, sys_layout: SubsystemLayout
 ) -> tuple[np.ndarray, SubsystemLayout]:
-    """Dilate one system state through specs of one (kind, mu) at once.
+    """Dilate one system state through the channel (kind, mu) at every noise
+    value of ``ps`` at once.
 
-    Returns the global amplitudes, one read-only row per spec, and the global
+    Returns the global amplitudes, one read-only row per p, and the global
     layout with one environment label ``E_<label>`` per system qubit (CADC
-    acts on both jointly).  Raises ValueError for an empty block, one that
-    mixes kinds or mu, when the system arity does not match the kind, when a
-    depolarizing input has complex amplitudes (its identity-plus-sigma_y
-    realization describes the intended mixture only on real amplitudes), or
-    for CADC with fractional mu (see :func:`_isometry`).
+    acts on both jointly).  Raises ValueError when the system arity does not
+    match the kind, when a depolarizing input has complex amplitudes (its
+    identity-plus-sigma_y realization describes the intended mixture only on
+    real amplitudes), or for CADC with fractional mu (see :func:`_isometry`).
+    ``ps`` and ``mu`` are taken as valid: :class:`ChannelSpec` and the sweep
+    configuration check them where they enter.
     """
-    kind = block_kind(specs)
     n = kind.n_system_qubits
     if len(sys_layout.labels) != n or any(d != 2 for d in sys_layout.dims):
         raise ValueError(
@@ -257,8 +249,8 @@ def dilate_block(
     if kind is ChannelKind.DC and float(np.abs(psi.imag).max()) > 1e-12:
         raise ValueError("the depolarizing dilation requires real amplitudes")
 
-    W = _isometry(kind, np.array([spec.p for spec in specs]), specs[0].mu)
-    out = np.einsum("psec,c->pse", W, psi).reshape(len(specs), out_layout.dim)
+    W = _isometry(kind, ps, mu)
+    out = np.einsum("psec,c->pse", W, psi).reshape(len(ps), out_layout.dim)
     check_norms(out)
     out.setflags(write=False)
     return out, out_layout

@@ -32,7 +32,6 @@ from .reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
     IDENTITIES,
-    CCRReport,
     Identity,
     IdentityId,
     _block_columns,
@@ -40,7 +39,6 @@ from .reports import (
     _sudden_death_bisection,
     initial_state,
     is_balanced,
-    report_block,
 )
 
 #: Initial-state grid matching the curve families usually plotted.
@@ -99,26 +97,18 @@ class SweepConfig:
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError(f"tolerance: must lie strictly between 0 and 1, got {self.tolerance}")
 
-    def p_grid(self) -> list[float]:
-        return [float(p) for p in np.linspace(self.p_start, self.p_stop, self.p_count)]
-
-    def spec(self, kind: ChannelKind, p: float) -> ChannelSpec:
-        mu = self.mu if kind is ChannelKind.CADC else 0.0
-        return ChannelSpec(kind, p, mu)
+    def p_grid(self) -> np.ndarray:
+        return np.linspace(self.p_start, self.p_stop, self.p_count)
 
 
-def _blocks(cfg: SweepConfig, x_values) -> Iterator[tuple[list[ChannelSpec], float]]:
-    """The (specs, x) of each (channel, x) block over ``x_values``, ordered
-    channel / x asc, each spec list p asc; the bit flip channel is evaluated
-    at x = 1/sqrt(2) only."""
+def _blocks(cfg: SweepConfig, x_values) -> Iterator[tuple[ChannelKind, float, float]]:
+    """The (kind, mu, x) of each block over ``x_values`` and the p grid,
+    ordered channel / x asc; mu is the config's for CADC and 0 for every
+    other kind, and the bit flip channel is evaluated at x = 1/sqrt(2) only."""
     for kind in cfg.channels:
+        mu = cfg.mu if kind is ChannelKind.CADC else 0.0
         for x in (BALANCED_X,) if kind is ChannelKind.BFC else sorted(x_values):
-            yield [cfg.spec(kind, p) for p in cfg.p_grid()], x
-
-
-def run_sweep(cfg: SweepConfig) -> list[CCRReport]:
-    """One report per grid point, ordered channel / x asc / p asc."""
-    return [r for specs, x in _blocks(cfg, cfg.x_values) for r in report_block(specs, x)]
+            yield kind, mu, x
 
 
 #: A sweep table: one dict per (channel, x) block, in row order, mapping each
@@ -129,19 +119,19 @@ Table = list[dict[str, list]]
 def sweep_table(cfg: SweepConfig) -> Table:
     """The sweep's rows as block columns, ordered channel / x asc / p asc:
     inapplicable measures and off-domain headline residuals are None."""
+    ps = cfg.p_grid()
+    n = len(ps)
     table = []
-    for specs, x in _blocks(cfg, cfg.x_values):
-        x, m, residuals, *_ = _block_columns(specs, x)
-        kind, n = specs[0].kind, len(specs)
+    for kind, mu, x in _blocks(cfg, cfg.x_values):
+        x, m, residuals, *_ = _block_columns(kind, mu, x, ps)
         headline = APPLICABLE_IDENTITIES[kind][0]
-        block = {"channel": [kind.value] * n, "mu": [specs[0].mu] * n, "x": [x] * n,
-                 "p": [spec.p for spec in specs]}
+        in_domain = np.broadcast_to(IDENTITIES[headline].domain(kind, mu, x, ps), n)
+        block = {"channel": [kind.value] * n, "mu": [mu] * n, "x": [x] * n, "p": ps.tolist()}
         block.update({name: m[name].tolist() if name in m else [None] * n
                       for name in CSV_COLUMNS[4:-2]})
         block["residual_ccr"] = residuals[IdentityId.CCR_UNIVERSAL].tolist()
         block["residual_channel_identity"] = [
-            r if IDENTITIES[headline].domain(spec, x) else None
-            for spec, r in zip(specs, residuals[headline].tolist())]
+            r if ok else None for r, ok in zip(residuals[headline].tolist(), in_domain.tolist())]
         table.append(block)
     return table
 
@@ -207,13 +197,13 @@ CHECKS: dict[str, Identity] = {
     # diag((1+p)/2, (1-p)/2)
     "adc_symmetric_columns": Identity((ChannelKind.ADC,), lambda m: np.maximum.reduce([
         abs(m["P_hs_A"] - m["p"] ** 2 / 2), abs(m["Cc_AB"] - (1 - m["p"]) ** 2 / 2),
-        abs(m["S_l_A"] - (1 - m["p"] ** 2) / 2)]), lambda spec, x: is_balanced(x)),
+        abs(m["S_l_A"] - (1 - m["p"] ** 2) / 2)]), lambda kind, mu, x, p: is_balanced(x)),
     **{f"{kind.value}_predictability_invariance": Identity(
         (kind,), lambda m: abs(m["P_hs_A"] - m["P_hs_A_initial"]))
        for kind in (ChannelKind.PDC, ChannelKind.PFC)},
     "dc_terminal_locality": Identity((ChannelKind.DC,), lambda m: np.maximum.reduce([
         abs(m["S_l_A"]), abs(m["C_global"] - m["C_hs_A"]), abs(m["Cc_AEA"])]),
-        lambda spec, x: spec.p == 1.0),
+        lambda kind, mu, x, p: p == 1.0),
     "xstate_ppt_consistency": Identity(tuple(_TWO_QUBIT_KINDS), lambda m: m["entangled_but_ppt"]),
     "cross_partition_ppt": Identity(
         (ChannelKind.PDC, ChannelKind.BFC), lambda m: m["cross_ppt_defect"]),
@@ -223,11 +213,14 @@ CHECKS: dict[str, Identity] = {
 
 
 def _state_columns(m: dict, pairs: dict, cross_min: np.ndarray, amplitudes: np.ndarray,
-                   layout: SubsystemLayout) -> dict:
+                   layout: SubsystemLayout, sectors: dict | None) -> dict:
     """PPT and sector columns of a two-qubit block, from its pair stacks, the
-    cross pairs' smallest partial-transpose eigenvalues and dilated states."""
+    cross pairs' smallest partial-transpose eigenvalues and dilated states;
+    ``sectors`` are the engine's sector weights where it decomposed the
+    block (phase damping), None where the states are decomposed here."""
     entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & is_ppt(pairs["AB"], "A")
-    sectors = sector_decomposition(amplitudes, layout)
+    if sectors is None:
+        sectors = sector_decomposition(amplitudes, layout)
     return {
         "entangled_but_ppt": entangled_but_ppt.astype(float),
         "cross_ppt_defect": np.maximum(0.0, -cross_min.min(axis=0)),
@@ -238,18 +231,19 @@ def _state_columns(m: dict, pairs: dict, cross_min: np.ndarray, amplitudes: np.n
 def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
     """Every row of IDENTITIES and CHECKS, on the points of its domain, over
     one block per (channel, x) for the grid's x values and every tenth of x."""
-    for specs, x in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
-        x, m, residuals, amplitudes, layout, pairs, cross_min = _block_columns(specs, x)
-        kind = specs[0].kind
-        m = {**m, "p": np.array([spec.p for spec in specs])}
+    ps = cfg.p_grid()
+    for kind, mu, x in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
+        x, m, residuals, amplitudes, layout, pairs, cross_min, sectors = _block_columns(
+            kind, mu, x, ps)
+        m = {**m, "p": ps}
         if kind.n_system_qubits == 2:
-            m.update(_state_columns(m, pairs, cross_min, amplitudes, layout))
+            m.update(_state_columns(m, pairs, cross_min, amplitudes, layout, sectors))
         rows = [(ident.value, IDENTITIES[ident], r) for ident, r in residuals.items()]
         rows += [(name, row, row.residual(m)) for name, row in CHECKS.items() if kind in row.kinds]
         for name, row, values in rows:
-            at = np.flatnonzero([row.domain(spec, x) for spec in specs])
-            t.track(name, np.broadcast_to(values, len(specs))[at],
-                    lambda i: f"{kind.value} x={x:g} p={specs[at[i]].p:g}")
+            at = np.flatnonzero(np.broadcast_to(row.domain(kind, mu, x, ps), len(ps)))
+            t.track(name, np.broadcast_to(values, len(ps))[at],
+                    lambda i: f"{kind.value} x={x:g} p={ps[at[i]]:g}")
 
 
 def _kraus_images(specs: list[ChannelSpec], rhos=None):
@@ -270,7 +264,7 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
     for kind in cfg.channels:
         states = [initial_state(kind, x) for x in xs]
         for mu in (0.0, 0.5, 1.0) if kind is ChannelKind.CADC else (0.0,):
-            specs = [ChannelSpec(kind, p, mu) for p in ps]
+            specs = [ChannelSpec(kind, p, mu) for p in ps.tolist()]
 
             def where(i: int) -> str:
                 return f"{kind.value} p={ps[i]:g} mu={mu:g}"
@@ -282,7 +276,7 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
             if via_kraus is None:
                 continue
             for x, (psi, layout), images in zip(xs, states, via_kraus):
-                amplitudes, global_layout = dilate_block(specs, psi, layout)
+                amplitudes, global_layout = dilate_block(kind, ps, mu, psi, layout)
                 norms = (amplitudes.conj() * amplitudes).real.sum(axis=-1)
                 t.track("dilation_norm", abs(norms - 1.0), where)
                 via_dilation = _reduced(amplitudes, global_layout, layout.labels)[0]
@@ -300,16 +294,15 @@ def _verify_cadc_limit(cfg: SweepConfig, t: _Tracker) -> None:
     x = 0.5
     psi, _ = initial_state(ChannelKind.CADC, x)
     y = psi[-1].real
-    ps = cfg.p_grid()
-    specs = [ChannelSpec(ChannelKind.CADC, p, 0.0) for p in ps]
+    p = cfg.p_grid()
+    specs = [ChannelSpec(ChannelKind.CADC, value, 0.0) for value in p.tolist()]
     memoryless = _kraus_images(specs, np.outer(psi, psi.conj())[np.newaxis])[1][0]
-    p = np.array(ps)
     split = y * y * p * (1.0 - p)
     diag = np.stack([x * x + (y * p) ** 2, split, split, (y * (1.0 - p)) ** 2], axis=-1)
     closed = (diag[:, np.newaxis, :] * np.eye(4)).astype(complex)
     closed[:, 0, 3] = closed[:, 3, 0] = x * y * (1.0 - p)
     t.track("cadc_memoryless_limit", np.abs(memoryless - closed).max(axis=(1, 2)),
-            lambda i: f"cadc p={ps[i]:g}")
+            lambda i: f"cadc p={p[i]:g}")
 
 
 def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:

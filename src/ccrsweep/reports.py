@@ -4,8 +4,8 @@ A report evaluates one (channel, x, p) triple: the initial pure state
 x|0..0> + sqrt(1-x^2)|1..1> is dilated through the channel, every applicable
 predictability / coherence / correlation measure of the resulting global
 pure state is computed, and the residual of every identity the channel obeys
-is recorded.  Reports are evaluated a block at a time, one (kind, mu, x)
-over many p, by :func:`report_block`; :func:`ccr_report` is a block of one.
+is recorded.  The engine evaluates a block at a time, one (kind, mu, x)
+over an array of p; :func:`ccr_report` is a block of one.
 All quantities come from the numerical pipeline; closed forms appear only in
 the test suite as expected values.
 """
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, DilationResult, block_kind, dilate_block
+from .channels import ChannelKind, ChannelSpec, dilate_block
 from .linalg import SubsystemLayout, check_density, qubits
 from .measures import (
     PPT_TOL,
@@ -63,12 +63,15 @@ class IdentityId(enum.Enum):
 
 @dataclass(frozen=True)
 class Identity:
-    """Kinds an identity is asserted for, the (spec, x) points where it
-    holds, and its residual |LHS - RHS| over a report's measure columns."""
+    """Kinds an identity is asserted for, its residual |LHS - RHS| over a
+    block's measure columns, and its domain: given a block's (kind, mu, x)
+    and its p, or an array of them, whether the identity holds there (a bool
+    for the whole block or a mask over p)."""
 
     kinds: tuple[ChannelKind, ...]
     residual: Callable[[dict[str, float]], float]
-    domain: Callable[[ChannelSpec, float], bool] = lambda spec, x: True
+    domain: Callable[[ChannelKind, float, float, np.ndarray], bool | np.ndarray] = (
+        lambda kind, mu, x, p: True)
 
 
 #: Every identity, in the order reports list them: CCR_UNIVERSAL first, then
@@ -82,11 +85,11 @@ IDENTITIES: dict[IdentityId, Identity] = {
     # The two CADC identities are those of the fully correlated map (mu = 1).
     IdentityId.CADC_REDISTRIBUTION: Identity(
         (ChannelKind.CADC,), lambda m: abs(m["S_l_A"] - (m["Cc_ABE"] - m["Cc_EAEB"])),
-        lambda spec, x: spec.mu == 1.0),
+        lambda kind, mu, x, p: mu == 1.0),
     # Constant in p at the initial entanglement entropy (1/2 at x=1/sqrt2).
     IdentityId.CADC_ENV_COMPLEMENT: Identity(
         (ChannelKind.CADC,), lambda m: abs(m["Cc_EAEB"] + m["Cc_AB"] - m["S_l_initial"]),
-        lambda spec, x: spec.mu == 1.0),
+        lambda kind, mu, x, p: mu == 1.0),
     IdentityId.PDC_SUBTRACTION: Identity(
         (ChannelKind.PDC,), lambda m: abs(m["S_l_A"] - (m["C_global"] - m["C_env"]))),
     IdentityId.PDC_NL_SUM: Identity(
@@ -101,7 +104,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
     IdentityId.THREE_HALVES: Identity(
         (ChannelKind.PFC, ChannelKind.BPFC, ChannelKind.DC),
         lambda m: abs(m["Cc_AEA"] - 1.5 * m["S_l_A"]),
-        lambda spec, x: spec.kind is ChannelKind.PFC or is_balanced(x)),
+        lambda kind, mu, x, p: kind is ChannelKind.PFC or is_balanced(x)),
     IdentityId.PFC_COHERENCE_SPLIT: Identity(
         (ChannelKind.PFC,), lambda m: abs(m["C_hs_A_initial"] - (m["C_hs_A"] + m["S_l_A"]))),
 }
@@ -115,14 +118,12 @@ APPLICABLE_IDENTITIES: dict[ChannelKind, tuple[IdentityId, ...]] = {
 
 @dataclass(frozen=True)
 class CCRReport:
-    """All measures and identity residuals for one (channel, x, p) point,
-    with the dilated global state they were measured on."""
+    """All measures and identity residuals for one (channel, x, p) point."""
 
     channel: ChannelSpec
     x: float
     measures: dict[str, float]
     residuals: dict[IdentityId, float]
-    state: DilationResult = field(compare=False)  # a function of (channel, x)
 
     @property
     def p(self) -> float:
@@ -184,10 +185,11 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
                      initial: np.ndarray):
     """Every measure column, as arrays over the block, of dilated states
     (P, dim) and of the initial marginal of A (1, 2, 2), the pair stacks the
-    measures were taken on and the cross pairs' (3, P) smallest partial-
-    transpose eigenvalues.  The pairs of ``PAIRS`` the layout has form one
-    stack (K, P, 4, 4) and each measure runs once on it; its one-factor
-    marginals are traced once and give A's marginal, the Cc_* and Cc_ABE."""
+    measures were taken on, the cross pairs' (3, P) smallest partial-
+    transpose eigenvalues and, for phase damping, the sector weights (else
+    None).  The pairs of ``PAIRS`` the layout has form one stack
+    (K, P, 4, 4) and each measure runs once on it; its one-factor marginals
+    are traced once and give A's marginal, the Cc_* and Cc_ABE."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
     pairs = dict(zip(names, stack))
@@ -211,64 +213,53 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
             concurrence_AB=concurrence_x_state(pairs["AB"]),
             mutual_info_AB=re_correlated_coherence(pairs["AB"], PAIRS["AB"]),
         )
+    sectors = None
     if kind is ChannelKind.PDC:
         sectors = sector_decomposition(amplitudes, layout)
         for labels in SECTORS:  # sector_AB, ..., sector_EB
             m["sector_" + "".join(labels).replace("_", "")] = sectors.get(frozenset(labels), 0.0)
-    return m, pairs, cross_min
+    return m, pairs, cross_min, sectors
 
 
-def _block_columns(specs: Sequence[ChannelSpec], x: float):
-    """The arrays behind :func:`report_block`: the x evaluated (pinned for
-    the bit flip channel), the measure and identity-residual columns, the
-    dilated amplitudes (P, dim), their layout, and the pair stacks and the
-    cross pairs' partial-transpose minima that the measures used."""
+def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
+    """One (kind, mu, x) block over the noise values ``ps``, evaluated as one
+    stack: the x evaluated (see :func:`ccr_report`), the measure and
+    identity-residual columns, the dilated amplitudes (P, dim), their layout,
+    and the pair stacks, cross-pair partial-transpose minima and sector
+    weights that :func:`_measure_columns` used.  Every reduced state formed
+    is checked to be a density matrix; every identity of the kind gets a
+    residual, also where the point lies outside the identity's domain."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    kind = block_kind(specs)
     if kind is ChannelKind.BFC:
         x = BALANCED_X
 
     psi, sys_layout = initial_state(kind, x)
-    amplitudes, layout = dilate_block(specs, psi, sys_layout)
+    amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
     initial = _reduced(psi[np.newaxis], sys_layout, ("A",))[0]
-    measures, pairs, cross_min = _measure_columns(kind, amplitudes, layout, initial)
+    measures, pairs, cross_min, sectors = _measure_columns(kind, amplitudes, layout, initial)
     residuals = {
         ident: row.residual(measures)
         for ident, row in IDENTITIES.items()
         if kind in row.kinds
     }
-    return x, measures, residuals, amplitudes, layout, pairs, cross_min
-
-
-def report_block(specs: Sequence[ChannelSpec], x: float) -> list[CCRReport]:
-    """Reports at one x for specs of one channel kind, evaluated as one stack.
-
-    ``x`` parameterizes the initial state and must lie in [0, 1]; for the
-    bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
-    is formulated for.  Every reduced state formed is checked to be a
-    density matrix.  Every identity of the kind gets a residual, also where
-    the point lies outside the identity's domain.
-    """
-    x, measures, residuals, amplitudes, layout, *_ = _block_columns(specs, x)
-
-    def rows(columns: dict) -> list[dict]:
-        values = [v.tolist() if np.ndim(v) else [float(v)] * len(specs) for v in columns.values()]
-        return [dict(zip(columns, row)) for row in zip(*values)]
-
-    return [
-        CCRReport(spec, x, m, r, DilationResult(state, layout))
-        for spec, m, r, state in zip(specs, rows(measures), rows(residuals), amplitudes)
-    ]
+    return x, measures, residuals, amplitudes, layout, pairs, cross_min, sectors
 
 
 def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
-    """Evolve the initial state through the channel and measure everything.
+    """Evolve the initial state through the channel and measure everything:
+    a block of one of the engine.
 
-    A block of one (see :func:`report_block`): ``x`` must lie in [0, 1] and
-    is pinned to 1/sqrt(2) for the bit flip channel.
+    ``x`` parameterizes the initial state and must lie in [0, 1]; for the
+    bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
+    is formulated for.
     """
-    return report_block((spec,), x)[0]
+    x, measures, residuals, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
+
+    def row(columns: dict) -> dict:
+        return {name: float(v[0]) if np.ndim(v) else float(v) for name, v in columns.items()}
+
+    return CCRReport(spec, x, row(measures), row(residuals))
 
 
 def check_identity(identity: IdentityId, report: CCRReport) -> float:
@@ -291,14 +282,13 @@ def _sudden_death_bisection(x: float) -> float:
     psi, sys_layout = initial_state(ChannelKind.ADC, x)
     lo, hi = 0.0, 1.0
     for _ in range(10):  # the concurrence is positive at lo and not at hi
-        ps = np.linspace(lo, hi, 65).tolist()
-        amplitudes, layout = dilate_block([ChannelSpec(ChannelKind.ADC, p) for p in ps],
-                                          psi, sys_layout)
+        ps = np.linspace(lo, hi, 65)
+        amplitudes, layout = dilate_block(ChannelKind.ADC, ps, 0.0, psi, sys_layout)
         ab = _reduced(amplitudes, layout, PAIRS["AB"])[0]
         check_density(ab)
         i = int(np.flatnonzero(concurrence_x_state(ab) > 0.0)[-1])
         lo, hi = ps[i], ps[i + 1]
-    return 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
 
 
 def sudden_death_point(x: float) -> float | None:

@@ -245,7 +245,7 @@ def test_criterion_7a_three_halves_full_grid_as_stated():
                 residual = r.residuals[IdentityId.THREE_HALVES]
                 worst[kind] = max(worst[kind], abs(m["Cc_AEA"] - r_exact * m["S_l_A"]))
                 worst_literal[kind] = max(worst_literal[kind], residual)
-                if identity.domain(spec, x) != at_three_halves:
+                if identity.domain(kind, spec.mu, x, p) != at_three_halves:
                     domain_mismatches.append((kind.value, x, p))
                 elif at_three_halves:
                     worst_in_domain = max(worst_in_domain, residual)

@@ -166,7 +166,7 @@ class TestIsometryOverP:
     def test_block_and_kraus_read_per_p_slices_bytewise(self, kind, mu):
         psi, layout = system_state(kind, 0.6)
         stacked = _isometry(kind, self.PS, mu)
-        amplitudes, _ = dilate_block([ChannelSpec(kind, p, mu) for p in self.PS], psi, layout)
+        amplitudes, _ = dilate_block(kind, self.PS, mu, psi, layout)
         for i, p in enumerate(self.PS):
             W = _isometry(kind, p, mu)
             assert stacked[i].tobytes() == W.tobytes()
@@ -176,17 +176,6 @@ class TestIsometryOverP:
             kept = [k for k in slices if np.linalg.norm(k) >= PRUNE_TOL]
             ops = kraus_set(ChannelSpec(kind, p, mu)).operators
             assert [k.tobytes() for k in ops] == [k.tobytes() for k in kept]
-
-    @pytest.mark.parametrize("build", ["dilate_block", "report_block"])
-    def test_block_of_mixed_mu_rejected(self, build):
-        from ccrsweep.reports import report_block
-
-        specs = [ChannelSpec(ChannelKind.CADC, 0.5, 1.0), ChannelSpec(ChannelKind.CADC, 0.5, 0.0)]
-        with pytest.raises(ValueError, match=r"one mu, got mu in \[0\.0, 1\.0\]"):
-            if build == "dilate_block":
-                dilate_block(specs, *system_state(ChannelKind.CADC, 0.5))
-            else:
-                report_block(specs, 0.5)
 
 
 class TestKrausSet:

@@ -7,7 +7,15 @@ import pytest
 from ccrsweep.channels import ChannelKind, ChannelSpec
 from ccrsweep.linalg import hermitian_eigenvalues, outer, partial_trace, partial_transpose
 from ccrsweep.measures import correlated_coherence_hs, is_ppt, sector_decomposition
-from ccrsweep.reports import APPLICABLE_IDENTITIES, IDENTITIES, PAIRS, IdentityId, _block_columns
+from ccrsweep.reports import (
+    APPLICABLE_IDENTITIES,
+    BALANCED_X,
+    IDENTITIES,
+    PAIRS,
+    IdentityId,
+    _block_columns,
+    ccr_report,
+)
 from ccrsweep.cli import (
     CSV_COLUMNS,
     DEFAULT_X,
@@ -23,7 +31,6 @@ from ccrsweep.cli import (
     main,
     render_csv,
     render_json,
-    run_sweep,
     sweep_table,
     verify_command,
 )
@@ -91,44 +98,53 @@ class TestConfigValidation:
             small_config(p_start=0.5, p_stop=0.5, p_count=3)
 
 
+def table_rows(table, *names):
+    """The (names...) cells of each row of a sweep table, in row order."""
+    return [cells for block in table for cells in zip(*(block[name] for name in names))]
+
+
 class TestRunSweep:
+    """A sweep's grid, row order and identities, read from its table."""
+
     def test_cardinality(self):
-        reports = run_sweep(small_config(p_count=3))
-        assert len(reports) == 3
+        assert len(table_rows(sweep_table(small_config(p_count=3)), "p")) == 3
 
     def test_ordering_and_grid(self):
         cfg = small_config(x_values=(0.7, 0.2), p_count=3)
-        reports = run_sweep(cfg)
-        observed = [(r.x, r.p) for r in reports]
+        observed = table_rows(sweep_table(cfg), "x", "p")
         assert observed == [(0.2, 0.0), (0.2, 0.5), (0.2, 1.0), (0.7, 0.0), (0.7, 0.5), (0.7, 1.0)]
 
     def test_bit_flip_collapses_x_grid(self):
         cfg = small_config(channels=(ChannelKind.BFC,), x_values=(0.2, 0.5, 0.8), p_count=3)
-        reports = run_sweep(cfg)
-        assert len(reports) == 3
-        assert all(r.x == INV_SQRT2 for r in reports)
+        xs = table_rows(sweep_table(cfg), "x")
+        assert len(xs) == 3
+        assert all(x == INV_SQRT2 for x, in xs)
 
     def test_identities_hold_on_dense_grid(self):
-        reports = run_sweep(SweepConfig(p_count=1001))
-        assert len(reports) == 31031
-        worst = {}
-        for r in reports:
-            for ident, residual in r.residuals.items():
-                if IDENTITIES[ident].domain(r.channel, r.x):
-                    worst[ident] = max(worst.get(ident, 0.0), residual)
+        # every identity, headline or not, over the engine blocks the sweep renders
+        cfg = SweepConfig(p_count=1001)
+        ps = cfg.p_grid()
+        rows, worst = 0, {}
+        for kind, mu, x in _blocks(cfg, cfg.x_values):
+            x, _, residuals, *_ = _block_columns(kind, mu, x, ps)
+            rows += len(ps)
+            for ident, residual in residuals.items():
+                at = np.broadcast_to(IDENTITIES[ident].domain(kind, mu, x, ps), len(ps))
+                if at.any():
+                    in_domain = np.broadcast_to(residual, len(ps))[at]
+                    worst[ident] = max(worst.get(ident, 0.0), float(in_domain.max()))
+        assert rows == 31031
         assert set(worst) == set(IdentityId)
         assert max(worst.values()) <= 1e-10, worst
 
     def test_sudden_death_visible_in_concurrence_column(self):
         cfg = small_config(p_count=101)
-        reports = run_sweep(cfg)
         dead_at = 0.5 / math.sqrt(1 - 0.25)  # 1/sqrt(3)
         step = 0.01
-        for r in reports:
-            c = r.measures["concurrence_AB"]
-            if r.p >= dead_at + step:
+        for p, c in table_rows(sweep_table(cfg), "p", "concurrence_AB"):
+            if p >= dead_at + step:
                 assert c == 0.0
-            elif r.p <= dead_at - step:
+            elif p <= dead_at - step:
                 assert c > 0.0
 
 
@@ -201,17 +217,22 @@ class TestEmit:
 
 
 def per_report_rows(cfg):
-    """The table as the per-report route built it: one row per run_sweep
-    report, the headline residual left out off its identity's domain."""
+    """The table as a per-point route builds it: one ccr_report per grid
+    point, ordered channel / x asc / p asc, the bit flip channel at
+    x = 1/sqrt(2) only, the headline residual left out off its domain."""
     rows = []
-    for r in run_sweep(cfg):
-        row = {"channel": r.channel.kind.value, "mu": r.channel.mu, "x": r.x, "p": r.p}
-        row.update({name: r.measures.get(name) for name in CSV_COLUMNS[4:-2]})
-        row["residual_ccr"] = r.residuals[IdentityId.CCR_UNIVERSAL]
-        headline = APPLICABLE_IDENTITIES[r.channel.kind][0]
-        in_domain = IDENTITIES[headline].domain(r.channel, r.x)
-        row["residual_channel_identity"] = r.residuals[headline] if in_domain else None
-        rows.append(row)
+    for kind in cfg.channels:
+        mu = cfg.mu if kind is ChannelKind.CADC else 0.0
+        for x in (BALANCED_X,) if kind is ChannelKind.BFC else sorted(cfg.x_values):
+            for p in np.linspace(cfg.p_start, cfg.p_stop, cfg.p_count).tolist():
+                r = ccr_report(ChannelSpec(kind, p, mu), x)
+                row = {"channel": kind.value, "mu": mu, "x": r.x, "p": p}
+                row.update({name: r.measures.get(name) for name in CSV_COLUMNS[4:-2]})
+                row["residual_ccr"] = r.residuals[IdentityId.CCR_UNIVERSAL]
+                headline = APPLICABLE_IDENTITIES[kind][0]
+                in_domain = IDENTITIES[headline].domain(kind, mu, r.x, p)
+                row["residual_channel_identity"] = r.residuals[headline] if in_domain else None
+                rows.append(row)
     return rows
 
 
@@ -271,8 +292,8 @@ class TestSweepTable:
             argv = ["sweep", "--p-count", "3", "--format", fmt, "--out", str(tmp_path / "t")]
             assert main(argv) == 0
         assert built == []
-        run_sweep(small_config(p_count=3))  # the per-report view still builds them
-        assert len(built) == 3
+        ccr_report(ChannelSpec(ChannelKind.ADC, 0.5), 0.5)  # the one-point view builds one
+        assert len(built) == 1
 
 
 class TestVerifyCommand:
@@ -359,9 +380,9 @@ def test_state_columns_match_the_per_point_route(kind, x):
     # reference: each dilated state as a DensityOperator, its pairs by
     # partial_trace, PPT by partial_transpose and an eigensolve per matrix
     mu = 1.0 if kind is ChannelKind.CADC else 0.0
-    specs = [ChannelSpec(kind, p, mu) for p in (0.0, 0.15, 0.5, 0.85, 1.0)]
-    x, m, _, amplitudes, layout, pairs, cross_min = _block_columns(specs, x)
-    columns = _state_columns(m, pairs, cross_min, amplitudes, layout)
+    ps = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
+    x, m, _, amplitudes, layout, pairs, cross_min, sectors = _block_columns(kind, mu, x, ps)
+    columns = _state_columns(m, pairs, cross_min, amplitudes, layout, sectors)
     for i, psi in enumerate(amplitudes):
         rho_g = outer(psi, layout)
         cc_abe = correlated_coherence_hs(rho_g, ("A", "B", "E_A", "E_B"))
@@ -570,3 +591,41 @@ class TestBuildConfigDefaults:
         assert cfg.mu == 1.0
         assert cfg.fmt == "csv"
         assert cfg.tolerance == 1e-10
+
+
+def test_verify_walk_decomposes_each_block_into_sectors_once(monkeypatch):
+    # the engine decomposes a phase damping block for its sector columns and
+    # hands that decomposition on, so no block is decomposed twice
+    from ccrsweep import cli, reports
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return sector_decomposition(*args)
+
+    for module in (cli, reports):  # both bind the name on import
+        monkeypatch.setattr(module, "sector_decomposition", counted)
+    _verify_blocks(SweepConfig(), _Tracker())
+    # one per two-qubit block: 13 x values (the grid's and every tenth) for
+    # adc, cadc and pdc, and x = 1/sqrt(2) for bfc
+    assert len(calls) == 3 * 13 + 1
+
+
+def test_only_the_kraus_route_builds_channel_specs(monkeypatch, capsys):
+    # a block is (kind, mu, x) over the p grid; ChannelSpec enters only where
+    # verify cross-checks the public kraus_set at each p
+    built = []
+    post_init = ChannelSpec.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ChannelSpec, "__post_init__", counted)
+    assert len(sweep_table(SweepConfig())) == 31
+    assert built == []
+    assert verify_command(SweepConfig()) == 0
+    # 101 p for each of nine (kind, mu) Kraus stacks and the cadc limit, and
+    # two one-mu specs per point of CADC at mu = 0.5
+    assert 0 < len(built) <= 1212

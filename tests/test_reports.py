@@ -12,11 +12,11 @@ from ccrsweep.reports import (
     BALANCED_X,
     IDENTITIES,
     IdentityId,
+    _block_columns,
     _sudden_death_bisection,
     ccr_report,
     check_identity,
     initial_state,
-    report_block,
     sudden_death_point,
 )
 
@@ -64,15 +64,6 @@ class TestReportValues:
         with pytest.raises(ValueError, match="x must lie"):
             ccr_report(ChannelSpec(ChannelKind.ADC, 0.5), 1.2)
 
-    @pytest.mark.parametrize(
-        "specs",
-        [[], [ChannelSpec(ChannelKind.ADC, 0.1), ChannelSpec(ChannelKind.PDC, 0.1)]],
-        ids=["empty", "mixed"],
-    )
-    def test_block_needs_one_kind(self, specs):
-        with pytest.raises(ValueError, match="one channel kind"):
-            report_block(specs, 0.5)
-
     def test_bit_flip_pins_x(self):
         r = ccr_report(ChannelSpec(ChannelKind.BFC, 0.3), 0.2)
         assert r.x == BALANCED_X
@@ -83,18 +74,11 @@ class TestReportValues:
         assert "mutual_info_AB" not in r.measures
         assert "Cc_AEA" in r.measures
 
-    def test_report_keeps_its_dilated_state(self):
-        for kind in ChannelKind:
-            r = ccr_report(spec_for(kind, 0.3), 0.5)
-            expected = dilate(r.channel, *initial_state(kind, r.x))
-            assert r.state.layout == expected.layout
-            assert np.array_equal(r.state.state, expected.state)
-            assert r == ccr_report(r.channel, r.x)
-
     def test_residuals_cover_applicable_identities(self):
         for kind in ChannelKind:
             r = ccr_report(spec_for(kind, 0.3), 0.5)
             assert set(r.residuals) == {IdentityId.CCR_UNIVERSAL, *APPLICABLE_IDENTITIES[kind]}
+            assert r == ccr_report(r.channel, r.x)
 
 
 class TestIdentityTable:
@@ -114,11 +98,12 @@ class TestIdentityTable:
         }
 
     def test_off_domain_residuals_still_reported(self):
+        cadc, bpfc = IDENTITIES[IdentityId.CADC_REDISTRIBUTION], IDENTITIES[IdentityId.THREE_HALVES]
         r = ccr_report(ChannelSpec(ChannelKind.CADC, 0.5, 0.0), 0.5)
-        assert not IDENTITIES[IdentityId.CADC_REDISTRIBUTION].domain(r.channel, r.x)
+        assert not cadc.domain(ChannelKind.CADC, 0.0, r.x, r.p)
         assert r.residuals[IdentityId.CADC_REDISTRIBUTION] > 1e-3
         r = ccr_report(ChannelSpec(ChannelKind.BPFC, 0.5), 0.4)
-        assert not IDENTITIES[IdentityId.THREE_HALVES].domain(r.channel, r.x)
+        assert not bpfc.domain(ChannelKind.BPFC, 0.0, r.x, r.p)
         assert r.residuals[IdentityId.THREE_HALVES] > 1e-3
 
 
@@ -226,7 +211,7 @@ class TestBlockCost:
         per_block = []
         for n in (1, 101):
             counts.clear()
-            report_block([ChannelSpec(kind, p, mu) for p in np.linspace(0.0, 1.0, n)], 0.5)
+            _block_columns(kind, mu, 0.5, np.linspace(0.0, 1.0, n))
             per_block.append(dict(counts))
         assert per_block[0] == per_block[1]
         most_eig, most_trace = self.MOST[kind.n_system_qubits]
@@ -264,9 +249,9 @@ class TestSuddenDeath:
     def test_bisection_finds_the_root_in_ten_blocks(self, monkeypatch, x):
         calls, dilate_block = [], reports.dilate_block
 
-        def counted(specs, *args):
-            calls.append(len(specs))
-            return dilate_block(specs, *args)
+        def counted(kind, ps, *args):
+            calls.append(len(ps))
+            return dilate_block(kind, ps, *args)
 
         monkeypatch.setattr(reports, "dilate_block", counted)
         assert abs(_sudden_death_bisection(x) - x / math.sqrt(1 - x * x)) <= 1e-15
@@ -287,10 +272,11 @@ class TestSuddenDeath:
     mu=st.sampled_from([0.0, 1.0]),
 )
 def test_report_identities_property(kind, x, p, mu):
-    r = ccr_report(ChannelSpec(kind, p, mu if kind is ChannelKind.CADC else 0.0), x)
+    mu = mu if kind is ChannelKind.CADC else 0.0
+    r = ccr_report(ChannelSpec(kind, p, mu), x)
     assert r.residuals[IdentityId.CCR_UNIVERSAL] <= 1e-10
     for ident, residual in r.residuals.items():
-        if IDENTITIES[ident].domain(r.channel, r.x):  # r.x: BFC pins its own x
+        if IDENTITIES[ident].domain(kind, mu, r.x, p):  # r.x: BFC pins its own x
             assert residual <= 1e-10, ident
     if kind is ChannelKind.ADC:
         # rho_A = diag(a, b) after damping x|00> + sqrt(1-x^2)|11>
@@ -311,18 +297,21 @@ def test_report_identities_property(kind, x, p, mu):
 )
 def test_block_rows_match_single_reports(kind, x, ps, mu):
     # no row of a block may leak into another: each equals the block of one at its p
-    specs = [ChannelSpec(kind, p, mu if kind is ChannelKind.CADC else 0.0) for p in ps]
-    block = report_block(specs, x)
-    assert [r.channel for r in block] == specs
-    for r in block:
-        single = ccr_report(r.channel, x)
-        assert r.x == single.x
-        assert r.measures.keys() == single.measures.keys()
-        assert r.residuals.keys() == single.residuals.keys()
-        for name, value in r.measures.items():
+    mu = mu if kind is ChannelKind.CADC else 0.0
+    block_x, measures, residuals, amplitudes, layout, *_ = _block_columns(
+        kind, mu, x, np.array(ps))
+    assert len(amplitudes) == len(ps)
+    for i, p in enumerate(ps):
+        single = ccr_report(ChannelSpec(kind, p, mu), x)
+        assert block_x == single.x
+        assert measures.keys() == single.measures.keys()
+        assert residuals.keys() == single.residuals.keys()
+        for name, column in measures.items():
+            value = np.broadcast_to(column, len(ps))[i]
             assert abs(value - single.measures[name]) <= 1e-15, name
-        for ident, value in r.residuals.items():
+        for ident, column in residuals.items():
+            value = np.broadcast_to(column, len(ps))[i]
             assert abs(value - single.residuals[ident]) <= 1e-15, ident
-        expected = dilate(r.channel, *initial_state(kind, r.x))
-        assert r.state.layout == expected.layout
-        assert r.state.state.tobytes() == expected.state.tobytes()
+        expected = dilate(single.channel, *initial_state(kind, block_x))
+        assert layout == expected.layout
+        assert amplitudes[i].tobytes() == expected.state.tobytes()

@@ -98,29 +98,30 @@ class ChannelSpec:
 class KrausSet:
     """System-space operators representing a channel as sum_i K rho K^dag.
 
+    The operators are copied into one read-only (n, d, d) complex array.
     Sets produced by :func:`kraus_set` satisfy sum_i K^dag K = I to ~1e-15;
     arbitrary sets may be constructed (e.g. to measure their completeness
     defect with :func:`validate_kraus`).
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     source: ChannelSpec
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        if not ops:
+        if len(self.operators) == 0:
             raise ValueError("a Kraus set needs at least one operator")
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.ndim != 2 or k.shape != (d, d):
-                raise ValueError("all Kraus operators must be square and same-dimensional")
-        for k in ops:
-            k.setflags(write=False)
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except ValueError:  # operators of different shapes
+            ops = None
+        if ops is None or ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError("all Kraus operators must be square and same-dimensional")
+        ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -259,17 +260,17 @@ def dilate_block(
 def kraus_set(spec: ChannelSpec) -> KrausSet:
     """Kraus operators of the channel, K_e = <e|U|0>_E, zero operators pruned.
 
-    Each K_e is a slice of :func:`_isometry`, the tensor :func:`dilate` also
-    contracts.  CADC at fractional mu returns the union
+    The set is :func:`_isometry`, the tensor :func:`dilate` also contracts,
+    with its environment axis moved first: K_e = W[:, e, :].  CADC at
+    fractional mu returns the union
     {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}.
     """
     if spec.mu in (0.0, 1.0):
-        W = _isometry(spec.kind, spec.p, spec.mu)
-        ops = [W[:, e, :] for e in range(W.shape[1])]
+        ops = np.moveaxis(_isometry(spec.kind, spec.p, spec.mu), 1, 0)
     else:
-        ops = [np.sqrt(w) * k for m, w in ((0.0, 1.0 - spec.mu), (1.0, spec.mu))
-               for k in kraus_set(replace(spec, mu=m)).operators]
-    return KrausSet(tuple(k for k in ops if np.linalg.norm(k) >= PRUNE_TOL), spec)
+        ops = np.concatenate([np.sqrt(w) * kraus_set(replace(spec, mu=m)).operators
+                              for m, w in ((0.0, 1.0 - spec.mu), (1.0, spec.mu))])
+    return KrausSet(ops[np.linalg.norm(ops, axis=(1, 2)) >= PRUNE_TOL], spec)
 
 
 def _operator_sums(sets: Sequence[KrausSet], rhos: np.ndarray | None = None):

@@ -246,35 +246,37 @@ def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
                     lambda i: f"{kind.value} x={x:g} p={ps[at[i]]:g}")
 
 
-def _kraus_images(specs: list[ChannelSpec], rhos=None):
-    """The completeness defects of each spec's kraus_set and, for input
-    states ``rhos`` (R, d, d), their images (R, P, d, d), checked as density
-    matrices at once (see :func:`channels._operator_sums`)."""
-    defects, images = _operator_sums([kraus_set(spec) for spec in specs], rhos)
-    if images is not None:
-        check_density(images)
-    return defects, images
-
-
 def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
     """The dilation of each (kind, mu, x) over the p grid against the
-    operator-sum route, applied to the p grid's Kraus sets as one stack."""
+    operator-sum route, applied to the p grid's Kraus sets as one stack, and
+    the CADC images at mu = 0 against amplitude damping of both qubits in
+    closed form."""
     ps = cfg.p_grid()
     xs = (0.5, BALANCED_X)
     for kind in cfg.channels:
         states = [initial_state(kind, x) for x in xs]
         for mu in (0.0, 0.5, 1.0) if kind is ChannelKind.CADC else (0.0,):
-            specs = [ChannelSpec(kind, p, mu) for p in ps.tolist()]
+            sets = [kraus_set(ChannelSpec(kind, p, mu)) for p in ps.tolist()]
 
             def where(i: int) -> str:
                 return f"{kind.value} p={ps[i]:g} mu={mu:g}"
 
             # mu = 0.5 has no two-qubit-environment dilation to compare
             rhos = None if mu == 0.5 else np.array([np.outer(psi, psi.conj()) for psi, _ in states])
-            defects, via_kraus = _kraus_images(specs, rhos)
+            defects, via_kraus = _operator_sums(sets, rhos)
             t.track("kraus_completeness", defects, where)
             if via_kraus is None:
                 continue
+            check_density(via_kraus)
+            if kind is ChannelKind.CADC and mu == 0.0:
+                # x = 0.5 against amplitude damping of both qubits in closed form
+                x, y = xs[0], states[0][0][-1].real
+                split = y * y * ps * (1.0 - ps)
+                diag = np.stack([x * x + (y * ps) ** 2, split, split, (y * (1.0 - ps)) ** 2], -1)
+                closed = (diag[:, np.newaxis, :] * np.eye(4)).astype(complex)
+                closed[:, 0, 3] = closed[:, 3, 0] = x * y * (1.0 - ps)
+                t.track("cadc_memoryless_limit", np.abs(via_kraus[0] - closed).max(axis=(1, 2)),
+                        lambda i: f"cadc p={ps[i]:g}")
             for x, (psi, layout), images in zip(xs, states, via_kraus):
                 amplitudes, global_layout = dilate_block(kind, ps, mu, psi, layout)
                 norms = (amplitudes.conj() * amplitudes).real.sum(axis=-1)
@@ -285,24 +287,6 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
                     np.abs(via_dilation - images).max(axis=(1, 2)),
                     lambda i: f"{where(i)} x={x:g}",
                 )
-
-
-def _verify_cadc_limit(cfg: SweepConfig, t: _Tracker) -> None:
-    """CADC at mu = 0 against amplitude damping of both qubits in closed form."""
-    if ChannelKind.CADC not in cfg.channels:
-        return
-    x = 0.5
-    psi, _ = initial_state(ChannelKind.CADC, x)
-    y = psi[-1].real
-    p = cfg.p_grid()
-    specs = [ChannelSpec(ChannelKind.CADC, value, 0.0) for value in p.tolist()]
-    memoryless = _kraus_images(specs, np.outer(psi, psi.conj())[np.newaxis])[1][0]
-    split = y * y * p * (1.0 - p)
-    diag = np.stack([x * x + (y * p) ** 2, split, split, (y * (1.0 - p)) ** 2], axis=-1)
-    closed = (diag[:, np.newaxis, :] * np.eye(4)).astype(complex)
-    closed[:, 0, 3] = closed[:, 3, 0] = x * y * (1.0 - p)
-    t.track("cadc_memoryless_limit", np.abs(memoryless - closed).max(axis=(1, 2)),
-            lambda i: f"cadc p={p[i]:g}")
 
 
 def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:
@@ -321,7 +305,6 @@ def verify_command(cfg: SweepConfig) -> int:
     t = _Tracker()
     _verify_blocks(cfg, t)
     _verify_kraus(cfg, t)
-    _verify_cadc_limit(cfg, t)
     _verify_sudden_death(cfg, t)
 
     failures = 0

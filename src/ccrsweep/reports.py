@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec, dilate_block
-from .linalg import SubsystemLayout, check_density, qubits
+from .linalg import SubsystemLayout, qubits
 from .measures import (
     PPT_TOL,
     concurrence_x_state,
@@ -29,8 +29,8 @@ from .measures import (
     hs_predictability,
     linear_entropy,
     ppt_min_eigenvalue,
-    re_correlated_coherence,
     sector_decomposition,
+    von_neumann_entropy,
 )
 
 #: Amplitude of the balanced superposition; the bit flip analysis is pinned here.
@@ -144,9 +144,8 @@ INITIAL_COLUMNS = ("P_hs_A_initial", "C_hs_A_initial", "S_l_initial")
 
 def local_measures(rho_a: np.ndarray, initial: np.ndarray) -> dict[str, np.ndarray]:
     """Predictability, coherence and linear entropy of A's marginals (P, 2, 2)
-    and of the initial marginal (1, 2, 2), checked and measured as one stack."""
+    and of the initial marginal (1, 2, 2), measured as one stack."""
     both = np.concatenate([rho_a, initial])
-    check_density(both)
     values = (hs_predictability(both), hs_coherence(both), linear_entropy(both))
     return {**{name: v[:-1] for name, v in zip(LOCAL_COLUMNS, values)},
             **{name: v[-1] for name, v in zip(INITIAL_COLUMNS, values)}}
@@ -189,11 +188,11 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
     transpose eigenvalues and, for phase damping, the sector weights (else
     None).  The pairs of ``PAIRS`` the layout has form one stack
     (K, P, 4, 4) and each measure runs once on it; its one-factor marginals
-    are traced once and give A's marginal, the Cc_* and Cc_ABE."""
+    are traced once and give A's marginal, the Cc_*, Cc_ABE and the A-B
+    mutual information."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
     pairs = dict(zip(names, stack))
-    check_density(stack)
     firsts, seconds = factor_marginals(stack, (2, 2))
     m = local_measures(firsts[names.index("AEA")], initial)
     m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
@@ -207,17 +206,20 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
     if "AB" in pairs:
         # the joint coherence of the pure global state is C_global
         local = hs_first + hs_second
+        # the mutual information S(A) + S(B) - S(AB), from the marginals traced above
+        s_a, s_b = von_neumann_entropy(np.stack([firsts[0], seconds[0]]))
         m.update(
-            Cc_ABE=m["C_global"] - (local[names.index("AB")] + local[names.index("EAEB")]),
+            Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
             C_env=hs_coherence(pairs["EAEB"]),
             concurrence_AB=concurrence_x_state(pairs["AB"]),
-            mutual_info_AB=re_correlated_coherence(pairs["AB"], PAIRS["AB"]),
+            mutual_info_AB=s_a + s_b - von_neumann_entropy(pairs["AB"]),
         )
     sectors = None
     if kind is ChannelKind.PDC:
         sectors = sector_decomposition(amplitudes, layout)
         for labels in SECTORS:  # sector_AB, ..., sector_EB
-            m["sector_" + "".join(labels).replace("_", "")] = sectors.get(frozenset(labels), 0.0)
+            m["sector_" + "".join(labels).replace("_", "")] = sectors.get(
+                frozenset(labels), np.zeros(len(amplitudes)))
     return m, pairs, cross_min, sectors
 
 
@@ -226,9 +228,12 @@ def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     stack: the x evaluated (see :func:`ccr_report`), the measure and
     identity-residual columns, the dilated amplitudes (P, dim), their layout,
     and the pair stacks, cross-pair partial-transpose minima and sector
-    weights that :func:`_measure_columns` used.  Every reduced state formed
-    is checked to be a density matrix; every identity of the kind gets a
-    residual, also where the point lies outside the identity's domain."""
+    weights that :func:`_measure_columns` used.  The input state and the
+    dilated amplitudes are checked (by :func:`dilate_block`); each state
+    reduced from them is M M^dag of normalized amplitudes, a density matrix
+    by construction, and is not checked again.  Every identity of the kind
+    gets a residual, also where the point lies outside the identity's
+    domain."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     if kind is ChannelKind.BFC:
@@ -278,14 +283,13 @@ def _sudden_death_bisection(x: float) -> float:
     """Largest p with positive concurrence, bracketed by ten amplitude
     damping blocks of 65 points: each narrows the bracket 64-fold, to a
     width of 2^-60 after the last.  A block runs only the engine stages the
-    A-B concurrence needs: the dilation and the checked A-B pair."""
+    A-B concurrence needs: the dilation and the A-B pair."""
     psi, sys_layout = initial_state(ChannelKind.ADC, x)
     lo, hi = 0.0, 1.0
     for _ in range(10):  # the concurrence is positive at lo and not at hi
         ps = np.linspace(lo, hi, 65)
         amplitudes, layout = dilate_block(ChannelKind.ADC, ps, 0.0, psi, sys_layout)
         ab = _reduced(amplitudes, layout, PAIRS["AB"])[0]
-        check_density(ab)
         i = int(np.flatnonzero(concurrence_x_state(ab) > 0.0)[-1])
         lo, hi = ps[i], ps[i + 1]
     return float(0.5 * (lo + hi))

@@ -234,6 +234,24 @@ class TestKrausSet:
         with pytest.raises(ValueError, match="at least one"):
             KrausSet((), ChannelSpec(ChannelKind.ADC, 0.1))
 
+    def test_operators_are_one_read_only_copy(self):
+        k = np.eye(2, dtype=complex)
+        ks = KrausSet((k, 0.0 * k), ChannelSpec(ChannelKind.PFC, 0.0))
+        assert k.flags.writeable
+        assert ks.operators.shape == (2, 2, 2)
+        assert not ks.operators.flags.writeable
+        k[0, 0] = 2.0
+        assert ks.operators[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "operators",
+        [(np.eye(2), np.eye(4)), (np.ones((2, 3)),), (np.ones(2),)],
+        ids=["mixed_dims", "non_square", "vector"],
+    )
+    def test_operators_must_be_square_and_same_dimensional(self, operators):
+        with pytest.raises(ValueError, match="square"):
+            KrausSet(operators, ChannelSpec(ChannelKind.PFC, 0.0))
+
 
 class TestValidateKraus:
     def test_identity_set(self):

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
 from ccrsweep import reports
 from ccrsweep.channels import ChannelKind, ChannelSpec, dilate
+from ccrsweep.linalg import check_density
+from ccrsweep.measures import factor_marginals
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
@@ -186,7 +190,7 @@ class TestBlockCost:
     and partial traces are few and do not depend on how many p it holds."""
 
     #: (eigvalsh, partial traces) per block, by the kind's system qubits
-    MOST = {2: (5, 4), 1: (3, 2)}
+    MOST = {2: (3, 2), 1: (1, 2)}
 
     @pytest.mark.parametrize(
         "kind, mu", [(kind, 1.0 if kind is ChannelKind.CADC else 0.0) for kind in ChannelKind]
@@ -315,3 +319,56 @@ def test_block_rows_match_single_reports(kind, x, ps, mu):
         expected = dilate(single.channel, *initial_state(kind, block_x))
         assert layout == expected.layout
         assert amplitudes[i].tobytes() == expected.state.tobytes()
+
+
+#: Every kind at the mu of its sweeps, and CADC at both dilatable mu.
+KIND_MU = [(kind, 1.0 if kind is ChannelKind.CADC else 0.0) for kind in ChannelKind] + [
+    (ChannelKind.CADC, 0.0)]
+
+
+@pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
+@settings(max_examples=15, deadline=None)
+@given(
+    x=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, INV_SQRT2]),
+    ps=st.lists(st.floats(0.0, 1.0), max_size=8),
+)
+def test_derived_states_are_density_matrices(kind, mu, x, ps):
+    # the engine checks only the dilated amplitudes; every state it reduces
+    # from them is M M^dag of normalized amplitudes, so a density matrix
+    ps = np.array([0.0, *ps, 1.0])
+    with mock.patch.object(reports, "local_measures", wraps=reports.local_measures) as local:
+        *_, pairs, _, _ = _block_columns(kind, mu, x, ps)
+    stack = np.stack(list(pairs.values()))
+    assert stack.shape == (len(pairs), len(ps), 4, 4)
+    check_density(stack)
+    for marginals in factor_marginals(stack, (2, 2)):
+        check_density(marginals)
+    rho_a, initial = local.call_args.args
+    check_density(rho_a)
+    check_density(initial)
+
+
+@settings(max_examples=15, deadline=None)
+@given(x=st.floats(0.05, 0.7) | st.sampled_from([0.1, 0.25, 0.5]))
+def test_bisection_pairs_are_density_matrices(x):
+    with mock.patch.object(
+            reports, "concurrence_x_state", wraps=reports.concurrence_x_state) as concurrence:
+        _sudden_death_bisection(x)
+    assert concurrence.call_count == 10
+    for call in concurrence.call_args_list:
+        ab = call.args[0]
+        assert ab.shape == (65, 4, 4)
+        check_density(ab)
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0])
+@pytest.mark.parametrize("ps", [[0.0], [0.0, 0.25, 0.5, 0.75, 1.0]], ids=["one_p", "five_p"])
+def test_absent_phase_damping_sectors_are_zero_columns(x, ps):
+    # at x = 0 or 1 some sectors (at x = 1 every one) have no weight in any row
+    _, measures, residuals, *_ = _block_columns(ChannelKind.PDC, 0.0, x, np.array(ps))
+    sectors = [name for name in measures if name.startswith("sector_")]
+    assert len(sectors) == 7
+    for name in sectors:
+        assert np.shape(measures[name]) == (len(ps),), name
+    assert np.shape(residuals[IdentityId.PDC_NL_SUM]) == (len(ps),)
+    assert (residuals[IdentityId.PDC_NL_SUM] <= 1e-12).all()

@@ -7,11 +7,11 @@ jointly on the two-qubit system and a shared two-qubit environment.  The
 one definition of a channel is ``_isometry``, the tensor W[s, e, c] =
 <s, e|U|c, 0>_E over an array of p: ``dilate_block`` builds it once over a
 block's p and contracts it with the input state (``dilate`` is a block of
-one) and ``kraus_set`` slices the one-p tensor along the environment basis,
-K_e = <e|U|0>_E, so the operator-sum route and the dilate-then-trace route
-realize the same map by construction.  The operator sum itself has one
-implementation, ``_operator_sums``, over a stack of Kraus sets;
-``validate_kraus`` and ``apply_kraus`` are its one-set case.
+one) and ``_kraus_stack`` slices it along the environment basis, K_e =
+<e|U|0>_E (``kraus_set`` is a pruned one-p slice), so the operator-sum route
+and the dilate-then-trace route realize the same map by construction.  The
+operator sum has one implementation, ``_operator_sums``, over an operator
+stack; ``validate_kraus`` and ``apply_kraus`` are its one-set case.
 
 Channel roster and noise parameter p in [0, 1]:
 
@@ -39,8 +39,7 @@ Channel roster and noise parameter p in [0, 1]:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,37 +256,30 @@ def dilate_block(
     return out, out_layout
 
 
-def kraus_set(spec: ChannelSpec) -> KrausSet:
-    """Kraus operators of the channel, K_e = <e|U|0>_E, zero operators pruned.
+def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
+    """Kraus operators K_e = W[:, e, :] of the channel at each noise value of
+    ``ps`` as one contiguous, unpruned (P, nK, d, d) stack: :func:`_isometry`
+    with its environment axis moved to position 1.  CADC at fractional mu
+    stacks the union {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}."""
+    if mu in (0.0, 1.0):
+        return np.ascontiguousarray(np.moveaxis(_isometry(kind, ps, mu), 2, 1))
+    return np.concatenate([np.sqrt(w) * _kraus_stack(kind, ps, m)
+                           for m, w in ((0.0, 1.0 - mu), (1.0, mu))], axis=1)
 
-    The set is :func:`_isometry`, the tensor :func:`dilate` also contracts,
-    with its environment axis moved first: K_e = W[:, e, :].  CADC at
-    fractional mu returns the union
-    {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}.
-    """
-    if spec.mu in (0.0, 1.0):
-        ops = np.moveaxis(_isometry(spec.kind, spec.p, spec.mu), 1, 0)
-    else:
-        ops = np.concatenate([np.sqrt(w) * kraus_set(replace(spec, mu=m)).operators
-                              for m, w in ((0.0, 1.0 - spec.mu), (1.0, spec.mu))])
+
+def kraus_set(spec: ChannelSpec) -> KrausSet:
+    """Kraus operators K_e = <e|U|0>_E: the pruned one-p slice of :func:`_kraus_stack`."""
+    ops = _kraus_stack(spec.kind, np.array([spec.p]), spec.mu)[0]
     return KrausSet(ops[np.linalg.norm(ops, axis=(1, 2)) >= PRUNE_TOL], spec)
 
 
-def _operator_sums(sets: Sequence[KrausSet], rhos: np.ndarray | None = None):
-    """Completeness defects max_ij |sum_e K^dag K - I|_ij of same-dimension
-    Kraus sets (P,) and, given input states ``rhos`` (R, d, d), the images
-    sum_e K rho K^dag of each state under each set (R, P, d, d), else None.
-
-    The sets form one operator stack (P, nK, d, d); sets pruned at the
-    endpoints get zero operators, which add nothing to either sum.  Raises
-    ValueError when images are asked of a set whose completeness defect
-    exceeds ``COMPLETENESS_TOL`` (the map would not preserve trace).
-    """
-    d = sets[0].dim
-    ops = np.zeros((len(sets), max(len(ks.operators) for ks in sets), d, d), dtype=complex)
-    for i, ks in enumerate(sets):
-        ops[i, : len(ks.operators)] = ks.operators
-    defects = np.abs(np.einsum("pkji,pkjl->pil", ops.conj(), ops) - np.eye(d)).max(axis=(-2, -1))
+def _operator_sums(ops: np.ndarray, rhos: np.ndarray | None = None):
+    """Completeness defects max_ij |sum_e K^dag K - I|_ij (P,) of the sets of
+    an operator stack (P, nK, d, d) and, given states ``rhos`` (R, d, d), their
+    images sum_e K rho K^dag (R, P, d, d), else None.  Images of a set whose
+    defect exceeds ``COMPLETENESS_TOL`` raise ValueError (trace not kept)."""
+    completeness = np.einsum("pkji,pkjl->pil", ops.conj(), ops)
+    defects = np.abs(completeness - np.eye(ops.shape[-1])).max(axis=(-2, -1))
     if rhos is None:
         return defects, None
     if defects.max() > COMPLETENESS_TOL:
@@ -297,7 +289,7 @@ def _operator_sums(sets: Sequence[KrausSet], rhos: np.ndarray | None = None):
 
 def validate_kraus(ks: KrausSet) -> float:
     """Completeness defect max_ij |sum_e K^dag K - I|_ij."""
-    return float(_operator_sums([ks])[0][0])
+    return float(_operator_sums(ks.operators[np.newaxis])[0][0])
 
 
 def apply_kraus(rho: DensityOperator, ks: KrausSet) -> DensityOperator:
@@ -308,4 +300,5 @@ def apply_kraus(rho: DensityOperator, ks: KrausSet) -> DensityOperator:
     """
     if ks.dim != rho.dim:
         raise ValueError(f"Kraus dimension {ks.dim} != state dimension {rho.dim}")
-    return DensityOperator(_operator_sums([ks], rho.mat[np.newaxis])[1][0, 0], rho.layout)
+    image = _operator_sums(ks.operators[np.newaxis], rho.mat[np.newaxis])[1][0, 0]
+    return DensityOperator(image, rho.layout)

@@ -11,6 +11,7 @@ from ccrsweep.channels import (
     ChannelSpec,
     KrausSet,
     _isometry,
+    _kraus_stack,
     _operator_sums,
     apply_kraus,
     dilate,
@@ -332,9 +333,30 @@ class TestApplyKraus:
         assert rho.mat[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
+class TestKrausStack:
+    """The Kraus operators over a p grid as one stack, which kraus_set slices."""
+
+    GRIDS = {"101": np.linspace(0.0, 1.0, 101), "1001": np.linspace(0.0, 1.0, 1001),
+             "endpoints": np.array([1.0, 0.37, 0.0])}
+
+    @pytest.mark.parametrize(
+        "kind, mu", [(kind, 0.0) for kind in ALL_KINDS]
+        + [(ChannelKind.CADC, 0.5), (ChannelKind.CADC, 1.0)],
+        ids=lambda v: getattr(v, "value", f"mu={v}"),
+    )
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_kraus_set_is_the_pruned_stack_slice_bytewise(self, kind, mu, grid):
+        ps = self.GRIDS[grid]
+        stack = _kraus_stack(kind, ps, mu)
+        assert stack.flags.c_contiguous
+        for ops, p in zip(stack, ps.tolist()):
+            kept = ops[np.linalg.norm(ops, axis=(1, 2)) >= PRUNE_TOL]
+            assert kraus_set(ChannelSpec(kind, p, mu)).operators.tobytes() == kept.tobytes()
+
+
 class TestOperatorSums:
-    """The stacked operator sum over a block of Kraus sets, one per p, against
-    an explicit loop over each set's operators."""
+    """The stacked operator sum over a block's Kraus operators, one set per
+    p, against an explicit loop over each public set's operators."""
 
     GRIDS = [P_GRID, [0.0, 1.0], [1.0, 0.37, 0.0]]  # with the pruned endpoints
 
@@ -345,12 +367,14 @@ class TestOperatorSums:
     )
     @pytest.mark.parametrize("grid", range(len(GRIDS)))
     def test_matches_a_loop_over_the_operators(self, kind, mu, grid):
-        sets = [kraus_set(ChannelSpec(kind, p, mu)) for p in self.GRIDS[grid]]
+        ps = np.array(self.GRIDS[grid])
         states = [system_state(kind, x) for x in (0.0, 0.31, 1 / math.sqrt(2))]
         rhos = np.array([outer(psi, lay).mat for psi, lay in states])
-        defects, images = _operator_sums(sets, rhos)
-        assert images.shape == (len(rhos), len(sets)) + rhos.shape[1:]
-        for i, ks in enumerate(sets):
+        defects, images = _operator_sums(_kraus_stack(kind, ps, mu), rhos)
+        assert images.shape == (len(rhos), len(ps)) + rhos.shape[1:]
+        for i, p in enumerate(ps.tolist()):
+            ks = kraus_set(ChannelSpec(kind, p, mu))
+            assert defects[i] == validate_kraus(ks)
             completeness = sum(k.conj().T @ k for k in ks.operators)
             assert abs(defects[i] - np.abs(completeness - np.eye(ks.dim)).max()) <= 1e-15
             for rho, image in zip(rhos, images[:, i]):
@@ -358,19 +382,20 @@ class TestOperatorSums:
                 assert np.abs(image - expected).max() <= 1e-15
 
     def test_defects_alone_need_no_states(self):
-        sets = [kraus_set(ChannelSpec(ChannelKind.ADC, p)) for p in (0.0, 0.5, 1.0)]
-        defects, images = _operator_sums(sets)
+        ps = [0.0, 0.5, 1.0]
+        defects, images = _operator_sums(_kraus_stack(ChannelKind.ADC, np.array(ps), 0.0))
         assert images is None
-        assert defects.tolist() == [validate_kraus(ks) for ks in sets]
+        assert defects.tolist() == [validate_kraus(kraus_set(ChannelSpec(ChannelKind.ADC, p)))
+                                    for p in ps]
 
     def test_one_incomplete_set_rejects_the_block(self):
-        sets = [kraus_set(ChannelSpec(ChannelKind.PFC, p)) for p in (0.0, 0.5, 1.0)]
-        sets[1] = KrausSet((0.9 * np.eye(2),), ChannelSpec(ChannelKind.PFC, 0.5))
+        ops = _kraus_stack(ChannelKind.PFC, np.array([0.0, 0.5, 1.0]), 0.0)
+        ops[1] *= 0.9
         psi, lay = system_state(ChannelKind.PFC, 0.8)
-        defects, _ = _operator_sums(sets)  # measuring the defects is allowed
+        defects, _ = _operator_sums(ops)  # measuring the defects is allowed
         assert defects[1] == pytest.approx(0.19, abs=1e-15)
         with pytest.raises(ValueError, match="incomplete"):
-            _operator_sums(sets, outer(psi, lay).mat[np.newaxis])
+            _operator_sums(ops, outer(psi, lay).mat[np.newaxis])
 
 
 X_VALUES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1 / math.sqrt(2)])

@@ -337,10 +337,39 @@ class TestVerifyCommand:
         # no balanced x and no p = 1: the ADC closed-form columns, the DC
         # terminal point and the DC 3/2 relation have no point to check
         assert main(["verify", "--channels", "adc,dc", "--x", "0.5", "--p-stop", "0.9"]) == 0
-        names = [line.split()[1] for line in capsys.readouterr().out.splitlines()[:-1]]
-        assert "adc_entropy_dominance" in names
-        for absent in ("adc_symmetric_columns", "dc_terminal_locality", "three_halves"):
-            assert absent not in names
+        lines = capsys.readouterr().out.splitlines()
+        checked = [line.split()[1] for line in lines[:-1] if line.startswith("PASS")]
+        assert "adc_entropy_dominance" in checked
+        assert [line.split()[1] for line in lines if line.startswith("SKIP")] == [
+            "adc_symmetric_columns", "dc_terminal_locality", "three_halves"]
+        assert lines[-1] == f"{len(checked)}/{len(checked)} checks within tolerance 1e-10"
+
+    @pytest.mark.parametrize("argv, skipped", [
+        (["--x", "0.999"], "adc_symmetric_columns"),  # no x = 1/sqrt(2)
+        (["--p-start", "0.2", "--p-stop", "0.3"], "dc_terminal_locality"),  # no p = 1
+    ], ids=["no_balanced_x", "no_p_of_one"])
+    def test_a_check_without_grid_points_is_named_as_skipped(self, capsys, argv, skipped):
+        assert main(["verify", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("SKIP")] == [
+            f"SKIP  {skipped:<32} no grid point in its domain"]
+        assert [line.split()[1] for line in lines[:-1]] == sorted(
+            line.split()[1] for line in lines[:-1])
+        assert lines[-1] == "21/21 checks within tolerance 1e-10"  # the skip is not counted
+
+    def test_a_skip_leaves_a_failure_failing(self, capsys):
+        assert main(["verify", "--channels", "dc", "--p-stop", "0.5", "--tolerance", "1e-17"]) == 1
+        out = capsys.readouterr().out
+        assert "SKIP  dc_terminal_locality " in out
+        assert "FAIL" in out
+
+    def test_identities_of_another_memory_weight_are_not_skipped(self, capsys):
+        # the CADC identities hold for the fully correlated map only, so at
+        # mu = 0 they do not apply and no grid can reach them
+        assert main(["verify", "--channels", "cadc", "--mu", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "SKIP" not in out
+        assert "cadc_redistribution" not in out
 
 
 class TestTracker:
@@ -612,20 +641,23 @@ def test_verify_walk_decomposes_each_block_into_sectors_once(monkeypatch):
     assert len(calls) == 3 * 13 + 1
 
 
-def test_only_the_kraus_route_builds_channel_specs(monkeypatch, capsys):
-    # a block is (kind, mu, x) over the p grid; ChannelSpec enters only where
-    # verify cross-checks the public kraus_set at each p
+def test_verify_builds_no_channel_specs_or_kraus_sets(monkeypatch):
+    # a block is (kind, mu, x) over the p grid, and the Kraus cross-check
+    # takes each (kind, mu) block's operators as one stack
+    from ccrsweep import channels
+
     built = []
-    post_init = ChannelSpec.__post_init__
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(cls):
+        init = cls.__post_init__
 
-    monkeypatch.setattr(ChannelSpec, "__post_init__", counted)
+        def call(self):
+            built.append(self)
+            init(self)
+        monkeypatch.setattr(cls, "__post_init__", call)
+
+    counted(ChannelSpec)
+    counted(channels.KrausSet)
     assert len(sweep_table(SweepConfig())) == 31
-    assert built == []
     assert verify_command(SweepConfig()) == 0
-    # 101 p for each of nine (kind, mu) Kraus stacks, and two one-mu specs
-    # per point of CADC at mu = 0.5
-    assert 0 < len(built) <= 1111
+    assert built == []

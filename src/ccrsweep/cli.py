@@ -137,10 +137,19 @@ def sweep_table(cfg: SweepConfig) -> Table:
 
 def render_csv(table: Table) -> str:
     """The table as CSV, each column of a block formatted at once: None as
-    an empty cell, a real as the shortest decimal that round-trips."""
+    an empty cell, a real as the shortest decimal that round-trips.  Each
+    distinct nonzero real is formatted once per table; a zero is formatted
+    at every cell, because 0.0 == -0.0 would share one memo entry."""
+    memo: dict = {}
+
+    def remember(v) -> str:
+        text = memo[v] = repr(float(v))
+        return text
+
     lines = [",".join(CSV_COLUMNS)]
     for block in table:
-        columns = (["" if v is None else v if isinstance(v, str) else repr(float(v))
+        columns = (["" if v is None else v if isinstance(v, str)
+                    else memo.get(v) or (remember(v) if v else repr(float(v)))
                     for v in block[name]] for name in CSV_COLUMNS)
         lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"

@@ -208,6 +208,16 @@ def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
     return out
 
 
+def _hermitian(m) -> np.ndarray:
+    """``m`` as a complex array, after checking that it is a square matrix or
+    a stack (..., d, d) of them, finite and Hermitian to ``HERMITIAN_TOL``."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    _check_hermitian(m)
+    return m
+
+
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix, or per matrix of a
     stack (..., d, d).
@@ -215,8 +225,4 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     Raises ValueError for non-square input, a non-finite entry or a
     Hermiticity defect above ``HERMITIAN_TOL``.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _check_hermitian(m)
-    return np.linalg.eigvalsh(m)
+    return np.linalg.eigvalsh(_hermitian(m))

@@ -13,14 +13,15 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
+    _hermitian,
     _partial_trace,
     _partial_transpose,
     check_norms,
-    hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
 )
 
+#: The largest off-X modulus :func:`concurrence_x_state` accepts as round-off.
 X_STATE_TOL = 1e-12
 
 #: The partial transpose of a PPT state has no eigenvalue below -PPT_TOL.
@@ -93,10 +94,65 @@ def correlated_coherence_hs(rho_global, blocks: Sequence[str]):
     return total
 
 
-def von_neumann_entropy(rho):
-    """-sum_i lam_i log2 lam_i with round-off negatives clamped to zero."""
-    lam = np.clip(hermitian_eigenvalues(_mat(rho)), 0.0, None)
+#: Entries off the diagonal and the anti-diagonal of a two-qubit matrix.
+_X_OFF = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
+def _off_x(m: np.ndarray) -> np.ndarray:
+    """The entries off the diagonal and anti-diagonal of a stack (..., 4, 4):
+    all zero for an X state."""
+    return m[..., _X_OFF]
+
+
+def _qubit_eigenvalues(a, d, modulus):
+    """(lower, upper) eigenvalues of Hermitian 2x2 blocks with real diagonal
+    (a, d) and off-diagonal entries of the given modulus."""
+    mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), modulus)
+    return mean - radius, mean + radius
+
+
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each of a Hermitian stack (..., d, d),
+    unchecked.  A qubit's are closed-form; so are those of a two-qubit stack
+    whose off-X entries are all exactly zero, the union of its 2x2 blocks on
+    {0, 3} and {1, 2}; any other stack goes to eigvalsh."""
+    d = m.shape[-1]
+    if d == 2:
+        lam = _qubit_eigenvalues(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1]))
+        return np.stack(lam, axis=-1)
+    if d == 4 and not _off_x(m).any():
+        diag = m.diagonal(0, -2, -1).real
+        lam = (_qubit_eigenvalues(diag[..., 0], diag[..., 3], np.abs(m[..., 0, 3]))
+               + _qubit_eigenvalues(diag[..., 1], diag[..., 2], np.abs(m[..., 1, 2])))
+        return np.sort(np.stack(lam, axis=-1), axis=-1)
+    return np.linalg.eigvalsh(m)
+
+
+def _ppt_min(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the partial transpose on the first qubit of each
+    of a Hermitian stack (..., 4, 4), unchecked.  The transpose of an X state
+    has the same 2x2 blocks with the two anti-diagonal moduli swapped, so
+    when every off-X entry is exactly zero it is not formed."""
+    if _off_x(m).any():
+        return np.linalg.eigvalsh(_partial_transpose(m, (2, 2), 0))[..., 0]
+    diag = m.diagonal(0, -2, -1).real
+    outer_lo, _ = _qubit_eigenvalues(diag[..., 0], diag[..., 3], np.abs(m[..., 1, 2]))
+    inner_lo, _ = _qubit_eigenvalues(diag[..., 1], diag[..., 2], np.abs(m[..., 0, 3]))
+    return np.minimum(outer_lo, inner_lo)
+
+
+def _entropy(m: np.ndarray):
+    """Von Neumann entropy of each of a Hermitian stack (..., d, d), unchecked."""
+    lam = np.clip(_spectrum(m), 0.0, None)
     return -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+
+
+def von_neumann_entropy(rho):
+    """-sum_i lam_i log2 lam_i with round-off negatives clamped to zero.
+
+    Raises ValueError for a non-square, non-finite or non-Hermitian matrix.
+    """
+    return _entropy(_hermitian(_mat(rho)))
 
 
 def re_correlated_coherence(rho_global, blocks: Sequence[str]):
@@ -114,9 +170,6 @@ def re_correlated_coherence(rho_global, blocks: Sequence[str]):
     return s_x + s_y - von_neumann_entropy(joint)
 
 
-_X_OFF = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
-
-
 def concurrence_x_state(rho):
     """Closed-form concurrence 2 max(0, L1, L2) for a two-qubit X state.
 
@@ -127,7 +180,7 @@ def concurrence_x_state(rho):
     m = _mat(rho)
     if m.shape[-1] != 4:
         raise ValueError(f"X-state concurrence needs a two-qubit state, dim {m.shape[-1]}")
-    worst = float(np.abs(m[..., _X_OFF]).max())
+    worst = float(np.abs(_off_x(m)).max())
     if worst > X_STATE_TOL:
         raise ValueError(
             f"not an X state: entry of modulus {worst!r} outside diagonal/anti-diagonal"
@@ -143,13 +196,15 @@ def ppt_min_eigenvalue(rho, subsystem: str):
     """Smallest eigenvalue of the partial transpose across ``subsystem``.
 
     An array ``rho`` is a two-qubit state, or a stack (..., 4, 4) of them,
-    with ``subsystem`` as its first qubit.
+    with ``subsystem`` as its first qubit.  Raises ValueError for an array
+    that is not a stack of finite Hermitian 4x4 matrices.
     """
     if isinstance(rho, DensityOperator):
-        pt = partial_transpose(rho, subsystem)
-    else:
-        pt = _partial_transpose(np.asarray(rho), (2, 2), 0)
-    return hermitian_eigenvalues(pt)[..., 0]
+        return _spectrum(partial_transpose(rho, subsystem))[..., 0]
+    m = _hermitian(rho)
+    if m.shape[-1] != 4:
+        raise ValueError(f"PPT test of an array needs a two-qubit state, dim {m.shape[-1]}")
+    return _ppt_min(m)
 
 
 def is_ppt(rho, subsystem: str):

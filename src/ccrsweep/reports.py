@@ -23,14 +23,14 @@ from .channels import ChannelKind, ChannelSpec, dilate_block
 from .linalg import SubsystemLayout, qubits
 from .measures import (
     PPT_TOL,
+    _entropy,
+    _ppt_min,
     concurrence_x_state,
     factor_marginals,
     hs_coherence,
     hs_predictability,
     linear_entropy,
-    ppt_min_eigenvalue,
     sector_decomposition,
-    von_neumann_entropy,
 )
 
 #: Amplitude of the balanced superposition; the bit flip analysis is pinned here.
@@ -201,18 +201,18 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
     m.update(zip([f"Cc_{name}" for name in names], hs_coherence(stack) - hs_first - hs_second))
     # A-B entanglement is reported as a concurrence; AB, where present, is first
     cross = int("AB" in pairs)
-    cross_min = ppt_min_eigenvalue(stack[cross:], "1st")
+    cross_min = _ppt_min(stack[cross:])
     m.update(zip([f"ppt_{name}" for name in names[cross:]], (cross_min >= -PPT_TOL).astype(float)))
     if "AB" in pairs:
         # the joint coherence of the pure global state is C_global
         local = hs_first + hs_second
         # the mutual information S(A) + S(B) - S(AB), from the marginals traced above
-        s_a, s_b = von_neumann_entropy(np.stack([firsts[0], seconds[0]]))
+        s_a, s_b = _entropy(np.stack([firsts[0], seconds[0]]))
         m.update(
             Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
             C_env=hs_coherence(pairs["EAEB"]),
             concurrence_AB=concurrence_x_state(pairs["AB"]),
-            mutual_info_AB=s_a + s_b - von_neumann_entropy(pairs["AB"]),
+            mutual_info_AB=s_a + s_b - _entropy(pairs["AB"]),
         )
     sectors = None
     if kind is ChannelKind.PDC:

@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccrsweep.linalg import DensityOperator, SubsystemLayout, outer, qubits, partial_trace
+from ccrsweep.linalg import (
+    DensityOperator,
+    SubsystemLayout,
+    _partial_transpose,
+    outer,
+    partial_trace,
+    qubits,
+)
 from ccrsweep.measures import (
+    _X_OFF,
+    _ppt_min,
+    _spectrum,
     concurrence_x_state,
     correlated_coherence_hs,
     hs_coherence,
@@ -418,3 +428,83 @@ def test_stacks_give_the_per_matrix_values(seed, n):
         assert got.keys() == want.keys()
         for labels, weight in want.items():
             assert np.abs(got[labels] - weight).max() <= 1e-15
+
+
+def x_shaped_stack(rng, n, zero):
+    """n two-qubit density matrices M M^dag / Tr: M is random on the diagonal
+    and the anti-diagonal, with the X entries that ``zero`` marks (a mask
+    over the 8 of them, row by row) set to zero, so X matrices of lower rank
+    and diagonal ones come up too; X matrices form an algebra."""
+    m = np.zeros((n, 4, 4), dtype=complex)
+    m[:, ~_X_OFF] = (rng.normal(size=(n, 8)) + 1j * rng.normal(size=(n, 8))) * ~np.array(zero)
+    m[:, 0, 0] += np.all(zero)  # never the zero matrix
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return rho / np.einsum("...ii->...", rho).real[:, np.newaxis, np.newaxis]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       zero=st.lists(st.booleans(), min_size=8, max_size=8)
+       | st.sampled_from([[False, True, False, True, True, False, True, False],
+                          [True] * 7 + [False]]))
+def test_x_state_spectra_match_eigvalsh(seed, n, zero):
+    # rank-deficient and diagonal X stacks included: the samples are a
+    # diagonal M and an M with one nonzero entry
+    rho = x_shaped_stack(np.random.default_rng(seed), n, zero)
+    assert not rho[:, _X_OFF].any()
+    assert np.abs(_spectrum(rho) - np.linalg.eigvalsh(rho)).max() <= 1e-14
+    pt = _partial_transpose(rho, (2, 2), 0)
+    assert np.abs(_ppt_min(rho) - np.linalg.eigvalsh(pt)[:, 0]).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rank=st.integers(1, 2))
+def test_qubit_spectra_match_eigvalsh(seed, n, rank):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, 2, rank)) + 1j * rng.normal(size=(n, 2, rank))
+    rho = m @ m.conj().swapaxes(-1, -2)
+    rho /= np.einsum("...ii->...", rho).real[:, np.newaxis, np.newaxis]
+    assert np.abs(_spectrum(rho) - np.linalg.eigvalsh(rho)).max() <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), leak=st.integers(0, 7),
+       size=st.sampled_from([1e-300, 1e-12, 0.1]))
+def test_non_x_stacks_get_eigvalsh_values_bit_for_bit(seed, n, leak, size):
+    # one off-X entry (and its mirror) of one matrix of the stack is nonzero
+    rng = np.random.default_rng(seed)
+    rho = x_shaped_stack(rng, n, [False] * 8)
+    i, j = np.argwhere(_X_OFF)[leak]
+    k = rng.integers(n)
+    rho[k, i, j] = rho[k, j, i] = size
+    assert _spectrum(rho).tobytes() == np.linalg.eigvalsh(rho).tobytes()
+    pt = _partial_transpose(rho, (2, 2), 0)
+    assert _ppt_min(rho).tobytes() == np.linalg.eigvalsh(pt)[:, 0].tobytes()
+    for dim in (3, 8):  # neither a qubit nor a two-qubit state
+        other = random_density(rng, dim).mat
+        assert _spectrum(other).tobytes() == np.linalg.eigvalsh(other).tobytes()
+
+
+NOT_HERMITIAN = np.array([[0.5, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5]], dtype=complex)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (NOT_HERMITIAN, "not Hermitian"),
+    (np.diag([0.5, np.nan, 0.0, 0.5]).astype(complex), "non-finite"),
+    (np.diag([0.5, np.inf, 0.0, 0.5]).astype(complex), "non-finite"),
+], ids=["not-hermitian", "nan", "inf"])
+@pytest.mark.parametrize("measure", [
+    von_neumann_entropy,
+    lambda m: ppt_min_eigenvalue(m, "A"),
+    lambda m: is_ppt(m, "A"),
+    lambda m: re_correlated_coherence(m, ("A", "B")),
+], ids=["von_neumann_entropy", "ppt_min_eigenvalue", "is_ppt", "re_correlated_coherence"])
+def test_public_spectral_measures_check_their_input(measure, bad, message):
+    # the engine calls the spectrum kernel unchecked; the public measures
+    # keep the Hermiticity and finiteness check, also on X-shaped input and
+    # on a stack whose other matrices are fine
+    with pytest.raises(ValueError, match=message):
+        measure(bad)
+    with pytest.raises(ValueError, match=message):
+        measure(np.stack([np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), bad]))

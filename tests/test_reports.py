@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from ccrsweep import reports
-from ccrsweep.channels import ChannelKind, ChannelSpec, dilate
+from ccrsweep.channels import ChannelKind, ChannelSpec, dilate, dilate_block
 from ccrsweep.linalg import check_density
-from ccrsweep.measures import factor_marginals
+from ccrsweep.measures import _off_x, factor_marginals
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
     IDENTITIES,
+    PAIRS,
     IdentityId,
     _block_columns,
+    _reduced,
     _sudden_death_bisection,
     ccr_report,
     check_identity,
@@ -189,15 +191,17 @@ class TestBlockCost:
     """Each measure runs once per block on a stack, so a block's eigen-solves
     and partial traces are few and do not depend on how many p it holds."""
 
-    #: (eigvalsh, partial traces) per block, by the kind's system qubits
-    MOST = {2: (3, 2), 1: (1, 2)}
+    #: eigvalsh calls per block: the X-shaped pair stacks of amplitude
+    #: damping and bit flip and every qubit marginal have closed-form
+    #: spectra, so only the phase-damping cross pairs and the one-qubit
+    #: kinds' A-E_A pair are solved, once per block
+    EIGVALSH = {ChannelKind.ADC: 0, ChannelKind.CADC: 0, ChannelKind.BFC: 0, ChannelKind.PDC: 1,
+                ChannelKind.PFC: 1, ChannelKind.BPFC: 1, ChannelKind.DC: 1}
+    #: partial traces per block, for every kind
+    MOST_TRACES = 2
 
-    @pytest.mark.parametrize(
-        "kind, mu", [(kind, 1.0 if kind is ChannelKind.CADC else 0.0) for kind in ChannelKind]
-        + [(ChannelKind.CADC, 0.0)],
-        ids=lambda v: getattr(v, "value", f"mu={v}"),
-    )
-    def test_calls_per_block(self, monkeypatch, kind, mu):
+    @staticmethod
+    def counting(monkeypatch) -> dict:
         from ccrsweep import linalg, measures
 
         counts = {}
@@ -212,15 +216,30 @@ class TestBlockCost:
         trace = counted("partial_trace", linalg._partial_trace)
         for module in (linalg, measures):  # measures binds the name on import
             monkeypatch.setattr(module, "_partial_trace", trace)
+        return counts
+
+    @pytest.mark.parametrize(
+        "kind, mu", [(kind, 1.0 if kind is ChannelKind.CADC else 0.0) for kind in ChannelKind]
+        + [(ChannelKind.CADC, 0.0)],
+        ids=lambda v: getattr(v, "value", f"mu={v}"),
+    )
+    def test_calls_per_block(self, monkeypatch, kind, mu):
+        counts = self.counting(monkeypatch)
         per_block = []
-        for n in (1, 101):
+        for ps in (np.array([0.5]), np.linspace(0.0, 1.0, 101)):
             counts.clear()
-            _block_columns(kind, mu, 0.5, np.linspace(0.0, 1.0, n))
+            _block_columns(kind, mu, 0.5, ps)
             per_block.append(dict(counts))
         assert per_block[0] == per_block[1]
-        most_eig, most_trace = self.MOST[kind.n_system_qubits]
-        assert 0 < per_block[0]["eigvalsh"] <= most_eig
-        assert 0 < per_block[0]["partial_trace"] <= most_trace
+        assert per_block[0].get("eigvalsh", 0) == self.EIGVALSH[kind]
+        assert 0 < per_block[0]["partial_trace"] <= self.MOST_TRACES
+
+    def test_undephased_cross_pairs_are_solved_in_closed_form(self, monkeypatch):
+        # at p = 0 phase damping has not yet touched the environment, so its
+        # cross pairs are X-shaped too and the block makes no eigen-solve
+        counts = self.counting(monkeypatch)
+        _block_columns(ChannelKind.PDC, 0.0, 0.5, np.array([0.0]))
+        assert "eigvalsh" not in counts
 
 
 class TestSuddenDeath:
@@ -359,6 +378,30 @@ def test_bisection_pairs_are_density_matrices(x):
         ab = call.args[0]
         assert ab.shape == (65, 4, 4)
         check_density(ab)
+
+
+#: Pairs whose off-X entries the engine's closed-form spectra rely on being
+#: exactly zero, by (kind, mu): every pair of amplitude damping and bit flip,
+#: and phase damping's A-B pair (its cross pairs take the eigvalsh path).
+X_SHAPED_PAIRS = [(ChannelKind.ADC, 0.0, tuple(PAIRS)), (ChannelKind.CADC, 0.0, tuple(PAIRS)),
+                  (ChannelKind.CADC, 1.0, tuple(PAIRS)), (ChannelKind.BFC, 0.0, tuple(PAIRS)),
+                  (ChannelKind.PDC, 0.0, ("AB",))]
+
+
+@pytest.mark.parametrize("kind, mu, names", X_SHAPED_PAIRS,
+                         ids=["adc", "cadc-mu0", "cadc-mu1", "bfc", "pdc-AB"])
+@pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, INV_SQRT2, 1.0])
+def test_x_shaped_pairs_have_exactly_zero_off_x_entries(kind, mu, names, x):
+    # p at and next to the ends of [0, 1], where round-off could leave an
+    # off-X entry a denormal away from zero; bit flip at every x, not only
+    # at the pinned 1/sqrt(2)
+    ps = np.array([0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0])
+    psi, sys_layout = initial_state(kind, x)
+    amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
+    stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
+    off_x = _off_x(stack)
+    assert off_x.shape == (len(names), len(ps), 8)
+    assert np.all(off_x == 0.0)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0])

@@ -10,10 +10,8 @@ entanglement-redistribution identities they obey are verified numerically.
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
-    hermitian_eigenvalues,
     outer,
     partial_trace,
-    partial_transpose,
     qubits,
     state_vector,
 )
@@ -44,7 +42,6 @@ from .reports import (
     CCRReport,
     IdentityId,
     ccr_report,
-    check_identity,
     initial_state,
     sudden_death_point,
 )
@@ -65,12 +62,10 @@ __all__ = [
     "SweepConfig",
     "apply_kraus",
     "ccr_report",
-    "check_identity",
     "concurrence_x_state",
     "correlated_coherence_hs",
     "dilate",
     "emit",
-    "hermitian_eigenvalues",
     "hs_coherence",
     "hs_predictability",
     "initial_state",
@@ -80,7 +75,6 @@ __all__ = [
     "outer",
     "ppt_min_eigenvalue",
     "partial_trace",
-    "partial_transpose",
     "qubits",
     "re_correlated_coherence",
     "sector_decomposition",

@@ -104,7 +104,6 @@ class KrausSet:
     """
 
     operators: np.ndarray
-    source: ChannelSpec
 
     def __post_init__(self):
         if len(self.operators) == 0:
@@ -270,7 +269,7 @@ def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
 def kraus_set(spec: ChannelSpec) -> KrausSet:
     """Kraus operators K_e = <e|U|0>_E: the pruned one-p slice of :func:`_kraus_stack`."""
     ops = _kraus_stack(spec.kind, np.array([spec.p]), spec.mu)[0]
-    return KrausSet(ops[np.linalg.norm(ops, axis=(1, 2)) >= PRUNE_TOL], spec)
+    return KrausSet(ops[np.linalg.norm(ops, axis=(1, 2)) >= PRUNE_TOL])
 
 
 def _operator_sums(ops: np.ndarray, rhos: np.ndarray | None = None):

@@ -122,15 +122,15 @@ def sweep_table(cfg: SweepConfig) -> Table:
     n = len(ps)
     table = []
     for kind, mu, x in _blocks(cfg, cfg.x_values):
-        x, m, residuals, *_ = _block_columns(kind, mu, x, ps)
-        headline = APPLICABLE_IDENTITIES[kind][0]
-        in_domain = np.broadcast_to(IDENTITIES[headline].domain(kind, mu, x, ps), n)
+        x, m, *_ = _block_columns(kind, mu, x, ps)
+        headline = IDENTITIES[APPLICABLE_IDENTITIES[kind][0]]
+        in_domain = np.broadcast_to(headline.domain(kind, mu, x, ps), n)
         block = {"channel": [kind.value] * n, "mu": [mu] * n, "x": [x] * n, "p": ps.tolist()}
         block.update({name: m[name].tolist() if name in m else [None] * n
                       for name in CSV_COLUMNS[4:-2]})
-        block["residual_ccr"] = residuals[IdentityId.CCR_UNIVERSAL].tolist()
+        block["residual_ccr"] = IDENTITIES[IdentityId.CCR_UNIVERSAL].residual(m).tolist()
         block["residual_channel_identity"] = [
-            r if ok else None for r, ok in zip(residuals[headline].tolist(), in_domain.tolist())]
+            r if ok else None for r, ok in zip(headline.residual(m).tolist(), in_domain.tolist())]
         table.append(block)
     return table
 
@@ -219,6 +219,9 @@ CHECKS: dict[str, Identity] = {
         tuple(_TWO_QUBIT_KINDS), lambda m: abs(m["sector_total"] - m["C_global"])),
 }
 
+#: Every row verify checks, by name: IDENTITIES, then CHECKS.
+ROWS: dict[str, Identity] = {ident.value: row for ident, row in IDENTITIES.items()} | CHECKS
+
 
 def _state_columns(m: dict, pairs: dict, cross_min: np.ndarray, amplitudes: np.ndarray,
                    layout: SubsystemLayout, sectors: dict | None) -> dict:
@@ -226,7 +229,7 @@ def _state_columns(m: dict, pairs: dict, cross_min: np.ndarray, amplitudes: np.n
     cross pairs' smallest partial-transpose eigenvalues and dilated states;
     ``sectors`` are the engine's sector weights where it decomposed the
     block (phase damping), None where the states are decomposed here."""
-    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & is_ppt(pairs["AB"], "A")
+    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & is_ppt(pairs["AB"])
     if sectors is None:
         sectors = sector_decomposition(amplitudes, layout)
     return {
@@ -237,20 +240,19 @@ def _state_columns(m: dict, pairs: dict, cross_min: np.ndarray, amplitudes: np.n
 
 
 def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
-    """Every row of IDENTITIES and CHECKS, on the points of its domain, over
-    one block per (channel, x) for the grid's x values and every tenth of x."""
+    """Every row of ROWS, on the points of its domain, over one block per
+    (channel, x) for the grid's x values and every tenth of x."""
     ps = cfg.p_grid()
     for kind, mu, x in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
-        x, m, residuals, amplitudes, layout, pairs, cross_min, sectors = _block_columns(
-            kind, mu, x, ps)
+        x, m, amplitudes, layout, pairs, cross_min, sectors = _block_columns(kind, mu, x, ps)
         m = {**m, "p": ps}
         if kind.n_system_qubits == 2:
             m.update(_state_columns(m, pairs, cross_min, amplitudes, layout, sectors))
-        rows = [(ident.value, IDENTITIES[ident], r) for ident, r in residuals.items()]
-        rows += [(name, row, row.residual(m)) for name, row in CHECKS.items() if kind in row.kinds]
-        for name, row, values in rows:
+        for name, row in ROWS.items():
+            if kind not in row.kinds:
+                continue
             at = np.flatnonzero(np.broadcast_to(row.domain(kind, mu, x, ps), len(ps)))
-            t.track(name, np.broadcast_to(values, len(ps))[at],
+            t.track(name, np.broadcast_to(row.residual(m), len(ps))[at],
                     lambda i: f"{kind.value} x={x:g} p={ps[at[i]]:g}")
 
 
@@ -304,11 +306,10 @@ def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:
 
 
 def _unreached(cfg: SweepConfig, tracked) -> list[str]:
-    """Rows of IDENTITIES and CHECKS not in ``tracked`` that have domain points
-    for a configured (kind, mu) on the default grid, which reaches every row."""
+    """Rows of ROWS not in ``tracked`` that have domain points for a
+    configured (kind, mu) on the default grid, which reaches every row."""
     full = SweepConfig(channels=cfg.channels, mu=cfg.mu)
-    rows = {ident.value: row for ident, row in IDENTITIES.items()} | CHECKS
-    return [name for name, row in rows.items() if name not in tracked and any(
+    return [name for name, row in ROWS.items() if name not in tracked and any(
         kind in row.kinds and np.any(row.domain(kind, mu, x, full.p_grid()))
         for kind, mu, x in _blocks(full, set(full.x_values) | set(TENTHS)))]
 
@@ -365,7 +366,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; blank lines and #-comments ignored."""
+    """Flat key=value lines, each key at most once; blank lines and
+    #-comments ignored."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -375,7 +377,10 @@ def read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            values[key] = value.strip()
     return values
 
 
@@ -408,20 +413,34 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         if flag_value is not None:
             given[name] = flag_value
         elif key in file_values:
-            given[name] = convert(file_values[key])
+            try:
+                given[name] = convert(file_values[key])
+            except _OptionError:  # its message already names the key
+                raise
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return SweepConfig(**given)
 
 
+class _Once(argparse.Action):
+    """Store a flag's value; a second occurrence is an error, not an override."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"argument {option_string}: given twice")
+        setattr(namespace, self.dest, values)
+
+
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--channels", type=_parse_channels, metavar="adc,cadc,...",
-                        help="comma-separated channel kinds (default: all)")
-    parser.add_argument("--x", type=_parse_floats, metavar="0.5,0.7071,...",
+    parser.add_argument("--channels", action=_Once, type=_parse_channels,
+                        metavar="adc,cadc,...", help="comma-separated channel kinds (default: all)")
+    parser.add_argument("--x", action=_Once, type=_parse_floats, metavar="0.5,0.7071,...",
                         help="comma-separated initial-state amplitudes x")
-    parser.add_argument("--p-start", dest="p_start", type=float)
-    parser.add_argument("--p-stop", dest="p_stop", type=float)
-    parser.add_argument("--p-count", dest="p_count", type=int)
-    parser.add_argument("--mu", type=float, help="CADC memory weight (0 or 1)")
-    parser.add_argument("--config", help="flat key=value config file; flags win")
+    parser.add_argument("--p-start", action=_Once, dest="p_start", type=float)
+    parser.add_argument("--p-stop", action=_Once, dest="p_stop", type=float)
+    parser.add_argument("--p-count", action=_Once, dest="p_count", type=int)
+    parser.add_argument("--mu", action=_Once, type=float, help="CADC memory weight (0 or 1)")
+    parser.add_argument("--config", action=_Once, help="flat key=value config file; flags win")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -433,12 +452,13 @@ def main(argv: list[str] | None = None) -> int:
 
     sweep_p = sub.add_parser("sweep", help="evaluate a grid and write CSV/JSON")
     _add_grid_flags(sweep_p)
-    sweep_p.add_argument("--format", choices=("csv", "json"))
-    sweep_p.add_argument("--out", help="output file path")
+    sweep_p.add_argument("--format", action=_Once, choices=("csv", "json"))
+    sweep_p.add_argument("--out", action=_Once, help="output file path")
 
     verify_p = sub.add_parser("verify", help="run the identity/invariant suite")
     _add_grid_flags(verify_p)
-    verify_p.add_argument("--tolerance", type=float, help="residual bound (default 1e-10)")
+    verify_p.add_argument("--tolerance", action=_Once, type=float,
+                          help="residual bound (default 1e-10)")
 
     args = parser.parse_args(argv)
     try:

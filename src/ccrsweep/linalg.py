@@ -1,11 +1,11 @@
 """Dense complex linear algebra over labeled tensor-product spaces.
 
 States and operators are plain numpy arrays; a :class:`SubsystemLayout` names
-the tensor factors so that partial traces and partial transpositions can be
-requested by subsystem label instead of raw index arithmetic.  The basis
-convention throughout is the computational product basis ordered with the
-leftmost label as the most significant digit, i.e. for a layout (A, B) of two
-qubits the basis is |00>, |01>, |10>, |11> with A's bit first.
+the tensor factors so that partial traces can be requested by subsystem label
+instead of raw index arithmetic.  The basis convention throughout is the
+computational product basis ordered with the leftmost label as the most
+significant digit, i.e. for a layout (A, B) of two qubits the basis is |00>,
+|01>, |10>, |11> with A's bit first.
 
 Everything here is immutable after construction and all operations are pure
 functions, so values can be shared freely between concurrent workers.
@@ -147,6 +147,10 @@ class DensityOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    def __array__(self, dtype=None, copy=None):
+        """The matrix: numpy and the measures read a density operator as an array."""
+        return np.array(self.mat, dtype=dtype, copy=copy)
+
 
 def outer(psi, layout: SubsystemLayout) -> DensityOperator:
     """Rank-1 projector |psi><psi| as a density operator on ``layout``."""
@@ -195,19 +199,6 @@ def _partial_transpose(mats: np.ndarray, dims: Sequence[int], i: int) -> np.ndar
     return np.swapaxes(t, i - 2 * n, i - n).reshape(mats.shape)
 
 
-def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
-    """Transpose the indices of one factor only.
-
-    Returns a bare matrix (the result of transposing an entangled state need
-    not be positive, so it is not a density operator).  Applying the same
-    transposition twice restores the input.
-    """
-    i = rho.layout.position(subsystem)
-    out = np.ascontiguousarray(_partial_transpose(rho.mat, rho.layout.dims, i))
-    out.setflags(write=False)
-    return out
-
-
 def _hermitian(m) -> np.ndarray:
     """``m`` as a complex array, after checking that it is a square matrix or
     a stack (..., d, d) of them, finite and Hermitian to ``HERMITIAN_TOL``."""
@@ -217,12 +208,3 @@ def _hermitian(m) -> np.ndarray:
     _check_hermitian(m)
     return m
 
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix, or per matrix of a
-    stack (..., d, d).
-
-    Raises ValueError for non-square input, a non-finite entry or a
-    Hermiticity defect above ``HERMITIAN_TOL``.
-    """
-    return np.linalg.eigvalsh(_hermitian(m))

@@ -1,7 +1,8 @@
 """Coherence, predictability, entropy, correlation and entanglement measures.
 
-All coherence-type quantities are evaluated in the fixed computational
-product basis of the operator's layout.  Entropies use log base 2.
+Every measure takes a matrix or a stack (..., d, d) of them, as anything numpy
+reads as an array (a DensityOperator too), and gives one value per matrix.
+Coherences are taken in the computational product basis; entropies in bits.
 """
 
 from __future__ import annotations
@@ -10,16 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    DensityOperator,
-    SubsystemLayout,
-    _hermitian,
-    _partial_trace,
-    _partial_transpose,
-    check_norms,
-    partial_trace,
-    partial_transpose,
-)
+from .linalg import SubsystemLayout, _hermitian, _partial_trace, _partial_transpose, check_norms
 
 #: The largest off-X modulus :func:`concurrence_x_state` accepts as round-off.
 X_STATE_TOL = 1e-12
@@ -28,17 +20,9 @@ X_STATE_TOL = 1e-12
 PPT_TOL = 1e-10
 
 
-def _mat(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
-
-
 def hs_coherence(rho):
-    """Hilbert-Schmidt (l2) coherence: sum of squared off-diagonal moduli.
-
-    Like every measure here, it takes a DensityOperator or a stack of
-    matrices (..., d, d), and a stack gives one value per matrix.
-    """
-    abs2 = np.abs(_mat(rho)) ** 2
+    """Hilbert-Schmidt (l2) coherence: sum of squared off-diagonal moduli."""
+    abs2 = np.abs(np.asarray(rho)) ** 2
     d = abs2.shape[-1]
     flat = abs2.reshape(abs2.shape[:-2] + (d * d,))
     flat[..., :: d + 1] = 0.0  # the diagonal
@@ -47,7 +31,7 @@ def hs_coherence(rho):
 
 def hs_predictability(rho):
     """Population imbalance sum_j rho_jj^2 - 1/d."""
-    m = _mat(rho)
+    m = np.asarray(rho)
     diag = m.diagonal(0, -2, -1).real
     return (diag**2).sum(axis=-1) - 1.0 / m.shape[-1]
 
@@ -55,17 +39,16 @@ def hs_predictability(rho):
 def linear_entropy(rho):
     """1 - Tr rho^2: mixedness, and for a subsystem of a pure global state
     its correlation with everything else."""
-    m = _mat(rho)
+    m = np.asarray(rho)
     return 1.0 - np.einsum("...ij,...ji->...", m, m).real
 
 
-def _joint(rho, blocks: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The joint state of ``blocks`` and its factor dimensions: traced from a
-    DensityOperator, or ``rho`` itself, a stack of states of those qubits."""
-    if isinstance(rho, DensityOperator):
-        joint = partial_trace(rho, blocks)
-        return joint.mat, joint.layout.dims
-    return np.asarray(rho), (2,) * len(blocks)
+def _joint_state(joint, blocks: Sequence[str]) -> np.ndarray:
+    """``joint`` as an array, checked to have the dimension of the ``blocks`` qubits."""
+    m, d = np.asarray(joint), 2 ** len(blocks)
+    if m.ndim < 2 or m.shape[-1] != d:
+        raise ValueError(f"{len(blocks)} blocks need a state of dimension {d}, got shape {m.shape}")
+    return m
 
 
 def factor_marginals(joint: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
@@ -74,22 +57,20 @@ def factor_marginals(joint: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]
     return [_partial_trace(joint, dims, [k]) for k in range(len(dims))]
 
 
-def correlated_coherence_hs(rho_global, blocks: Sequence[str]):
-    """Joint coherence of the named subsystems minus their local coherences.
+def correlated_coherence_hs(joint, blocks: Sequence[str]):
+    """Joint coherence of the named qubits minus their local coherences.
 
-    ``blocks`` is a sequence of single subsystem labels; the joint reduced
-    state over all of them is compared against each one-label marginal,
-    traced from the joint, so passing the joint reduced state is free.  Two
-    blocks give the usual bipartite correlated coherence; more blocks
-    subtract every single-label local coherence from the joint one.  An
-    array ``rho_global`` is taken as that joint state of the ``blocks``
-    qubits, in their order, or a stack of them.
+    ``joint`` is the state of the ``blocks`` qubits, in their order, or a
+    stack of them; it is compared against each one-qubit marginal, traced
+    from it.  Two blocks give the usual bipartite correlated coherence; more
+    blocks subtract every local coherence from the joint one.  Raises
+    ValueError when the dimension of ``joint`` is not 2**len(blocks).
     """
     if len(blocks) == 0:
         raise ValueError("correlated coherence needs at least one block")
-    joint, dims = _joint(rho_global, blocks)
+    joint = _joint_state(joint, blocks)
     total = hs_coherence(joint)
-    for marginal in factor_marginals(joint, dims):
+    for marginal in factor_marginals(joint, (2,) * len(blocks)):
         total = total - hs_coherence(marginal)
     return total
 
@@ -152,21 +133,20 @@ def von_neumann_entropy(rho):
 
     Raises ValueError for a non-square, non-finite or non-Hermitian matrix.
     """
-    return _entropy(_hermitian(_mat(rho)))
+    return _entropy(_hermitian(rho))
 
 
-def re_correlated_coherence(rho_global, blocks: Sequence[str]):
-    """Relative-entropy correlated coherence of two subsystems.
+def re_correlated_coherence(joint, blocks: Sequence[str]):
+    """Relative-entropy correlated coherence of two qubits.
 
     Basis independent and equal to the quantum mutual information
-    S(X) + S(Y) - S(XY); only defined here for exactly two blocks.  The
-    marginals are traced from the joint, so passing the joint state, or a
-    stack of them as in :func:`correlated_coherence_hs`, is free.
+    S(X) + S(Y) - S(XY); only defined here for exactly two blocks.
+    ``joint`` is read as in :func:`correlated_coherence_hs`.
     """
     if len(blocks) != 2:
         raise ValueError(f"expected exactly two blocks, got {len(blocks)}")
-    joint, dims = _joint(rho_global, blocks)
-    s_x, s_y = von_neumann_entropy(np.stack(factor_marginals(joint, dims)))
+    joint = _joint_state(joint, blocks)
+    s_x, s_y = von_neumann_entropy(np.stack(factor_marginals(joint, (2, 2))))
     return s_x + s_y - von_neumann_entropy(joint)
 
 
@@ -177,7 +157,7 @@ def concurrence_x_state(rho):
     Raises ValueError when a matrix is not X-shaped (the formula would be
     silently wrong), naming the largest off-X modulus of the stack.
     """
-    m = _mat(rho)
+    m = np.asarray(rho)
     if m.shape[-1] != 4:
         raise ValueError(f"X-state concurrence needs a two-qubit state, dim {m.shape[-1]}")
     worst = float(np.abs(_off_x(m)).max())
@@ -192,25 +172,19 @@ def concurrence_x_state(rho):
     return 2.0 * np.where(lam > 0.0, lam, 0.0)
 
 
-def ppt_min_eigenvalue(rho, subsystem: str):
-    """Smallest eigenvalue of the partial transpose across ``subsystem``.
-
-    An array ``rho`` is a two-qubit state, or a stack (..., 4, 4) of them,
-    with ``subsystem`` as its first qubit.  Raises ValueError for an array
-    that is not a stack of finite Hermitian 4x4 matrices.
-    """
-    if isinstance(rho, DensityOperator):
-        return _spectrum(partial_transpose(rho, subsystem))[..., 0]
+def ppt_min_eigenvalue(rho):
+    """Smallest eigenvalue of the partial transpose (on either qubit: the
+    spectrum is the same) of a two-qubit state or of each of a stack
+    (..., 4, 4).  Raises ValueError unless the input is finite, Hermitian, 4x4."""
     m = _hermitian(rho)
     if m.shape[-1] != 4:
-        raise ValueError(f"PPT test of an array needs a two-qubit state, dim {m.shape[-1]}")
+        raise ValueError(f"PPT test needs a two-qubit state, dim {m.shape[-1]}")
     return _ppt_min(m)
 
 
-def is_ppt(rho, subsystem: str):
-    """Positivity of the partial transpose across ``subsystem`` vs the rest,
-    up to ``PPT_TOL``; ``rho`` as in :func:`ppt_min_eigenvalue`."""
-    return ppt_min_eigenvalue(rho, subsystem) >= -PPT_TOL
+def is_ppt(rho):
+    """Whether the partial transpose is positive: ``ppt_min_eigenvalue(rho) >= -PPT_TOL``."""
+    return ppt_min_eigenvalue(rho) >= -PPT_TOL
 
 
 def sector_decomposition(psi, layout: SubsystemLayout) -> dict[frozenset[str], np.ndarray]:

@@ -225,15 +225,13 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
 
 def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     """One (kind, mu, x) block over the noise values ``ps``, evaluated as one
-    stack: the x evaluated (see :func:`ccr_report`), the measure and
-    identity-residual columns, the dilated amplitudes (P, dim), their layout,
-    and the pair stacks, cross-pair partial-transpose minima and sector
-    weights that :func:`_measure_columns` used.  The input state and the
-    dilated amplitudes are checked (by :func:`dilate_block`); each state
-    reduced from them is M M^dag of normalized amplitudes, a density matrix
-    by construction, and is not checked again.  Every identity of the kind
-    gets a residual, also where the point lies outside the identity's
-    domain."""
+    stack: the x evaluated (see :func:`ccr_report`), the measure columns, the
+    dilated amplitudes (P, dim), their layout, and the pair stacks, cross-pair
+    partial-transpose minima and sector weights the measures were taken on.
+    The input state and the dilated amplitudes are checked (by
+    :func:`dilate_block`); each state reduced from them is M M^dag of
+    normalized amplitudes, a density matrix by construction, and is not
+    checked again.  Each reader evaluates the rows of IDENTITIES it reads."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     if kind is ChannelKind.BFC:
@@ -243,12 +241,7 @@ def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
     initial = _reduced(psi[np.newaxis], sys_layout, ("A",))[0]
     measures, pairs, cross_min, sectors = _measure_columns(kind, amplitudes, layout, initial)
-    residuals = {
-        ident: row.residual(measures)
-        for ident, row in IDENTITIES.items()
-        if kind in row.kinds
-    }
-    return x, measures, residuals, amplitudes, layout, pairs, cross_min, sectors
+    return x, measures, amplitudes, layout, pairs, cross_min, sectors
 
 
 def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
@@ -259,24 +252,11 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
     is formulated for.
     """
-    x, measures, residuals, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
-
-    def row(columns: dict) -> dict:
-        return {name: float(v[0]) if np.ndim(v) else float(v) for name, v in columns.items()}
-
-    return CCRReport(spec, x, row(measures), row(residuals))
-
-
-def check_identity(identity: IdentityId, report: CCRReport) -> float:
-    """Residual |LHS - RHS| of one identity, from the report's measures.
-
-    Raises ValueError when the identity does not apply to the report's
-    channel kind.
-    """
-    row, kind = IDENTITIES[identity], report.channel.kind
-    if kind not in row.kinds:
-        raise ValueError(f"{identity.value} does not apply to {kind.value}")
-    return row.residual(report.measures)
+    x, columns, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
+    measures = {name: float(v[0]) if np.ndim(v) else float(v) for name, v in columns.items()}
+    residuals = {ident: row.residual(measures) for ident, row in IDENTITIES.items()
+                 if spec.kind in row.kinds}
+    return CCRReport(spec, x, measures, residuals)
 
 
 def _sudden_death_bisection(x: float) -> float:

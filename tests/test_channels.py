@@ -233,11 +233,11 @@ class TestKrausSet:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            KrausSet((), ChannelSpec(ChannelKind.ADC, 0.1))
+            KrausSet(())
 
     def test_operators_are_one_read_only_copy(self):
         k = np.eye(2, dtype=complex)
-        ks = KrausSet((k, 0.0 * k), ChannelSpec(ChannelKind.PFC, 0.0))
+        ks = KrausSet((k, 0.0 * k))
         assert k.flags.writeable
         assert ks.operators.shape == (2, 2, 2)
         assert not ks.operators.flags.writeable
@@ -251,19 +251,19 @@ class TestKrausSet:
     )
     def test_operators_must_be_square_and_same_dimensional(self, operators):
         with pytest.raises(ValueError, match="square"):
-            KrausSet(operators, ChannelSpec(ChannelKind.PFC, 0.0))
+            KrausSet(operators)
 
 
 class TestValidateKraus:
     def test_identity_set(self):
-        ks = KrausSet((np.eye(2),), ChannelSpec(ChannelKind.PFC, 0.0))
+        ks = KrausSet((np.eye(2),))
         assert validate_kraus(ks) == 0.0
 
     def test_adc_completeness(self):
         assert validate_kraus(kraus_set(ChannelSpec(ChannelKind.ADC, 0.3))) <= 1e-15
 
     def test_scaled_identity_defect(self):
-        ks = KrausSet((0.9 * np.eye(2),), ChannelSpec(ChannelKind.PFC, 0.0))
+        ks = KrausSet((0.9 * np.eye(2),))
         assert validate_kraus(ks) == pytest.approx(0.19, abs=1e-15)
 
 
@@ -278,19 +278,19 @@ class TestApplyKraus:
     def test_identity_set_is_noop(self):
         psi, lay = system_state(ChannelKind.PFC, 0.8)
         rho = outer(psi, lay)
-        ks = KrausSet((np.eye(2),), ChannelSpec(ChannelKind.PFC, 0.0))
+        ks = KrausSet((np.eye(2),))
         out = apply_kraus(rho, ks)
         assert np.abs(out.mat - rho.mat).max() == 0.0
 
     def test_incomplete_set_rejected(self):
         psi, lay = system_state(ChannelKind.PFC, 0.8)
-        ks = KrausSet((0.9 * np.eye(2),), ChannelSpec(ChannelKind.PFC, 0.0))
+        ks = KrausSet((0.9 * np.eye(2),))
         with pytest.raises(ValueError, match="incomplete"):
             apply_kraus(outer(psi, lay), ks)
 
     def test_dimension_mismatch_rejected(self):
         psi, lay = system_state(ChannelKind.ADC, 0.5)
-        ks = KrausSet((np.eye(2),), ChannelSpec(ChannelKind.PFC, 0.0))
+        ks = KrausSet((np.eye(2),))
         with pytest.raises(ValueError, match="dimension"):
             apply_kraus(outer(psi, lay), ks)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ccrsweep.channels import ChannelKind, ChannelSpec
-from ccrsweep.linalg import hermitian_eigenvalues, outer, partial_trace, partial_transpose
+from ccrsweep.linalg import outer, partial_trace
 from ccrsweep.measures import correlated_coherence_hs, is_ppt, sector_decomposition
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
@@ -126,12 +126,14 @@ class TestRunSweep:
         ps = cfg.p_grid()
         rows, worst = 0, {}
         for kind, mu, x in _blocks(cfg, cfg.x_values):
-            x, _, residuals, *_ = _block_columns(kind, mu, x, ps)
+            x, m, *_ = _block_columns(kind, mu, x, ps)
             rows += len(ps)
-            for ident, residual in residuals.items():
-                at = np.broadcast_to(IDENTITIES[ident].domain(kind, mu, x, ps), len(ps))
+            for ident, row in IDENTITIES.items():
+                if kind not in row.kinds:
+                    continue
+                at = np.broadcast_to(row.domain(kind, mu, x, ps), len(ps))
                 if at.any():
-                    in_domain = np.broadcast_to(residual, len(ps))[at]
+                    in_domain = np.broadcast_to(row.residual(m), len(ps))[at]
                     worst[ident] = max(worst.get(ident, 0.0), float(in_domain.max()))
         assert rows == 31031
         assert set(worst) == set(IdentityId)
@@ -430,22 +432,23 @@ class TestTracker:
 @pytest.mark.parametrize("x", [0.0, 0.3, INV_SQRT2, 1.0])
 def test_state_columns_match_the_per_point_route(kind, x):
     # reference: each dilated state as a DensityOperator, its pairs by
-    # partial_trace, PPT by partial_transpose and an eigensolve per matrix
+    # partial_trace, PPT by a transpose written here and an eigensolve per matrix
     mu = 1.0 if kind is ChannelKind.CADC else 0.0
     ps = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
-    x, m, _, amplitudes, layout, pairs, cross_min, sectors = _block_columns(kind, mu, x, ps)
+    x, m, amplitudes, layout, pairs, cross_min, sectors = _block_columns(kind, mu, x, ps)
     columns = _state_columns(m, pairs, cross_min, amplitudes, layout, sectors)
     for i, psi in enumerate(amplitudes):
         rho_g = outer(psi, layout)
         cc_abe = correlated_coherence_hs(rho_g, ("A", "B", "E_A", "E_B"))
         assert abs(m["Cc_ABE"][i] - cc_abe) <= 1e-14
         rho_ab = partial_trace(rho_g, PAIRS["AB"])
-        entangled_but_ppt = m["concurrence_AB"][i] > 1e-10 and is_ppt(rho_ab, "A")
+        entangled_but_ppt = m["concurrence_AB"][i] > 1e-10 and is_ppt(rho_ab)
         assert columns["entangled_but_ppt"][i] == float(entangled_but_ppt)
         defect = 0.0
         for name in ("AEA", "AEB", "EAEB"):
-            rho = partial_trace(rho_g, PAIRS[name])
-            lam = hermitian_eigenvalues(partial_transpose(rho, PAIRS[name][0]))[0]
+            # the transpose on the pair's first qubit: (a, b, a', b') -> (a', b, a, b')
+            pt = partial_trace(rho_g, PAIRS[name]).mat.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3)
+            lam = np.linalg.eigvalsh(pt.reshape(4, 4))[0]
             defect = max(defect, -float(lam))
         assert abs(columns["cross_ppt_defect"][i] - defect) <= 1e-14
         total = sum(sector_decomposition(psi, layout).values())
@@ -627,6 +630,43 @@ class TestMain:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("just some text\n")
         assert main(["verify", "--config", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("p_count=abc", "error: p_count: invalid literal for int() with base 10: 'abc'"),
+        ("mu=x", "error: mu: could not convert string to float: 'x'"),
+        # the list parsers name their key already; it is not named twice
+        ("x=0.5,abc", "error: x: could not convert string to float: 'abc'"),
+        ("channels=adc,warp", "error: channels: unknown channel 'warp'"),
+    ], ids=["p_count", "mu", "x", "channels"])
+    def test_config_file_bad_value_names_its_key(self, tmp_path, capsys, line, message):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(line + "\n")
+        assert main(["verify", "--config", str(cfg_file)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_file_repeated_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("channels=pfc\np_count=3\n# again\np_count=5\n")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert f"{cfg_file}:4: key 'p_count' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep", ["--x", "0.5", "--x", "0.6"]),
+        ("sweep", ["--format", "csv", "--format", "json"]),
+        ("verify", ["--p-count", "3", "--p-count", "5"]),
+    ], ids=["x", "format", "p_count"])
+    def test_repeated_flag(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "rows.csv"
+        argv = [command, "--channels", "pfc", *flags]
+        if command == "sweep":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flags[0]}: given twice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBuildConfigDefaults:

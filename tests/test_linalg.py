@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 from ccrsweep.linalg import (
     DensityOperator,
     SubsystemLayout,
+    _partial_transpose,
     check_density,
     check_norms,
-    hermitian_eigenvalues,
     outer,
     partial_trace,
-    partial_transpose,
     qubits,
     state_vector,
 )
-from ccrsweep.measures import linear_entropy
+from ccrsweep.measures import _spectrum, linear_entropy, ppt_min_eigenvalue, von_neumann_entropy
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -113,7 +112,7 @@ class TestStackedChecks:
         with pytest.raises(ValueError, match="non-finite"):
             check_density(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="non-finite"):
-            hermitian_eigenvalues(np.array([[1.0, np.inf], [0.0, 0.0]]))
+            von_neumann_entropy(np.array([[1.0, np.inf], [0.0, 0.0]]))
 
     @pytest.mark.parametrize(
         "mat",
@@ -121,7 +120,7 @@ class TestStackedChecks:
          [[0.5, complex(0, np.inf)], [complex(0, -np.inf), 0.5]]],
         ids=["diagonal", "symmetric", "imaginary"],
     )
-    @pytest.mark.parametrize("check", [check_density, hermitian_eigenvalues])
+    @pytest.mark.parametrize("check", [check_density, von_neumann_entropy])
     def test_infinity_meeting_infinity_rejected_without_warning(self, check, mat):
         # inf - inf in the Hermiticity defect must not surface as a
         # RuntimeWarning (an error under this suite's warning filter)
@@ -149,11 +148,12 @@ class TestStackedChecks:
             check_norms(np.array([[1.0, 0.0], [1.0, 1.0], [0.6, 0.8]]))
 
     def test_stacked_eigenvalues(self):
+        # a checked spectral measure of a stack is that of each matrix alone
         rng = np.random.default_rng(5)
         mats = np.stack([random_density(rng, 4).mat for _ in range(3)])
-        got = hermitian_eigenvalues(mats)
-        for lam, m in zip(got, mats):
-            assert np.array_equal(lam, hermitian_eigenvalues(m))
+        got = von_neumann_entropy(mats)
+        for value, m in zip(got, mats):
+            assert np.array_equal(value, von_neumann_entropy(m))
 
 
 class TestPartialTrace:
@@ -216,59 +216,66 @@ class TestPartialTrace:
 
 
 class TestPartialTranspose:
+    """The stacked partial-transpose kernel behind the PPT measures."""
+
     def test_diagonal_invariant(self):
-        rho = DensityOperator(np.diag([0.1, 0.2, 0.3, 0.4]), qubits("A", "B"))
-        assert np.array_equal(partial_transpose(rho, "A"), rho.mat)
+        rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        assert np.array_equal(_partial_transpose(rho, (2, 2), 0), rho)
 
     def test_involutive_and_structure_preserving(self):
         rng = np.random.default_rng(23)
-        rho = random_density(rng, 6, SubsystemLayout(("A", "B"), (2, 3)))
-        pt = partial_transpose(rho, "B")
+        rho = random_density(rng, 6, SubsystemLayout(("A", "B"), (2, 3))).mat
+        pt = _partial_transpose(rho, (2, 3), 1)
         assert np.trace(pt) == pytest.approx(1.0)
         assert np.abs(pt - pt.conj().T).max() <= 1e-12
         # transposing the same factor again restores the input exactly
         twice = np.swapaxes(pt.reshape(2, 3, 2, 3), 1, 3).reshape(6, 6)
-        assert np.array_equal(twice, rho.mat)
+        assert np.array_equal(twice, rho)
 
     def test_bell_transpose_min_eigenvalue(self):
         rho = outer(BELL, qubits("A", "B"))
-        lam = hermitian_eigenvalues(partial_transpose(rho, "A"))
-        assert lam[0] == pytest.approx(-0.5, abs=1e-12)
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown subsystem"):
-            partial_transpose(outer(BELL, qubits("A", "B")), "Z")
+        for i in (0, 1):
+            lam = np.linalg.eigvalsh(_partial_transpose(rho.mat, (2, 2), i))
+            assert lam[0] == pytest.approx(-0.5, abs=1e-12)
+        assert ppt_min_eigenvalue(rho) == pytest.approx(-0.5, abs=1e-12)
 
 
 class TestHermitianEigenvalues:
+    """The spectrum kernel behind the spectral measures, and the Hermitian
+    input check of the public ones."""
+
     def test_diagonal(self):
-        lam = hermitian_eigenvalues(np.diag([0.7, 0.3]))
-        assert np.allclose(lam, [0.3, 0.7])
+        assert np.allclose(_spectrum(np.diag([0.7, 0.3]).astype(complex)), [0.3, 0.7])
+        # -(0.7 log2 0.7 + 0.3 log2 0.3), evaluated independently
+        assert von_neumann_entropy(np.diag([0.7, 0.3])) == pytest.approx(
+            0.8812908992306927, abs=1e-12)
 
     def test_bell_transpose_spectrum(self):
         # closed form: the central 2x2 block [[0, 1/2], [1/2, 0]] contributes
         # +-1/2, the two corner entries contribute 1/2 each
-        pt = partial_transpose(outer(BELL, qubits("A", "B")), "A")
-        assert np.allclose(hermitian_eigenvalues(pt), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+        pt = _partial_transpose(outer(BELL, qubits("A", "B")).mat, (2, 2), 0)
+        assert np.allclose(_spectrum(pt), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_reconstruction_residual(self):
+        # a qubit's spectrum is closed-form; a generic two-qubit one is eigvalsh's
         rng = np.random.default_rng(29)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = g + g.conj().T
-        lam = hermitian_eigenvalues(m)
-        _, vecs = np.linalg.eigh(m)  # independent decomposition
-        residual = np.abs(vecs @ np.diag(lam) @ vecs.conj().T - m).max()
-        assert residual <= 1e-10
-        assert lam.sum() == pytest.approx(np.trace(m).real, abs=1e-10)
-        assert np.all(np.diff(lam) >= 0)
+        for dim in (2, 4):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = g + g.conj().T
+            lam = _spectrum(m)
+            _, vecs = np.linalg.eigh(m)  # independent decomposition
+            residual = np.abs(vecs @ np.diag(lam) @ vecs.conj().T - m).max()
+            assert residual <= 1e-10
+            assert lam.sum() == pytest.approx(np.trace(m).real, abs=1e-10)
+            assert np.all(np.diff(lam) >= 0)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            von_neumann_entropy(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            hermitian_eigenvalues(np.ones((2, 3)))
+            von_neumann_entropy(np.ones((2, 3)))
 
 
 def purity(rho):
@@ -291,7 +298,7 @@ class TestPurity:
     def test_equals_eigenvalue_squares(self):
         rng = np.random.default_rng(31)
         rho = random_density(rng, 5)
-        lam = hermitian_eigenvalues(rho.mat)
+        lam = np.linalg.eigvalsh(rho.mat)
         assert abs(purity(rho) - float((lam**2).sum())) <= 1e-10
 
 
@@ -319,5 +326,5 @@ def test_partial_trace_preserves_trace_property(seed, dims):
     for label in labels:
         reduced = partial_trace(rho, {label})
         assert np.trace(reduced.mat).real == pytest.approx(1.0, abs=1e-12)
-        lam = hermitian_eigenvalues(reduced.mat)
+        lam = np.linalg.eigvalsh(reduced.mat)
         assert lam[0] >= -1e-10

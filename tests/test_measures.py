@@ -123,8 +123,8 @@ class TestLinearEntropy:
 class TestCorrelatedCoherence:
     def test_damped_pair_joint_blocks(self):
         psi, lay = damped_pair_state(1 / math.sqrt(2), 0.5)
-        rho = outer(psi, lay)
-        assert correlated_coherence_hs(rho, ("A", "B")) == pytest.approx(0.125, abs=1e-13)
+        rho_ab = partial_trace(outer(psi, lay), ("A", "B"))
+        assert correlated_coherence_hs(rho_ab, ("A", "B")) == pytest.approx(0.125, abs=1e-13)
 
     def test_product_incoherent_state(self):
         rho = DensityOperator(np.diag([0.4, 0.1, 0.2, 0.3]), qubits("A", "B"))
@@ -135,12 +135,17 @@ class TestCorrelatedCoherence:
         psi, lay = damped_pair_state(x, p)
         rho = outer(psi, lay)
         y2 = 1 - x * x
-        assert correlated_coherence_hs(rho, ("A", "E_A")) == pytest.approx(
-            2 * y2**2 * p * (1 - p), abs=1e-13
-        )
-        assert correlated_coherence_hs(rho, ("A", "E_B")) == pytest.approx(
-            2 * x * x * y2 * p * (1 - p), abs=1e-13
-        )
+        assert correlated_coherence_hs(partial_trace(rho, ("A", "E_A")), ("A", "E_A")) == (
+            pytest.approx(2 * y2**2 * p * (1 - p), abs=1e-13))
+        assert correlated_coherence_hs(partial_trace(rho, ("A", "E_B")), ("A", "E_B")) == (
+            pytest.approx(2 * x * x * y2 * p * (1 - p), abs=1e-13))
+
+    @pytest.mark.parametrize("measure", [correlated_coherence_hs, re_correlated_coherence])
+    def test_state_of_other_dimension_rejected(self, measure):
+        # the 16x16 global state is not a state of the two named qubits
+        psi, lay = damped_pair_state(0.5, 0.5)
+        with pytest.raises(ValueError, match=r"dimension 4, got shape \(16, 16\)"):
+            measure(outer(psi, lay), ("A", "B"))
 
     def test_empty_blocks_rejected(self):
         with pytest.raises(ValueError, match="at least one block"):
@@ -151,26 +156,25 @@ class TestCorrelatedCoherence:
         # zero, so the A-E_A correlated coherence must not move
         x, p = 0.3, 0.45
         psi, lay = damped_pair_state(x, p)
-        baseline = correlated_coherence_hs(outer(psi, lay), ("A", "E_A"))
+        baseline = correlated_coherence_hs(partial_trace(outer(psi, lay), ("A", "E_A")),
+                                           ("A", "E_A"))
         t = psi.reshape(2, 2, 2, 2)
         for u in (np.array([[0, 1], [1, 0]], dtype=complex),
                   np.diag([1.0, np.exp(0.7j)])):
             rotated = np.einsum("ef,abfc->abec", u, t).reshape(16)
             rho = outer(rotated, lay)
             assert hs_coherence(partial_trace(rho, {"E_A"})) <= 1e-14
-            assert correlated_coherence_hs(rho, ("A", "E_A")) == pytest.approx(
-                baseline, abs=1e-12
-            )
+            assert correlated_coherence_hs(partial_trace(rho, ("A", "E_A")), ("A", "E_A")) == (
+                pytest.approx(baseline, abs=1e-12))
 
     def test_blocks_excluding_rotated_label_exactly_invariant(self):
         x, p = 0.3, 0.45
         psi, lay = damped_pair_state(x, p)
-        baseline = correlated_coherence_hs(outer(psi, lay), ("A", "B"))
+        baseline = correlated_coherence_hs(partial_trace(outer(psi, lay), ("A", "B")), ("A", "B"))
         u = np.array([[0, 1], [1, 0]], dtype=complex)
         rotated = np.einsum("ef,abcf->abce", u, psi.reshape(2, 2, 2, 2)).reshape(16)
-        assert correlated_coherence_hs(outer(rotated, lay), ("A", "B")) == pytest.approx(
-            baseline, abs=1e-15
-        )
+        rho_ab = partial_trace(outer(rotated, lay), ("A", "B"))
+        assert correlated_coherence_hs(rho_ab, ("A", "B")) == pytest.approx(baseline, abs=1e-15)
 
 
 class TestVonNeumannEntropy:
@@ -200,7 +204,7 @@ class TestMutualInformation:
         # frozen from an eigensolve of the closed-form joint matrix at
         # x = 1/sqrt(2), p = 1/2
         psi, lay = damped_pair_state(1 / math.sqrt(2), 0.5)
-        mi = re_correlated_coherence(outer(psi, lay), ("A", "B"))
+        mi = re_correlated_coherence(partial_trace(outer(psi, lay), ("A", "B")), ("A", "B"))
         assert mi == pytest.approx(0.42080417553255334, abs=1e-10)
 
     def test_three_blocks_rejected(self):
@@ -277,7 +281,7 @@ class TestXStateConcurrence:
 
 class TestPpt:
     def test_bell_state_is_entangled(self):
-        assert not is_ppt(outer(BELL, qubits("A", "B")), "A")
+        assert not is_ppt(outer(BELL, qubits("A", "B")))
 
     def test_positive_concurrence_implies_transpose_negativity(self):
         # on the damped-pair family the closed-form concurrence and the
@@ -287,7 +291,7 @@ class TestPpt:
                 psi, lay = damped_pair_state(x, p)
                 rho_ab = partial_trace(outer(psi, lay), {"A", "B"})
                 conc = concurrence_x_state(rho_ab)
-                ppt = is_ppt(rho_ab, "A")
+                ppt = is_ppt(rho_ab)
                 if conc > 1e-10:
                     assert not ppt
                 if ppt:
@@ -298,7 +302,7 @@ class TestPpt:
             for p in (0.0, 0.4, 1.0):
                 psi, lay = dephased_pair_state(x, p)
                 rho_env = partial_trace(outer(psi, lay), {"E_A", "E_B"})
-                assert is_ppt(rho_env, "E_A")
+                assert is_ppt(rho_env)
 
     def test_flip_recorded_environment_separable(self):
         # rho_AEA of the bit-flipped pair equals its own partial transpose
@@ -314,7 +318,7 @@ class TestPpt:
             dtype=complex,
         )
         rho = DensityOperator(m, qubits("A", "E_A"))
-        assert is_ppt(rho, "A")
+        assert is_ppt(rho)
 
 
 class TestSectorDecomposition:
@@ -389,11 +393,11 @@ def test_stacks_give_the_per_matrix_values(seed, n):
             assert abs(value - measure(rho)) <= 1e-14, measure.__name__
     for measure in (correlated_coherence_hs, re_correlated_coherence):
         got = measure(stack, ("A", "E_A"))
-        for value, rho, rho_g in zip(got, pairs, globals_):
-            assert abs(value - measure(rho_g, ("A", "E_A"))) <= 1e-14, measure.__name__
-    assert list(is_ppt(stack, "A")) == [is_ppt(rho, "A") for rho in pairs]
-    for value, rho in zip(ppt_min_eigenvalue(stack, "A"), pairs):
-        assert abs(value - ppt_min_eigenvalue(rho, "A")) <= 1e-14
+        for value, rho in zip(got, pairs):
+            assert abs(value - measure(rho, ("A", "E_A"))) <= 1e-14, measure.__name__
+    assert list(is_ppt(stack)) == [is_ppt(rho) for rho in pairs]
+    for value, rho in zip(ppt_min_eigenvalue(stack), pairs):
+        assert abs(value - ppt_min_eigenvalue(rho)) <= 1e-14
     sectors = sector_decomposition(psis, lay)
     for i, psi in enumerate(psis):
         alone = sector_decomposition(psi, lay)
@@ -496,8 +500,8 @@ NOT_HERMITIAN = np.array([[0.5, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
 ], ids=["not-hermitian", "nan", "inf"])
 @pytest.mark.parametrize("measure", [
     von_neumann_entropy,
-    lambda m: ppt_min_eigenvalue(m, "A"),
-    lambda m: is_ppt(m, "A"),
+    ppt_min_eigenvalue,
+    is_ppt,
     lambda m: re_correlated_coherence(m, ("A", "B")),
 ], ids=["von_neumann_entropy", "ppt_min_eigenvalue", "is_ppt", "re_correlated_coherence"])
 def test_public_spectral_measures_check_their_input(measure, bad, message):

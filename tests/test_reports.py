@@ -21,7 +21,6 @@ from ccrsweep.reports import (
     _reduced,
     _sudden_death_bisection,
     ccr_report,
-    check_identity,
     initial_state,
     sudden_death_point,
 )
@@ -114,26 +113,26 @@ class TestIdentityTable:
 
 
 class TestCheckIdentity:
+    """Identity residuals as a report records them."""
+
     def test_universal_relation_everywhere(self):
         for kind in ChannelKind:
             for p in (0.0, 0.17, 0.5, 0.83, 1.0):
                 r = ccr_report(spec_for(kind, p), 0.4)
-                assert check_identity(IdentityId.CCR_UNIVERSAL, r) <= 1e-12
+                assert r.residuals[IdentityId.CCR_UNIVERSAL] <= 1e-12
+                # each residual is its row of IDENTITIES over the report's measures
+                for ident, residual in r.residuals.items():
+                    assert residual == IDENTITIES[ident].residual(r.measures), ident
 
     def test_damping_redistribution_no_noise(self):
         r = ccr_report(ChannelSpec(ChannelKind.ADC, 0.0), 0.35)
-        assert check_identity(IdentityId.ADC_REDISTRIBUTION, r) <= 1e-15
+        assert r.residuals[IdentityId.ADC_REDISTRIBUTION] <= 1e-15
 
     def test_dephasing_subtraction_grid(self):
         for p in P_GRID:
             r = ccr_report(ChannelSpec(ChannelKind.PDC, p), 0.45)
-            assert check_identity(IdentityId.PDC_SUBTRACTION, r) <= 1e-12
-            assert check_identity(IdentityId.PDC_NL_SUM, r) <= 1e-12
-
-    def test_inapplicable_identity_rejected(self):
-        r = ccr_report(ChannelSpec(ChannelKind.ADC, 0.5), 0.5)
-        with pytest.raises(ValueError, match="does not apply"):
-            check_identity(IdentityId.PDC_SUBTRACTION, r)
+            assert r.residuals[IdentityId.PDC_SUBTRACTION] <= 1e-12
+            assert r.residuals[IdentityId.PDC_NL_SUM] <= 1e-12
 
 
 class TestGridProperties:
@@ -321,9 +320,10 @@ def test_report_identities_property(kind, x, p, mu):
 def test_block_rows_match_single_reports(kind, x, ps, mu):
     # no row of a block may leak into another: each equals the block of one at its p
     mu = mu if kind is ChannelKind.CADC else 0.0
-    block_x, measures, residuals, amplitudes, layout, *_ = _block_columns(
-        kind, mu, x, np.array(ps))
+    block_x, measures, amplitudes, layout, *_ = _block_columns(kind, mu, x, np.array(ps))
     assert len(amplitudes) == len(ps)
+    residuals = {ident: row.residual(measures) for ident, row in IDENTITIES.items()
+                 if kind in row.kinds}
     for i, p in enumerate(ps):
         single = ccr_report(ChannelSpec(kind, p, mu), x)
         assert block_x == single.x
@@ -408,10 +408,11 @@ def test_x_shaped_pairs_have_exactly_zero_off_x_entries(kind, mu, names, x):
 @pytest.mark.parametrize("ps", [[0.0], [0.0, 0.25, 0.5, 0.75, 1.0]], ids=["one_p", "five_p"])
 def test_absent_phase_damping_sectors_are_zero_columns(x, ps):
     # at x = 0 or 1 some sectors (at x = 1 every one) have no weight in any row
-    _, measures, residuals, *_ = _block_columns(ChannelKind.PDC, 0.0, x, np.array(ps))
+    _, measures, *_ = _block_columns(ChannelKind.PDC, 0.0, x, np.array(ps))
     sectors = [name for name in measures if name.startswith("sector_")]
     assert len(sectors) == 7
     for name in sectors:
         assert np.shape(measures[name]) == (len(ps),), name
-    assert np.shape(residuals[IdentityId.PDC_NL_SUM]) == (len(ps),)
-    assert (residuals[IdentityId.PDC_NL_SUM] <= 1e-12).all()
+    residual = IDENTITIES[IdentityId.PDC_NL_SUM].residual(measures)
+    assert np.shape(residual) == (len(ps),)
+    assert (residual <= 1e-12).all()

@@ -15,16 +15,7 @@ from .linalg import (
     qubits,
     state_vector,
 )
-from .channels import (
-    ChannelKind,
-    ChannelSpec,
-    DilationResult,
-    KrausSet,
-    apply_kraus,
-    dilate,
-    kraus_set,
-    validate_kraus,
-)
+from .channels import ChannelKind, ChannelSpec
 from .measures import (
     concurrence_x_state,
     correlated_coherence_hs,
@@ -55,22 +46,17 @@ __all__ = [
     "ChannelKind",
     "ChannelSpec",
     "DensityOperator",
-    "DilationResult",
     "IdentityId",
-    "KrausSet",
     "SubsystemLayout",
     "SweepConfig",
-    "apply_kraus",
     "ccr_report",
     "concurrence_x_state",
     "correlated_coherence_hs",
-    "dilate",
     "emit",
     "hs_coherence",
     "hs_predictability",
     "initial_state",
     "is_ppt",
-    "kraus_set",
     "linear_entropy",
     "outer",
     "ppt_min_eigenvalue",
@@ -81,7 +67,6 @@ __all__ = [
     "state_vector",
     "sudden_death_point",
     "sweep_table",
-    "validate_kraus",
     "verify_command",
     "von_neumann_entropy",
 ]

@@ -6,12 +6,11 @@ environment starting in |0>.  The correlated amplitude damping channel acts
 jointly on the two-qubit system and a shared two-qubit environment.  The
 one definition of a channel is ``_isometry``, the tensor W[s, e, c] =
 <s, e|U|c, 0>_E over an array of p: ``dilate_block`` builds it once over a
-block's p and contracts it with the input state (``dilate`` is a block of
-one) and ``_kraus_stack`` slices it along the environment basis, K_e =
-<e|U|0>_E (``kraus_set`` is a pruned one-p slice), so the operator-sum route
+block's p and contracts it with the input state, and ``_kraus_stack`` slices
+it along the environment basis, K_e = <e|U|0>_E, so the operator-sum route
 and the dilate-then-trace route realize the same map by construction.  The
 operator sum has one implementation, ``_operator_sums``, over an operator
-stack; ``validate_kraus`` and ``apply_kraus`` are its one-set case.
+stack.  One point is a block of one: a one-element p array.
 
 Channel roster and noise parameter p in [0, 1]:
 
@@ -43,11 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, SubsystemLayout, check_norms, qubits, state_vector
-
-#: Kraus operators with Frobenius norm below this are dropped (they appear at
-#: the endpoints p = 0, 1 and would only clutter completeness checks).
-PRUNE_TOL = 1e-14
+from .linalg import SubsystemLayout, check_norms, qubits, state_vector
 
 #: A Kraus set applied to a state may deviate from completeness by at most this.
 COMPLETENESS_TOL = 1e-10
@@ -91,43 +86,6 @@ class ChannelSpec:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu!r}")
         if self.mu != 0.0 and self.kind is not ChannelKind.CADC:
             raise ValueError(f"mu is only meaningful for CADC, got mu={self.mu!r} for {self.kind}")
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """System-space operators representing a channel as sum_i K rho K^dag.
-
-    The operators are copied into one read-only (n, d, d) complex array.
-    Sets produced by :func:`kraus_set` satisfy sum_i K^dag K = I to ~1e-15;
-    arbitrary sets may be constructed (e.g. to measure their completeness
-    defect with :func:`validate_kraus`).
-    """
-
-    operators: np.ndarray
-
-    def __post_init__(self):
-        if len(self.operators) == 0:
-            raise ValueError("a Kraus set needs at least one operator")
-        try:
-            ops = np.array(self.operators, dtype=complex)
-        except ValueError:  # operators of different shapes
-            ops = None
-        if ops is None or ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise ValueError("all Kraus operators must be square and same-dimensional")
-        ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[-1]
-
-
-@dataclass(frozen=True)
-class DilationResult:
-    """Pure global state over system (x) environment after the interaction."""
-
-    state: np.ndarray
-    layout: SubsystemLayout
 
 
 def _local_isometry(kind: ChannelKind, p) -> np.ndarray:
@@ -201,7 +159,7 @@ def _isometry(kind: ChannelKind, p, mu: float) -> np.ndarray:
     if mu not in (0.0, 1.0):
         raise ValueError(
             "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
-            "a two-qubit environment (apply kraus_set instead)"
+            "a two-qubit environment (take the operator sum of its _kraus_stack instead)"
         )
     if mu == 1.0:
         return _correlated_isometry(p)
@@ -209,13 +167,6 @@ def _isometry(kind: ChannelKind, p, mu: float) -> np.ndarray:
     if kind.n_system_qubits == 1:
         return V
     return np.einsum("...aej,...bfk->...abefjk", V, V).reshape(V.shape[:-3] + (4, 4, 4))
-
-
-def dilate(spec: ChannelSpec, system, sys_layout: SubsystemLayout) -> DilationResult:
-    """Evolve a pure system state jointly with fresh |0> environment qubits:
-    a block of one of :func:`dilate_block`, which names the errors."""
-    amplitudes, layout = dilate_block(spec.kind, np.array([spec.p]), spec.mu, system, sys_layout)
-    return DilationResult(amplitudes[0], layout)
 
 
 def dilate_block(
@@ -266,12 +217,6 @@ def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
                            for m, w in ((0.0, 1.0 - mu), (1.0, mu))], axis=1)
 
 
-def kraus_set(spec: ChannelSpec) -> KrausSet:
-    """Kraus operators K_e = <e|U|0>_E: the pruned one-p slice of :func:`_kraus_stack`."""
-    ops = _kraus_stack(spec.kind, np.array([spec.p]), spec.mu)[0]
-    return KrausSet(ops[np.linalg.norm(ops, axis=(1, 2)) >= PRUNE_TOL])
-
-
 def _operator_sums(ops: np.ndarray, rhos: np.ndarray | None = None):
     """Completeness defects max_ij |sum_e K^dag K - I|_ij (P,) of the sets of
     an operator stack (P, nK, d, d) and, given states ``rhos`` (R, d, d), their
@@ -284,20 +229,3 @@ def _operator_sums(ops: np.ndarray, rhos: np.ndarray | None = None):
     if defects.max() > COMPLETENESS_TOL:
         raise ValueError(f"incomplete Kraus set: defect {float(defects.max())!r}")
     return defects, np.einsum("pkij,rjl,pkml->rpim", ops, rhos, ops.conj())
-
-
-def validate_kraus(ks: KrausSet) -> float:
-    """Completeness defect max_ij |sum_e K^dag K - I|_ij."""
-    return float(_operator_sums(ks.operators[np.newaxis])[0][0])
-
-
-def apply_kraus(rho: DensityOperator, ks: KrausSet) -> DensityOperator:
-    """Apply the operator-sum map sum_e K rho K^dag.
-
-    Raises ValueError on dimension mismatch or when the set's completeness
-    defect exceeds ``COMPLETENESS_TOL`` (the map would not preserve trace).
-    """
-    if ks.dim != rho.dim:
-        raise ValueError(f"Kraus dimension {ks.dim} != state dimension {rho.dim}")
-    image = _operator_sums(ks.operators[np.newaxis], rho.mat[np.newaxis])[1][0, 0]
-    return DensityOperator(image, rho.layout)

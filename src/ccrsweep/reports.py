@@ -166,6 +166,14 @@ SECTORS = (("A", "B"), ("A", "B", "E_A"), ("A", "B", "E_B"), ("A", "B", "E_A", "
            ("E_A", "E_B"), ("E_A",), ("E_B",))
 
 
+def _sector_columns(sectors: dict, rows: int) -> dict[str, np.ndarray]:
+    """The sector_AB, ..., sector_EB columns of a block of ``rows`` states
+    from its :func:`sector_decomposition` weights, zero where a sector of
+    SECTORS has no weight."""
+    return {"sector_" + "".join(labels).replace("_", ""): sectors.get(
+        frozenset(labels), np.zeros(rows)) for labels in SECTORS}
+
+
 def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: Sequence[str]) -> np.ndarray:
     """Reduced states (K, P, d, d) on each of K equal-dimension ``keeps`` of
     pure states (P, dim): M M^dag by one matmul, with each M the amplitudes
@@ -180,16 +188,14 @@ def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: Sequence[s
     return m @ m.conj().swapaxes(-1, -2)
 
 
-def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: SubsystemLayout,
-                     initial: np.ndarray):
-    """Every measure column, as arrays over the block, of dilated states
-    (P, dim) and of the initial marginal of A (1, 2, 2), the pair stacks the
-    measures were taken on, the cross pairs' (3, P) smallest partial-
-    transpose eigenvalues and, for phase damping, the sector weights (else
-    None).  The pairs of ``PAIRS`` the layout has form one stack
-    (K, P, 4, 4) and each measure runs once on it; its one-factor marginals
-    are traced once and give A's marginal, the Cc_*, Cc_ABE and the A-B
-    mutual information."""
+def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: np.ndarray):
+    """Every measure column but the sector columns, as arrays over the block,
+    of dilated states (P, dim) and of the initial marginal of A (1, 2, 2),
+    the pair stacks the measures were taken on and the cross pairs' (3, P)
+    smallest partial-transpose eigenvalues.  The pairs of ``PAIRS`` the
+    layout has form one stack (K, P, 4, 4) and each measure runs once on it;
+    its one-factor marginals are traced once and give A's marginal, the
+    Cc_*, Cc_ABE and the A-B mutual information."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
     pairs = dict(zip(names, stack))
@@ -214,20 +220,15 @@ def _measure_columns(kind: ChannelKind, amplitudes: np.ndarray, layout: Subsyste
             concurrence_AB=concurrence_x_state(pairs["AB"]),
             mutual_info_AB=s_a + s_b - _entropy(pairs["AB"]),
         )
-    sectors = None
-    if kind is ChannelKind.PDC:
-        sectors = sector_decomposition(amplitudes, layout)
-        for labels in SECTORS:  # sector_AB, ..., sector_EB
-            m["sector_" + "".join(labels).replace("_", "")] = sectors.get(
-                frozenset(labels), np.zeros(len(amplitudes)))
-    return m, pairs, cross_min, sectors
+    return m, pairs, cross_min
 
 
 def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     """One (kind, mu, x) block over the noise values ``ps``, evaluated as one
     stack: the x evaluated (see :func:`ccr_report`), the measure columns, the
-    dilated amplitudes (P, dim), their layout, and the pair stacks, cross-pair
-    partial-transpose minima and sector weights the measures were taken on.
+    dilated amplitudes (P, dim), their layout, and the pair stacks and
+    cross-pair partial-transpose minima the measures were taken on.  Phase
+    damping's sector columns are left to the readers that read them.
     The input state and the dilated amplitudes are checked (by
     :func:`dilate_block`); each state reduced from them is M M^dag of
     normalized amplitudes, a density matrix by construction, and is not
@@ -240,8 +241,8 @@ def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     psi, sys_layout = initial_state(kind, x)
     amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
     initial = _reduced(psi[np.newaxis], sys_layout, ("A",))[0]
-    measures, pairs, cross_min, sectors = _measure_columns(kind, amplitudes, layout, initial)
-    return x, measures, amplitudes, layout, pairs, cross_min, sectors
+    measures, pairs, cross_min = _measure_columns(amplitudes, layout, initial)
+    return x, measures, amplitudes, layout, pairs, cross_min
 
 
 def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
@@ -252,7 +253,9 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
     is formulated for.
     """
-    x, columns, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
+    x, columns, amplitudes, layout, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
+    if spec.kind is ChannelKind.PDC:
+        columns.update(_sector_columns(sector_decomposition(amplitudes, layout), 1))
     measures = {name: float(v[0]) if np.ndim(v) else float(v) for name, v in columns.items()}
     residuals = {ident: row.residual(measures) for ident, row in IDENTITIES.items()
                  if spec.kind in row.kinds}

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from ccrsweep.channels import ChannelKind, ChannelSpec, apply_kraus, dilate, kraus_set, validate_kraus
+from ccrsweep.channels import ChannelKind, ChannelSpec, _kraus_stack, _operator_sums, dilate_block
 from ccrsweep.cli import SweepConfig, render_csv, sweep_table, verify_command
 from ccrsweep.linalg import outer, partial_trace
 from ccrsweep.measures import (
@@ -43,6 +43,12 @@ def spec_for(kind, p):
     return ChannelSpec(kind, p, 1.0 if kind is ChannelKind.CADC else 0.0)
 
 
+def dilate_one(spec, psi, lay):
+    """The spec's point as a block of one of dilate_block: its state and layout."""
+    amplitudes, layout = dilate_block(spec.kind, np.array([spec.p]), spec.mu, psi, lay)
+    return amplitudes[0], layout
+
+
 def status(ok):
     return "PASS" if ok else "FAIL"
 
@@ -54,8 +60,8 @@ def test_criterion_1_universal_complementarity():
         for x in X_GRID:
             psi0, lay0 = initial_state(kind, x)
             for p in P_GRID:
-                dres = dilate(spec_for(kind, p), psi0, lay0)
-                rho_a = partial_trace(outer(dres.state, dres.layout), {"A"})
+                state, layout = dilate_one(spec_for(kind, p), psi0, lay0)
+                rho_a = partial_trace(outer(state, layout), {"A"})
                 total = (
                     hs_predictability(rho_a)
                     + hs_coherence(rho_a)
@@ -169,8 +175,7 @@ def test_criterion_5_phase_damping():
         g = x * x * y2
         for p in (0.1, 0.3, 0.65, 0.9):
             psi0, lay0 = initial_state(ChannelKind.PDC, x)
-            dres = dilate(ChannelSpec(ChannelKind.PDC, p), psi0, lay0)
-            s = sector_decomposition(dres.state, dres.layout)
+            s = sector_decomposition(*dilate_one(ChannelSpec(ChannelKind.PDC, p), psi0, lay0))
             q = 1 - p
             pair_env = 4 * y2**2 * (q**3 * p + q * p**3)  # both lone-qubit groups
             for got, want in [
@@ -296,18 +301,15 @@ def test_criterion_8_operator_sum_equals_dilation():
         for mu in mus:
             for p in [i / 10 for i in range(11)]:
                 spec = ChannelSpec(kind, p, mu if kind is ChannelKind.CADC else 0.0)
-                ks = kraus_set(spec)
-                worst_complete = max(worst_complete, validate_kraus(ks))
+                ops = _kraus_stack(spec.kind, np.array([spec.p]), spec.mu)
+                worst_complete = max(worst_complete, float(_operator_sums(ops)[0][0]))
                 for x in (0.5, INV_SQRT2):
                     psi0, lay0 = initial_state(kind, x)
-                    via_kraus = apply_kraus(outer(psi0, lay0), ks)
-                    dres = dilate(spec, psi0, lay0)
-                    via_dilation = partial_trace(
-                        outer(dres.state, dres.layout), set(lay0.labels)
-                    )
-                    worst_map = max(
-                        worst_map, float(np.abs(via_kraus.mat - via_dilation.mat).max())
-                    )
+                    rho0 = outer(psi0, lay0).mat
+                    via_kraus = _operator_sums(ops, rho0[np.newaxis])[1][0, 0]
+                    state, layout = dilate_one(spec, psi0, lay0)
+                    via_dilation = partial_trace(outer(state, layout), set(lay0.labels))
+                    worst_map = max(worst_map, float(np.abs(via_kraus - via_dilation.mat).max()))
     ok = worst_map <= 1e-12 and worst_complete <= 1e-12
     print(f"ACCEPTANCE 8 (operator sum vs dilation): {status(ok)} "
           f"map difference {worst_map:.3e}, completeness {worst_complete:.3e}")

@@ -6,18 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccrsweep.channels import (
-    PRUNE_TOL,
     ChannelKind,
     ChannelSpec,
-    KrausSet,
     _isometry,
     _kraus_stack,
     _operator_sums,
-    apply_kraus,
-    dilate,
     dilate_block,
-    kraus_set,
-    validate_kraus,
 )
 from ccrsweep.linalg import outer, partial_trace, qubits
 from ccrsweep.measures import linear_entropy
@@ -33,6 +27,27 @@ def spec_for(kind, p, mu=None):
     if kind is ChannelKind.CADC:
         return ChannelSpec(kind, p, 1.0 if mu is None else mu)
     return ChannelSpec(kind, p)
+
+
+def dilate_one(spec, psi, lay):
+    """The spec's point as a block of one of dilate_block: its state and layout."""
+    amplitudes, layout = dilate_block(spec.kind, np.array([spec.p]), spec.mu, psi, lay)
+    return amplitudes[0], layout
+
+
+def kraus_ops(spec):
+    """The spec's Kraus operators (nK, d, d): the one-p slice of _kraus_stack, unpruned."""
+    return _kraus_stack(spec.kind, np.array([spec.p]), spec.mu)[0]
+
+
+def completeness_defect(ops):
+    """The completeness defect of one operator set (nK, d, d) by _operator_sums."""
+    return float(_operator_sums(ops[np.newaxis])[0][0])
+
+
+def operator_sum(ops, rho):
+    """The image of one state (d, d) under one operator set (nK, d, d) by _operator_sums."""
+    return _operator_sums(ops[np.newaxis], rho[np.newaxis])[1][0, 0]
 
 
 def system_state(kind, x):
@@ -59,28 +74,28 @@ class TestDilate:
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.9, 1.0])
     def test_adc_survival_amplitude(self, p):
         psi, lay = system_state(ChannelKind.ADC, 1 / math.sqrt(2))
-        dres = dilate(ChannelSpec(ChannelKind.ADC, p), psi, lay)
-        assert dres.layout.labels == ("A", "B", "E_A", "E_B")
+        state, layout = dilate_one(ChannelSpec(ChannelKind.ADC, p), psi, lay)
+        assert layout.labels == ("A", "B", "E_A", "E_B")
         # |11>|00> amplitude: sqrt(1-x^2) (1-p)
-        assert dres.state[0b1100] == pytest.approx((1 - p) / math.sqrt(2), abs=1e-15)
+        assert state[0b1100] == pytest.approx((1 - p) / math.sqrt(2), abs=1e-15)
 
     def test_adc_global_amplitudes(self):
         x, p = 0.3, 0.45
         y = math.sqrt(1 - x * x)
         psi, lay = system_state(ChannelKind.ADC, x)
-        dres = dilate(ChannelSpec(ChannelKind.ADC, p), psi, lay)
+        state, layout = dilate_one(ChannelSpec(ChannelKind.ADC, p), psi, lay)
         expected = np.zeros(16, dtype=complex)
         expected[0b0000] = x
         expected[0b1100] = y * (1 - p)
         expected[0b1001] = y * math.sqrt(p * (1 - p))
         expected[0b0110] = y * math.sqrt(p * (1 - p))
         expected[0b0011] = y * p
-        assert np.abs(dres.state - expected).max() <= 1e-15
+        assert np.abs(state - expected).max() <= 1e-15
 
     @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k is not ChannelKind.DC])
     def test_no_noise_is_identity(self, kind):
         psi, lay = system_state(kind, 0.6)
-        dres = dilate(spec_for(kind, 0.0), psi, lay)
+        state, layout = dilate_one(spec_for(kind, 0.0), psi, lay)
         n = kind.n_system_qubits
         # environment stays |0...0>: system bits sit above the environment bits
         expected = np.zeros(4**n, dtype=complex)
@@ -88,53 +103,53 @@ class TestDilate:
             expected[0b0000], expected[0b1100] = psi[0], psi[3]
         else:
             expected[0b00], expected[0b10] = psi[0], psi[1]
-        assert np.abs(dres.state - expected).max() <= 1e-15
+        assert np.abs(state - expected).max() <= 1e-15
 
     def test_depolarizing_identity_sits_at_p_one(self):
         # this channel's convention: p = 1 leaves the qubit intact
         psi, lay = system_state(ChannelKind.DC, 0.6)
-        dres = dilate(ChannelSpec(ChannelKind.DC, 1.0), psi, lay)
+        state, layout = dilate_one(ChannelSpec(ChannelKind.DC, 1.0), psi, lay)
         expected = np.zeros(4, dtype=complex)
         expected[0b00], expected[0b10] = psi[0], psi[1]
-        assert np.abs(dres.state - expected).max() <= 1e-15
+        assert np.abs(state - expected).max() <= 1e-15
 
     def test_correlated_full_memory_endpoint(self):
         x = 1 / math.sqrt(2)
         psi, lay = system_state(ChannelKind.CADC, x)
-        dres = dilate(ChannelSpec(ChannelKind.CADC, 1.0, mu=1.0), psi, lay)
+        state, layout = dilate_one(ChannelSpec(ChannelKind.CADC, 1.0, mu=1.0), psi, lay)
         expected = np.zeros(16, dtype=complex)
         expected[0b0000] = x   # |00>|00>
         expected[0b0011] = x   # |00>|11>
-        assert np.abs(dres.state - expected).max() <= 1e-15
+        assert np.abs(state - expected).max() <= 1e-15
 
     def test_correlated_memoryless_equals_plain_damping(self):
         psi, lay = system_state(ChannelKind.CADC, 0.4)
-        a = dilate(ChannelSpec(ChannelKind.CADC, 0.35, mu=0.0), psi, lay)
-        b = dilate(ChannelSpec(ChannelKind.ADC, 0.35), psi, lay)
-        assert np.abs(a.state - b.state).max() == 0.0
+        a, _ = dilate_one(ChannelSpec(ChannelKind.CADC, 0.35, mu=0.0), psi, lay)
+        b, _ = dilate_one(ChannelSpec(ChannelKind.ADC, 0.35), psi, lay)
+        assert np.abs(a - b).max() == 0.0
 
     def test_correlated_fractional_memory_rejected(self):
         psi, lay = system_state(ChannelKind.CADC, 0.4)
         with pytest.raises(ValueError, match="no dilation"):
-            dilate(ChannelSpec(ChannelKind.CADC, 0.5, mu=0.5), psi, lay)
+            dilate_one(ChannelSpec(ChannelKind.CADC, 0.5, mu=0.5), psi, lay)
 
     def test_arity_mismatch_rejected(self):
         psi, lay = system_state(ChannelKind.PFC, 0.4)
         with pytest.raises(ValueError, match="acts on 2 qubit"):
-            dilate(ChannelSpec(ChannelKind.ADC, 0.5), psi, lay)
+            dilate_one(ChannelSpec(ChannelKind.ADC, 0.5), psi, lay)
 
     def test_depolarizing_rejects_complex_amplitudes(self):
         psi = np.array([1, 1j], dtype=complex) / math.sqrt(2)
         with pytest.raises(ValueError, match="real amplitudes"):
-            dilate(ChannelSpec(ChannelKind.DC, 0.5), psi, qubits("A"))
+            dilate_one(ChannelSpec(ChannelKind.DC, 0.5), psi, qubits("A"))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("p", P_GRID)
     def test_norm_and_purity_preserved(self, kind, p):
         psi, lay = system_state(kind, 0.37)
-        dres = dilate(spec_for(kind, p), psi, lay)
-        assert abs(float(np.vdot(dres.state, dres.state).real) - 1.0) <= 1e-12
-        assert abs(linear_entropy(outer(dres.state, dres.layout))) <= 1e-12
+        state, layout = dilate_one(spec_for(kind, p), psi, lay)
+        assert abs(float(np.vdot(state, state).real) - 1.0) <= 1e-12
+        assert abs(linear_entropy(outer(state, layout))) <= 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_inner_products_preserved(self, kind):
@@ -149,9 +164,9 @@ class TestDilate:
             v2 = rng.normal(size=2**n) + (0 if kind is ChannelKind.DC else 1j) * rng.normal(size=2**n)
             v1 = v1 / np.linalg.norm(v1)
             v2 = v2 / np.linalg.norm(v2)
-            d1 = dilate(spec, v1, lay)
-            d2 = dilate(spec, v2, lay)
-            assert np.vdot(d1.state, d2.state) == pytest.approx(np.vdot(v1, v2), abs=1e-12)
+            d1, _ = dilate_one(spec, v1, lay)
+            d2, _ = dilate_one(spec, v2, lay)
+            assert np.vdot(d1, d2) == pytest.approx(np.vdot(v1, v2), abs=1e-12)
 
 
 class TestIsometryOverP:
@@ -168,131 +183,107 @@ class TestIsometryOverP:
         psi, layout = system_state(kind, 0.6)
         stacked = _isometry(kind, self.PS, mu)
         amplitudes, _ = dilate_block(kind, self.PS, mu, psi, layout)
+        kraus = _kraus_stack(kind, self.PS, mu)
         for i, p in enumerate(self.PS):
             W = _isometry(kind, p, mu)
             assert stacked[i].tobytes() == W.tobytes()
             alone = np.einsum("psec,c->pse", W[np.newaxis], psi).reshape(-1)
             assert amplitudes[i].tobytes() == alone.tobytes()
             slices = [W[:, e, :] for e in range(W.shape[1])]
-            kept = [k for k in slices if np.linalg.norm(k) >= PRUNE_TOL]
-            ops = kraus_set(ChannelSpec(kind, p, mu)).operators
-            assert [k.tobytes() for k in ops] == [k.tobytes() for k in kept]
+            assert [k.tobytes() for k in kraus[i]] == [k.tobytes() for k in slices]
 
 
 class TestKrausSet:
+    """One p's Kraus operators, K_e = <e|U|0>_E: the one-p slice of
+    _kraus_stack, unpruned, so an operator that vanishes is exactly zero."""
+
     @pytest.mark.parametrize("p", [0.15, 0.5, 0.85])
     def test_adc_product_structure(self, p):
-        ks = kraus_set(ChannelSpec(ChannelKind.ADC, p))
+        ops = kraus_ops(ChannelSpec(ChannelKind.ADC, p))
         k0 = np.diag([1.0, math.sqrt(1 - p)]).astype(complex)
         k1 = math.sqrt(p) * np.array([[0, 1], [0, 0]], dtype=complex)
         expected = [np.kron(a, b) for a in (k0, k1) for b in (k0, k1)]
-        assert len(ks.operators) == 4
-        for got, want in zip(ks.operators, expected):
+        assert len(ops) == 4
+        for got, want in zip(ops, expected):
             assert np.abs(got - want).max() <= 1e-15
 
     @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k is not ChannelKind.DC])
     def test_no_noise_collapses_to_identity(self, kind):
-        ks = kraus_set(spec_for(kind, 0.0, mu=0.0 if kind is ChannelKind.CADC else None))
-        assert len(ks.operators) == 1
-        assert np.abs(ks.operators[0] - np.eye(ks.dim)).max() <= 1e-15
+        ops = kraus_ops(spec_for(kind, 0.0, mu=0.0 if kind is ChannelKind.CADC else None))
+        assert np.abs(ops[0] - np.eye(ops.shape[-1])).max() <= 1e-15
+        assert np.all(ops[1:] == 0.0)
 
     def test_depolarizing_identity_at_p_one(self):
-        ks = kraus_set(ChannelSpec(ChannelKind.DC, 1.0))
-        assert len(ks.operators) == 1
-        assert np.abs(ks.operators[0] - np.eye(2)).max() <= 1e-15
+        ops = kraus_ops(ChannelSpec(ChannelKind.DC, 1.0))
+        assert np.abs(ops[0] - np.eye(2)).max() <= 1e-15
+        assert np.all(ops[1:] == 0.0)
 
     def test_depolarizing_operators(self):
         p = 0.3
-        ks = kraus_set(ChannelSpec(ChannelKind.DC, p))
-        assert np.abs(ks.operators[0] - math.sqrt((1 + p) / 2) * np.eye(2)).max() <= 1e-15
-        assert np.abs(ks.operators[1] - math.sqrt((1 - p) / 2) * SY).max() <= 1e-15
+        ops = kraus_ops(ChannelSpec(ChannelKind.DC, p))
+        assert np.abs(ops[0] - math.sqrt((1 + p) / 2) * np.eye(2)).max() <= 1e-15
+        assert np.abs(ops[1] - math.sqrt((1 - p) / 2) * SY).max() <= 1e-15
 
     def test_bit_flip_operators(self):
         p = 0.4
-        ks = kraus_set(ChannelSpec(ChannelKind.BFC, p))
+        ops = kraus_ops(ChannelSpec(ChannelKind.BFC, p))
         k0 = math.sqrt(1 - p / 2) * np.eye(2)
         k1 = math.sqrt(p / 2) * SX
         expected = [np.kron(a, b) for a in (k0, k1) for b in (k0, k1)]
-        for got, want in zip(ks.operators, expected):
+        for got, want in zip(ops, expected):
             assert np.abs(got - want).max() <= 1e-15
 
     def test_correlated_memory_operators(self):
+        # one operator per shared environment state; only |00>_E and |11>_E are reached
         p = 0.6
-        ks = kraus_set(ChannelSpec(ChannelKind.CADC, p, mu=1.0))
-        assert len(ks.operators) == 2
-        assert np.abs(ks.operators[0] - np.diag([1, 1, 1, math.sqrt(1 - p)])).max() <= 1e-15
+        ops = kraus_ops(ChannelSpec(ChannelKind.CADC, p, mu=1.0))
+        assert len(ops) == 4
+        assert np.abs(ops[0] - np.diag([1, 1, 1, math.sqrt(1 - p)])).max() <= 1e-15
+        assert np.all(ops[1:3] == 0.0)
         jump = np.zeros((4, 4), dtype=complex)
         jump[0, 3] = math.sqrt(p)
-        assert np.abs(ks.operators[1] - jump).max() <= 1e-15
+        assert np.abs(ops[3] - jump).max() <= 1e-15
 
     @pytest.mark.parametrize("mu", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_correlated_mixture_is_complete(self, mu):
         for p in (0.0, 0.3, 1.0):
-            ks = kraus_set(ChannelSpec(ChannelKind.CADC, p, mu=mu))
-            assert validate_kraus(ks) <= 1e-12
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            KrausSet(())
-
-    def test_operators_are_one_read_only_copy(self):
-        k = np.eye(2, dtype=complex)
-        ks = KrausSet((k, 0.0 * k))
-        assert k.flags.writeable
-        assert ks.operators.shape == (2, 2, 2)
-        assert not ks.operators.flags.writeable
-        k[0, 0] = 2.0
-        assert ks.operators[0, 0, 0] == 1.0
-
-    @pytest.mark.parametrize(
-        "operators",
-        [(np.eye(2), np.eye(4)), (np.ones((2, 3)),), (np.ones(2),)],
-        ids=["mixed_dims", "non_square", "vector"],
-    )
-    def test_operators_must_be_square_and_same_dimensional(self, operators):
-        with pytest.raises(ValueError, match="square"):
-            KrausSet(operators)
+            assert completeness_defect(kraus_ops(ChannelSpec(ChannelKind.CADC, p, mu=mu))) <= 1e-12
 
 
 class TestValidateKraus:
+    """The completeness defect of one operator set, by _operator_sums."""
+
     def test_identity_set(self):
-        ks = KrausSet((np.eye(2),))
-        assert validate_kraus(ks) == 0.0
+        assert _operator_sums(np.eye(2).reshape(1, 1, 2, 2))[0][0] == 0.0
 
     def test_adc_completeness(self):
-        assert validate_kraus(kraus_set(ChannelSpec(ChannelKind.ADC, 0.3))) <= 1e-15
+        assert completeness_defect(kraus_ops(ChannelSpec(ChannelKind.ADC, 0.3))) <= 1e-15
 
     def test_scaled_identity_defect(self):
-        ks = KrausSet((0.9 * np.eye(2),))
-        assert validate_kraus(ks) == pytest.approx(0.19, abs=1e-15)
+        defect = _operator_sums(0.9 * np.eye(2).reshape(1, 1, 2, 2))[0][0]
+        assert defect == pytest.approx(0.19, abs=1e-15)
 
 
 class TestApplyKraus:
+    """The operator-sum image of one state under one operator set, by _operator_sums."""
+
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
     def test_adc_joint_coherence_decay(self, p):
         x = 1 / math.sqrt(2)
         psi, lay = system_state(ChannelKind.ADC, x)
-        rho = apply_kraus(outer(psi, lay), kraus_set(ChannelSpec(ChannelKind.ADC, p)))
-        assert rho.mat[0, 3] == pytest.approx((1 - p) / 2, abs=1e-14)
+        rho = operator_sum(kraus_ops(ChannelSpec(ChannelKind.ADC, p)), outer(psi, lay).mat)
+        assert rho[0, 3] == pytest.approx((1 - p) / 2, abs=1e-14)
 
     def test_identity_set_is_noop(self):
         psi, lay = system_state(ChannelKind.PFC, 0.8)
-        rho = outer(psi, lay)
-        ks = KrausSet((np.eye(2),))
-        out = apply_kraus(rho, ks)
-        assert np.abs(out.mat - rho.mat).max() == 0.0
+        rho = outer(psi, lay).mat
+        out = operator_sum(np.eye(2, dtype=complex)[np.newaxis], rho)
+        assert np.abs(out - rho).max() == 0.0
 
     def test_incomplete_set_rejected(self):
         psi, lay = system_state(ChannelKind.PFC, 0.8)
-        ks = KrausSet((0.9 * np.eye(2),))
         with pytest.raises(ValueError, match="incomplete"):
-            apply_kraus(outer(psi, lay), ks)
-
-    def test_dimension_mismatch_rejected(self):
-        psi, lay = system_state(ChannelKind.ADC, 0.5)
-        ks = KrausSet((np.eye(2),))
-        with pytest.raises(ValueError, match="dimension"):
-            apply_kraus(outer(psi, lay), ks)
+            operator_sum(0.9 * np.eye(2, dtype=complex)[np.newaxis], outer(psi, lay).mat)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("p", P_GRID)
@@ -301,40 +292,41 @@ class TestApplyKraus:
         for x in (0.31, 1 / math.sqrt(2)):
             psi, lay = system_state(kind, x)
             spec = spec_for(kind, p)
-            via_kraus = apply_kraus(outer(psi, lay), kraus_set(spec))
-            dres = dilate(spec, psi, lay)
-            via_dilation = partial_trace(outer(dres.state, dres.layout), set(lay.labels))
-            assert np.abs(via_kraus.mat - via_dilation.mat).max() <= 1e-12
+            via_kraus = operator_sum(kraus_ops(spec), outer(psi, lay).mat)
+            state, layout = dilate_one(spec, psi, lay)
+            via_dilation = partial_trace(outer(state, layout), set(lay.labels))
+            assert np.abs(via_kraus - via_dilation.mat).max() <= 1e-12
 
     @pytest.mark.parametrize("p", [0.2, 0.7])
     def test_cadc_mu_grid_against_convex_mixture(self, p):
         # kraus route at fractional mu equals the convex mixture of the two maps
         psi, lay = system_state(ChannelKind.CADC, 0.45)
-        rho = outer(psi, lay)
-        plain = apply_kraus(rho, kraus_set(ChannelSpec(ChannelKind.CADC, p, mu=0.0)))
-        memory = apply_kraus(rho, kraus_set(ChannelSpec(ChannelKind.CADC, p, mu=1.0)))
+        rho = outer(psi, lay).mat
+        plain = operator_sum(kraus_ops(ChannelSpec(ChannelKind.CADC, p, mu=0.0)), rho)
+        memory = operator_sum(kraus_ops(ChannelSpec(ChannelKind.CADC, p, mu=1.0)), rho)
         for mu in (0.25, 0.5, 0.9):
-            mixed = apply_kraus(rho, kraus_set(ChannelSpec(ChannelKind.CADC, p, mu=mu)))
-            expected = (1 - mu) * plain.mat + mu * memory.mat
-            assert np.abs(mixed.mat - expected).max() <= 1e-12
+            mixed = operator_sum(kraus_ops(ChannelSpec(ChannelKind.CADC, p, mu=mu)), rho)
+            expected = (1 - mu) * plain + mu * memory
+            assert np.abs(mixed - expected).max() <= 1e-12
 
     def test_full_memory_only_doubly_excited_state_decays(self):
-        ks = kraus_set(ChannelSpec(ChannelKind.CADC, 0.8, mu=1.0))
+        ops = kraus_ops(ChannelSpec(ChannelKind.CADC, 0.8, mu=1.0))
         lay = qubits("A", "B")
         for idx in (0, 1, 2):
             basis = np.zeros(4)
             basis[idx] = 1.0
-            rho = apply_kraus(outer(basis, lay), ks)
-            assert np.abs(rho.mat - np.outer(basis, basis)).max() <= 1e-15
+            rho = operator_sum(ops, outer(basis, lay).mat)
+            assert np.abs(rho - np.outer(basis, basis)).max() <= 1e-15
         excited = np.zeros(4)
         excited[3] = 1.0
-        rho = apply_kraus(outer(excited, lay), ks)
-        assert rho.mat[3, 3] == pytest.approx(0.2, abs=1e-15)
-        assert rho.mat[0, 0] == pytest.approx(0.8, abs=1e-15)
+        rho = operator_sum(ops, outer(excited, lay).mat)
+        assert rho[3, 3] == pytest.approx(0.2, abs=1e-15)
+        assert rho[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
 class TestKrausStack:
-    """The Kraus operators over a p grid as one stack, which kraus_set slices."""
+    """The Kraus operators over a p grid as one stack, of which each one-p
+    set is a slice."""
 
     GRIDS = {"101": np.linspace(0.0, 1.0, 101), "1001": np.linspace(0.0, 1.0, 1001),
              "endpoints": np.array([1.0, 0.37, 0.0])}
@@ -346,19 +338,22 @@ class TestKrausStack:
     )
     @pytest.mark.parametrize("grid", GRIDS)
     def test_kraus_set_is_the_pruned_stack_slice_bytewise(self, kind, mu, grid):
+        # the stack is not pruned: every operator that the former 1e-14 norm
+        # cut dropped is exactly zero, so keeping it changes no sum
         ps = self.GRIDS[grid]
         stack = _kraus_stack(kind, ps, mu)
         assert stack.flags.c_contiguous
         for ops, p in zip(stack, ps.tolist()):
-            kept = ops[np.linalg.norm(ops, axis=(1, 2)) >= PRUNE_TOL]
-            assert kraus_set(ChannelSpec(kind, p, mu)).operators.tobytes() == kept.tobytes()
+            assert kraus_ops(ChannelSpec(kind, p, mu)).tobytes() == ops.tobytes()
+            norms = np.linalg.norm(ops, axis=(1, 2))
+            assert np.array_equal(norms < 1e-14, norms == 0.0)
 
 
 class TestOperatorSums:
     """The stacked operator sum over a block's Kraus operators, one set per
-    p, against an explicit loop over each public set's operators."""
+    p, against an explicit loop over each one-p set's operators."""
 
-    GRIDS = [P_GRID, [0.0, 1.0], [1.0, 0.37, 0.0]]  # with the pruned endpoints
+    GRIDS = [P_GRID, [0.0, 1.0], [1.0, 0.37, 0.0]]  # with the endpoints' zero operators
 
     @pytest.mark.parametrize(
         "kind, mu", [(kind, 0.0) for kind in ALL_KINDS]
@@ -373,19 +368,19 @@ class TestOperatorSums:
         defects, images = _operator_sums(_kraus_stack(kind, ps, mu), rhos)
         assert images.shape == (len(rhos), len(ps)) + rhos.shape[1:]
         for i, p in enumerate(ps.tolist()):
-            ks = kraus_set(ChannelSpec(kind, p, mu))
-            assert defects[i] == validate_kraus(ks)
-            completeness = sum(k.conj().T @ k for k in ks.operators)
-            assert abs(defects[i] - np.abs(completeness - np.eye(ks.dim)).max()) <= 1e-15
+            ops = kraus_ops(ChannelSpec(kind, p, mu))
+            assert defects[i] == completeness_defect(ops)
+            completeness = sum(k.conj().T @ k for k in ops)
+            assert abs(defects[i] - np.abs(completeness - np.eye(ops.shape[-1])).max()) <= 1e-15
             for rho, image in zip(rhos, images[:, i]):
-                expected = sum(k @ rho @ k.conj().T for k in ks.operators)
+                expected = sum(k @ rho @ k.conj().T for k in ops)
                 assert np.abs(image - expected).max() <= 1e-15
 
     def test_defects_alone_need_no_states(self):
         ps = [0.0, 0.5, 1.0]
         defects, images = _operator_sums(_kraus_stack(ChannelKind.ADC, np.array(ps), 0.0))
         assert images is None
-        assert defects.tolist() == [validate_kraus(kraus_set(ChannelSpec(ChannelKind.ADC, p)))
+        assert defects.tolist() == [completeness_defect(kraus_ops(ChannelSpec(ChannelKind.ADC, p)))
                                     for p in ps]
 
     def test_one_incomplete_set_rejects_the_block(self):
@@ -408,21 +403,21 @@ P_VALUES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
 def test_kraus_and_dilation_agree_property(kind, x, p, mu):
     spec = ChannelSpec(kind, p, mu if kind is ChannelKind.CADC else 0.0)
     psi, lay = system_state(kind, x)
-    ks = kraus_set(spec)
-    assert validate_kraus(ks) <= 1e-12
-    via_kraus = apply_kraus(outer(psi, lay), ks)
-    dres = dilate(spec, psi, lay)
-    via_dilation = partial_trace(outer(dres.state, dres.layout), set(lay.labels))
-    assert np.abs(via_kraus.mat - via_dilation.mat).max() <= 1e-12
+    ops = kraus_ops(spec)
+    assert completeness_defect(ops) <= 1e-12
+    via_kraus = operator_sum(ops, outer(psi, lay).mat)
+    state, layout = dilate_one(spec, psi, lay)
+    via_dilation = partial_trace(outer(state, layout), set(lay.labels))
+    assert np.abs(via_kraus - via_dilation.mat).max() <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)
 @given(x=X_VALUES, p=P_VALUES, mu=st.floats(0.0, 1.0))
 def test_cadc_mixture_property(x, p, mu):
     psi, lay = system_state(ChannelKind.CADC, x)
-    rho = outer(psi, lay)
+    rho = outer(psi, lay).mat
 
     def channel(m):
-        return apply_kraus(rho, kraus_set(ChannelSpec(ChannelKind.CADC, p, m))).mat
+        return operator_sum(kraus_ops(ChannelSpec(ChannelKind.CADC, p, m)), rho)
 
     assert np.abs(channel(mu) - ((1 - mu) * channel(0.0) + mu * channel(1.0))).max() <= 1e-12

@@ -14,11 +14,13 @@ from ccrsweep.reports import (
     PAIRS,
     IdentityId,
     _block_columns,
+    _sector_columns,
     ccr_report,
 )
 from ccrsweep.cli import (
     CSV_COLUMNS,
     DEFAULT_X,
+    MAX_P_COUNT,
     TENTHS,
     SweepConfig,
     _blocks,
@@ -58,6 +60,23 @@ class TestConfigValidation:
     def test_p_count_floor(self):
         with pytest.raises(ValueError, match="p_count"):
             small_config(p_count=1)
+
+    def test_p_count_ceiling(self):
+        # the bound itself is accepted; no grid near it is evaluated here
+        assert MAX_P_COUNT >= 1001  # the dense grid
+        assert small_config(p_count=MAX_P_COUNT).p_count == MAX_P_COUNT
+        with pytest.raises(ValueError, match="p_count"):
+            small_config(p_count=MAX_P_COUNT + 1)
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_p_count_above_the_ceiling_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "rows.csv"
+        argv = [command, "--channels", "pfc", "--p-count", str(MAX_P_COUNT + 1)]
+        if command == "sweep":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert f"p_count: must lie in [2, {MAX_P_COUNT}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_p_interval_ordering(self):
         with pytest.raises(ValueError, match="p_start/p_stop"):
@@ -126,7 +145,9 @@ class TestRunSweep:
         ps = cfg.p_grid()
         rows, worst = 0, {}
         for kind, mu, x in _blocks(cfg, cfg.x_values):
-            x, m, *_ = _block_columns(kind, mu, x, ps)
+            x, m, amplitudes, layout, *_ = _block_columns(kind, mu, x, ps)
+            if kind is ChannelKind.PDC:  # the columns of pdc_nl_sum
+                m.update(_sector_columns(sector_decomposition(amplitudes, layout), len(ps)))
             rows += len(ps)
             for ident, row in IDENTITIES.items():
                 if kind not in row.kinds:
@@ -435,8 +456,8 @@ def test_state_columns_match_the_per_point_route(kind, x):
     # partial_trace, PPT by a transpose written here and an eigensolve per matrix
     mu = 1.0 if kind is ChannelKind.CADC else 0.0
     ps = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
-    x, m, amplitudes, layout, pairs, cross_min, sectors = _block_columns(kind, mu, x, ps)
-    columns = _state_columns(m, pairs, cross_min, amplitudes, layout, sectors)
+    x, m, amplitudes, layout, pairs, cross_min = _block_columns(kind, mu, x, ps)
+    columns = _state_columns(m, pairs, cross_min, amplitudes, layout)
     for i, psi in enumerate(amplitudes):
         rho_g = outer(psi, layout)
         cc_abe = correlated_coherence_hs(rho_g, ("A", "B", "E_A", "E_B"))
@@ -451,8 +472,9 @@ def test_state_columns_match_the_per_point_route(kind, x):
             lam = np.linalg.eigvalsh(pt.reshape(4, 4))[0]
             defect = max(defect, -float(lam))
         assert abs(columns["cross_ppt_defect"][i] - defect) <= 1e-14
-        total = sum(sector_decomposition(psi, layout).values())
-        assert abs(columns["sector_total"][i] - total) <= 1e-14
+        weights = sector_decomposition(psi, layout)
+        assert abs(columns["sector_total"][i] - sum(weights.values())) <= 1e-14
+        assert abs(columns["sector_AB"][i] - weights.get(frozenset(PAIRS["AB"]), 0.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)
@@ -686,9 +708,7 @@ class TestBuildConfigDefaults:
         assert cfg.tolerance == 1e-10
 
 
-def test_verify_walk_decomposes_each_block_into_sectors_once(monkeypatch):
-    # the engine decomposes a phase damping block for its sector columns and
-    # hands that decomposition on, so no block is decomposed twice
+def count_sector_decompositions(monkeypatch) -> list:
     from ccrsweep import cli, reports
 
     calls = []
@@ -699,6 +719,20 @@ def test_verify_walk_decomposes_each_block_into_sectors_once(monkeypatch):
 
     for module in (cli, reports):  # both bind the name on import
         monkeypatch.setattr(module, "sector_decomposition", counted)
+    return calls
+
+
+def test_sweep_decomposes_no_block_into_sectors(monkeypatch):
+    # no CSV or JSON column reads a sector weight
+    calls = count_sector_decompositions(monkeypatch)
+    assert len(sweep_table(SweepConfig())) == 31
+    assert calls == []
+
+
+def test_verify_walk_decomposes_each_block_into_sectors_once(monkeypatch):
+    # verify decomposes each two-qubit block once, for its sector total and,
+    # for phase damping, the sector columns of pdc_nl_sum
+    calls = count_sector_decompositions(monkeypatch)
     _verify_blocks(SweepConfig(), _Tracker())
     # one per two-qubit block: 13 x values (the grid's and every tenth) for
     # adc, cadc and pdc, and x = 1/sqrt(2) for bfc
@@ -707,9 +741,8 @@ def test_verify_walk_decomposes_each_block_into_sectors_once(monkeypatch):
 
 def test_verify_builds_no_channel_specs_or_kraus_sets(monkeypatch):
     # a block is (kind, mu, x) over the p grid, and the Kraus cross-check
-    # takes each (kind, mu) block's operators as one stack
-    from ccrsweep import channels
-
+    # takes each (kind, mu) block's operators as one stack: there is no
+    # per-point Kraus set to build
     built = []
 
     def counted(cls):
@@ -721,7 +754,6 @@ def test_verify_builds_no_channel_specs_or_kraus_sets(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", call)
 
     counted(ChannelSpec)
-    counted(channels.KrausSet)
     assert len(sweep_table(SweepConfig())) == 31
     assert verify_command(SweepConfig()) == 0
     assert built == []

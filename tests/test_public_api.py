@@ -14,12 +14,11 @@ from ccrsweep import cli, linalg
 
 PUBLIC = {
     "APPLICABLE_IDENTITIES", "CCRReport", "ChannelKind", "ChannelSpec", "DensityOperator",
-    "DilationResult", "IdentityId", "KrausSet", "SubsystemLayout", "SweepConfig",
-    "apply_kraus", "ccr_report", "concurrence_x_state", "correlated_coherence_hs", "dilate",
-    "emit", "hs_coherence", "hs_predictability", "initial_state", "is_ppt", "kraus_set",
-    "linear_entropy", "outer", "ppt_min_eigenvalue", "partial_trace", "qubits",
+    "IdentityId", "SubsystemLayout", "SweepConfig", "ccr_report", "concurrence_x_state",
+    "correlated_coherence_hs", "emit", "hs_coherence", "hs_predictability", "initial_state",
+    "is_ppt", "linear_entropy", "outer", "ppt_min_eigenvalue", "partial_trace", "qubits",
     "re_correlated_coherence", "sector_decomposition", "state_vector", "sudden_death_point",
-    "sweep_table", "validate_kraus", "verify_command", "von_neumann_entropy",
+    "sweep_table", "verify_command", "von_neumann_entropy",
 }
 
 

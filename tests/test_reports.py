@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from ccrsweep import reports
-from ccrsweep.channels import ChannelKind, ChannelSpec, dilate, dilate_block
+from ccrsweep.channels import ChannelKind, ChannelSpec, dilate_block
 from ccrsweep.linalg import check_density
-from ccrsweep.measures import _off_x, factor_marginals
+from ccrsweep.measures import _off_x, factor_marginals, sector_decomposition
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
@@ -19,6 +19,7 @@ from ccrsweep.reports import (
     IdentityId,
     _block_columns,
     _reduced,
+    _sector_columns,
     _sudden_death_bisection,
     ccr_report,
     initial_state,
@@ -322,6 +323,8 @@ def test_block_rows_match_single_reports(kind, x, ps, mu):
     mu = mu if kind is ChannelKind.CADC else 0.0
     block_x, measures, amplitudes, layout, *_ = _block_columns(kind, mu, x, np.array(ps))
     assert len(amplitudes) == len(ps)
+    if kind is ChannelKind.PDC:  # the sector columns ccr_report adds for phase damping
+        measures.update(_sector_columns(sector_decomposition(amplitudes, layout), len(ps)))
     residuals = {ident: row.residual(measures) for ident, row in IDENTITIES.items()
                  if kind in row.kinds}
     for i, p in enumerate(ps):
@@ -335,9 +338,10 @@ def test_block_rows_match_single_reports(kind, x, ps, mu):
         for ident, column in residuals.items():
             value = np.broadcast_to(column, len(ps))[i]
             assert abs(value - single.residuals[ident]) <= 1e-15, ident
-        expected = dilate(single.channel, *initial_state(kind, block_x))
-        assert layout == expected.layout
-        assert amplitudes[i].tobytes() == expected.state.tobytes()
+        expected, expected_layout = dilate_block(
+            kind, np.array([p]), mu, *initial_state(kind, block_x))
+        assert layout == expected_layout
+        assert amplitudes[i].tobytes() == expected[0].tobytes()
 
 
 #: Every kind at the mu of its sweeps, and CADC at both dilatable mu.
@@ -356,7 +360,7 @@ def test_derived_states_are_density_matrices(kind, mu, x, ps):
     # from them is M M^dag of normalized amplitudes, so a density matrix
     ps = np.array([0.0, *ps, 1.0])
     with mock.patch.object(reports, "local_measures", wraps=reports.local_measures) as local:
-        *_, pairs, _, _ = _block_columns(kind, mu, x, ps)
+        *_, pairs, _ = _block_columns(kind, mu, x, ps)
     stack = np.stack(list(pairs.values()))
     assert stack.shape == (len(pairs), len(ps), 4, 4)
     check_density(stack)
@@ -408,7 +412,8 @@ def test_x_shaped_pairs_have_exactly_zero_off_x_entries(kind, mu, names, x):
 @pytest.mark.parametrize("ps", [[0.0], [0.0, 0.25, 0.5, 0.75, 1.0]], ids=["one_p", "five_p"])
 def test_absent_phase_damping_sectors_are_zero_columns(x, ps):
     # at x = 0 or 1 some sectors (at x = 1 every one) have no weight in any row
-    _, measures, *_ = _block_columns(ChannelKind.PDC, 0.0, x, np.array(ps))
+    _, measures, amplitudes, layout, *_ = _block_columns(ChannelKind.PDC, 0.0, x, np.array(ps))
+    measures.update(_sector_columns(sector_decomposition(amplitudes, layout), len(ps)))
     sectors = [name for name in measures if name.startswith("sector_")]
     assert len(sectors) == 7
     for name in sectors:

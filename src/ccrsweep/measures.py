@@ -7,6 +7,7 @@ Coherences are taken in the computational product basis; entropies in bits.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -187,6 +188,19 @@ def is_ppt(rho):
     return ppt_min_eigenvalue(rho) >= -PPT_TOL
 
 
+@functools.lru_cache(maxsize=64)
+def _mask_table(labels: tuple[str, ...]) -> tuple[np.ndarray, tuple[frozenset[str], ...]]:
+    """For each mask 1 .. 2^n - 1 of n qubits, in order, the read-only row
+    index ^ mask of the (2^n - 1, 2^n) flip table, and the labels the mask
+    flips (bit n-1-k of a mask is factor k)."""
+    n = len(labels)
+    masks = np.arange(1, 2**n)
+    flips = np.arange(2**n) ^ masks[:, np.newaxis]
+    flips.setflags(write=False)
+    return flips, tuple(frozenset(lab for k, lab in enumerate(labels) if mask >> (n - 1 - k) & 1)
+                        for mask in masks.tolist())
+
+
 def sector_decomposition(psi, layout: SubsystemLayout) -> dict[frozenset[str], np.ndarray]:
     """Coherence of a pure qubit state |psi><psi|, or of each of a stack
     (..., dim), split by the factors each term spans.
@@ -203,13 +217,9 @@ def sector_decomposition(psi, layout: SubsystemLayout) -> dict[frozenset[str], n
     if psi.shape[-1] != layout.dim:
         raise ValueError(f"state dimension {psi.shape[-1]} != layout dimension {layout.dim}")
     check_norms(psi)
-    n, index = len(layout.dims), np.arange(layout.dim)
+    flips, label_sets = _mask_table(layout.labels)
     prob = np.abs(psi) ** 2
     nonzero = (psi != 0.0).reshape(-1, layout.dim)
-    weights = {}
-    for mask in range(1, layout.dim):  # bit n-1-k of a mask is factor k
-        flip = index ^ mask
-        if (nonzero & nonzero[:, flip]).any():
-            labels = [lab for k, lab in enumerate(layout.labels) if mask >> (n - 1 - k) & 1]
-            weights[frozenset(labels)] = (prob * prob[..., flip]).sum(axis=-1)
-    return weights
+    present = np.flatnonzero((nonzero[:, np.newaxis] & nonzero[:, flips]).any(axis=(0, 2)))
+    weights = np.moveaxis((prob[..., np.newaxis, :] * prob[..., flips]).sum(axis=-1), -1, 0)
+    return {label_sets[i]: weights[i] for i in present}

@@ -13,9 +13,10 @@ the test suite as expected values.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -174,17 +175,27 @@ def _sector_columns(sectors: dict, rows: int) -> dict[str, np.ndarray]:
         frozenset(labels), np.zeros(rows)) for labels in SECTORS}
 
 
-def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: Sequence[str]) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _gather(layout: SubsystemLayout, keeps: tuple[tuple[str, ...], ...]) -> np.ndarray:
+    """Read-only indices (K, kept dim, rest dim) into the amplitudes of a
+    ``layout`` state: entry [k, i, j] is the basis state whose factors in
+    keeps[k] read i and whose other factors read j, both in layout order."""
+    index = np.arange(layout.dim).reshape(layout.dims)
+    tables = []
+    for keep in keeps:
+        axes = [layout.position(label) for label in keep]
+        t = index.transpose([*axes, *(a for a in range(index.ndim) if a not in axes)])
+        tables.append(t.reshape(math.prod(layout.dims[a] for a in axes), -1))
+    table = np.stack(tables)
+    table.setflags(write=False)
+    return table
+
+
+def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: tuple[str, ...]) -> np.ndarray:
     """Reduced states (K, P, d, d) on each of K equal-dimension ``keeps`` of
     pure states (P, dim): M M^dag by one matmul, with each M the amplitudes
-    reshaped to (P, kept factors, the rest)."""
-    t = amplitudes.reshape((-1,) + layout.dims)
-    ms = []
-    for keep in keeps:
-        axes = [1 + layout.position(label) for label in keep]
-        m = t.transpose([0, *axes, *(a for a in range(1, t.ndim) if a not in axes)])
-        ms.append(m.reshape(len(t), math.prod(t.shape[a] for a in axes), -1))
-    m = np.stack(ms)
+    gathered to (P, kept factors, the rest) by one cached table."""
+    m = amplitudes[:, _gather(layout, keeps)].swapaxes(0, 1)
     return m @ m.conj().swapaxes(-1, -2)
 
 
@@ -203,11 +214,18 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     m = local_measures(firsts[names.index("AEA")], initial)
     m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
     # correlated_coherence_hs of each pair, from the marginals traced above
-    hs_first, hs_second = hs_coherence(firsts), hs_coherence(seconds)
-    m.update(zip([f"Cc_{name}" for name in names], hs_coherence(stack) - hs_first - hs_second))
+    hs_joint, hs_first, hs_second = hs_coherence(stack), hs_coherence(firsts), hs_coherence(seconds)
+    m.update(zip([f"Cc_{name}" for name in names], hs_joint - hs_first - hs_second))
     # A-B entanglement is reported as a concurrence; AB, where present, is first
     cross = int("AB" in pairs)
-    cross_min = _ppt_min(stack[cross:])
+    if cross:
+        cross_min = _ppt_min(stack[cross:])
+    else:
+        # the one cross pair, A-E_A, is the pure global state c: its partial
+        # transpose has spectrum {l1^2, l2^2, +-l1 l2} over its Schmidt
+        # coefficients, and l1 l2 = |c00 c11 - c01 c10|
+        c = amplitudes
+        cross_min = -np.abs(c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2])[np.newaxis]
     m.update(zip([f"ppt_{name}" for name in names[cross:]], (cross_min >= -PPT_TOL).astype(float)))
     if "AB" in pairs:
         # the joint coherence of the pure global state is C_global
@@ -216,7 +234,7 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
         s_a, s_b = _entropy(np.stack([firsts[0], seconds[0]]))
         m.update(
             Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
-            C_env=hs_coherence(pairs["EAEB"]),
+            C_env=hs_joint[names.index("EAEB")],
             concurrence_AB=concurrence_x_state(pairs["AB"]),
             mutual_info_AB=s_a + s_b - _entropy(pairs["AB"]),
         )

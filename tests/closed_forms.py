@@ -1,0 +1,74 @@
+"""Closed forms of the measure columns, derived from the channel definitions.
+
+Each form is an explicit function of the initial amplitude x and the noise
+value p (scalars or numpy arrays), written down from the channels as the
+README defines them, never from the package's own dilation.  This module
+imports nothing from ccrsweep, so it is an oracle independent of the code
+under test.
+
+Stage 1 covers the one-qubit kinds.  Each one's global state is a pure
+two-qubit state of A and its environment E_A, so the A-E_A pair is that
+state.  With y^2 = 1 - x^2, each kind is a two-branch mixture of weight
+r = p (phase flip, bit-phase flip) or r = (1 - p)/2 (depolarizing), and
+q = r(1 - r).
+
+The forms:
+
+- ``C_global``, for all three kinds, is 1 - (x^4 + y^4)((1 - r)^2 + r^2).
+- ``C_hs_A`` is 2 x^2 y^2 (1 - 2r)^2 for all three kinds.
+- ``P_hs_A``, ``S_l_A`` and ``Cc_AEA`` follow per kind.
+- The smallest eigenvalue of the A-E_A partial transpose is
+  -|c00 c11 - c01 c10|, for the pure state's amplitudes c.  This is the
+  product of its two Schmidt coefficients (Vidal-Werner, PRA 65, 032314
+  (2002)).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+#: The partial transpose of a PPT state has no eigenvalue below -PPT_TOL.
+PPT_TOL = 1e-10
+
+#: The one-qubit kinds, by their CLI names, with their mixing weight r(p).
+MIXING_WEIGHT = {
+    "pfc": lambda p: p,
+    "bpfc": lambda p: p,
+    "dc": lambda p: (1.0 - p) / 2.0,
+}
+
+
+def one_qubit_columns(kind: str, x, p) -> dict:
+    """P_hs_A, C_hs_A, S_l_A, C_global, Cc_AEA, the A-E_A partial-transpose
+    minimum ``cross_min`` and the ``ppt_AEA`` flag of a one-qubit kind
+    ("pfc", "bpfc" or "dc") at initial amplitude x and noise value p."""
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    x2 = x * x
+    y2 = 1.0 - x2
+    r = MIXING_WEIGHT[kind](p)
+    q = r * (1.0 - r)
+    c_global = 1.0 - (x2 * x2 + y2 * y2) * ((1.0 - r) ** 2 + r * r)
+    c_hs = 2.0 * x2 * y2 * (1.0 - 2.0 * r) ** 2
+    if kind == "pfc":
+        # a phase flip keeps A's populations and shrinks its coherence
+        p_hs = x2 * x2 + y2 * y2 - 0.5
+        s_l = 8.0 * x2 * y2 * q
+        cc_aea = c_global - c_hs - 2.0 * (x2 - y2) ** 2 * q
+        cross_min = -2.0 * np.sqrt(x2 * y2 * q)
+    else:
+        # a sigma_y branch exchanges A's populations with weight r
+        a = x2 * (1.0 - r) + y2 * r
+        b = y2 * (1.0 - r) + x2 * r
+        p_hs = a * a + b * b - 0.5
+        s_l = 1.0 - a * a - b * b - c_hs
+        cc_aea = c_global - c_hs
+        cross_min = -np.sqrt(q)
+    return {
+        "P_hs_A": p_hs,
+        "C_hs_A": c_hs,
+        "S_l_A": s_l,
+        "C_global": c_global,
+        "Cc_AEA": cc_aea,
+        "cross_min": cross_min,
+        "ppt_AEA": (cross_min >= -PPT_TOL).astype(float),
+    }

@@ -480,7 +480,8 @@ def test_state_columns_match_the_per_point_route(kind, x):
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)
 def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
     # verify's checks add no eigen-solve to the engine's: they reuse its
-    # cross-pair PPT minima, and the A-B PPT test of an X state is closed-form
+    # cross-pair PPT minima, and the A-B PPT test of an X state is closed-form;
+    # the engine itself solves only phase damping's cross pairs
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -496,7 +497,7 @@ def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
     calls.clear()
     _verify_blocks(cfg, _Tracker())
     assert len(calls) == engine
-    assert (engine == 0) is (kind in (ChannelKind.ADC, ChannelKind.CADC, ChannelKind.BFC))
+    assert (engine == 0) is (kind is not ChannelKind.PDC)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)

@@ -1,0 +1,54 @@
+"""The engine's one-qubit columns against the closed forms of closed_forms.py."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from closed_forms import PPT_TOL, one_qubit_columns
+from ccrsweep.channels import ChannelKind
+from ccrsweep.reports import _block_columns
+
+INV_SQRT2 = 1 / math.sqrt(2)
+#: The acceptance grid (tests/test_acceptance.py).
+X_GRID = (0.1, 0.2, 0.25, 0.5, INV_SQRT2)
+P_GRID = [i / 100 for i in range(101)]
+
+COLUMNS = ("P_hs_A", "C_hs_A", "S_l_A", "C_global", "Cc_AEA")
+ONE_QUBIT_KINDS = ["pfc", "bpfc", "dc"]
+
+
+def assert_block_matches(kind: str, x: float, ps: np.ndarray) -> None:
+    _, m, *_, cross_min = _block_columns(ChannelKind(kind), 0.0, x, ps)
+    want = one_qubit_columns(kind, x, ps)
+    for name in COLUMNS:
+        assert np.abs(m[name] - want[name]).max(initial=0.0) <= 1e-12, (name, x)
+    assert np.abs(cross_min[0] - want["cross_min"]).max(initial=0.0) <= 1e-12, x
+    # the flag is compared wherever the minimum is clear of the threshold
+    clear = np.abs(want["cross_min"] + PPT_TOL) > 1e-12
+    assert (m["ppt_AEA"][clear] == want["ppt_AEA"][clear]).all(), x
+
+
+@pytest.mark.parametrize("kind", ONE_QUBIT_KINDS)
+def test_one_qubit_columns_match_the_closed_forms_on_the_grid(kind):
+    for x in X_GRID:
+        assert_block_matches(kind, x, np.array(P_GRID))
+
+
+@pytest.mark.parametrize("kind", ONE_QUBIT_KINDS)
+@given(
+    x=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, INV_SQRT2]),
+    ps=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=1, max_size=12),
+)
+def test_one_qubit_columns_match_the_closed_forms_property(kind, x, ps):
+    assert_block_matches(kind, x, np.array(ps))
+
+
+def test_forms_obey_the_complementarity_budget():
+    # P + C + S_l = 1/2 for qubit A, from the forms alone
+    x, p = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21))
+    for kind in ONE_QUBIT_KINDS:
+        f = one_qubit_columns(kind, x, p)
+        assert np.abs(f["P_hs_A"] + f["C_hs_A"] + f["S_l_A"] - 0.5).max() <= 1e-15

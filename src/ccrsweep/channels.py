@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SubsystemLayout, check_norms, qubits, state_vector
+from .linalg import SubsystemLayout, qubits, state_vector
 
 #: A Kraus set applied to a state may deviate from completeness by at most this.
 COMPLETENESS_TOL = 1e-10
@@ -201,7 +201,6 @@ def dilate_block(
 
     W = _isometry(kind, ps, mu)
     out = np.einsum("psec,c->pse", W, psi).reshape(len(ps), out_layout.dim)
-    check_norms(out)
     out.setflags(write=False)
     return out, out_layout
 

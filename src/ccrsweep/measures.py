@@ -93,6 +93,31 @@ def _qubit_eigenvalues(a, d, modulus):
     return mean - radius, mean + radius
 
 
+def _x_entries(m: np.ndarray, tol: float | None = X_STATE_TOL):
+    """The diagonal (..., 4) and moduli |m_03|, |m_12| of a stack (..., 4, 4) of X
+    states, the X closed forms' input.  Raises ValueError naming the largest
+    off-X modulus if it exceeds ``tol``; with ``tol`` None, is None unless all are 0."""
+    if tol is None and _off_x(m).any():
+        return None
+    if tol is not None and (worst := float(np.abs(_off_x(m)).max())) > tol:
+        raise ValueError(f"not an X state: entry of modulus {worst!r} outside diagonal/anti-diagonal")
+    return m.diagonal(0, -2, -1).real, np.abs(m[..., 0, 3]), np.abs(m[..., 1, 2])
+
+
+def _x_blocks(diag, a03, a12):
+    """Eigenvalues (lower, upper, lower, upper) of the {0, 3} and {1, 2} X blocks."""
+    return (_qubit_eigenvalues(diag[..., 0], diag[..., 3], a03)
+            + _qubit_eigenvalues(diag[..., 1], diag[..., 2], a12))
+
+
+def _x_concurrence(diag, a03, a12):
+    """Concurrence of X states (Wootters, PRL 80, 2245 (1998))."""
+    diag = np.clip(diag, 0.0, None)
+    lam = np.maximum(a03 - np.sqrt(diag[..., 1] * diag[..., 2]),
+                     a12 - np.sqrt(diag[..., 0] * diag[..., 3]))
+    return 2.0 * np.where(lam > 0.0, lam, 0.0)
+
+
 def _spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each of a Hermitian stack (..., d, d),
     unchecked.  A qubit's are closed-form; so are those of a two-qubit stack
@@ -102,30 +127,25 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     if d == 2:
         lam = _qubit_eigenvalues(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1]))
         return np.stack(lam, axis=-1)
-    if d == 4 and not _off_x(m).any():
-        diag = m.diagonal(0, -2, -1).real
-        lam = (_qubit_eigenvalues(diag[..., 0], diag[..., 3], np.abs(m[..., 0, 3]))
-               + _qubit_eigenvalues(diag[..., 1], diag[..., 2], np.abs(m[..., 1, 2])))
-        return np.sort(np.stack(lam, axis=-1), axis=-1)
-    return np.linalg.eigvalsh(m)
+    x = _x_entries(m, None) if d == 4 else None
+    if x is None:
+        return np.linalg.eigvalsh(m)
+    return np.sort(np.stack(_x_blocks(*x), axis=-1), axis=-1)
 
 
 def _ppt_min(m: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the partial transpose on the first qubit of each
-    of a Hermitian stack (..., 4, 4), unchecked.  The transpose of an X state
-    has the same 2x2 blocks with the two anti-diagonal moduli swapped, so
-    when every off-X entry is exactly zero it is not formed."""
-    if _off_x(m).any():
+    of a Hermitian stack (..., 4, 4), unchecked; an exact X state's is not
+    formed (it has the same 2x2 blocks with the anti-diagonal moduli swapped)."""
+    x = _x_entries(m, None)
+    if x is None:
         return np.linalg.eigvalsh(_partial_transpose(m, (2, 2), 0))[..., 0]
-    diag = m.diagonal(0, -2, -1).real
-    outer_lo, _ = _qubit_eigenvalues(diag[..., 0], diag[..., 3], np.abs(m[..., 1, 2]))
-    inner_lo, _ = _qubit_eigenvalues(diag[..., 1], diag[..., 2], np.abs(m[..., 0, 3]))
-    return np.minimum(outer_lo, inner_lo)
+    return np.minimum(*_x_blocks(x[0], x[2], x[1])[::2])
 
 
-def _entropy(m: np.ndarray):
-    """Von Neumann entropy of each of a Hermitian stack (..., d, d), unchecked."""
-    lam = np.clip(_spectrum(m), 0.0, None)
+def _entropy(lam: np.ndarray):
+    """Von Neumann entropy of spectra (..., n), round-off negatives clamped."""
+    lam = np.clip(lam, 0.0, None)
     return -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
 
 
@@ -134,7 +154,7 @@ def von_neumann_entropy(rho):
 
     Raises ValueError for a non-square, non-finite or non-Hermitian matrix.
     """
-    return _entropy(_hermitian(rho))
+    return _entropy(_spectrum(_hermitian(rho)))
 
 
 def re_correlated_coherence(joint, blocks: Sequence[str]):
@@ -155,22 +175,13 @@ def concurrence_x_state(rho):
     """Closed-form concurrence 2 max(0, L1, L2) for a two-qubit X state.
 
     L1 = |rho_14| - sqrt(rho_22 rho_33), L2 = |rho_23| - sqrt(rho_11 rho_44).
-    Raises ValueError when a matrix is not X-shaped (the formula would be
-    silently wrong), naming the largest off-X modulus of the stack.
+    Raises ValueError unless the input is finite, Hermitian, 4x4 and X-shaped
+    (the formula would be silently wrong), naming the largest off-X modulus.
     """
-    m = np.asarray(rho)
+    m = _hermitian(rho)
     if m.shape[-1] != 4:
         raise ValueError(f"X-state concurrence needs a two-qubit state, dim {m.shape[-1]}")
-    worst = float(np.abs(_off_x(m)).max())
-    if worst > X_STATE_TOL:
-        raise ValueError(
-            f"not an X state: entry of modulus {worst!r} outside diagonal/anti-diagonal"
-        )
-    diag = np.clip(m.diagonal(0, -2, -1).real, 0.0, None)
-    lam1 = np.abs(m[..., 0, 3]) - np.sqrt(diag[..., 1] * diag[..., 2])
-    lam2 = np.abs(m[..., 1, 2]) - np.sqrt(diag[..., 0] * diag[..., 3])
-    lam = np.maximum(lam1, lam2)
-    return 2.0 * np.where(lam > 0.0, lam, 0.0)
+    return _x_concurrence(*_x_entries(m))
 
 
 def ppt_min_eigenvalue(rho):

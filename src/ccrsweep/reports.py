@@ -26,8 +26,10 @@ from .measures import (
     PPT_TOL,
     _entropy,
     _ppt_min,
-    concurrence_x_state,
-    factor_marginals,
+    _spectrum,
+    _x_blocks,
+    _x_concurrence,
+    _x_entries,
     hs_coherence,
     hs_predictability,
     linear_entropy,
@@ -205,16 +207,19 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     the pair stacks the measures were taken on and the cross pairs' (3, P)
     smallest partial-transpose eigenvalues.  The pairs of ``PAIRS`` the
     layout has form one stack (K, P, 4, 4) and each measure runs once on it;
-    its one-factor marginals are traced once and give A's marginal, the
-    Cc_*, Cc_ABE and the A-B mutual information."""
+    its one-factor marginals are read from its entries and give A's
+    marginal, the Cc_*, Cc_ABE and the A-B mutual information."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
     pairs = dict(zip(names, stack))
-    firsts, seconds = factor_marginals(stack, (2, 2))
+    # each pair's one-qubit marginals (K, P, 2, 2), each entry a sum of two of its entries
+    t = stack.reshape(stack.shape[:-2] + (2, 2, 2, 2))
+    firsts, seconds = t[..., :, 0, :, 0] + t[..., :, 1, :, 1], t[..., 0, :, 0, :] + t[..., 1, :, 1, :]
     m = local_measures(firsts[names.index("AEA")], initial)
     m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
-    # correlated_coherence_hs of each pair, from the marginals traced above
-    hs_joint, hs_first, hs_second = hs_coherence(stack), hs_coherence(firsts), hs_coherence(seconds)
+    # correlated_coherence_hs of each pair; a qubit's HS coherence is 2|rho_01|^2
+    hs_joint = hs_coherence(stack)
+    hs_first, hs_second = 2.0 * np.abs(firsts[..., 0, 1]) ** 2, 2.0 * np.abs(seconds[..., 0, 1]) ** 2
     m.update(zip([f"Cc_{name}" for name in names], hs_joint - hs_first - hs_second))
     # A-B entanglement is reported as a concurrence; AB, where present, is first
     cross = int("AB" in pairs)
@@ -230,13 +235,14 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     if "AB" in pairs:
         # the joint coherence of the pure global state is C_global
         local = hs_first + hs_second
-        # the mutual information S(A) + S(B) - S(AB), from the marginals traced above
-        s_a, s_b = _entropy(np.stack([firsts[0], seconds[0]]))
+        # the A-B pair is an X state, read once for S(AB) and the concurrence
+        ab = _x_entries(pairs["AB"])
+        s_a, s_b = _entropy(_spectrum(np.stack([firsts[0], seconds[0]])))
         m.update(
             Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
             C_env=hs_joint[names.index("EAEB")],
-            concurrence_AB=concurrence_x_state(pairs["AB"]),
-            mutual_info_AB=s_a + s_b - _entropy(pairs["AB"]),
+            concurrence_AB=_x_concurrence(*ab),
+            mutual_info_AB=s_a + s_b - _entropy(np.stack(_x_blocks(*ab), axis=-1)),
         )
     return m, pairs, cross_min
 
@@ -247,10 +253,9 @@ def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     dilated amplitudes (P, dim), their layout, and the pair stacks and
     cross-pair partial-transpose minima the measures were taken on.  Phase
     damping's sector columns are left to the readers that read them.
-    The input state and the dilated amplitudes are checked (by
-    :func:`dilate_block`); each state reduced from them is M M^dag of
-    normalized amplitudes, a density matrix by construction, and is not
-    checked again.  Each reader evaluates the rows of IDENTITIES it reads."""
+    Only the input state is checked (by :func:`dilate_block`): its isometry
+    image has unit norm, and each state reduced from that image, M M^dag, is a
+    density matrix by construction.  Each reader evaluates the rows of IDENTITIES it reads."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     if kind is ChannelKind.BFC:
@@ -274,7 +279,7 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     x, columns, amplitudes, layout, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
     if spec.kind is ChannelKind.PDC:
         columns.update(_sector_columns(sector_decomposition(amplitudes, layout), 1))
-    measures = {name: float(v[0]) if np.ndim(v) else float(v) for name, v in columns.items()}
+    measures = {name: v.item() for name, v in columns.items()}
     residuals = {ident: row.residual(measures) for ident, row in IDENTITIES.items()
                  if spec.kind in row.kinds}
     return CCRReport(spec, x, measures, residuals)
@@ -291,7 +296,7 @@ def _sudden_death_bisection(x: float) -> float:
         ps = np.linspace(lo, hi, 65)
         amplitudes, layout = dilate_block(ChannelKind.ADC, ps, 0.0, psi, sys_layout)
         ab = _reduced(amplitudes, layout, PAIRS["AB"])[0]
-        i = int(np.flatnonzero(concurrence_x_state(ab) > 0.0)[-1])
+        i = int(np.flatnonzero(_x_concurrence(*_x_entries(ab)) > 0.0)[-1])
         lo, hi = ps[i], ps[i + 1]
     return float(0.5 * (lo + hi))
 

@@ -151,6 +151,17 @@ class TestDilate:
         assert abs(float(np.vdot(state, state).real) - 1.0) <= 1e-12
         assert abs(linear_entropy(outer(state, layout))) <= 1e-12
 
+    @pytest.mark.parametrize("kind, mu", [(kind, 0.0) for kind in ALL_KINDS] + [
+        (ChannelKind.CADC, 1.0)], ids=lambda v: getattr(v, "value", f"mu={v}"))
+    def test_dilated_rows_have_unit_norm(self, kind, mu):
+        # dilate_block checks its input only; its image under the isometry
+        # keeps the norm, at p at and next to the ends of [0, 1] too
+        ps = np.array([0.0, 5e-324, 1e-300, 0.37, 1.0 - 2.0**-53, 1.0])
+        for x in (0.0, 0.37, 1 / math.sqrt(2), 1.0):
+            amplitudes, _ = dilate_block(kind, ps, mu, *system_state(kind, x))
+            norms = np.einsum("pi,pi->p", amplitudes.conj(), amplitudes).real
+            assert np.abs(norms - 1.0).max() <= 1e-12, (x, norms)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_inner_products_preserved(self, kind):
         # the joint map is an isometry: overlaps of dilated states match

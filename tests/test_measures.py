@@ -269,6 +269,19 @@ class TestXStateConcurrence:
         with pytest.raises(ValueError, match="two-qubit"):
             concurrence_x_state(DensityOperator(np.eye(2) / 2, qubits("A")))
 
+    @pytest.mark.parametrize("entry, value", [((0, 1), np.nan), ((1, 1), np.nan), ((0, 3), np.inf)],
+                             ids=["nan-off-x", "nan-diagonal", "inf"])
+    def test_non_finite_entries_rejected(self, entry, value):
+        # a NaN off-X entry slips past a modulus guard (NaN > tol is False)
+        # and a NaN diagonal is clipped, each to a silent 0.0; an infinite
+        # modulus would give an infinite concurrence
+        rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        rho[entry] = rho[entry[::-1]] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            concurrence_x_state(rho)
+        with pytest.raises(ValueError, match="non-finite"):
+            concurrence_x_state(np.stack([np.eye(4) / 4, rho]))
+
     def test_stacked_block_with_one_non_x_row_rejected(self):
         rows = [partial_trace(outer(*damped_pair_state(0.4, p)), {"A", "B"}).mat
                 for p in (0.1, 0.5, 0.9)]
@@ -503,7 +516,9 @@ NOT_HERMITIAN = np.array([[0.5, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
     ppt_min_eigenvalue,
     is_ppt,
     lambda m: re_correlated_coherence(m, ("A", "B")),
-], ids=["von_neumann_entropy", "ppt_min_eigenvalue", "is_ppt", "re_correlated_coherence"])
+    concurrence_x_state,
+], ids=["von_neumann_entropy", "ppt_min_eigenvalue", "is_ppt", "re_correlated_coherence",
+        "concurrence_x_state"])
 def test_public_spectral_measures_check_their_input(measure, bad, message):
     # the engine calls the spectrum kernel unchecked; the public measures
     # keep the Hermiticity and finiteness check, also on X-shaped input and

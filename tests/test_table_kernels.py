@@ -1,10 +1,13 @@
-"""The cached-table kernels against the loops they replaced, byte for byte.
+"""The table kernels against the routes they replaced.
 
 ``reports._reduced`` gathers each kept pair through one cached index table,
 and ``measures.sector_decomposition`` weighs every mask through one cached
 flip table.  The reference functions below are the former per-keep
 transpose loop and per-mask loop; both kernels must give the same bytes and
-the same dict key order.
+the same dict key order.  ``reports._measure_columns`` reads every pair's
+marginals from its entries and the A-B pair's closed forms from one X
+reading; the former traced route is kept below as the reference, which
+every column must match to 1e-15 and every ``ppt_*`` flag exactly.
 """
 
 import math
@@ -14,8 +17,27 @@ import pytest
 
 from ccrsweep.channels import ChannelKind, dilate_block
 from ccrsweep.linalg import qubits
-from ccrsweep.measures import _mask_table, sector_decomposition
-from ccrsweep.reports import PAIRS, _gather, _reduced, initial_state
+from ccrsweep.measures import (
+    PPT_TOL,
+    _entropy,
+    _mask_table,
+    _ppt_min,
+    _spectrum,
+    _x_entries,
+    concurrence_x_state,
+    factor_marginals,
+    hs_coherence,
+    sector_decomposition,
+)
+from ccrsweep.reports import (
+    PAIRS,
+    _block_columns,
+    _gather,
+    _measure_columns,
+    _reduced,
+    initial_state,
+    local_measures,
+)
 
 BLOCKS = [(kind, mu) for kind in ChannelKind
           for mu in ((0.0, 1.0) if kind is ChannelKind.CADC else (0.0,))]
@@ -105,3 +127,73 @@ def test_cached_tables_are_shared_and_read_only():
     assert flips.shape == (15, 16) and len(label_sets) == 15
     with pytest.raises(ValueError, match="read-only"):
         flips[0, 0] = 1
+
+
+def measure_columns_by_traces(amplitudes, layout, initial):
+    """The measure columns by the former route: each pair's marginals traced
+    (factor_marginals) and measured by hs_coherence and the spectrum kernel,
+    S(AB) from the spectrum kernel and the concurrence by concurrence_x_state."""
+    names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
+    stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
+    pairs = dict(zip(names, stack))
+    firsts, seconds = factor_marginals(stack, (2, 2))
+    m = local_measures(firsts[names.index("AEA")], initial)
+    m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
+    hs_joint, hs_first, hs_second = hs_coherence(stack), hs_coherence(firsts), hs_coherence(seconds)
+    m.update(zip([f"Cc_{name}" for name in names], hs_joint - hs_first - hs_second))
+    cross = int("AB" in pairs)
+    if cross:
+        cross_min = _ppt_min(stack[cross:])
+    else:
+        c = amplitudes
+        cross_min = -np.abs(c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2])[np.newaxis]
+    m.update(zip([f"ppt_{name}" for name in names[cross:]], (cross_min >= -PPT_TOL).astype(float)))
+    if cross:
+        local = hs_first + hs_second
+        s_a, s_b = _entropy(_spectrum(np.stack([firsts[0], seconds[0]])))
+        m.update(
+            Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
+            C_env=hs_joint[names.index("EAEB")],
+            concurrence_AB=concurrence_x_state(pairs["AB"]),
+            mutual_info_AB=s_a + s_b - _entropy(_spectrum(pairs["AB"])),
+        )
+    return m
+
+
+#: p at and next to the ends of [0, 1], alone and inside a 101-point block
+EDGE_PS = (0.0, 5e-324, 1e-300, 0.37, 1.0 - 2.0**-53, 1.0)
+BLOCK_PS = {**{f"P=1 p={p!r}": np.array([p]) for p in EDGE_PS},
+            "P=101": np.union1d(np.linspace(0.0, 1.0, 97), EDGE_PS)}
+
+
+@pytest.mark.parametrize("ps", BLOCK_PS.values(), ids=BLOCK_PS.keys())
+@pytest.mark.parametrize("block", BLOCKS, ids=block_ids)
+def test_pair_entry_columns_match_the_traced_route(block, ps):
+    kind, mu = block
+    assert len(ps) in (1, 101)
+    for x in (0.0, 1e-8, 0.37, 1 / math.sqrt(2), 1.0):
+        x, got, amplitudes, layout, *_ = _block_columns(kind, mu, x, ps)
+        psi, sys_layout = initial_state(kind, x)
+        want = measure_columns_by_traces(
+            amplitudes, layout, _reduced(psi[np.newaxis], sys_layout, ("A",))[0])
+        assert list(got) == list(want)
+        for name in want:
+            if name.startswith("ppt_"):
+                assert np.array_equal(got[name], want[name]), (name, x)
+            else:
+                assert np.abs(got[name] - want[name]).max() <= 1e-15, (name, x)
+
+
+def test_a_non_x_pair_is_rejected_by_the_shared_reading():
+    _, _, amplitudes, layout, pairs, _ = _block_columns(
+        ChannelKind.ADC, 0.0, 0.37, np.array([0.2, 0.6]))
+    leaky = pairs["AB"].copy()
+    leaky[1, 0, 1] = leaky[1, 1, 0] = 1e-9
+    with pytest.raises(ValueError, match=r"not an X state: entry of modulus 1e-09 "):
+        _x_entries(leaky)
+    # the engine reads the A-B pair of every two-qubit state through it
+    rng = np.random.default_rng(7)
+    scrambled = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+    scrambled /= np.linalg.norm(scrambled, axis=-1, keepdims=True)
+    with pytest.raises(ValueError, match="not an X state"):
+        _measure_columns(scrambled, layout, np.eye(2)[np.newaxis] / 2)

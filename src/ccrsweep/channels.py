@@ -1,16 +1,16 @@
-"""Noisy qubit channels as explicit system+environment dilations.
+"""Noisy qubit channels as their Kraus operators.
 
-Each memoryless channel is defined by the isometry its interaction unitary
-induces on one (system qubit, fresh environment qubit) pair, with the
-environment starting in |0>.  The correlated amplitude damping channel acts
-jointly on the two-qubit system and a shared two-qubit environment.  The
-one definition of a channel is ``_isometry``, the tensor W[s, e, c] =
-<s, e|U|c, 0>_E over an array of p: ``dilate_block`` builds it once over a
-block's p and contracts it with the input state, and ``_kraus_stack`` slices
-it along the environment basis, K_e = <e|U|0>_E, so the operator-sum route
-and the dilate-then-trace route realize the same map by construction.  The
-operator sum has one implementation, ``_operator_sums``, over an operator
-stack.  One point is a block of one: a one-element p array.
+Each memoryless channel is its Kraus pair on one qubit, one row of
+``_KRAUS_PAIRS`` as the README channel table gives it; a two-qubit kind
+applies the pair to each qubit.  The correlated amplitude damping channel
+acts jointly on the two-qubit system through one operator per state of a
+shared two-qubit environment.  ``_kraus_stack`` gives a channel over an array
+of p as one tensor K[P, e, s, c] = <s, e|U|c, 0>_E, which is both its Kraus
+operators and the isometry of its dilation with the environment starting in
+|0>: ``dilate_block`` contracts it with the input state and
+``_operator_sums`` sums over it, so the dilate-then-trace route and the
+operator-sum route realize the same map by construction.  One point is a
+block of one: a one-element p array.
 
 Channel roster and noise parameter p in [0, 1]:
 
@@ -88,85 +88,59 @@ class ChannelSpec:
             raise ValueError(f"mu is only meaningful for CADC, got mu={self.mu!r} for {self.kind}")
 
 
-def _local_isometry(kind: ChannelKind, p) -> np.ndarray:
-    """Isometry V : H_k -> H_k (x) H_Ek with V|j> = U|j,0>, as a (..., 2,2,2)
-    tensor over the shape of ``p`` (a noise value or an array of them).
-
-    Index order is V[..., m, e, j]: system output m, environment output e,
-    system input j.  The memoryless part of CADC damps each qubit as ADC does.
-    """
-    V = np.zeros(np.shape(p) + (2, 2, 2), dtype=complex)
-    if kind in (ChannelKind.ADC, ChannelKind.CADC):
-        V[..., 0, 0, 0] = 1.0
-        V[..., 1, 0, 1] = np.sqrt(1.0 - p)  # excited state survives
-        V[..., 0, 1, 1] = np.sqrt(p)        # decays, photon emitted
-    elif kind is ChannelKind.PDC:
-        V[..., 0, 0, 0] = 1.0
-        V[..., 1, 0, 1] = np.sqrt(1.0 - p)
-        V[..., 1, 1, 1] = np.sqrt(p)        # environment tagged, no transition
-    elif kind is ChannelKind.BFC:
-        keep, flip = np.sqrt(1.0 - p / 2.0), np.sqrt(p / 2.0)
-        V[..., 0, 0, 0] = keep
-        V[..., 1, 1, 0] = flip
-        V[..., 1, 0, 1] = keep
-        V[..., 0, 1, 1] = flip
-    elif kind is ChannelKind.PFC:
-        keep, flip = np.sqrt(1.0 - p), np.sqrt(p)
-        V[..., 0, 0, 0] = keep
-        V[..., 0, 1, 0] = flip
-        V[..., 1, 0, 1] = keep
-        V[..., 1, 1, 1] = -flip             # pi phase on |1>
-    elif kind is ChannelKind.BPFC:
-        keep, flip = np.sqrt(1.0 - p), np.sqrt(p)
-        V[..., 0, 0, 0] = keep
-        V[..., 1, 1, 0] = 1j * flip         # sigma_y branch
-        V[..., 1, 0, 1] = keep
-        V[..., 0, 1, 1] = -1j * flip
-    elif kind is ChannelKind.DC:
-        keep, mix = np.sqrt((1.0 + p) / 2.0), np.sqrt((1.0 - p) / 2.0)
-        V[..., 0, 0, 0] = keep
-        V[..., 1, 1, 0] = 1j * mix          # sigma_y branch
-        V[..., 1, 0, 1] = keep
-        V[..., 0, 1, 1] = -1j * mix
-    else:
-        raise ValueError(f"{kind} has no single-qubit interaction")
-    return V
+#: K_1's matrix: the decay |0><1|, the projector |1><1| and the Pauli matrices.
+_DECAY, _EXCITED, _X, _Y, _Z = (np.array(m, dtype=complex) for m in (
+    [[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
 
 
-def _correlated_isometry(p) -> np.ndarray:
-    """Fully correlated amplitude damping isometry as a (..., 4,4,4) tensor
-    W[..., s, e, c] over the shape of ``p``.
-
-    Only |11> decays, and it decays jointly into the shared environment
-    excitation |11>_E; the other basis states pass through untouched.
-    """
-    W = np.zeros(np.shape(p) + (4, 4, 4), dtype=complex)
-    for c in range(3):
-        W[..., c, 0, c] = 1.0
-    W[..., 3, 0, 3] = np.sqrt(1.0 - p)
-    W[..., 0, 3, 3] = np.sqrt(p)
-    return W
+def _unital(keep, flip):
+    """The weights of the pair keep I, flip sigma."""
+    return keep, keep, flip
 
 
-def _isometry(kind: ChannelKind, p, mu: float) -> np.ndarray:
-    """The channel at each noise value of ``p`` as one tensor stack
-    W[..., s, e, c] = <s, e|U|c, 0>_E.
+#: Each memoryless kind's Kraus pair on one qubit, as the README channel
+#: table writes it: K_0 = diag(a, b) and K_1 = w M, given as the weights
+#: p -> (a, b, w) at noise p (a number or an array) and the matrix M.  This
+#: is the one definition of the channel; a two-qubit kind applies its pair to
+#: each qubit, and CADC's memoryless part is amplitude damping.
+_KRAUS_PAIRS = {
+    ChannelKind.ADC: (lambda p: (1, np.sqrt(1 - p), np.sqrt(p)), _DECAY),
+    ChannelKind.CADC: (lambda p: (1, np.sqrt(1 - p), np.sqrt(p)), _DECAY),
+    ChannelKind.PDC: (lambda p: (1, np.sqrt(1 - p), np.sqrt(p)), _EXCITED),
+    ChannelKind.BFC: (lambda p: _unital(np.sqrt(1 - p / 2), np.sqrt(p / 2)), _X),
+    ChannelKind.PFC: (lambda p: _unital(np.sqrt(1 - p), np.sqrt(p)), _Z),
+    ChannelKind.BPFC: (lambda p: _unital(np.sqrt(1 - p), np.sqrt(p)), _Y),
+    ChannelKind.DC: (lambda p: _unital(np.sqrt((1 + p) / 2), np.sqrt((1 - p) / 2)), _Y),
+}
 
-    The local V for one-qubit kinds, V (x) V as (..., 4, 4, 4) for memoryless
-    two-qubit kinds (CADC at mu = 0 too), the correlated isometry at mu = 1.
-    CADC at fractional mu (the only kind with mu != 0) raises ValueError.
-    """
+
+def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
+    """The channel (kind, mu) at each noise value of ``ps`` as one contiguous,
+    unpruned (P, nK, d, d) stack K[p, e, s, c] = <s, e|U|c, 0>_E: its Kraus
+    operators, which are also the isometry of its dilation.
+
+    The kind's pair for one-qubit kinds, its tensor square for memoryless
+    two-qubit kinds (CADC at mu = 0 too), and at mu = 1 the correlated
+    operators, one per shared environment state: only |11> decays, jointly
+    into |11>_E.  CADC at fractional mu stacks the union
+    {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}."""
     if mu not in (0.0, 1.0):
-        raise ValueError(
-            "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
-            "a two-qubit environment (take the operator sum of its _kraus_stack instead)"
-        )
+        return np.concatenate([np.sqrt(w) * _kraus_stack(kind, ps, m)
+                               for m, w in ((0.0, 1.0 - mu), (1.0, mu))], axis=1)
     if mu == 1.0:
-        return _correlated_isometry(p)
-    V = _local_isometry(kind, p)
+        K = np.zeros((len(ps), 4, 4, 4), dtype=complex)
+        K[:, 0, [0, 1, 2], [0, 1, 2]] = 1.0
+        K[:, 0, 3, 3] = np.sqrt(1.0 - ps)
+        K[:, 3, 0, 3] = np.sqrt(ps)
+        return K
+    weights, matrix = _KRAUS_PAIRS[kind]
+    a, b, w = weights(ps)
+    K = np.zeros((len(ps), 2, 2, 2), dtype=complex)
+    K[:, 0, 0, 0], K[:, 0, 1, 1] = a, b
+    K[:, 1] = np.multiply.outer(w, matrix)
     if kind.n_system_qubits == 1:
-        return V
-    return np.einsum("...aej,...bfk->...abefjk", V, V).reshape(V.shape[:-3] + (4, 4, 4))
+        return K
+    return np.einsum("pemj,pfnk->pefmnjk", K, K).reshape(len(ps), 4, 4, 4)
 
 
 def dilate_block(
@@ -180,7 +154,7 @@ def dilate_block(
     acts on both jointly).  Raises ValueError when the system arity does not
     match the kind, when a depolarizing input has complex amplitudes (its
     identity-plus-sigma_y realization describes the intended mixture only on
-    real amplitudes), or for CADC with fractional mu (see :func:`_isometry`).
+    real amplitudes), or for CADC with fractional mu.
     ``ps`` and ``mu`` are taken as valid: :class:`ChannelSpec` and the sweep
     configuration check them where they enter.
     """
@@ -199,21 +173,14 @@ def dilate_block(
     if kind is ChannelKind.DC and float(np.abs(psi.imag).max()) > 1e-12:
         raise ValueError("the depolarizing dilation requires real amplitudes")
 
-    W = _isometry(kind, ps, mu)
-    out = np.einsum("psec,c->pse", W, psi).reshape(len(ps), out_layout.dim)
+    if mu not in (0.0, 1.0):
+        raise ValueError(
+            "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
+            "a two-qubit environment (take the operator sum of its _kraus_stack instead)"
+        )
+    out = np.einsum("pesc,c->pse", _kraus_stack(kind, ps, mu), psi).reshape(len(ps), out_layout.dim)
     out.setflags(write=False)
     return out, out_layout
-
-
-def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
-    """Kraus operators K_e = W[:, e, :] of the channel at each noise value of
-    ``ps`` as one contiguous, unpruned (P, nK, d, d) stack: :func:`_isometry`
-    with its environment axis moved to position 1.  CADC at fractional mu
-    stacks the union {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}."""
-    if mu in (0.0, 1.0):
-        return np.ascontiguousarray(np.moveaxis(_isometry(kind, ps, mu), 2, 1))
-    return np.concatenate([np.sqrt(w) * _kraus_stack(kind, ps, m)
-                           for m, w in ((0.0, 1.0 - mu), (1.0, mu))], axis=1)
 
 
 def _operator_sums(ops: np.ndarray, rhos: np.ndarray | None = None):

@@ -120,17 +120,11 @@ def _x_concurrence(diag, a03, a12):
 
 def _spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each of a Hermitian stack (..., d, d),
-    unchecked.  A qubit's are closed-form; so are those of a two-qubit stack
-    whose off-X entries are all exactly zero, the union of its 2x2 blocks on
-    {0, 3} and {1, 2}; any other stack goes to eigvalsh."""
-    d = m.shape[-1]
-    if d == 2:
-        lam = _qubit_eigenvalues(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1]))
-        return np.stack(lam, axis=-1)
-    x = _x_entries(m, None) if d == 4 else None
-    if x is None:
+    unchecked: a qubit's in closed form, any other by eigvalsh."""
+    if m.shape[-1] != 2:
         return np.linalg.eigvalsh(m)
-    return np.sort(np.stack(_x_blocks(*x), axis=-1), axis=-1)
+    lam = _qubit_eigenvalues(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1]))
+    return np.stack(lam, axis=-1)
 
 
 def _ppt_min(m: np.ndarray) -> np.ndarray:

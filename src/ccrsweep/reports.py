@@ -134,10 +134,13 @@ class CCRReport:
 
 
 def initial_state(kind: ChannelKind, x: float) -> tuple[np.ndarray, SubsystemLayout]:
-    """x|0..0> + sqrt(1-x^2)|1..1> on the kind's system layout."""
+    """x|0..0> + sqrt(1-x^2)|1..1> on the kind's system layout; x outside
+    [0, 1] (NaN too) raises ValueError."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x must lie in [0, 1], got {x!r}")
     labels = ("A", "B")[: kind.n_system_qubits]
     psi = np.zeros(2 ** len(labels), dtype=complex)
-    psi[0], psi[-1] = x, math.sqrt(max(0.0, 1.0 - x * x))
+    psi[0], psi[-1] = x, math.sqrt(1.0 - x * x)
     return psi, qubits(*labels)
 
 

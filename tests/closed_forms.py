@@ -12,7 +12,11 @@ state.  With y^2 = 1 - x^2, each kind is a two-branch mixture of weight
 r = p (phase flip, bit-phase flip) or r = (1 - p)/2 (depolarizing), and
 q = r(1 - r).
 
-The forms:
+The initial columns (``*_initial``) are those of A before the channel acts,
+for every kind.  A two-qubit kind's A starts entangled with B, in
+diag(x^2, y^2); a one-qubit kind's A starts in the pure x|0> + y|1>.
+
+The one-qubit forms:
 
 - ``C_global``, for all three kinds, is 1 - (x^4 + y^4)((1 - r)^2 + r^2).
 - ``C_hs_A`` is 2 x^2 y^2 (1 - 2r)^2 for all three kinds.
@@ -29,6 +33,9 @@ import numpy as np
 
 #: The partial transpose of a PPT state has no eigenvalue below -PPT_TOL.
 PPT_TOL = 1e-10
+
+#: The kinds with a two-qubit system, by their CLI names.
+TWO_QUBIT_KINDS = ("adc", "cadc", "pdc", "bfc")
 
 #: The one-qubit kinds, by their CLI names, with their mixing weight r(p).
 MIXING_WEIGHT = {
@@ -72,3 +79,17 @@ def one_qubit_columns(kind: str, x, p) -> dict:
         "cross_min": cross_min,
         "ppt_AEA": (cross_min >= -PPT_TOL).astype(float),
     }
+
+
+def initial_columns(kind: str, x) -> dict:
+    """P_hs_A_initial, C_hs_A_initial and S_l_initial of any kind (by its CLI
+    name) at initial amplitude x.  A's populations are x^2 and y^2 for every
+    kind; a two-qubit kind's A is mixed by its entanglement with B, a
+    one-qubit kind's A is pure and coherent."""
+    x = np.asarray(x, dtype=float)
+    x2 = x * x
+    y2 = 1.0 - x2
+    p_hs = x2 * x2 + y2 * y2 - 0.5
+    shared = 2.0 * x2 * y2
+    c_hs, s_l = (0.0 * x, shared) if kind in TWO_QUBIT_KINDS else (shared, 0.0 * x)
+    return {"P_hs_A_initial": p_hs, "C_hs_A_initial": c_hs, "S_l_initial": s_l}

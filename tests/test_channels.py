@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ccrsweep.channels import (
     ChannelKind,
     ChannelSpec,
-    _isometry,
     _kraus_stack,
     _operator_sums,
     dilate_block,
@@ -18,6 +17,22 @@ from ccrsweep.measures import linear_entropy
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ = np.diag([1, -1]).astype(complex)
+I2 = np.eye(2, dtype=complex)
+DECAY = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
+EXCITED = np.diag([0, 1]).astype(complex)  # |1><1|
+
+#: Each memoryless kind's Kraus pair on one qubit at noise p, written out
+#: from the README channel table.
+README_PAIRS = {
+    ChannelKind.ADC: lambda p: (np.diag([1, math.sqrt(1 - p)]), math.sqrt(p) * DECAY),
+    ChannelKind.CADC: lambda p: README_PAIRS[ChannelKind.ADC](p),  # its memoryless part
+    ChannelKind.PDC: lambda p: (np.diag([1, math.sqrt(1 - p)]), math.sqrt(p) * EXCITED),
+    ChannelKind.BFC: lambda p: (math.sqrt(1 - p / 2) * I2, math.sqrt(p / 2) * SX),
+    ChannelKind.PFC: lambda p: (math.sqrt(1 - p) * I2, math.sqrt(p) * SZ),
+    ChannelKind.BPFC: lambda p: (math.sqrt(1 - p) * I2, math.sqrt(p) * SY),
+    ChannelKind.DC: lambda p: (math.sqrt((1 + p) / 2) * I2, math.sqrt((1 - p) / 2) * SY),
+}
 
 ALL_KINDS = list(ChannelKind)
 P_GRID = [round(0.1 * i, 1) for i in range(11)]
@@ -181,8 +196,8 @@ class TestDilate:
 
 
 class TestIsometryOverP:
-    """The isometry built once over a block's p grid is, slice by slice, the
-    isometry built at each p alone, and both routes read those slices."""
+    """The channel stack built once over a block's p grid is, slice by slice,
+    the stack built at each p alone, and the dilation contracts those slices."""
 
     PS = np.linspace(0.0, 1.0, 101)
 
@@ -192,16 +207,13 @@ class TestIsometryOverP:
     )
     def test_block_and_kraus_read_per_p_slices_bytewise(self, kind, mu):
         psi, layout = system_state(kind, 0.6)
-        stacked = _isometry(kind, self.PS, mu)
         amplitudes, _ = dilate_block(kind, self.PS, mu, psi, layout)
         kraus = _kraus_stack(kind, self.PS, mu)
         for i, p in enumerate(self.PS):
-            W = _isometry(kind, p, mu)
-            assert stacked[i].tobytes() == W.tobytes()
-            alone = np.einsum("psec,c->pse", W[np.newaxis], psi).reshape(-1)
+            K = _kraus_stack(kind, np.array([p]), mu)
+            assert kraus[i].tobytes() == K[0].tobytes()
+            alone = np.einsum("pesc,c->pse", K, psi).reshape(-1)
             assert amplitudes[i].tobytes() == alone.tobytes()
-            slices = [W[:, e, :] for e in range(W.shape[1])]
-            assert [k.tobytes() for k in kraus[i]] == [k.tobytes() for k in slices]
 
 
 class TestKrausSet:
@@ -229,19 +241,17 @@ class TestKrausSet:
         assert np.abs(ops[0] - np.eye(2)).max() <= 1e-15
         assert np.all(ops[1:] == 0.0)
 
-    def test_depolarizing_operators(self):
-        p = 0.3
-        ops = kraus_ops(ChannelSpec(ChannelKind.DC, p))
-        assert np.abs(ops[0] - math.sqrt((1 + p) / 2) * np.eye(2)).max() <= 1e-15
-        assert np.abs(ops[1] - math.sqrt((1 - p) / 2) * SY).max() <= 1e-15
-
-    def test_bit_flip_operators(self):
-        p = 0.4
-        ops = kraus_ops(ChannelSpec(ChannelKind.BFC, p))
-        k0 = math.sqrt(1 - p / 2) * np.eye(2)
-        k1 = math.sqrt(p / 2) * SX
-        expected = [np.kron(a, b) for a in (k0, k1) for b in (k0, k1)]
-        for got, want in zip(ops, expected):
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("p", [0.3, 0.4])
+    def test_memoryless_pair_matches_the_readme_table(self, kind, p):
+        # the one-qubit pair as the README channel table writes it; a
+        # two-qubit kind applies it to each qubit
+        pair = README_PAIRS[kind](p)
+        if kind.n_system_qubits == 2:
+            pair = [np.kron(a, b) for a in pair for b in pair]
+        ops = kraus_ops(spec_for(kind, p, mu=0.0 if kind is ChannelKind.CADC else None))
+        assert len(ops) == len(pair)
+        for got, want in zip(ops, pair):
             assert np.abs(got - want).max() <= 1e-15
 
     def test_correlated_memory_operators(self):

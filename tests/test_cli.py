@@ -604,12 +604,9 @@ class TestMain:
         # so only the closed-form reference can notice it.
         from ccrsweep import channels
 
-        local = channels._local_isometry
-
-        def squared(kind, p):
-            return local(kind, p * p if kind in (ChannelKind.ADC, ChannelKind.CADC) else p)
-
-        monkeypatch.setattr(channels, "_local_isometry", squared)
+        weights, matrix = channels._KRAUS_PAIRS[ChannelKind.ADC]
+        for kind in (ChannelKind.ADC, ChannelKind.CADC):
+            monkeypatch.setitem(channels._KRAUS_PAIRS, kind, (lambda p: weights(p * p), matrix))
         argv = ["verify", "--channels", "cadc", "--mu", "0", "--x", "0.5", "--p-count", "5"]
         assert main(argv) == 1
         assert "FAIL  cadc_memoryless_limit" in capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""The engine's one-qubit columns against the closed forms of closed_forms.py."""
+"""The engine's columns against the closed forms of closed_forms.py: the
+one-qubit kinds' columns and every kind's initial columns."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from closed_forms import PPT_TOL, one_qubit_columns
+from closed_forms import PPT_TOL, TWO_QUBIT_KINDS, initial_columns, one_qubit_columns
 from ccrsweep.channels import ChannelKind
 from ccrsweep.reports import _block_columns
 
@@ -18,6 +19,9 @@ P_GRID = [i / 100 for i in range(101)]
 
 COLUMNS = ("P_hs_A", "C_hs_A", "S_l_A", "C_global", "Cc_AEA")
 ONE_QUBIT_KINDS = ["pfc", "bpfc", "dc"]
+#: Every kind with its mu values; bit flip is evaluated at x = 1/sqrt(2) only
+BLOCKS = [(kind, mu) for kind in (*TWO_QUBIT_KINDS, *ONE_QUBIT_KINDS)
+          for mu in ((0.0, 1.0) if kind == "cadc" else (0.0,))]
 
 
 def assert_block_matches(kind: str, x: float, ps: np.ndarray) -> None:
@@ -52,3 +56,26 @@ def test_forms_obey_the_complementarity_budget():
     for kind in ONE_QUBIT_KINDS:
         f = one_qubit_columns(kind, x, p)
         assert np.abs(f["P_hs_A"] + f["C_hs_A"] + f["S_l_A"] - 0.5).max() <= 1e-15
+    for kind, _ in BLOCKS:
+        f = initial_columns(kind, x)
+        budget = f["P_hs_A_initial"] + f["C_hs_A_initial"] + f["S_l_initial"]
+        assert np.abs(budget - 0.5).max() <= 1e-15
+
+
+def assert_initial_columns_match(kind: str, mu: float, x: float) -> None:
+    x_evaluated, m, *_ = _block_columns(ChannelKind(kind), mu, x, np.array([0.0, 0.37, 1.0]))
+    assert x_evaluated == (INV_SQRT2 if kind == "bfc" else x)
+    for name, value in initial_columns(kind, x_evaluated).items():
+        assert abs(m[name] - value) <= 1e-12, (name, x)
+
+
+@pytest.mark.parametrize("kind, mu", BLOCKS, ids=lambda v: v if isinstance(v, str) else f"mu={v}")
+def test_initial_columns_match_the_closed_forms_on_the_grid(kind, mu):
+    for x in (0.0, *X_GRID, 0.37, 1.0):
+        assert_initial_columns_match(kind, mu, x)
+
+
+@pytest.mark.parametrize("kind, mu", BLOCKS, ids=lambda v: v if isinstance(v, str) else f"mu={v}")
+@given(x=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, INV_SQRT2]))
+def test_initial_columns_match_the_closed_forms_property(kind, mu, x):
+    assert_initial_columns_match(kind, mu, x)

@@ -17,6 +17,8 @@ from ccrsweep.measures import (
     _X_OFF,
     _ppt_min,
     _spectrum,
+    _x_blocks,
+    _x_entries,
     concurrence_x_state,
     correlated_coherence_hs,
     hs_coherence,
@@ -469,7 +471,8 @@ def test_x_state_spectra_match_eigvalsh(seed, n, zero):
     # diagonal M and an M with one nonzero entry
     rho = x_shaped_stack(np.random.default_rng(seed), n, zero)
     assert not rho[:, _X_OFF].any()
-    assert np.abs(_spectrum(rho) - np.linalg.eigvalsh(rho)).max() <= 1e-14
+    blocks = np.sort(np.stack(_x_blocks(*_x_entries(rho)), axis=-1), axis=-1)
+    assert np.abs(blocks - np.linalg.eigvalsh(rho)).max() <= 1e-14
     pt = _partial_transpose(rho, (2, 2), 0)
     assert np.abs(_ppt_min(rho) - np.linalg.eigvalsh(pt)[:, 0]).max() <= 1e-14
 

@@ -70,6 +70,15 @@ class TestReportValues:
         with pytest.raises(ValueError, match="x must lie"):
             ccr_report(ChannelSpec(ChannelKind.ADC, 0.5), 1.2)
 
+    @pytest.mark.parametrize("kind, x", [(ChannelKind.ADC, -0.5), (ChannelKind.PFC, 1.5),
+                                         (ChannelKind.DC, math.nan)],
+                             ids=["adc-negative", "pfc-above-one", "dc-nan"])
+    def test_initial_state_rejects_x_outside_the_unit_interval(self, kind, x):
+        # past the boundary, -0.5 would give a valid state, 1.5 an
+        # unnormalized one that fails only later, and NaN a NaN amplitude
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\], got "):
+            initial_state(kind, x)
+
     def test_bit_flip_pins_x(self):
         r = ccr_report(ChannelSpec(ChannelKind.BFC, 0.3), 0.2)
         assert r.x == BALANCED_X

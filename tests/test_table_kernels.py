@@ -23,6 +23,7 @@ from ccrsweep.measures import (
     _mask_table,
     _ppt_min,
     _spectrum,
+    _x_blocks,
     _x_entries,
     concurrence_x_state,
     factor_marginals,
@@ -132,7 +133,8 @@ def test_cached_tables_are_shared_and_read_only():
 def measure_columns_by_traces(amplitudes, layout, initial):
     """The measure columns by the former route: each pair's marginals traced
     (factor_marginals) and measured by hs_coherence and the spectrum kernel,
-    S(AB) from the spectrum kernel and the concurrence by concurrence_x_state."""
+    S(AB) from the sorted X block eigenvalues (the spectrum kernel's former
+    X branch) and the concurrence by concurrence_x_state."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
     pairs = dict(zip(names, stack))
@@ -155,7 +157,8 @@ def measure_columns_by_traces(amplitudes, layout, initial):
             Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
             C_env=hs_joint[names.index("EAEB")],
             concurrence_AB=concurrence_x_state(pairs["AB"]),
-            mutual_info_AB=s_a + s_b - _entropy(_spectrum(pairs["AB"])),
+            mutual_info_AB=s_a + s_b - _entropy(np.sort(np.stack(
+                _x_blocks(*_x_entries(pairs["AB"])), axis=-1), axis=-1)),
         )
     return m
 

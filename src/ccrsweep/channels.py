@@ -140,7 +140,8 @@ def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
     K[:, 1] = np.multiply.outer(w, matrix)
     if kind.n_system_qubits == 1:
         return K
-    return np.einsum("pemj,pfnk->pefmnjk", K, K).reshape(len(ps), 4, 4, 4)
+    # the tensor square K[p, e, m, j] K[p, f, n, k] on axes (p, e, f, m, n, j, k)
+    return (K[:, :, None, :, None, :, None] * K[:, None, :, None, :, None, :]).reshape(len(ps), 4, 4, 4)
 
 
 def dilate_block(

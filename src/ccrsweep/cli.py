@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import _TWO_QUBIT_KINDS, ChannelKind, _kraus_stack, _operator_sums, dilate_block
 from .linalg import SubsystemLayout, check_density
-from .measures import is_ppt, sector_decomposition
+from .measures import PPT_TOL, _ppt_min, _sectors
 from .reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
@@ -231,11 +231,11 @@ ROWS: dict[str, Identity] = {ident.value: row for ident, row in IDENTITIES.items
 
 def _state_columns(m: dict, pairs: dict, cross_min: np.ndarray, amplitudes: np.ndarray,
                    layout: SubsystemLayout) -> dict:
-    """PPT and sector columns of a two-qubit block, from its pair stacks, the
-    cross pairs' smallest partial-transpose eigenvalues and dilated states,
-    which are decomposed into sectors once, here."""
-    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & is_ppt(pairs["AB"])
-    sectors = sector_decomposition(amplitudes, layout)
+    """PPT and sector columns of a two-qubit block, from the engine's own pair
+    stacks, cross-pair partial-transpose minima and dilated states, unchecked;
+    the states are decomposed into sectors once, here."""
+    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & (_ppt_min(pairs["AB"]) >= -PPT_TOL)
+    sectors = _sectors(amplitudes, layout)
     return {
         "entangled_but_ppt": entangled_but_ppt.astype(float),
         "cross_ppt_defect": np.maximum(0.0, -cross_min.min(axis=0)),

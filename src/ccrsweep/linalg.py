@@ -201,7 +201,10 @@ def _partial_transpose(mats: np.ndarray, dims: Sequence[int], i: int) -> np.ndar
 
 def _hermitian(m) -> np.ndarray:
     """``m`` as a complex array, after checking that it is a square matrix or
-    a stack (..., d, d) of them, finite and Hermitian to ``HERMITIAN_TOL``."""
+    a stack (..., d, d) of them, finite and Hermitian to ``HERMITIAN_TOL``;
+    a DensityOperator's matrix was checked when it was built."""
+    if isinstance(m, DensityOperator):
+        return m.mat
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

@@ -3,6 +3,8 @@
 Every measure takes a matrix or a stack (..., d, d) of them, as anything numpy
 reads as an array (a DensityOperator too), and gives one value per matrix.
 Coherences are taken in the computational product basis; entropies in bits.
+A matrix measure raises ValueError for a non-square, non-finite or
+non-Hermitian input; the engine calls the unchecked kernels (_hs_coherence, ...).
 """
 
 from __future__ import annotations
@@ -21,33 +23,46 @@ X_STATE_TOL = 1e-12
 PPT_TOL = 1e-10
 
 
-def hs_coherence(rho):
-    """Hilbert-Schmidt (l2) coherence: sum of squared off-diagonal moduli."""
-    abs2 = np.abs(np.asarray(rho)) ** 2
+def _hs_coherence(m: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt coherence of a stack (..., d, d), unchecked."""
+    abs2 = np.abs(m) ** 2
     d = abs2.shape[-1]
     flat = abs2.reshape(abs2.shape[:-2] + (d * d,))
     flat[..., :: d + 1] = 0.0  # the diagonal
     return flat.sum(axis=-1)
 
 
-def hs_predictability(rho):
-    """Population imbalance sum_j rho_jj^2 - 1/d."""
-    m = np.asarray(rho)
+def _hs_predictability(m: np.ndarray) -> np.ndarray:
+    """Population imbalance of a stack (..., d, d), unchecked."""
     diag = m.diagonal(0, -2, -1).real
     return (diag**2).sum(axis=-1) - 1.0 / m.shape[-1]
+
+
+def _linear_entropy(m: np.ndarray) -> np.ndarray:
+    """1 - Tr m^2 of a stack (..., d, d), unchecked."""
+    return 1.0 - np.einsum("...ij,...ji->...", m, m).real
+
+
+def hs_coherence(rho):
+    """Hilbert-Schmidt (l2) coherence: sum of squared off-diagonal moduli."""
+    return _hs_coherence(_hermitian(rho))
+
+
+def hs_predictability(rho):
+    """Population imbalance sum_j rho_jj^2 - 1/d."""
+    return _hs_predictability(_hermitian(rho))
 
 
 def linear_entropy(rho):
     """1 - Tr rho^2: mixedness, and for a subsystem of a pure global state
     its correlation with everything else."""
-    m = np.asarray(rho)
-    return 1.0 - np.einsum("...ij,...ji->...", m, m).real
+    return _linear_entropy(_hermitian(rho))
 
 
 def _joint_state(joint, blocks: Sequence[str]) -> np.ndarray:
-    """``joint`` as an array, checked to have the dimension of the ``blocks`` qubits."""
-    m, d = np.asarray(joint), 2 ** len(blocks)
-    if m.ndim < 2 or m.shape[-1] != d:
+    """``joint`` checked as by :func:`_hermitian` and for the ``blocks`` qubits' dimension."""
+    m, d = _hermitian(joint), 2 ** len(blocks)
+    if m.shape[-1] != d:
         raise ValueError(f"{len(blocks)} blocks need a state of dimension {d}, got shape {m.shape}")
     return m
 
@@ -70,9 +85,9 @@ def correlated_coherence_hs(joint, blocks: Sequence[str]):
     if len(blocks) == 0:
         raise ValueError("correlated coherence needs at least one block")
     joint = _joint_state(joint, blocks)
-    total = hs_coherence(joint)
+    total = _hs_coherence(joint)
     for marginal in factor_marginals(joint, (2,) * len(blocks)):
-        total = total - hs_coherence(marginal)
+        total = total - _hs_coherence(marginal)
     return total
 
 
@@ -87,10 +102,10 @@ def _off_x(m: np.ndarray) -> np.ndarray:
 
 
 def _qubit_eigenvalues(a, d, modulus):
-    """(lower, upper) eigenvalues of Hermitian 2x2 blocks with real diagonal
-    (a, d) and off-diagonal entries of the given modulus."""
+    """Eigenvalues (2, ...), lower then upper, of Hermitian 2x2 blocks with
+    real diagonal (a, d) and off-diagonal entries of the given modulus."""
     mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), modulus)
-    return mean - radius, mean + radius
+    return mean + np.multiply.outer((-1.0, 1.0), radius)
 
 
 def _x_entries(m: np.ndarray, tol: float | None = X_STATE_TOL):
@@ -106,13 +121,13 @@ def _x_entries(m: np.ndarray, tol: float | None = X_STATE_TOL):
 
 def _x_blocks(diag, a03, a12):
     """Eigenvalues (lower, upper, lower, upper) of the {0, 3} and {1, 2} X blocks."""
-    return (_qubit_eigenvalues(diag[..., 0], diag[..., 3], a03)
-            + _qubit_eigenvalues(diag[..., 1], diag[..., 2], a12))
+    return (*_qubit_eigenvalues(diag[..., 0], diag[..., 3], a03),
+            *_qubit_eigenvalues(diag[..., 1], diag[..., 2], a12))
 
 
 def _x_concurrence(diag, a03, a12):
     """Concurrence of X states (Wootters, PRL 80, 2245 (1998))."""
-    diag = np.clip(diag, 0.0, None)
+    diag = np.maximum(diag, 0.0)
     lam = np.maximum(a03 - np.sqrt(diag[..., 1] * diag[..., 2]),
                      a12 - np.sqrt(diag[..., 0] * diag[..., 3]))
     return 2.0 * np.where(lam > 0.0, lam, 0.0)
@@ -137,10 +152,11 @@ def _ppt_min(m: np.ndarray) -> np.ndarray:
     return np.minimum(*_x_blocks(x[0], x[2], x[1])[::2])
 
 
-def _entropy(lam: np.ndarray):
-    """Von Neumann entropy of spectra (..., n), round-off negatives clamped."""
-    lam = np.clip(lam, 0.0, None)
-    return -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+def _entropy_terms(lam: np.ndarray) -> np.ndarray:
+    """lam log2 lam of each eigenvalue, round-off negatives clamped to 0: an
+    entropy is minus their sum over a spectrum."""
+    lam = np.maximum(lam, 0.0)
+    return lam * np.log2(np.where(lam > 0.0, lam, 1.0))
 
 
 def von_neumann_entropy(rho):
@@ -148,7 +164,7 @@ def von_neumann_entropy(rho):
 
     Raises ValueError for a non-square, non-finite or non-Hermitian matrix.
     """
-    return _entropy(_spectrum(_hermitian(rho)))
+    return -_entropy_terms(_spectrum(_hermitian(rho))).sum(axis=-1)
 
 
 def re_correlated_coherence(joint, blocks: Sequence[str]):
@@ -222,6 +238,11 @@ def sector_decomposition(psi, layout: SubsystemLayout) -> dict[frozenset[str], n
     if psi.shape[-1] != layout.dim:
         raise ValueError(f"state dimension {psi.shape[-1]} != layout dimension {layout.dim}")
     check_norms(psi)
+    return _sectors(psi, layout)
+
+
+def _sectors(psi: np.ndarray, layout: SubsystemLayout) -> dict[frozenset[str], np.ndarray]:
+    """:func:`sector_decomposition` of normalized qubit states (..., dim), unchecked."""
     flips, label_sets = _mask_table(layout.labels)
     prob = np.abs(psi) ** 2
     nonzero = (psi != 0.0).reshape(-1, layout.dim)

@@ -24,16 +24,15 @@ from .channels import ChannelKind, ChannelSpec, dilate_block
 from .linalg import SubsystemLayout, qubits
 from .measures import (
     PPT_TOL,
-    _entropy,
+    _entropy_terms,
+    _hs_coherence,
+    _hs_predictability,
+    _linear_entropy,
     _ppt_min,
-    _spectrum,
-    _x_blocks,
+    _qubit_eigenvalues,
+    _sectors,
     _x_concurrence,
     _x_entries,
-    hs_coherence,
-    hs_predictability,
-    linear_entropy,
-    sector_decomposition,
 )
 
 #: Amplitude of the balanced superposition; the bit flip analysis is pinned here.
@@ -150,9 +149,9 @@ INITIAL_COLUMNS = ("P_hs_A_initial", "C_hs_A_initial", "S_l_initial")
 
 def local_measures(rho_a: np.ndarray, initial: np.ndarray) -> dict[str, np.ndarray]:
     """Predictability, coherence and linear entropy of A's marginals (P, 2, 2)
-    and of the initial marginal (1, 2, 2), measured as one stack."""
+    and of the initial marginal (1, 2, 2), measured as one stack, unchecked."""
     both = np.concatenate([rho_a, initial])
-    values = (hs_predictability(both), hs_coherence(both), linear_entropy(both))
+    values = (_hs_predictability(both), _hs_coherence(both), _linear_entropy(both))
     return {**{name: v[:-1] for name, v in zip(LOCAL_COLUMNS, values)},
             **{name: v[-1] for name, v in zip(INITIAL_COLUMNS, values)}}
 
@@ -167,17 +166,17 @@ PAIRS: dict[str, tuple[str, str]] = {
 }
 
 
-#: The coherence sectors reported for phase damping, by the factors they span.
-SECTORS = (("A", "B"), ("A", "B", "E_A"), ("A", "B", "E_B"), ("A", "B", "E_A", "E_B"),
-           ("E_A", "E_B"), ("E_A",), ("E_B",))
+#: The column of each coherence sector reported for phase damping, by its factors.
+_SECTOR_COLUMNS = {frozenset(labels): "sector_" + "".join(labels).replace("_", "") for labels in (
+    ("A", "B"), ("A", "B", "E_A"), ("A", "B", "E_B"), ("A", "B", "E_A", "E_B"),
+    ("E_A", "E_B"), ("E_A",), ("E_B",))}
 
 
 def _sector_columns(sectors: dict, rows: int) -> dict[str, np.ndarray]:
-    """The sector_AB, ..., sector_EB columns of a block of ``rows`` states
-    from its :func:`sector_decomposition` weights, zero where a sector of
-    SECTORS has no weight."""
-    return {"sector_" + "".join(labels).replace("_", ""): sectors.get(
-        frozenset(labels), np.zeros(rows)) for labels in SECTORS}
+    """The sector_AB, ..., sector_EB columns of a block of ``rows`` states from
+    its sector_decomposition weights, zero where a sector has no weight."""
+    return {name: sectors[labels] if labels in sectors else np.zeros(rows)
+            for labels, name in _SECTOR_COLUMNS.items()}
 
 
 @functools.lru_cache(maxsize=64)
@@ -221,13 +220,37 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     m = local_measures(firsts[names.index("AEA")], initial)
     m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
     # correlated_coherence_hs of each pair; a qubit's HS coherence is 2|rho_01|^2
-    hs_joint = hs_coherence(stack)
-    hs_first, hs_second = 2.0 * np.abs(firsts[..., 0, 1]) ** 2, 2.0 * np.abs(seconds[..., 0, 1]) ** 2
+    hs_joint = _hs_coherence(stack)
+    off_first, off_second = np.abs(firsts[..., 0, 1]), np.abs(seconds[..., 0, 1])
+    hs_first, hs_second = 2.0 * off_first**2, 2.0 * off_second**2
     m.update(zip([f"Cc_{name}" for name in names], hs_joint - hs_first - hs_second))
     # A-B entanglement is reported as a concurrence; AB, where present, is first
-    cross = int("AB" in pairs)
+    cross, ab_columns = int("AB" in pairs), {}
     if cross:
-        cross_min = _ppt_min(stack[cross:])
+        # one table of Hermitian 2x2 blocks (a, d, |b|) solved at once: the A-B
+        # pair's X blocks {0, 3} and {1, 2} (its off-X entries checked once), its
+        # A and B marginals, and each X-shaped cross pair's partially transposed
+        # blocks, which are its own with the anti-diagonal moduli swapped
+        ab, x = _x_entries(stack[:1]), _x_entries(stack[1:], None)
+        rows = [(ab[0][..., 0], ab[0][..., 3], ab[1]), (ab[0][..., 1], ab[0][..., 2], ab[2]),
+                (firsts[:1, :, 0, 0].real, firsts[:1, :, 1, 1].real, off_first[:1]),
+                (seconds[:1, :, 0, 0].real, seconds[:1, :, 1, 1].real, off_second[:1])]
+        if x is not None:
+            rows += [(x[0][..., 0], x[0][..., 3], x[2]), (x[0][..., 1], x[0][..., 2], x[1])]
+        lam = _qubit_eigenvalues(*map(np.concatenate, zip(*rows)))
+        cross_min = _ppt_min(stack[1:]) if x is None else np.minimum(lam[0, 4:7], lam[0, 7:])
+        # each entropy sums its terms in ascending order of block and eigenvalue
+        e = _entropy_terms(lam)
+        s_ab = -(((e[0, 0] + e[1, 0]) + e[0, 1]) + e[1, 1])
+        s_a, s_b = -(e[0, 2:4] + e[1, 2:4])
+        # the joint coherence of the pure global state is C_global
+        local = hs_first + hs_second
+        ab_columns = dict(
+            Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
+            C_env=hs_joint[names.index("EAEB")],
+            concurrence_AB=_x_concurrence(*ab)[0],
+            mutual_info_AB=s_a + s_b - s_ab,
+        )
     else:
         # the one cross pair, A-E_A, is the pure global state c: its partial
         # transpose has spectrum {l1^2, l2^2, +-l1 l2} over its Schmidt
@@ -235,18 +258,7 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
         c = amplitudes
         cross_min = -np.abs(c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2])[np.newaxis]
     m.update(zip([f"ppt_{name}" for name in names[cross:]], (cross_min >= -PPT_TOL).astype(float)))
-    if "AB" in pairs:
-        # the joint coherence of the pure global state is C_global
-        local = hs_first + hs_second
-        # the A-B pair is an X state, read once for S(AB) and the concurrence
-        ab = _x_entries(pairs["AB"])
-        s_a, s_b = _entropy(_spectrum(np.stack([firsts[0], seconds[0]])))
-        m.update(
-            Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
-            C_env=hs_joint[names.index("EAEB")],
-            concurrence_AB=_x_concurrence(*ab),
-            mutual_info_AB=s_a + s_b - _entropy(np.stack(_x_blocks(*ab), axis=-1)),
-        )
+    m.update(ab_columns)
     return m, pairs, cross_min
 
 
@@ -266,7 +278,8 @@ def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
 
     psi, sys_layout = initial_state(kind, x)
     amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
-    initial = _reduced(psi[np.newaxis], sys_layout, ("A",))[0]
+    a = psi.reshape(1, 2, -1)  # A's amplitudes against the rest of the system
+    initial = a @ a.conj().swapaxes(-1, -2)
     measures, pairs, cross_min = _measure_columns(amplitudes, layout, initial)
     return x, measures, amplitudes, layout, pairs, cross_min
 
@@ -281,7 +294,7 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     """
     x, columns, amplitudes, layout, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
     if spec.kind is ChannelKind.PDC:
-        columns.update(_sector_columns(sector_decomposition(amplitudes, layout), 1))
+        columns.update(_sector_columns(_sectors(amplitudes, layout), 1))
     measures = {name: v.item() for name, v in columns.items()}
     residuals = {ident: row.residual(measures) for ident, row in IDENTITIES.items()
                  if spec.kind in row.kinds}

@@ -707,16 +707,19 @@ class TestBuildConfigDefaults:
 
 
 def count_sector_decompositions(monkeypatch) -> list:
-    from ccrsweep import cli, reports
+    # counts the sector kernel, which the engine's readers call unchecked and
+    # the public sector_decomposition calls after its checks
+    from ccrsweep import cli, measures, reports
 
     calls = []
+    kernel = measures._sectors
 
     def counted(*args):
         calls.append(1)
-        return sector_decomposition(*args)
+        return kernel(*args)
 
-    for module in (cli, reports):  # both bind the name on import
-        monkeypatch.setattr(module, "sector_decomposition", counted)
+    for module in (cli, measures, reports):  # each binds the name
+        monkeypatch.setattr(module, "_sectors", counted)
     return calls
 
 

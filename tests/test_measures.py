@@ -513,20 +513,27 @@ NOT_HERMITIAN = np.array([[0.5, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
     (NOT_HERMITIAN, "not Hermitian"),
     (np.diag([0.5, np.nan, 0.0, 0.5]).astype(complex), "non-finite"),
     (np.diag([0.5, np.inf, 0.0, 0.5]).astype(complex), "non-finite"),
-], ids=["not-hermitian", "nan", "inf"])
+    (np.ones((2, 3)) / 3, "square"),
+], ids=["not-hermitian", "nan", "inf", "non-square"])
 @pytest.mark.parametrize("measure", [
+    hs_coherence,
+    hs_predictability,
+    linear_entropy,
     von_neumann_entropy,
     ppt_min_eigenvalue,
     is_ppt,
     lambda m: re_correlated_coherence(m, ("A", "B")),
     concurrence_x_state,
-], ids=["von_neumann_entropy", "ppt_min_eigenvalue", "is_ppt", "re_correlated_coherence",
-        "concurrence_x_state"])
+], ids=["hs_coherence", "hs_predictability", "linear_entropy", "von_neumann_entropy",
+        "ppt_min_eigenvalue", "is_ppt", "re_correlated_coherence", "concurrence_x_state"])
 def test_public_spectral_measures_check_their_input(measure, bad, message):
-    # the engine calls the spectrum kernel unchecked; the public measures
-    # keep the Hermiticity and finiteness check, also on X-shaped input and
-    # on a stack whose other matrices are fine
+    # the engine calls the measure kernels unchecked; the public measures
+    # check that the input is square, finite and Hermitian, also on X-shaped
+    # input and on a stack whose other matrices are fine (a stack beside a
+    # non-square matrix holds one of its shape with a single unit entry)
+    fine = np.zeros(bad.shape, dtype=complex)
+    fine[0, 0] = 1.0
     with pytest.raises(ValueError, match=message):
         measure(bad)
     with pytest.raises(ValueError, match=message):
-        measure(np.stack([np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), bad]))
+        measure(np.stack([fine, bad]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from ccrsweep import reports
+from ccrsweep import linalg, measures, reports
 from ccrsweep.channels import ChannelKind, ChannelSpec, dilate_block
 from ccrsweep.linalg import check_density
 from ccrsweep.measures import _off_x, factor_marginals, sector_decomposition
@@ -210,11 +210,17 @@ class TestBlockCost:
     #: partial traces per block, for every kind: each one-qubit marginal is
     #: read from its pair's entries
     MOST_TRACES = 0
+    #: closed-form 2x2 eigen-solves per block: a two-qubit block solves the
+    #: A-B pair's X blocks, its A and B marginals and the X-shaped cross
+    #: pairs' partially transposed blocks as one table; a one-qubit block
+    #: has no A-B pair and takes its one PPT minimum from the amplitudes
+    QUBIT_EIGENVALUES = {kind: int(kind.n_system_qubits == 2) for kind in ChannelKind}
+    #: each (kind, mu) a block is evaluated at: cadc at both dilatable mu
+    KIND_MU = ([(kind, 1.0 if kind is ChannelKind.CADC else 0.0) for kind in ChannelKind]
+               + [(ChannelKind.CADC, 0.0)])
 
     @staticmethod
     def counting(monkeypatch) -> dict:
-        from ccrsweep import linalg, measures
-
         counts = {}
 
         def counted(name, fn):
@@ -224,16 +230,17 @@ class TestBlockCost:
             return call
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        trace = counted("partial_trace", linalg._partial_trace)
-        for module in (linalg, measures):  # measures binds the name on import
-            monkeypatch.setattr(module, "_partial_trace", trace)
+        # each of the modules binds the name on import (reports the eigenvalue
+        # kernel only since it solves one table)
+        for name, modules in (("_partial_trace", (linalg, measures)),
+                              ("_qubit_eigenvalues", (measures, reports)),
+                              ("check_norms", (linalg, measures))):
+            call = counted(name.lstrip("_"), getattr(modules[0], name))
+            for module in modules:
+                monkeypatch.setattr(module, name, call, raising=False)
         return counts
 
-    @pytest.mark.parametrize(
-        "kind, mu", [(kind, 1.0 if kind is ChannelKind.CADC else 0.0) for kind in ChannelKind]
-        + [(ChannelKind.CADC, 0.0)],
-        ids=lambda v: getattr(v, "value", f"mu={v}"),
-    )
+    @pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
     def test_calls_per_block(self, monkeypatch, kind, mu):
         counts = self.counting(monkeypatch)
         per_block = []
@@ -244,6 +251,22 @@ class TestBlockCost:
         assert per_block[0] == per_block[1]
         assert per_block[0].get("eigvalsh", 0) == self.EIGVALSH[kind]
         assert per_block[0].get("partial_trace", 0) <= self.MOST_TRACES
+
+    @pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
+    def test_one_eigen_table_per_block(self, monkeypatch, kind, mu):
+        counts = self.counting(monkeypatch)
+        for ps in (np.array([0.5]), np.linspace(0.0, 1.0, 101)):
+            counts.clear()
+            _block_columns(kind, mu, 0.5, ps)
+            assert counts.get("qubit_eigenvalues", 0) == self.QUBIT_EIGENVALUES[kind]
+
+    @pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
+    def test_one_norm_check_per_report(self, monkeypatch, kind, mu):
+        # the input state is checked where it enters; the dilated amplitudes,
+        # phase damping's sector split included, are not checked again
+        counts = self.counting(monkeypatch)
+        ccr_report(ChannelSpec(kind, 0.5, mu), 0.5)
+        assert counts["check_norms"] == 1
 
     def test_undephased_cross_pairs_are_solved_in_closed_form(self, monkeypatch):
         # at p = 0 phase damping has not yet touched the environment, so its

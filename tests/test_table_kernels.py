@@ -19,7 +19,7 @@ from ccrsweep.channels import ChannelKind, dilate_block
 from ccrsweep.linalg import qubits
 from ccrsweep.measures import (
     PPT_TOL,
-    _entropy,
+    _entropy_terms,
     _mask_table,
     _ppt_min,
     _spectrum,
@@ -130,6 +130,11 @@ def test_cached_tables_are_shared_and_read_only():
         flips[0, 0] = 1
 
 
+def entropy(lam):
+    """Von Neumann entropy of spectra (..., n): minus the sum of their terms."""
+    return -_entropy_terms(lam).sum(axis=-1)
+
+
 def measure_columns_by_traces(amplitudes, layout, initial):
     """The measure columns by the former route: each pair's marginals traced
     (factor_marginals) and measured by hs_coherence and the spectrum kernel,
@@ -152,12 +157,12 @@ def measure_columns_by_traces(amplitudes, layout, initial):
     m.update(zip([f"ppt_{name}" for name in names[cross:]], (cross_min >= -PPT_TOL).astype(float)))
     if cross:
         local = hs_first + hs_second
-        s_a, s_b = _entropy(_spectrum(np.stack([firsts[0], seconds[0]])))
+        s_a, s_b = entropy(_spectrum(np.stack([firsts[0], seconds[0]])))
         m.update(
             Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
             C_env=hs_joint[names.index("EAEB")],
             concurrence_AB=concurrence_x_state(pairs["AB"]),
-            mutual_info_AB=s_a + s_b - _entropy(np.sort(np.stack(
+            mutual_info_AB=s_a + s_b - entropy(np.sort(np.stack(
                 _x_blocks(*_x_entries(pairs["AB"])), axis=-1), axis=-1)),
         )
     return m

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SubsystemLayout, qubits, state_vector
+from .linalg import SubsystemLayout, check_norms, qubits
 
 #: A Kraus set applied to a state may deviate from completeness by at most this.
 COMPLETENESS_TOL = 1e-10
@@ -88,9 +88,11 @@ class ChannelSpec:
             raise ValueError(f"mu is only meaningful for CADC, got mu={self.mu!r} for {self.kind}")
 
 
-#: K_1's matrix: the decay |0><1|, the projector |1><1| and the Pauli matrices.
-_DECAY, _EXCITED, _X, _Y, _Z = (np.array(m, dtype=complex) for m in (
-    [[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+#: K_1's matrix: the decay |0><1|, the projector |1><1| and the Pauli
+#: matrices, real but sigma_y; a kind's Kraus stack takes its matrix's dtype.
+_DECAY, _EXCITED, _X, _Z = (np.array(m, dtype=float) for m in (
+    [[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]))
+_Y = np.array([[0, -1j], [1j, 0]])
 
 
 def _unital(keep, flip):
@@ -123,19 +125,20 @@ def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
     two-qubit kinds (CADC at mu = 0 too), and at mu = 1 the correlated
     operators, one per shared environment state: only |11> decays, jointly
     into |11>_E.  CADC at fractional mu stacks the union
-    {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}."""
+    {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}.  Only the sigma_y
+    kinds' stacks (bpfc, dc) are complex; the others are float64."""
     if mu not in (0.0, 1.0):
         return np.concatenate([np.sqrt(w) * _kraus_stack(kind, ps, m)
                                for m, w in ((0.0, 1.0 - mu), (1.0, mu))], axis=1)
     if mu == 1.0:
-        K = np.zeros((len(ps), 4, 4, 4), dtype=complex)
+        K = np.zeros((len(ps), 4, 4, 4))
         K[:, 0, [0, 1, 2], [0, 1, 2]] = 1.0
         K[:, 0, 3, 3] = np.sqrt(1.0 - ps)
         K[:, 3, 0, 3] = np.sqrt(ps)
         return K
     weights, matrix = _KRAUS_PAIRS[kind]
     a, b, w = weights(ps)
-    K = np.zeros((len(ps), 2, 2, 2), dtype=complex)
+    K = np.zeros((len(ps), 2, 2, 2), dtype=matrix.dtype)
     K[:, 0, 0, 0], K[:, 0, 1, 1] = a, b
     K[:, 1] = np.multiply.outer(w, matrix)
     if kind.n_system_qubits == 1:
@@ -147,15 +150,17 @@ def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
 def dilate_block(
     kind: ChannelKind, ps: np.ndarray, mu: float, system, sys_layout: SubsystemLayout
 ) -> tuple[np.ndarray, SubsystemLayout]:
-    """Dilate one system state through the channel (kind, mu) at every noise
-    value of ``ps`` at once.
+    """Dilate one system state, or one state per p (an array (P, d)),
+    through the channel (kind, mu) at every noise value of ``ps`` at once.
 
     Returns the global amplitudes, one read-only row per p, and the global
     layout with one environment label ``E_<label>`` per system qubit (CADC
-    acts on both jointly).  Raises ValueError when the system arity does not
-    match the kind, when a depolarizing input has complex amplitudes (its
-    identity-plus-sigma_y realization describes the intended mixture only on
-    real amplitudes), or for CADC with fractional mu.
+    acts on both jointly), real where the input and the Kraus stack are.
+    Raises ValueError when an input state does not fit the layout or is not
+    normalized, when the system arity does not match the kind, when a
+    depolarizing input has complex amplitudes (its identity-plus-sigma_y
+    realization describes the intended mixture only on real amplitudes), or
+    for CADC with fractional mu.
     ``ps`` and ``mu`` are taken as valid: :class:`ChannelSpec` and the sweep
     configuration check them where they enter.
     """
@@ -164,9 +169,11 @@ def dilate_block(
         raise ValueError(
             f"{kind.value} acts on {n} qubit(s); layout has dims {sys_layout.dims}"
         )
-    psi = state_vector(system)
-    if psi.size != sys_layout.dim:
-        raise ValueError(f"state dimension {psi.size} != layout dimension {sys_layout.dim}")
+    psi = np.asarray(system)
+    if psi.shape[-1:] != (sys_layout.dim,):
+        raise ValueError(
+            f"state of shape {psi.shape} does not end in layout dimension {sys_layout.dim}")
+    check_norms(psi)
 
     env_labels = tuple(f"E_{lab}" for lab in sys_layout.labels)
     out_layout = qubits(*sys_layout.labels, *env_labels)
@@ -179,7 +186,9 @@ def dilate_block(
             "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
             "a two-qubit environment (take the operator sum of its _kraus_stack instead)"
         )
-    out = np.einsum("pesc,c->pse", _kraus_stack(kind, ps, mu), psi).reshape(len(ps), out_layout.dim)
+    # one state is a stack of one, which the einsum broadcasts over p
+    out = np.einsum("pesc,pc->pse", _kraus_stack(kind, ps, mu), psi.reshape(-1, sys_layout.dim))
+    out = out.reshape(len(ps), out_layout.dim)
     out.setflags(write=False)
     return out, out_layout
 
@@ -195,4 +204,6 @@ def _operator_sums(ops: np.ndarray, rhos: np.ndarray | None = None):
         return defects, None
     if defects.max() > COMPLETENESS_TOL:
         raise ValueError(f"incomplete Kraus set: defect {float(defects.max())!r}")
-    return defects, np.einsum("pkij,rjl,pkml->rpim", ops, rhos, ops.conj())
+    # sum_k (K_k rho) K_k^dag, as two stacked products (R, P, nK, d, d)
+    images = (ops @ rhos[:, np.newaxis, np.newaxis]) @ ops.conj().swapaxes(-1, -2)
+    return defects, images.sum(axis=2)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import _TWO_QUBIT_KINDS, ChannelKind, _kraus_stack, _operator_sums, dilate_block
 from .linalg import SubsystemLayout, check_density
-from .measures import PPT_TOL, _ppt_min, _sectors
+from .measures import PPT_TOL, _sectors
 from .reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
@@ -229,16 +229,16 @@ CHECKS: dict[str, Identity] = {
 ROWS: dict[str, Identity] = {ident.value: row for ident, row in IDENTITIES.items()} | CHECKS
 
 
-def _state_columns(m: dict, pairs: dict, cross_min: np.ndarray, amplitudes: np.ndarray,
+def _state_columns(m: dict, ppt_min: np.ndarray, amplitudes: np.ndarray,
                    layout: SubsystemLayout) -> dict:
-    """PPT and sector columns of a two-qubit block, from the engine's own pair
-    stacks, cross-pair partial-transpose minima and dilated states, unchecked;
-    the states are decomposed into sectors once, here."""
-    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & (_ppt_min(pairs["AB"]) >= -PPT_TOL)
+    """PPT and sector columns of a two-qubit block, from the engine's own
+    partial-transpose minima (the A-B pair's, then the cross pairs') and
+    dilated states, unchecked; the states are decomposed into sectors once, here."""
+    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & (ppt_min[0] >= -PPT_TOL)
     sectors = _sectors(amplitudes, layout)
     return {
         "entangled_but_ppt": entangled_but_ppt.astype(float),
-        "cross_ppt_defect": np.maximum(0.0, -cross_min.min(axis=0)),
+        "cross_ppt_defect": np.maximum(0.0, -ppt_min[1:].min(axis=0)),
         "sector_total": sum(sectors.values(), np.zeros(len(amplitudes))),
         **_sector_columns(sectors, len(amplitudes)),
     }
@@ -249,10 +249,10 @@ def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
     (channel, x) for the grid's x values and every tenth of x."""
     ps = cfg.p_grid()
     for kind, mu, x in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
-        x, m, amplitudes, layout, pairs, cross_min = _block_columns(kind, mu, x, ps)
+        x, m, amplitudes, layout, _, ppt_min = _block_columns(kind, mu, x, ps)
         m = {**m, "p": ps}
         if kind.n_system_qubits == 2:
-            m.update(_state_columns(m, pairs, cross_min, amplitudes, layout))
+            m.update(_state_columns(m, ppt_min, amplitudes, layout))
         for name, row in ROWS.items():
             if kind not in row.kinds:
                 continue
@@ -283,10 +283,10 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
             check_density(via_kraus)
             if kind is ChannelKind.CADC and mu == 0.0:
                 # x = 0.5 against amplitude damping of both qubits in closed form
-                x, y = xs[0], states[0][0][-1].real
+                x, y = xs[0], states[0][0][-1]
                 split = y * y * ps * (1.0 - ps)
                 diag = np.stack([x * x + (y * ps) ** 2, split, split, (y * (1.0 - ps)) ** 2], -1)
-                closed = (diag[:, np.newaxis, :] * np.eye(4)).astype(complex)
+                closed = diag[:, np.newaxis, :] * np.eye(4)
                 closed[:, 0, 3] = closed[:, 3, 0] = x * y * (1.0 - ps)
                 t.track("cadc_memoryless_limit", np.abs(via_kraus[0] - closed).max(axis=(1, 2)),
                         lambda i: f"cadc p={ps[i]:g}")
@@ -302,12 +302,9 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
 def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:
     if ChannelKind.ADC not in cfg.channels:
         return
-    xs = (0.1, 0.2, 0.25, 0.3, 0.5)
-    t.track(
-        "adc_sudden_death",
-        [abs(x / math.sqrt(1.0 - x * x) - _sudden_death_bisection(x)) for x in xs],
-        lambda i: f"adc x={xs[i]:g}",
-    )
+    xs = np.array([0.1, 0.2, 0.25, 0.3, 0.5])
+    t.track("adc_sudden_death", np.abs(xs / np.sqrt(1.0 - xs * xs) - _sudden_death_bisection(xs)),
+            lambda i: f"adc x={xs[i]:g}")
 
 
 def _unreached(cfg: SweepConfig, tracked) -> list[str]:

@@ -133,12 +133,12 @@ class CCRReport:
 
 
 def initial_state(kind: ChannelKind, x: float) -> tuple[np.ndarray, SubsystemLayout]:
-    """x|0..0> + sqrt(1-x^2)|1..1> on the kind's system layout; x outside
-    [0, 1] (NaN too) raises ValueError."""
+    """x|0..0> + sqrt(1-x^2)|1..1> on the kind's system layout, as real
+    (float64) amplitudes; x outside [0, 1] (NaN too) raises ValueError."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     labels = ("A", "B")[: kind.n_system_qubits]
-    psi = np.zeros(2 ** len(labels), dtype=complex)
+    psi = np.zeros(2 ** len(labels))
     psi[0], psi[-1] = x, math.sqrt(1.0 - x * x)
     return psi, qubits(*labels)
 
@@ -206,8 +206,9 @@ def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: tuple[str,
 def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: np.ndarray):
     """Every measure column but the sector columns, as arrays over the block,
     of dilated states (P, dim) and of the initial marginal of A (1, 2, 2),
-    the pair stacks the measures were taken on and the cross pairs' (3, P)
-    smallest partial-transpose eigenvalues.  The pairs of ``PAIRS`` the
+    the pair stacks the measures were taken on and their (K, P) smallest
+    partial-transpose eigenvalues in stack order (A-B's first, where the
+    layout has it).  The pairs of ``PAIRS`` the
     layout has form one stack (K, P, 4, 4) and each measure runs once on it;
     its one-factor marginals are read from its entries and give A's
     marginal, the Cc_*, Cc_ABE and the A-B mutual information."""
@@ -229,18 +230,21 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     if cross:
         # one table of Hermitian 2x2 blocks (a, d, |b|) solved at once: the A-B
         # pair's X blocks {0, 3} and {1, 2} (its off-X entries checked once), its
-        # A and B marginals, and each X-shaped cross pair's partially transposed
-        # blocks, which are its own with the anti-diagonal moduli swapped
+        # A and B marginals, and the partially transposed blocks of the A-B pair
+        # and of the cross pairs if all are X-shaped, which are each pair's own
+        # blocks with the anti-diagonal moduli swapped
         ab, x = _x_entries(stack[:1]), _x_entries(stack[1:], None)
+        diag, a03, a12 = ab if x is None else map(np.concatenate, zip(ab, x))
         rows = [(ab[0][..., 0], ab[0][..., 3], ab[1]), (ab[0][..., 1], ab[0][..., 2], ab[2]),
                 (firsts[:1, :, 0, 0].real, firsts[:1, :, 1, 1].real, off_first[:1]),
-                (seconds[:1, :, 0, 0].real, seconds[:1, :, 1, 1].real, off_second[:1])]
-        if x is not None:
-            rows += [(x[0][..., 0], x[0][..., 3], x[2]), (x[0][..., 1], x[0][..., 2], x[1])]
+                (seconds[:1, :, 0, 0].real, seconds[:1, :, 1, 1].real, off_second[:1]),
+                (diag[..., 0], diag[..., 3], a12), (diag[..., 1], diag[..., 2], a03)]
         lam = _qubit_eigenvalues(*map(np.concatenate, zip(*rows)))
-        cross_min = _ppt_min(stack[1:]) if x is None else np.minimum(lam[0, 4:7], lam[0, 7:])
+        ppt_min = np.minimum(lam[0, 4:4 + len(diag)], lam[0, 4 + len(diag):])
+        if x is None:
+            ppt_min = np.concatenate([ppt_min, _ppt_min(stack[1:])])
         # each entropy sums its terms in ascending order of block and eigenvalue
-        e = _entropy_terms(lam)
+        e = _entropy_terms(lam[:, :4])
         s_ab = -(((e[0, 0] + e[1, 0]) + e[0, 1]) + e[1, 1])
         s_a, s_b = -(e[0, 2:4] + e[1, 2:4])
         # the joint coherence of the pure global state is C_global
@@ -256,18 +260,19 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
         # transpose has spectrum {l1^2, l2^2, +-l1 l2} over its Schmidt
         # coefficients, and l1 l2 = |c00 c11 - c01 c10|
         c = amplitudes
-        cross_min = -np.abs(c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2])[np.newaxis]
-    m.update(zip([f"ppt_{name}" for name in names[cross:]], (cross_min >= -PPT_TOL).astype(float)))
+        ppt_min = -np.abs(c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2])[np.newaxis]
+    m.update(zip([f"ppt_{name}" for name in names[cross:]],
+                 (ppt_min[cross:] >= -PPT_TOL).astype(float)))
     m.update(ab_columns)
-    return m, pairs, cross_min
+    return m, pairs, ppt_min
 
 
 def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     """One (kind, mu, x) block over the noise values ``ps``, evaluated as one
     stack: the x evaluated (see :func:`ccr_report`), the measure columns, the
     dilated amplitudes (P, dim), their layout, and the pair stacks and
-    cross-pair partial-transpose minima the measures were taken on.  Phase
-    damping's sector columns are left to the readers that read them.
+    partial-transpose minima (A-B's first) the measures were taken on.
+    Phase damping's sector columns are left to the readers that read them.
     Only the input state is checked (by :func:`dilate_block`): its isometry
     image has unit norm, and each state reduced from that image, M M^dag, is a
     density matrix by construction.  Each reader evaluates the rows of IDENTITIES it reads."""
@@ -280,8 +285,8 @@ def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
     a = psi.reshape(1, 2, -1)  # A's amplitudes against the rest of the system
     initial = a @ a.conj().swapaxes(-1, -2)
-    measures, pairs, cross_min = _measure_columns(amplitudes, layout, initial)
-    return x, measures, amplitudes, layout, pairs, cross_min
+    measures, pairs, ppt_min = _measure_columns(amplitudes, layout, initial)
+    return x, measures, amplitudes, layout, pairs, ppt_min
 
 
 def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
@@ -301,20 +306,24 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     return CCRReport(spec, x, measures, residuals)
 
 
-def _sudden_death_bisection(x: float) -> float:
-    """Largest p with positive concurrence, bracketed by ten amplitude
-    damping blocks of 65 points: each narrows the bracket 64-fold, to a
-    width of 2^-60 after the last.  A block runs only the engine stages the
-    A-B concurrence needs: the dilation and the A-B pair."""
-    psi, sys_layout = initial_state(ChannelKind.ADC, x)
-    lo, hi = 0.0, 1.0
+def _sudden_death_bisection(xs) -> np.ndarray:
+    """Largest p with positive concurrence for each x of an array (any
+    shape), bracketed by ten amplitude damping blocks of 65 points per x:
+    each narrows every bracket 64-fold, to a width of 2^-60 after the last.
+    A round stacks the brackets of all x into one block and runs only the
+    engine stages the A-B concurrence needs: the dilation and the A-B pair."""
+    xs = np.asarray(xs, dtype=float)
+    psi = np.repeat([initial_state(ChannelKind.ADC, x)[0] for x in xs.ravel().tolist()], 65, axis=0)
+    rows, sys_layout = np.arange(xs.size), qubits("A", "B")
+    lo, hi = np.zeros(xs.size), np.ones(xs.size)
     for _ in range(10):  # the concurrence is positive at lo and not at hi
-        ps = np.linspace(lo, hi, 65)
-        amplitudes, layout = dilate_block(ChannelKind.ADC, ps, 0.0, psi, sys_layout)
+        ps = np.linspace(lo, hi, 65, axis=-1)
+        amplitudes, layout = dilate_block(ChannelKind.ADC, ps.reshape(-1), 0.0, psi, sys_layout)
         ab = _reduced(amplitudes, layout, PAIRS["AB"])[0]
-        i = int(np.flatnonzero(_x_concurrence(*_x_entries(ab)) > 0.0)[-1])
-        lo, hi = ps[i], ps[i + 1]
-    return float(0.5 * (lo + hi))
+        alive = (_x_concurrence(*_x_entries(ab)) > 0.0).reshape(ps.shape)
+        i = 64 - alive[:, ::-1].argmax(axis=-1)  # the last p alive
+        lo, hi = ps[rows, i], ps[rows, i + 1]
+    return (0.5 * (lo + hi)).reshape(xs.shape)
 
 
 def sudden_death_point(x: float) -> float | None:
@@ -330,7 +339,7 @@ def sudden_death_point(x: float) -> float | None:
     if x >= BALANCED_X:
         return None
     closed = x / math.sqrt(1.0 - x * x)
-    bisected = _sudden_death_bisection(x)
+    bisected = float(_sudden_death_bisection(x))
     if abs(closed - bisected) > 1e-8:
         raise RuntimeError(
             f"sudden-death bisection {bisected!r} disagrees with closed form {closed!r}"

@@ -14,6 +14,7 @@ from ccrsweep.channels import (
 )
 from ccrsweep.linalg import outer, partial_trace, qubits
 from ccrsweep.measures import linear_entropy
+from ccrsweep.reports import initial_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -412,6 +413,79 @@ class TestOperatorSums:
         assert defects[1] == pytest.approx(0.19, abs=1e-15)
         with pytest.raises(ValueError, match="incomplete"):
             _operator_sums(ops, outer(psi, lay).mat[np.newaxis])
+
+
+    SIZES = {"P=1": np.array([0.37]), "P=101": np.linspace(0.0, 1.0, 101),
+             "P=1001": np.linspace(0.0, 1.0, 1001)}
+
+    @pytest.mark.parametrize(
+        "kind, mu", [(kind, 0.0) for kind in ALL_KINDS if kind is not ChannelKind.CADC]
+        + [(ChannelKind.CADC, mu) for mu in (0.0, 0.5, 1.0)],
+        ids=lambda v: getattr(v, "value", f"mu={v}"),
+    )
+    @pytest.mark.parametrize("size", SIZES)
+    def test_images_match_the_three_operand_einsum_bytewise(self, kind, mu, size):
+        # the images were one einsum over three operands, which numpy runs as
+        # one loop over seven indices; the two stacked products must give its
+        # bytes, on the real initial states and on complex states
+        ops = _kraus_stack(kind, self.SIZES[size], mu)
+        d = ops.shape[-1]
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        dense = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        real = np.array([np.outer(psi, psi) for psi, _ in
+                         (initial_state(kind, x) for x in (0.0, 0.31, 1 / math.sqrt(2)))])
+        for rhos in (real, np.concatenate([real, dense[np.newaxis]])):
+            _, images = _operator_sums(ops, rhos)
+            want = np.einsum("pkij,rjl,pkml->rpim", ops, rhos, ops.conj())
+            assert (images.shape, images.dtype) == (want.shape, want.dtype)
+            assert images.tobytes() == want.tobytes()
+
+
+class TestRealChannels:
+    """Five kinds have real Kraus operators, so their Kraus stacks and the
+    amplitudes they dilate a real state to are float64; the sigma_y kinds
+    stay complex."""
+
+    REAL = {ChannelKind.ADC, ChannelKind.CADC, ChannelKind.PDC, ChannelKind.BFC, ChannelKind.PFC}
+
+    @pytest.mark.parametrize(
+        "kind, mu", [(kind, 0.0) for kind in ALL_KINDS] + [(ChannelKind.CADC, 1.0)],
+        ids=lambda v: getattr(v, "value", f"mu={v}"),
+    )
+    def test_dtype_follows_the_kraus_table(self, kind, mu):
+        dtype = np.float64 if kind in self.REAL else np.complex128
+        ps = np.linspace(0.0, 1.0, 11)
+        assert _kraus_stack(kind, ps, mu).dtype == dtype
+        psi, layout = initial_state(kind, 0.37)
+        assert psi.dtype == np.float64
+        amplitudes, _ = dilate_block(kind, ps, mu, psi, layout)
+        assert amplitudes.dtype == dtype
+        # a complex input keeps its dtype through a real channel
+        if kind is not ChannelKind.DC:
+            assert dilate_block(kind, ps, mu, psi.astype(complex), layout)[0].dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "kind, mu", [(kind, 0.0) for kind in ALL_KINDS] + [(ChannelKind.CADC, 1.0)],
+        ids=lambda v: getattr(v, "value", f"mu={v}"),
+    )
+    def test_one_state_per_p_matches_each_state_alone_bytewise(self, kind, mu):
+        ps = np.linspace(0.0, 1.0, 7)
+        states = [initial_state(kind, x) for x in np.linspace(0.0, 1.0, 7)]
+        layout = states[0][1]
+        amplitudes, _ = dilate_block(kind, ps, mu, np.stack([psi for psi, _ in states]), layout)
+        for row, p, (psi, _) in zip(amplitudes, ps, states):
+            alone, _ = dilate_block(kind, np.array([p]), mu, psi, layout)
+            assert row.tobytes() == alone[0].tobytes()
+
+    def test_a_state_of_the_wrong_dimension_is_rejected(self):
+        psi, layout = initial_state(ChannelKind.ADC, 0.37)
+        with pytest.raises(ValueError, match="does not end in layout dimension 4"):
+            dilate_block(ChannelKind.ADC, np.array([0.5]), 0.0, psi[:2] / np.linalg.norm(psi[:2]),
+                         layout)
+        with pytest.raises(ValueError, match="not normalized"):
+            dilate_block(ChannelKind.ADC, np.array([0.5, 0.6]), 0.0, np.stack([psi, 2 * psi]),
+                         layout)
 
 
 X_VALUES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1 / math.sqrt(2)])

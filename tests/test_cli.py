@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ccrsweep import measures, reports
 from ccrsweep.channels import ChannelKind, ChannelSpec
 from ccrsweep.linalg import outer, partial_trace
 from ccrsweep.measures import correlated_coherence_hs, is_ppt, sector_decomposition
@@ -28,6 +29,7 @@ from ccrsweep.cli import (
     _Tracker,
     _verify_blocks,
     _verify_kraus,
+    _verify_sudden_death,
     build_config,
     emit,
     main,
@@ -456,8 +458,8 @@ def test_state_columns_match_the_per_point_route(kind, x):
     # partial_trace, PPT by a transpose written here and an eigensolve per matrix
     mu = 1.0 if kind is ChannelKind.CADC else 0.0
     ps = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
-    x, m, amplitudes, layout, pairs, cross_min = _block_columns(kind, mu, x, ps)
-    columns = _state_columns(m, pairs, cross_min, amplitudes, layout)
+    x, m, amplitudes, layout, _, ppt_min = _block_columns(kind, mu, x, ps)
+    columns = _state_columns(m, ppt_min, amplitudes, layout)
     for i, psi in enumerate(amplitudes):
         rho_g = outer(psi, layout)
         cc_abe = correlated_coherence_hs(rho_g, ("A", "B", "E_A", "E_B"))
@@ -475,6 +477,37 @@ def test_state_columns_match_the_per_point_route(kind, x):
         weights = sector_decomposition(psi, layout)
         assert abs(columns["sector_total"][i] - sum(weights.values())) <= 1e-14
         assert abs(columns["sector_AB"][i] - weights.get(frozenset(PAIRS["AB"]), 0.0)) <= 1e-14
+
+
+def test_verify_walk_solves_one_eigen_table_per_two_qubit_block(monkeypatch):
+    # the A-B pair's PPT minimum comes from the engine's table, not a re-solve
+    calls, qubit_eigenvalues = [], measures._qubit_eigenvalues
+
+    def counted(*args):
+        calls.append(1)
+        return qubit_eigenvalues(*args)
+
+    for module in (measures, reports):
+        monkeypatch.setattr(module, "_qubit_eigenvalues", counted)
+    cfg = SweepConfig()
+    blocks = [kind for kind, _, _ in _blocks(cfg, set(cfg.x_values) | set(TENTHS))
+              if kind.n_system_qubits == 2]
+    _verify_blocks(cfg, _Tracker())
+    assert len(calls) == len(blocks) == 40
+
+
+def test_sudden_death_check_dilates_one_stacked_block_per_round(monkeypatch):
+    calls, dilate_block = [], reports.dilate_block
+
+    def counted(kind, ps, mu, system, sys_layout):
+        calls.append((len(ps), np.shape(system)))
+        return dilate_block(kind, ps, mu, system, sys_layout)
+
+    monkeypatch.setattr(reports, "dilate_block", counted)
+    t = _Tracker()
+    _verify_sudden_death(SweepConfig(), t)
+    assert calls == [(5 * 65, (5 * 65, 4))] * 10
+    assert t.worst["adc_sudden_death"][0] <= 1e-15
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from ccrsweep import linalg, measures, reports
+from ccrsweep import channels, linalg, measures, reports
 from ccrsweep.channels import ChannelKind, ChannelSpec, dilate_block
 from ccrsweep.linalg import check_density
 from ccrsweep.measures import _off_x, factor_marginals, sector_decomposition
@@ -234,7 +234,7 @@ class TestBlockCost:
         # kernel only since it solves one table)
         for name, modules in (("_partial_trace", (linalg, measures)),
                               ("_qubit_eigenvalues", (measures, reports)),
-                              ("check_norms", (linalg, measures))):
+                              ("check_norms", (linalg, measures, channels))):
             call = counted(name.lstrip("_"), getattr(modules[0], name))
             for module in modules:
                 monkeypatch.setattr(module, name, call, raising=False)

@@ -7,7 +7,11 @@ transpose loop and per-mask loop; both kernels must give the same bytes and
 the same dict key order.  ``reports._measure_columns`` reads every pair's
 marginals from its entries and the A-B pair's closed forms from one X
 reading; the former traced route is kept below as the reference, which
-every column must match to 1e-15 and every ``ppt_*`` flag exactly.
+every column must match to 1e-15 and every ``ppt_*`` flag exactly.  The
+real channels' amplitudes are float64, and measuring them gives the bytes
+that measuring them as complex gives.  The sudden-death bisection brackets
+every x in one stacked block per round; the former loop over x, one block
+per x and round, is the reference for its bytes.
 """
 
 import math
@@ -24,6 +28,7 @@ from ccrsweep.measures import (
     _ppt_min,
     _spectrum,
     _x_blocks,
+    _x_concurrence,
     _x_entries,
     concurrence_x_state,
     factor_marginals,
@@ -36,6 +41,7 @@ from ccrsweep.reports import (
     _gather,
     _measure_columns,
     _reduced,
+    _sudden_death_bisection,
     initial_state,
     local_measures,
 )
@@ -205,3 +211,69 @@ def test_a_non_x_pair_is_rejected_by_the_shared_reading():
     scrambled /= np.linalg.norm(scrambled, axis=-1, keepdims=True)
     with pytest.raises(ValueError, match="not an X state"):
         _measure_columns(scrambled, layout, np.eye(2)[np.newaxis] / 2)
+
+
+#: The kinds with real Kraus operators, at each dilatable mu.
+REAL_BLOCKS = [block for block in BLOCKS
+               if block[0] not in (ChannelKind.BPFC, ChannelKind.DC)]
+
+
+@pytest.mark.parametrize("ps", PS.values(), ids=PS.keys())
+@pytest.mark.parametrize("block", REAL_BLOCKS, ids=block_ids)
+def test_real_amplitudes_measure_as_their_complex_copies_bytewise(block, ps):
+    kind, mu = block
+    for x in XS:
+        psi, sys_layout = initial_state(kind, x)
+        amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
+        assert amplitudes.dtype == np.float64
+        a = psi.reshape(1, 2, -1)
+        initial = a @ a.swapaxes(-1, -2)
+        got, got_pairs, got_min = _measure_columns(amplitudes, layout, initial)
+        want, want_pairs, want_min = _measure_columns(
+            amplitudes.astype(complex), layout, initial.astype(complex))
+        assert list(got) == list(want)
+        for name in want:
+            assert_same_bytes(got[name], want[name])
+        for name in want_pairs:
+            assert got_pairs[name].tobytes() == want_pairs[name].real.tobytes()
+            assert not want_pairs[name].imag.any()
+        # phase damping's non-X cross pairs reach eigvalsh as real matrices,
+        # which LAPACK solves by another routine than their complex copies
+        eigen = kind is ChannelKind.PDC and _x_entries(want_pairs["AEA"], None) is None
+        assert_same_bytes(got_min[:1 if eigen else None], want_min[:1 if eigen else None])
+        assert np.abs(got_min - want_min).max() <= 1e-15
+
+
+@pytest.mark.parametrize("ps", PS.values(), ids=PS.keys())
+@pytest.mark.parametrize("block", [b for b in BLOCKS if b[0].n_system_qubits == 2], ids=block_ids)
+def test_ab_ppt_minimum_from_the_table_matches_the_x_blocks_bytewise(block, ps):
+    # the A-B pair's PPT minimum is read from two more rows of the block's
+    # eigen-table; the reference is _ppt_min of the pair, as verify solved it
+    kind, mu = block
+    for x in XS:
+        *_, pairs, ppt_min = _block_columns(kind, mu, x, ps)
+        assert ppt_min.shape == (4, len(ps))
+        assert_same_bytes(ppt_min[0], _ppt_min(pairs["AB"]))
+
+
+def bisection_by_x(x):
+    """The sudden-death bracket of one x: ten 65-point blocks, one at a time."""
+    psi, sys_layout = initial_state(ChannelKind.ADC, x)
+    lo, hi = 0.0, 1.0
+    for _ in range(10):
+        ps = np.linspace(lo, hi, 65)
+        amplitudes, layout = dilate_block(ChannelKind.ADC, ps, 0.0, psi, sys_layout)
+        ab = _reduced(amplitudes, layout, PAIRS["AB"])[0]
+        i = int(np.flatnonzero(_x_concurrence(*_x_entries(ab)) > 0.0)[-1])
+        lo, hi = ps[i], ps[i + 1]
+    return float(0.5 * (lo + hi))
+
+
+def test_stacked_bisection_matches_the_loop_over_x_bytewise():
+    xs = np.array([0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.7])
+    got = _sudden_death_bisection(xs)
+    assert got.shape == xs.shape
+    assert got.tobytes() == np.array([bisection_by_x(x) for x in xs.tolist()]).tobytes()
+    # any shape of x, each x bracketed on its own
+    assert _sudden_death_bisection(xs.reshape(2, 4)).tolist() == got.reshape(2, 4).tolist()
+    assert _sudden_death_bisection(0.3).shape == ()

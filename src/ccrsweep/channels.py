@@ -80,6 +80,8 @@ class ChannelSpec:
     mu: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, ChannelKind):
+            raise ValueError(f"kind: {self.kind!r} is not a ChannelKind")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
         if not 0.0 <= self.mu <= 1.0:

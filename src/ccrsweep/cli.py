@@ -77,6 +77,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.channels:
             raise ValueError("channels: must name at least one channel")
+        if bad := [kind for kind in self.channels if not isinstance(kind, ChannelKind)]:
+            raise ValueError(f"channels: {bad[0]!r} is not a ChannelKind")
         if not self.x_values:
             raise ValueError("x: must name at least one value")
         if not all(0.0 <= x <= 1.0 for x in self.x_values):
@@ -173,6 +175,8 @@ def emit(table: Table, fmt: str, path: str) -> None:
     identity residuals left empty (CSV) or null (JSON)."""
     if not table:
         raise ValueError("nothing to emit: no reports were produced")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format: must be csv or json, got {fmt!r}")
     text = render_csv(table) if fmt == "csv" else render_json(table)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -235,12 +239,12 @@ def _state_columns(m: dict, ppt_min: np.ndarray, amplitudes: np.ndarray,
     partial-transpose minima (the A-B pair's, then the cross pairs') and
     dilated states, unchecked; the states are decomposed into sectors once, here."""
     entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & (ppt_min[0] >= -PPT_TOL)
-    sectors = _sectors(amplitudes, layout)
+    weights = _sectors(amplitudes, len(layout.labels))
     return {
         "entangled_but_ppt": entangled_but_ppt.astype(float),
         "cross_ppt_defect": np.maximum(0.0, -ppt_min[1:].min(axis=0)),
-        "sector_total": sum(sectors.values(), np.zeros(len(amplitudes))),
-        **_sector_columns(sectors, len(amplitudes)),
+        "sector_total": sum(weights),  # row by row in mask order; np.sum may reorder
+        **_sector_columns(weights),
     }
 
 
@@ -249,7 +253,7 @@ def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
     (channel, x) for the grid's x values and every tenth of x."""
     ps = cfg.p_grid()
     for kind, mu, x in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
-        x, m, amplitudes, layout, _, ppt_min = _block_columns(kind, mu, x, ps)
+        x, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
         m = {**m, "p": ps}
         if kind.n_system_qubits == 2:
             m.update(_state_columns(m, ppt_min, amplitudes, layout))

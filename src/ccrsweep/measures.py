@@ -108,14 +108,9 @@ def _qubit_eigenvalues(a, d, modulus):
     return mean + np.multiply.outer((-1.0, 1.0), radius)
 
 
-def _x_entries(m: np.ndarray, tol: float | None = X_STATE_TOL):
+def _x_entries(m: np.ndarray):
     """The diagonal (..., 4) and moduli |m_03|, |m_12| of a stack (..., 4, 4) of X
-    states, the X closed forms' input.  Raises ValueError naming the largest
-    off-X modulus if it exceeds ``tol``; with ``tol`` None, is None unless all are 0."""
-    if tol is None and _off_x(m).any():
-        return None
-    if tol is not None and (worst := float(np.abs(_off_x(m)).max())) > tol:
-        raise ValueError(f"not an X state: entry of modulus {worst!r} outside diagonal/anti-diagonal")
+    states, the X closed forms' input, unchecked: the off-X entries are not read."""
     return m.diagonal(0, -2, -1).real, np.abs(m[..., 0, 3]), np.abs(m[..., 1, 2])
 
 
@@ -146,10 +141,10 @@ def _ppt_min(m: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the partial transpose on the first qubit of each
     of a Hermitian stack (..., 4, 4), unchecked; an exact X state's is not
     formed (it has the same 2x2 blocks with the anti-diagonal moduli swapped)."""
-    x = _x_entries(m, None)
-    if x is None:
+    if _off_x(m).any():
         return np.linalg.eigvalsh(_partial_transpose(m, (2, 2), 0))[..., 0]
-    return np.minimum(*_x_blocks(x[0], x[2], x[1])[::2])
+    diag, a03, a12 = _x_entries(m)
+    return np.minimum(*_x_blocks(diag, a12, a03)[::2])
 
 
 def _entropy_terms(lam: np.ndarray) -> np.ndarray:
@@ -191,6 +186,8 @@ def concurrence_x_state(rho):
     m = _hermitian(rho)
     if m.shape[-1] != 4:
         raise ValueError(f"X-state concurrence needs a two-qubit state, dim {m.shape[-1]}")
+    if (worst := float(np.abs(_off_x(m)).max())) > X_STATE_TOL:
+        raise ValueError(f"not an X state: entry of modulus {worst!r} outside diagonal/anti-diagonal")
     return _x_concurrence(*_x_entries(m))
 
 
@@ -210,16 +207,12 @@ def is_ppt(rho):
 
 
 @functools.lru_cache(maxsize=64)
-def _mask_table(labels: tuple[str, ...]) -> tuple[np.ndarray, tuple[frozenset[str], ...]]:
-    """For each mask 1 .. 2^n - 1 of n qubits, in order, the read-only row
-    index ^ mask of the (2^n - 1, 2^n) flip table, and the labels the mask
-    flips (bit n-1-k of a mask is factor k)."""
-    n = len(labels)
-    masks = np.arange(1, 2**n)
-    flips = np.arange(2**n) ^ masks[:, np.newaxis]
+def _mask_table(n: int) -> np.ndarray:
+    """The read-only (2^n - 1, 2^n) flip table of n qubits: row mask - 1 is
+    index ^ mask, for each mask 1 .. 2^n - 1 in order."""
+    flips = np.arange(2**n) ^ np.arange(1, 2**n)[:, np.newaxis]
     flips.setflags(write=False)
-    return flips, tuple(frozenset(lab for k, lab in enumerate(labels) if mask >> (n - 1 - k) & 1)
-                        for mask in masks.tolist())
+    return flips
 
 
 def sector_decomposition(psi, layout: SubsystemLayout) -> dict[frozenset[str], np.ndarray]:
@@ -228,9 +221,10 @@ def sector_decomposition(psi, layout: SubsystemLayout) -> dict[frozenset[str], n
 
     Maps a set of labels to the summed weight 2|c_a|^2|c_b|^2 of all basis
     pairs (a, b) whose multi-indices differ exactly on those labels, i.e.
-    sum_a |c_a|^2 |c_(a xor mask)|^2 for the mask of those qubits.  Lists
-    only sets with a pair of nonzero amplitudes (in some state of a stack);
-    the weights sum to the Hilbert-Schmidt coherence of the projector.
+    sum_a |c_a|^2 |c_(a xor mask)|^2 for the mask of those qubits (bit n-1-k
+    of a mask is factor k).  Lists only sets with a pair of nonzero
+    amplitudes (in some state of a stack), in mask order; the weights sum to
+    the Hilbert-Schmidt coherence of the projector.
     """
     psi = np.array(psi, dtype=complex)
     if set(layout.dims) != {2}:
@@ -238,14 +232,16 @@ def sector_decomposition(psi, layout: SubsystemLayout) -> dict[frozenset[str], n
     if psi.shape[-1] != layout.dim:
         raise ValueError(f"state dimension {psi.shape[-1]} != layout dimension {layout.dim}")
     check_norms(psi)
-    return _sectors(psi, layout)
-
-
-def _sectors(psi: np.ndarray, layout: SubsystemLayout) -> dict[frozenset[str], np.ndarray]:
-    """:func:`sector_decomposition` of normalized qubit states (..., dim), unchecked."""
-    flips, label_sets = _mask_table(layout.labels)
-    prob = np.abs(psi) ** 2
+    n, weights = len(layout.labels), _sectors(psi, len(layout.labels))
     nonzero = (psi != 0.0).reshape(-1, layout.dim)
-    present = np.flatnonzero((nonzero[:, np.newaxis] & nonzero[:, flips]).any(axis=(0, 2)))
-    weights = np.moveaxis((prob[..., np.newaxis, :] * prob[..., flips]).sum(axis=-1), -1, 0)
-    return {label_sets[i]: weights[i] for i in present}
+    present = (nonzero[:, np.newaxis] & nonzero[:, _mask_table(n)]).any(axis=(0, 2))
+    return {frozenset(lab for k, lab in enumerate(layout.labels) if mask >> (n - 1 - k) & 1):
+            weights[mask - 1] for mask in (np.flatnonzero(present) + 1).tolist()}
+
+
+def _sectors(psi: np.ndarray, n: int) -> np.ndarray:
+    """Sector weights (2^n - 1, ...) of normalized n-qubit states (..., 2^n),
+    unchecked: row mask - 1 is the weight of that mask, +0.0 where no pair of
+    nonzero amplitudes differs by it."""
+    prob = np.abs(psi) ** 2
+    return np.moveaxis((prob[..., np.newaxis, :] * prob[..., _mask_table(n)]).sum(axis=-1), -1, 0)

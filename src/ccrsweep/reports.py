@@ -6,8 +6,8 @@ predictability / coherence / correlation measure of the resulting global
 pure state is computed, and the residual of every identity the channel obeys
 is recorded.  The engine evaluates a block at a time, one (kind, mu, x)
 over an array of p; :func:`ccr_report` is a block of one.
-All quantities come from the numerical pipeline; closed forms appear only in
-the test suite as expected values.
+Every quantity is measured on the dilated state; X-shaped pairs and pure two-qubit
+states are read in closed form, and the test suite, not the engine, pins the X shape.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .measures import (
     _hs_coherence,
     _hs_predictability,
     _linear_entropy,
+    _off_x,
     _ppt_min,
     _qubit_eigenvalues,
     _sectors,
@@ -166,17 +167,16 @@ PAIRS: dict[str, tuple[str, str]] = {
 }
 
 
-#: The column of each coherence sector reported for phase damping, by its factors.
-_SECTOR_COLUMNS = {frozenset(labels): "sector_" + "".join(labels).replace("_", "") for labels in (
-    ("A", "B"), ("A", "B", "E_A"), ("A", "B", "E_B"), ("A", "B", "E_A", "E_B"),
-    ("E_A", "E_B"), ("E_A",), ("E_B",))}
+#: Each phase damping sector column by its mask over (A, B, E_A, E_B), A's bit first.
+_SECTOR_COLUMNS = {"sector_AB": 0b1100, "sector_ABEA": 0b1110, "sector_ABEB": 0b1101,
+                   "sector_ABEAEB": 0b1111, "sector_EAEB": 0b0011, "sector_EA": 0b0010,
+                   "sector_EB": 0b0001}
 
 
-def _sector_columns(sectors: dict, rows: int) -> dict[str, np.ndarray]:
-    """The sector_AB, ..., sector_EB columns of a block of ``rows`` states from
-    its sector_decomposition weights, zero where a sector has no weight."""
-    return {name: sectors[labels] if labels in sectors else np.zeros(rows)
-            for labels, name in _SECTOR_COLUMNS.items()}
+def _sector_columns(weights: np.ndarray) -> dict[str, np.ndarray]:
+    """The sector_AB, ..., sector_EB columns of a two-qubit block: rows of its
+    sector weights (15, P), row mask - 1 for each mask."""
+    return {name: weights[mask - 1] for name, mask in _SECTOR_COLUMNS.items()}
 
 
 @functools.lru_cache(maxsize=64)
@@ -205,16 +205,14 @@ def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: tuple[str,
 
 def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: np.ndarray):
     """Every measure column but the sector columns, as arrays over the block,
-    of dilated states (P, dim) and of the initial marginal of A (1, 2, 2),
-    the pair stacks the measures were taken on and their (K, P) smallest
-    partial-transpose eigenvalues in stack order (A-B's first, where the
-    layout has it).  The pairs of ``PAIRS`` the
-    layout has form one stack (K, P, 4, 4) and each measure runs once on it;
-    its one-factor marginals are read from its entries and give A's
+    of dilated states (P, dim) and of the initial marginal of A (1, 2, 2), and
+    the (K, P) smallest partial-transpose eigenvalues of the pair stack in
+    stack order (A-B's first, where the layout has it).  The pairs of ``PAIRS``
+    the layout has form one stack (K, P, 4, 4) and each measure runs once on
+    it; its one-factor marginals are read from its entries and give A's
     marginal, the Cc_*, Cc_ABE and the A-B mutual information."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
-    pairs = dict(zip(names, stack))
     # each pair's one-qubit marginals (K, P, 2, 2), each entry a sum of two of its entries
     t = stack.reshape(stack.shape[:-2] + (2, 2, 2, 2))
     firsts, seconds = t[..., :, 0, :, 0] + t[..., :, 1, :, 1], t[..., 0, :, 0, :] + t[..., 1, :, 1, :]
@@ -226,22 +224,22 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     hs_first, hs_second = 2.0 * off_first**2, 2.0 * off_second**2
     m.update(zip([f"Cc_{name}" for name in names], hs_joint - hs_first - hs_second))
     # A-B entanglement is reported as a concurrence; AB, where present, is first
-    cross, ab_columns = int("AB" in pairs), {}
+    cross, ab_columns = int("AB" in names), {}
     if cross:
         # one table of Hermitian 2x2 blocks (a, d, |b|) solved at once: the A-B
-        # pair's X blocks {0, 3} and {1, 2} (its off-X entries checked once), its
-        # A and B marginals, and the partially transposed blocks of the A-B pair
-        # and of the cross pairs if all are X-shaped, which are each pair's own
-        # blocks with the anti-diagonal moduli swapped
-        ab, x = _x_entries(stack[:1]), _x_entries(stack[1:], None)
-        diag, a03, a12 = ab if x is None else map(np.concatenate, zip(ab, x))
-        rows = [(ab[0][..., 0], ab[0][..., 3], ab[1]), (ab[0][..., 1], ab[0][..., 2], ab[2]),
+        # pair's X blocks {0, 3} and {1, 2}, its A and B marginals, and the
+        # partially transposed blocks of the A-B pair and of the cross pairs if
+        # all are X-shaped, which are each pair's own blocks with the
+        # anti-diagonal moduli swapped
+        x_shaped = not _off_x(stack[1:]).any()
+        diag, a03, a12 = _x_entries(stack if x_shaped else stack[:1])
+        rows = [(diag[:1, :, 0], diag[:1, :, 3], a03[:1]), (diag[:1, :, 1], diag[:1, :, 2], a12[:1]),
                 (firsts[:1, :, 0, 0].real, firsts[:1, :, 1, 1].real, off_first[:1]),
                 (seconds[:1, :, 0, 0].real, seconds[:1, :, 1, 1].real, off_second[:1]),
                 (diag[..., 0], diag[..., 3], a12), (diag[..., 1], diag[..., 2], a03)]
         lam = _qubit_eigenvalues(*map(np.concatenate, zip(*rows)))
         ppt_min = np.minimum(lam[0, 4:4 + len(diag)], lam[0, 4 + len(diag):])
-        if x is None:
+        if not x_shaped:
             ppt_min = np.concatenate([ppt_min, _ppt_min(stack[1:])])
         # each entropy sums its terms in ascending order of block and eigenvalue
         e = _entropy_terms(lam[:, :4])
@@ -252,7 +250,7 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
         ab_columns = dict(
             Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
             C_env=hs_joint[names.index("EAEB")],
-            concurrence_AB=_x_concurrence(*ab)[0],
+            concurrence_AB=_x_concurrence(diag[0], a03[0], a12[0]),
             mutual_info_AB=s_a + s_b - s_ab,
         )
     else:
@@ -264,14 +262,14 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     m.update(zip([f"ppt_{name}" for name in names[cross:]],
                  (ppt_min[cross:] >= -PPT_TOL).astype(float)))
     m.update(ab_columns)
-    return m, pairs, ppt_min
+    return m, ppt_min
 
 
 def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     """One (kind, mu, x) block over the noise values ``ps``, evaluated as one
     stack: the x evaluated (see :func:`ccr_report`), the measure columns, the
-    dilated amplitudes (P, dim), their layout, and the pair stacks and
-    partial-transpose minima (A-B's first) the measures were taken on.
+    dilated amplitudes (P, dim), their layout, and the partial-transpose minima
+    of the pair stack (A-B's first) the measures were taken on.
     Phase damping's sector columns are left to the readers that read them.
     Only the input state is checked (by :func:`dilate_block`): its isometry
     image has unit norm, and each state reduced from that image, M M^dag, is a
@@ -285,8 +283,8 @@ def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
     amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
     a = psi.reshape(1, 2, -1)  # A's amplitudes against the rest of the system
     initial = a @ a.conj().swapaxes(-1, -2)
-    measures, pairs, ppt_min = _measure_columns(amplitudes, layout, initial)
-    return x, measures, amplitudes, layout, pairs, ppt_min
+    measures, ppt_min = _measure_columns(amplitudes, layout, initial)
+    return x, measures, amplitudes, layout, ppt_min
 
 
 def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
@@ -299,7 +297,7 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     """
     x, columns, amplitudes, layout, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
     if spec.kind is ChannelKind.PDC:
-        columns.update(_sector_columns(_sectors(amplitudes, layout), 1))
+        columns.update(_sector_columns(_sectors(amplitudes, len(layout.labels))))
     measures = {name: v.item() for name, v in columns.items()}
     residuals = {ident: row.residual(measures) for ident, row in IDENTITIES.items()
                  if spec.kind in row.kinds}

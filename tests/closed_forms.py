@@ -25,6 +25,15 @@ The one-qubit forms:
   -|c00 c11 - c01 c10|, for the pure state's amplitudes c.  This is the
   product of its two Schmidt coefficients (Vidal-Werner, PRA 65, 032314
   (2002)).
+
+Stage 2 covers amplitude damping.  Each qubit of |11> decays on its own into
+its environment qubit, so with q = 1 - p the global state over
+(A, B, E_A, E_B) is
+
+    x|0000> + y (q|1100> + sqrt(pq) (|1001> + |0110>) + p|0011>).
+
+Every pair of it is an X state, and A's marginal is diag(a, b) with
+a = x^2 + y^2 p and b = y^2 q.
 """
 
 from __future__ import annotations
@@ -78,6 +87,35 @@ def one_qubit_columns(kind: str, x, p) -> dict:
         "Cc_AEA": cc_aea,
         "cross_min": cross_min,
         "ppt_AEA": (cross_min >= -PPT_TOL).astype(float),
+    }
+
+
+def adc_columns(x, p) -> dict:
+    """P_hs_A, C_hs_A, S_l_A, the Cc_* of every pair, C_env, C_global,
+    Cc_ABE and concurrence_AB of amplitude damping at initial amplitude x and
+    noise value p.  Each pair's correlated coherence is twice the squared
+    modulus of its one off-diagonal entry, since its marginals are diagonal;
+    the concurrence is Wootters' X-state form of the A-B pair."""
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    x2 = x * x
+    y2 = 1.0 - x2
+    y = np.sqrt(y2)
+    q = 1.0 - p
+    a, b = x2 + y2 * p, y2 * q
+    cc_env = 2.0 * x2 * y2 * p * p
+    c_global = 1.0 - x2 * x2 - y2 * y2 * (q * q + p * p) ** 2
+    return {
+        "P_hs_A": a * a + b * b - 0.5,
+        "C_hs_A": 0.0 * x2 * p,
+        "S_l_A": 2.0 * y2 * q * (1.0 - y2 * q),
+        "Cc_AB": 2.0 * x2 * y2 * q * q,
+        "Cc_AEA": 2.0 * y2 * y2 * p * q,
+        "Cc_AEB": 2.0 * x2 * y2 * p * q,
+        "Cc_EAEB": cc_env,
+        "C_env": cc_env,
+        "C_global": c_global,
+        "Cc_ABE": c_global,
+        "concurrence_AB": 2.0 * y * q * np.maximum(0.0, x - y * p),
     }
 
 

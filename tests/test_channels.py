@@ -80,6 +80,12 @@ class TestChannelSpec:
         with pytest.raises(ValueError, match="p must lie"):
             ChannelSpec(ChannelKind.ADC, 1.2)
 
+    @pytest.mark.parametrize("kind", ["adc", None, 0])
+    def test_kind_must_be_a_channel_kind(self, kind):
+        # a name is not coerced: it would fail only later, inside the engine
+        with pytest.raises(ValueError, match=f"kind: {kind!r} is not a ChannelKind"):
+            ChannelSpec(kind, 0.3)
+
     def test_mu_only_for_cadc(self):
         with pytest.raises(ValueError, match="mu is only meaningful"):
             ChannelSpec(ChannelKind.PDC, 0.5, mu=0.3)

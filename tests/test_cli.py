@@ -59,6 +59,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="channels"):
             small_config(channels=())
 
+    @pytest.mark.parametrize("channels", [("adc",), (ChannelKind.ADC, "pdc"), (None,)])
+    def test_channels_must_be_channel_kinds(self, channels):
+        # a name is not coerced: it would fail only later, inside the engine
+        bad = next(c for c in channels if not isinstance(c, ChannelKind))
+        with pytest.raises(ValueError, match=f"channels: {bad!r} is not a ChannelKind"):
+            small_config(channels=channels)
+
     def test_p_count_floor(self):
         with pytest.raises(ValueError, match="p_count"):
             small_config(p_count=1)
@@ -149,7 +156,7 @@ class TestRunSweep:
         for kind, mu, x in _blocks(cfg, cfg.x_values):
             x, m, amplitudes, layout, *_ = _block_columns(kind, mu, x, ps)
             if kind is ChannelKind.PDC:  # the columns of pdc_nl_sum
-                m.update(_sector_columns(sector_decomposition(amplitudes, layout), len(ps)))
+                m.update(_sector_columns(measures._sectors(amplitudes, len(layout.labels))))
             rows += len(ps)
             for ident, row in IDENTITIES.items():
                 if kind not in row.kinds:
@@ -228,6 +235,12 @@ class TestEmit:
                 row = dict(zip(header, line.split(",")))
                 assert (row["residual_channel_identity"] == "") is expect_empty
                 assert row["residual_ccr"] != ""
+
+    def test_unknown_format_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "table.xml"
+        with pytest.raises(ValueError, match="format: must be csv or json, got 'xml'"):
+            emit(sweep_table(small_config(p_count=3)), "xml", str(out))
+        assert not out.exists()
 
     def test_nothing_to_emit(self, tmp_path):
         with pytest.raises(ValueError, match="no reports"):
@@ -458,7 +471,7 @@ def test_state_columns_match_the_per_point_route(kind, x):
     # partial_trace, PPT by a transpose written here and an eigensolve per matrix
     mu = 1.0 if kind is ChannelKind.CADC else 0.0
     ps = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
-    x, m, amplitudes, layout, _, ppt_min = _block_columns(kind, mu, x, ps)
+    x, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
     columns = _state_columns(m, ppt_min, amplitudes, layout)
     for i, psi in enumerate(amplitudes):
         rho_g = outer(psi, layout)

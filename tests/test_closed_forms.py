@@ -1,5 +1,6 @@
 """The engine's columns against the closed forms of closed_forms.py: the
-one-qubit kinds' columns and every kind's initial columns."""
+one-qubit kinds' columns, amplitude damping's columns and every kind's
+initial columns."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from closed_forms import PPT_TOL, TWO_QUBIT_KINDS, initial_columns, one_qubit_columns
+from closed_forms import PPT_TOL, TWO_QUBIT_KINDS, adc_columns, initial_columns, one_qubit_columns
 from ccrsweep.channels import ChannelKind
 from ccrsweep.reports import _block_columns
 
@@ -50,16 +51,41 @@ def test_one_qubit_columns_match_the_closed_forms_property(kind, x, ps):
     assert_block_matches(kind, x, np.array(ps))
 
 
+def assert_adc_block_matches(x: float, ps: np.ndarray) -> None:
+    _, m, *_ = _block_columns(ChannelKind.ADC, 0.0, x, ps)
+    for name, want in adc_columns(x, ps).items():
+        assert np.abs(m[name] - want).max(initial=0.0) <= 1e-12, (name, x)
+
+
+def test_adc_columns_match_the_closed_forms_on_the_grid():
+    for x in X_GRID:
+        assert_adc_block_matches(x, np.array(P_GRID))
+
+
+@given(
+    x=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, INV_SQRT2]),
+    ps=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=1, max_size=12),
+)
+def test_adc_columns_match_the_closed_forms_property(x, ps):
+    assert_adc_block_matches(x, np.array(ps))
+
+
 def test_forms_obey_the_complementarity_budget():
     # P + C + S_l = 1/2 for qubit A, from the forms alone
     x, p = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21))
-    for kind in ONE_QUBIT_KINDS:
-        f = one_qubit_columns(kind, x, p)
+    for f in (*(one_qubit_columns(kind, x, p) for kind in ONE_QUBIT_KINDS), adc_columns(x, p)):
         assert np.abs(f["P_hs_A"] + f["C_hs_A"] + f["S_l_A"] - 0.5).max() <= 1e-15
     for kind, _ in BLOCKS:
         f = initial_columns(kind, x)
         budget = f["P_hs_A_initial"] + f["C_hs_A_initial"] + f["S_l_initial"]
         assert np.abs(budget - 0.5).max() <= 1e-15
+
+
+def test_adc_forms_redistribute_the_linear_entropy():
+    # S_l(A) = Cc_AB + Cc_AEA + Cc_AEB, from the forms alone
+    x, p = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21))
+    f = adc_columns(x, p)
+    assert np.abs(f["S_l_A"] - (f["Cc_AB"] + f["Cc_AEA"] + f["Cc_AEB"])).max() <= 1e-15
 
 
 def assert_initial_columns_match(kind: str, mu: float, x: float) -> None:

@@ -10,7 +10,7 @@ from unittest import mock
 from ccrsweep import channels, linalg, measures, reports
 from ccrsweep.channels import ChannelKind, ChannelSpec, dilate_block
 from ccrsweep.linalg import check_density
-from ccrsweep.measures import _off_x, factor_marginals, sector_decomposition
+from ccrsweep.measures import _off_x, _sectors, factor_marginals
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
@@ -358,7 +358,7 @@ def test_block_rows_match_single_reports(kind, x, ps, mu):
     block_x, measures, amplitudes, layout, *_ = _block_columns(kind, mu, x, np.array(ps))
     assert len(amplitudes) == len(ps)
     if kind is ChannelKind.PDC:  # the sector columns ccr_report adds for phase damping
-        measures.update(_sector_columns(sector_decomposition(amplitudes, layout), len(ps)))
+        measures.update(_sector_columns(_sectors(amplitudes, len(layout.labels))))
     residuals = {ident: row.residual(measures) for ident, row in IDENTITIES.items()
                  if kind in row.kinds}
     for i, p in enumerate(ps):
@@ -394,8 +394,9 @@ def test_derived_states_are_density_matrices(kind, mu, x, ps):
     # from them is M M^dag of normalized amplitudes, so a density matrix
     ps = np.array([0.0, *ps, 1.0])
     with mock.patch.object(reports, "local_measures", wraps=reports.local_measures) as local:
-        *_, pairs, _ = _block_columns(kind, mu, x, ps)
-    stack = np.stack(list(pairs.values()))
+        _, _, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
+    pairs = [pair for pair in PAIRS.values() if set(pair) <= set(layout.labels)]
+    stack = _reduced(amplitudes, layout, *pairs)
     assert stack.shape == (len(pairs), len(ps), 4, 4)
     check_density(stack)
     for marginals in factor_marginals(stack, (2, 2)):
@@ -415,6 +416,8 @@ def test_bisection_pairs_are_density_matrices(x):
         ab = call.args[0]
         assert ab.shape == (65, 4, 4)
         check_density(ab)
+        # the X readings take the off-X entries as zero, and they are
+        assert not _off_x(ab).any()
 
 
 #: Pairs whose off-X entries the engine's closed-form spectra rely on being
@@ -446,7 +449,7 @@ def test_x_shaped_pairs_have_exactly_zero_off_x_entries(kind, mu, names, x):
 def test_absent_phase_damping_sectors_are_zero_columns(x, ps):
     # at x = 0 or 1 some sectors (at x = 1 every one) have no weight in any row
     _, measures, amplitudes, layout, *_ = _block_columns(ChannelKind.PDC, 0.0, x, np.array(ps))
-    measures.update(_sector_columns(sector_decomposition(amplitudes, layout), len(ps)))
+    measures.update(_sector_columns(_sectors(amplitudes, len(layout.labels))))
     sectors = [name for name in measures if name.startswith("sector_")]
     assert len(sectors) == 7
     for name in sectors:

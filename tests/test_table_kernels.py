@@ -1,10 +1,12 @@
 """The table kernels against the routes they replaced.
 
 ``reports._reduced`` gathers each kept pair through one cached index table,
-and ``measures.sector_decomposition`` weighs every mask through one cached
-flip table.  The reference functions below are the former per-keep
-transpose loop and per-mask loop; both kernels must give the same bytes and
-the same dict key order.  ``reports._measure_columns`` reads every pair's
+and ``measures._sectors`` weighs every mask through one cached flip table,
+one row per mask; ``sector_decomposition`` lists its present rows.  The
+reference functions below are the former per-keep transpose loop and
+per-mask loop; both kernels must give the same bytes and the same dict key
+order, and the engine's sector rows must be those bytes, or +0.0 where a
+sector is absent.  ``reports._measure_columns`` reads every pair's
 marginals from its entries and the A-B pair's closed forms from one X
 reading; the former traced route is kept below as the reference, which
 every column must match to 1e-15 and every ``ppt_*`` flag exactly.  The
@@ -20,12 +22,15 @@ import numpy as np
 import pytest
 
 from ccrsweep.channels import ChannelKind, dilate_block
+from ccrsweep.cli import _state_columns
 from ccrsweep.linalg import qubits
 from ccrsweep.measures import (
     PPT_TOL,
     _entropy_terms,
     _mask_table,
+    _off_x,
     _ppt_min,
+    _sectors,
     _spectrum,
     _x_blocks,
     _x_concurrence,
@@ -37,10 +42,12 @@ from ccrsweep.measures import (
 )
 from ccrsweep.reports import (
     PAIRS,
+    _SECTOR_COLUMNS,
     _block_columns,
     _gather,
     _measure_columns,
     _reduced,
+    _sector_columns,
     _sudden_death_bisection,
     initial_state,
     local_measures,
@@ -123,6 +130,48 @@ def test_sector_decomposition_matches_the_mask_loop_bytewise(block, ps):
                 assert_same_bytes(got[labels], want[labels])
 
 
+def mask_labels(mask, layout):
+    """The labels a mask flips: bit n-1-k is factor k."""
+    n = len(layout.labels)
+    return frozenset(lab for k, lab in enumerate(layout.labels) if mask >> (n - 1 - k) & 1)
+
+
+#: The factors of each phase damping sector column, as its name spells them.
+SECTOR_FACTORS = {"sector_" + "".join(labels).replace("_", ""): frozenset(labels) for labels in (
+    ("A", "B"), ("A", "B", "E_A"), ("A", "B", "E_B"), ("A", "B", "E_A", "E_B"),
+    ("E_A", "E_B"), ("E_A",), ("E_B",))}
+
+
+@pytest.mark.parametrize("ps", PS.values(), ids=PS.keys())
+@pytest.mark.parametrize("block", [b for b in BLOCKS if b[0].n_system_qubits == 2], ids=block_ids)
+def test_engine_sector_rows_are_the_decomposition_bytewise(block, ps):
+    # the engine reads one weight row per mask; the public dict lists the
+    # present masks, and a former reader filled the absent ones with zeros
+    kind, mu = block
+    absent = 0
+    for x in XS:
+        x, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
+        weights = _sectors(amplitudes, len(layout.labels))
+        assert (weights.shape, weights.dtype) == ((15, len(ps)), np.float64)
+        listed = sector_decomposition(amplitudes, layout)
+        for mask in range(1, 16):
+            labels = mask_labels(mask, layout)
+            if labels in listed:
+                assert weights[mask - 1].tobytes() == listed[labels].tobytes(), (x, mask)
+            else:  # exactly +0.0, as the former zero fill
+                assert weights[mask - 1].tobytes() == np.zeros(len(ps)).tobytes(), (x, mask)
+                absent += 1
+        columns = _state_columns(m, ppt_min, amplitudes, layout)
+        former_total = sum(listed.values(), np.zeros(len(ps)))
+        assert columns["sector_total"].tobytes() == former_total.tobytes(), x
+        for name, factors in SECTOR_FACTORS.items():
+            want = listed.get(factors, np.zeros(len(ps)))
+            assert columns[name].tobytes() == want.tobytes(), (x, name)
+        assert list(_sector_columns(weights)) == list(_SECTOR_COLUMNS) == list(SECTOR_FACTORS)
+    # x = 1 is a basis state, which has no sector at all
+    assert absent >= 15
+
+
 def test_cached_tables_are_shared_and_read_only():
     layout = qubits("A", "B", "E_A", "E_B")
     table = _gather(layout, (PAIRS["AB"], PAIRS["EAEB"]))
@@ -130,8 +179,9 @@ def test_cached_tables_are_shared_and_read_only():
     assert (table.shape, table.dtype) == ((2, 4, 4), np.intp)
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0, 0] = 1
-    flips, label_sets = _mask_table(layout.labels)
-    assert flips.shape == (15, 16) and len(label_sets) == 15
+    flips = _mask_table(4)
+    assert flips is _mask_table(4)
+    assert (flips.shape, flips.dtype) == ((15, 16), np.intp)
     with pytest.raises(ValueError, match="read-only"):
         flips[0, 0] = 1
 
@@ -198,19 +248,13 @@ def test_pair_entry_columns_match_the_traced_route(block, ps):
                 assert np.abs(got[name] - want[name]).max() <= 1e-15, (name, x)
 
 
-def test_a_non_x_pair_is_rejected_by_the_shared_reading():
-    _, _, amplitudes, layout, pairs, _ = _block_columns(
-        ChannelKind.ADC, 0.0, 0.37, np.array([0.2, 0.6]))
-    leaky = pairs["AB"].copy()
+def test_a_non_x_pair_is_rejected_by_the_public_concurrence():
+    # the engine's X reading is unchecked; the public X reader checks the shape
+    _, _, amplitudes, layout, _ = _block_columns(ChannelKind.ADC, 0.0, 0.37, np.array([0.2, 0.6]))
+    leaky = _reduced(amplitudes, layout, PAIRS["AB"])[0].copy()
     leaky[1, 0, 1] = leaky[1, 1, 0] = 1e-9
     with pytest.raises(ValueError, match=r"not an X state: entry of modulus 1e-09 "):
-        _x_entries(leaky)
-    # the engine reads the A-B pair of every two-qubit state through it
-    rng = np.random.default_rng(7)
-    scrambled = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
-    scrambled /= np.linalg.norm(scrambled, axis=-1, keepdims=True)
-    with pytest.raises(ValueError, match="not an X state"):
-        _measure_columns(scrambled, layout, np.eye(2)[np.newaxis] / 2)
+        concurrence_x_state(leaky)
 
 
 #: The kinds with real Kraus operators, at each dilatable mu.
@@ -228,18 +272,20 @@ def test_real_amplitudes_measure_as_their_complex_copies_bytewise(block, ps):
         assert amplitudes.dtype == np.float64
         a = psi.reshape(1, 2, -1)
         initial = a @ a.swapaxes(-1, -2)
-        got, got_pairs, got_min = _measure_columns(amplitudes, layout, initial)
-        want, want_pairs, want_min = _measure_columns(
+        got, got_min = _measure_columns(amplitudes, layout, initial)
+        want, want_min = _measure_columns(
             amplitudes.astype(complex), layout, initial.astype(complex))
         assert list(got) == list(want)
         for name in want:
             assert_same_bytes(got[name], want[name])
-        for name in want_pairs:
-            assert got_pairs[name].tobytes() == want_pairs[name].real.tobytes()
-            assert not want_pairs[name].imag.any()
+        pairs = [pair for pair in PAIRS.values() if set(pair) <= set(layout.labels)]
+        got_pairs = _reduced(amplitudes, layout, *pairs)
+        want_pairs = _reduced(amplitudes.astype(complex), layout, *pairs)
+        assert got_pairs.tobytes() == want_pairs.real.tobytes()
+        assert not want_pairs.imag.any()
         # phase damping's non-X cross pairs reach eigvalsh as real matrices,
         # which LAPACK solves by another routine than their complex copies
-        eigen = kind is ChannelKind.PDC and _x_entries(want_pairs["AEA"], None) is None
+        eigen = kind is ChannelKind.PDC and _off_x(want_pairs[1]).any()  # A-E_A
         assert_same_bytes(got_min[:1 if eigen else None], want_min[:1 if eigen else None])
         assert np.abs(got_min - want_min).max() <= 1e-15
 
@@ -251,9 +297,9 @@ def test_ab_ppt_minimum_from_the_table_matches_the_x_blocks_bytewise(block, ps):
     # eigen-table; the reference is _ppt_min of the pair, as verify solved it
     kind, mu = block
     for x in XS:
-        *_, pairs, ppt_min = _block_columns(kind, mu, x, ps)
+        _, _, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
         assert ppt_min.shape == (4, len(ps))
-        assert_same_bytes(ppt_min[0], _ppt_min(pairs["AB"]))
+        assert_same_bytes(ppt_min[0], _ppt_min(_reduced(amplitudes, layout, PAIRS["AB"])[0]))
 
 
 def bisection_by_x(x):

@@ -244,4 +244,9 @@ def _sectors(psi: np.ndarray, n: int) -> np.ndarray:
     unchecked: row mask - 1 is the weight of that mask, +0.0 where no pair of
     nonzero amplitudes differs by it."""
     prob = np.abs(psi) ** 2
-    return np.moveaxis((prob[..., np.newaxis, :] * prob[..., _mask_table(n)]).sum(axis=-1), -1, 0)
+    # one (..., 2^n - 1, 2^n) temporary, multiplied in place: np.take lays it
+    # out C-contiguous, so each sum reduces a contiguous run of 2^n products;
+    # a fancy-indexed gather has a strided last axis and would sum in another order
+    terms = np.take(prob, _mask_table(n), axis=-1)
+    terms *= prob[..., np.newaxis, :]
+    return np.moveaxis(terms.sum(axis=-1), -1, 0)

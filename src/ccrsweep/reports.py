@@ -4,8 +4,8 @@ A report evaluates one (channel, x, p) triple: the initial pure state
 x|0..0> + sqrt(1-x^2)|1..1> is dilated through the channel, every applicable
 predictability / coherence / correlation measure of the resulting global
 pure state is computed, and the residual of every identity the channel obeys
-is recorded.  The engine evaluates a block at a time, one (kind, mu, x)
-over an array of p; :func:`ccr_report` is a block of one.
+is recorded.  The engine evaluates a block at a time, one (kind, mu) over
+rows of (x, p); :func:`ccr_report` is a block of one.
 Every quantity is measured on the dilated state; X-shaped pairs and pure two-qubit
 states are read in closed form, and the test suite, not the engine, pins the X shape.
 """
@@ -67,9 +67,9 @@ class IdentityId(enum.Enum):
 @dataclass(frozen=True)
 class Identity:
     """Kinds an identity is asserted for, its residual |LHS - RHS| over a
-    block's measure columns, and its domain: given a block's (kind, mu, x)
-    and its p, or an array of them, whether the identity holds there (a bool
-    for the whole block or a mask over p)."""
+    block's measure columns, and its domain: given a block's (kind, mu) and
+    its x and p, numbers or row arrays, whether the identity holds there (a
+    bool for the whole block or a mask over its rows)."""
 
     kinds: tuple[ChannelKind, ...]
     residual: Callable[[dict[str, float]], float]
@@ -133,14 +133,16 @@ class CCRReport:
         return self.channel.p
 
 
-def initial_state(kind: ChannelKind, x: float) -> tuple[np.ndarray, SubsystemLayout]:
+def initial_state(kind: ChannelKind, x) -> tuple[np.ndarray, SubsystemLayout]:
     """x|0..0> + sqrt(1-x^2)|1..1> on the kind's system layout, as real
-    (float64) amplitudes; x outside [0, 1] (NaN too) raises ValueError."""
-    if not 0.0 <= x <= 1.0:
+    (float64) amplitudes: one state for a number x, one per entry (..., d)
+    for an array of them; an x outside [0, 1] (NaN too) raises ValueError."""
+    shape, lo, hi = (x.shape, x.min(), x.max()) if isinstance(x, np.ndarray) else ((), x, x)
+    if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     labels = ("A", "B")[: kind.n_system_qubits]
-    psi = np.zeros(2 ** len(labels))
-    psi[0], psi[-1] = x, math.sqrt(1.0 - x * x)
+    psi = np.zeros(shape + (2 ** len(labels),))
+    psi[..., 0], psi[..., -1] = x, np.sqrt(1.0 - x * x)
     return psi, qubits(*labels)
 
 
@@ -150,11 +152,12 @@ INITIAL_COLUMNS = ("P_hs_A_initial", "C_hs_A_initial", "S_l_initial")
 
 def local_measures(rho_a: np.ndarray, initial: np.ndarray) -> dict[str, np.ndarray]:
     """Predictability, coherence and linear entropy of A's marginals (P, 2, 2)
-    and of the initial marginal (1, 2, 2), measured as one stack, unchecked."""
-    both = np.concatenate([rho_a, initial])
+    and of the initial marginals, one (1, 2, 2) or one per row (P, 2, 2),
+    measured as one stack, unchecked."""
+    both, n = np.concatenate([rho_a, initial]), len(rho_a)
     values = (_hs_predictability(both), _hs_coherence(both), _linear_entropy(both))
-    return {**{name: v[:-1] for name, v in zip(LOCAL_COLUMNS, values)},
-            **{name: v[-1] for name, v in zip(INITIAL_COLUMNS, values)}}
+    return {**{name: v[:n] for name, v in zip(LOCAL_COLUMNS, values)},
+            **{name: v[n:] for name, v in zip(INITIAL_COLUMNS, values)}}
 
 
 #: The two-factor partitions of the global state a report measures, each
@@ -205,7 +208,8 @@ def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: tuple[str,
 
 def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: np.ndarray):
     """Every measure column but the sector columns, as arrays over the block,
-    of dilated states (P, dim) and of the initial marginal of A (1, 2, 2), and
+    of dilated states (P, dim) and of the initial marginals of A (see
+    :func:`local_measures`), and
     the (K, P) smallest partial-transpose eigenvalues of the pair stack in
     stack order (A-B's first, where the layout has it).  The pairs of ``PAIRS``
     the layout has form one stack (K, P, 4, 4) and each measure runs once on
@@ -265,23 +269,25 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     return m, ppt_min
 
 
-def _block_columns(kind: ChannelKind, mu: float, x: float, ps: np.ndarray):
-    """One (kind, mu, x) block over the noise values ``ps``, evaluated as one
-    stack: the x evaluated (see :func:`ccr_report`), the measure columns, the
+def _block_columns(kind: ChannelKind, mu: float, x, ps: np.ndarray):
+    """One (kind, mu) block over rows (x, p), evaluated as one stack: ``x`` is
+    one x for every noise value of ``ps`` (a number or an array of one) or an
+    array of one x per row.
+    Returns the x evaluated (see :func:`ccr_report`), the measure columns, the
     dilated amplitudes (P, dim), their layout, and the partial-transpose minima
-    of the pair stack (A-B's first) the measures were taken on.
+    of the pair stack (A-B's first) the measures were taken on; every column
+    is computed per row, so a row's values do not depend on its block.
     Phase damping's sector columns are left to the readers that read them.
-    Only the input state is checked (by :func:`dilate_block`): its isometry
+    Only the input states are checked (by :func:`dilate_block`): their isometry
     image has unit norm, and each state reduced from that image, M M^dag, is a
     density matrix by construction.  Each reader evaluates the rows of IDENTITIES it reads."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if kind is ChannelKind.BFC:
-        x = BALANCED_X
-
     psi, sys_layout = initial_state(kind, x)
+    if kind is ChannelKind.BFC:
+        x = BALANCED_X if np.ndim(x) == 0 else np.full(np.shape(x), BALANCED_X)
+        psi, _ = initial_state(kind, x)
+
     amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
-    a = psi.reshape(1, 2, -1)  # A's amplitudes against the rest of the system
+    a = psi.reshape(-1, 2, psi.shape[-1] // 2)  # A's amplitudes against the rest of the system
     initial = a @ a.conj().swapaxes(-1, -2)
     measures, ppt_min = _measure_columns(amplitudes, layout, initial)
     return x, measures, amplitudes, layout, ppt_min
@@ -311,7 +317,7 @@ def _sudden_death_bisection(xs) -> np.ndarray:
     A round stacks the brackets of all x into one block and runs only the
     engine stages the A-B concurrence needs: the dilation and the A-B pair."""
     xs = np.asarray(xs, dtype=float)
-    psi = np.repeat([initial_state(ChannelKind.ADC, x)[0] for x in xs.ravel().tolist()], 65, axis=0)
+    psi = np.repeat(initial_state(ChannelKind.ADC, xs.ravel())[0], 65, axis=0)
     rows, sys_layout = np.arange(xs.size), qubits("A", "B")
     lo, hi = np.zeros(xs.size), np.ones(xs.size)
     for _ in range(10):  # the concurrence is positive at lo and not at hi

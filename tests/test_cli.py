@@ -23,8 +23,10 @@ from ccrsweep.cli import (
     DEFAULT_X,
     MAX_P_COUNT,
     TENTHS,
+    _BLOCK_ROWS,
     SweepConfig,
     _blocks,
+    _rows,
     _state_columns,
     _Tracker,
     _verify_blocks,
@@ -94,6 +96,25 @@ class TestConfigValidation:
     def test_x_range(self):
         with pytest.raises(ValueError, match="x:"):
             small_config(x_values=(1.5,))
+
+    @pytest.mark.parametrize("x", ["0.5", True, np.True_, 0.5j, None],
+                             ids=["str", "bool", "numpy-bool", "complex", "none"])
+    def test_x_must_be_real(self, x):
+        # checked before the range, so no TypeError leaks out of a comparison
+        with pytest.raises(ValueError, match=r"x: .* is not a real number"):
+            small_config(x_values=(0.5, x))
+
+    @pytest.mark.parametrize("p_count", [3.5, 5.0, "5", True, None],
+                             ids=["fraction", "integral-float", "str", "bool", "none"])
+    def test_p_count_must_be_an_integer(self, p_count):
+        # not coerced: 3.5 would otherwise reach np.linspace as a TypeError
+        with pytest.raises(ValueError, match=r"p_count: must be an integer, got "):
+            small_config(channels=(ChannelKind.PFC,), p_count=p_count)
+
+    def test_numpy_and_integer_numbers_accepted_as_given(self):
+        cfg = small_config(x_values=(np.float64(0.25), 1), p_count=np.int64(3))
+        assert cfg.x_values == (0.25, 1) and type(cfg.x_values[1]) is int
+        assert len(cfg.p_grid()) == 3
 
     def test_x_nonempty(self):
         with pytest.raises(ValueError, match="x: must name at least one value"):
@@ -493,7 +514,8 @@ def test_state_columns_match_the_per_point_route(kind, x):
 
 
 def test_verify_walk_solves_one_eigen_table_per_two_qubit_block(monkeypatch):
-    # the A-B pair's PPT minimum comes from the engine's table, not a re-solve
+    # the A-B pair's PPT minimum comes from the engine's table, not a re-solve,
+    # and the table of a stacked group of x is one call
     calls, qubit_eigenvalues = [], measures._qubit_eigenvalues
 
     def counted(*args):
@@ -506,7 +528,8 @@ def test_verify_walk_solves_one_eigen_table_per_two_qubit_block(monkeypatch):
     blocks = [kind for kind, _, _ in _blocks(cfg, set(cfg.x_values) | set(TENTHS))
               if kind.n_system_qubits == 2]
     _verify_blocks(cfg, _Tracker())
-    assert len(calls) == len(blocks) == 40
+    # 13 x in groups of 4, 4, 4 and 1 for adc, cadc and pdc, and bfc's one x
+    assert len(calls) == len(blocks) == 3 * 4 + 1
 
 
 def test_sudden_death_check_dilates_one_stacked_block_per_round(monkeypatch):
@@ -527,7 +550,8 @@ def test_sudden_death_check_dilates_one_stacked_block_per_round(monkeypatch):
 def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
     # verify's checks add no eigen-solve to the engine's: they reuse its
     # cross-pair PPT minima, and the A-B PPT test of an X state is closed-form;
-    # the engine itself solves only phase damping's cross pairs
+    # the engine itself solves only phase damping's cross pairs, one call per
+    # stacked group of x
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -537,13 +561,67 @@ def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     cfg = small_config(channels=(kind,), p_count=5)
-    for block in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
-        _block_columns(*block, cfg.p_grid())
+    groups = list(_blocks(cfg, set(cfg.x_values) | set(TENTHS)))
+    assert len(groups) == 1  # the 11 x of 5 p, or bfc's one x, fit one block
+    for _, mu, xs in groups:
+        _block_columns(kind, mu, *_rows(xs, cfg.p_grid()))
     engine = len(calls)
     calls.clear()
     _verify_blocks(cfg, _Tracker())
-    assert len(calls) == engine
-    assert (engine == 0) is (kind is not ChannelKind.PDC)
+    assert len(calls) == engine == int(kind is ChannelKind.PDC)
+
+
+KIND_MU = [(kind, mu) for kind in ChannelKind
+           for mu in ((0.0, 1.0) if kind is ChannelKind.CADC else (0.0,))]
+
+
+@pytest.mark.parametrize("p_count", [101, 11, 1001, _BLOCK_ROWS // 4],
+                         ids=["default", "p11", "p1001", "cut-at-budget"])
+@pytest.mark.parametrize("kind, mu", KIND_MU,
+                         ids=lambda v: getattr(v, "value", f"mu={v}"))
+def test_stacked_groups_equal_the_per_x_blocks_bytewise(kind, mu, p_count):
+    # every engine stage works per row, so a row's bytes do not depend on the
+    # x stacked beside it; the per-x blocks are the reference
+    cfg = SweepConfig(channels=(kind,), mu=mu, p_count=p_count)
+    ps = cfg.p_grid()
+    n = len(ps)
+    groups = [xs for _, _, xs in _blocks(cfg, set(cfg.x_values) | set(TENTHS))]
+    if p_count == _BLOCK_ROWS // 4 and kind is not ChannelKind.BFC:
+        assert [len(xs) * n for xs in groups[:3]] == [_BLOCK_ROWS] * 3
+    for xs in groups:
+        x_rows, p_rows = _rows(xs, ps)
+        _, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x_rows, p_rows)
+        for i, x in enumerate(xs):
+            rows = slice(i * n, (i + 1) * n)
+            _, ref, ref_amplitudes, _, ref_min = _block_columns(kind, mu, x, ps)
+            assert m.keys() == ref.keys()
+            for name, column in ref.items():  # the *_initial columns span the rows
+                assert np.broadcast_to(column, n).tobytes() == m[name][rows].tobytes(), name
+            assert ref_amplitudes.tobytes() == amplitudes[rows].tobytes()
+            assert ref_min.tobytes() == ppt_min[:, rows].tobytes()
+            if kind.n_system_qubits == 2:
+                sectors = measures._sectors(amplitudes[rows], len(layout.labels))
+                assert sectors.tobytes() == measures._sectors(
+                    ref_amplitudes, len(layout.labels)).tobytes()
+
+
+@pytest.mark.parametrize("p_count", [2, 3, 11, 101, _BLOCK_ROWS // 4 - 1, _BLOCK_ROWS // 4,
+                                     _BLOCK_ROWS // 4 + 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                     1001, MAX_P_COUNT])
+def test_blocks_stay_within_the_row_budget(p_count):
+    # ascending groups of whole x, as large as the budget allows, and a
+    # single x over the budget alone
+    cfg = SweepConfig(p_count=p_count)
+    x_values = set(cfg.x_values) | set(TENTHS)
+    groups = list(_blocks(cfg, x_values))
+    for kind in cfg.channels:
+        xs = [xs for k, _, xs in groups if k is kind]
+        assert np.concatenate(xs).tolist() == (
+            [BALANCED_X] if kind is ChannelKind.BFC else sorted(x_values))
+        for group in xs:
+            assert len(group) * p_count <= _BLOCK_ROWS or len(group) == 1
+        for group in xs[:-1]:
+            assert (len(group) + 1) * p_count > _BLOCK_ROWS
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)
@@ -781,9 +859,10 @@ def test_verify_walk_decomposes_each_block_into_sectors_once(monkeypatch):
     # for phase damping, the sector columns of pdc_nl_sum
     calls = count_sector_decompositions(monkeypatch)
     _verify_blocks(SweepConfig(), _Tracker())
-    # one per two-qubit block: 13 x values (the grid's and every tenth) for
-    # adc, cadc and pdc, and x = 1/sqrt(2) for bfc
-    assert len(calls) == 3 * 13 + 1
+    # one per stacked two-qubit group: 13 x values (the grid's and every
+    # tenth) in groups of 4, 4, 4 and 1 for adc, cadc and pdc, and
+    # x = 1/sqrt(2) for bfc
+    assert len(calls) == 3 * 4 + 1
 
 
 def test_verify_builds_no_channel_specs_or_kraus_sets(monkeypatch):

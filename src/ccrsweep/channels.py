@@ -7,10 +7,11 @@ acts jointly on the two-qubit system through one operator per state of a
 shared two-qubit environment.  ``_kraus_stack`` gives a channel over an array
 of p as one tensor K[P, e, s, c] = <s, e|U|c, 0>_E, which is both its Kraus
 operators and the isometry of its dilation with the environment starting in
-|0>: ``dilate_block`` contracts it with the input state and
+|0>: ``dilate_block`` contracts it with the input states and
 ``_operator_sums`` sums over it, so the dilate-then-trace route and the
-operator-sum route realize the same map by construction.  One point is a
-block of one: a one-element p array.
+operator-sum route realize the same map by construction.  A block is a grid,
+one state per x against one tensor over the distinct p; one point is a grid
+of one x and one p.
 
 Channel roster and noise parameter p in [0, 1]:
 
@@ -38,6 +39,7 @@ Channel roster and noise parameter p in [0, 1]:
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +69,14 @@ _TWO_QUBIT_KINDS = frozenset(
 )
 
 
+def _is_a(value, kind: type) -> bool:
+    """Whether ``value`` is a number of ``kind`` (numbers.Real, ...) and not
+    a bool, which Python counts as an integer.  A float is a real number,
+    tested first: the ABC check costs about a microsecond per call."""
+    return (type(value) is float and kind is numbers.Real
+            or isinstance(value, kind) and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """A channel kind with its noise parameter p and memory weight mu.
@@ -82,9 +92,9 @@ class ChannelSpec:
     def __post_init__(self):
         if not isinstance(self.kind, ChannelKind):
             raise ValueError(f"kind: {self.kind!r} is not a ChannelKind")
-        if not 0.0 <= self.p <= 1.0:
+        if not (_is_a(self.p, numbers.Real) and 0.0 <= self.p <= 1.0):
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-        if not 0.0 <= self.mu <= 1.0:
+        if not (_is_a(self.mu, numbers.Real) and 0.0 <= self.mu <= 1.0):
             raise ValueError(f"mu must lie in [0, 1], got {self.mu!r}")
         if self.mu != 0.0 and self.kind is not ChannelKind.CADC:
             raise ValueError(f"mu is only meaningful for CADC, got mu={self.mu!r} for {self.kind}")
@@ -120,7 +130,8 @@ _KRAUS_PAIRS = {
 
 def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
     """The channel (kind, mu) at each noise value of ``ps`` as one contiguous,
-    unpruned (P, nK, d, d) stack K[p, e, s, c] = <s, e|U|c, 0>_E: its Kraus
+    unpruned (P, nK, d, d) stack K[p, e, s, c] = <s, e|U|c, 0>_E (for ps of
+    shape (P,); another shape replaces the leading axis): its Kraus
     operators, which are also the isometry of its dilation.
 
     The kind's pair for one-qubit kinds, its tensor square for memoryless
@@ -131,33 +142,36 @@ def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
     kinds' stacks (bpfc, dc) are complex; the others are float64."""
     if mu not in (0.0, 1.0):
         return np.concatenate([np.sqrt(w) * _kraus_stack(kind, ps, m)
-                               for m, w in ((0.0, 1.0 - mu), (1.0, mu))], axis=1)
+                               for m, w in ((0.0, 1.0 - mu), (1.0, mu))], axis=-3)
     if mu == 1.0:
-        K = np.zeros((len(ps), 4, 4, 4))
-        K[:, 0, [0, 1, 2], [0, 1, 2]] = 1.0
-        K[:, 0, 3, 3] = np.sqrt(1.0 - ps)
-        K[:, 3, 0, 3] = np.sqrt(ps)
+        K = np.zeros(ps.shape + (4, 4, 4))
+        K[..., 0, [0, 1, 2], [0, 1, 2]] = 1.0
+        K[..., 0, 3, 3] = np.sqrt(1.0 - ps)
+        K[..., 3, 0, 3] = np.sqrt(ps)
         return K
     weights, matrix = _KRAUS_PAIRS[kind]
     a, b, w = weights(ps)
-    K = np.zeros((len(ps), 2, 2, 2), dtype=matrix.dtype)
-    K[:, 0, 0, 0], K[:, 0, 1, 1] = a, b
-    K[:, 1] = np.multiply.outer(w, matrix)
+    K = np.zeros(ps.shape + (2, 2, 2), dtype=matrix.dtype)
+    K[..., 0, 0, 0], K[..., 0, 1, 1] = a, b
+    K[..., 1, :, :] = np.multiply.outer(w, matrix)
     if kind.n_system_qubits == 1:
         return K
     # the tensor square K[p, e, m, j] K[p, f, n, k] on axes (p, e, f, m, n, j, k)
-    return (K[:, :, None, :, None, :, None] * K[:, None, :, None, :, None, :]).reshape(len(ps), 4, 4, 4)
+    return (K[..., :, None, :, None, :, None] * K[..., None, :, None, :, None, :]).reshape(
+        ps.shape + (4, 4, 4))
 
 
 def dilate_block(
     kind: ChannelKind, ps: np.ndarray, mu: float, system, sys_layout: SubsystemLayout
 ) -> tuple[np.ndarray, SubsystemLayout]:
-    """Dilate one system state, or one state per p (an array (P, d)),
-    through the channel (kind, mu) at every noise value of ``ps`` at once.
+    """Dilate one system state, or one state per x (an array (X, d)),
+    through the channel (kind, mu) at every noise value of ``ps`` at once:
+    the p grid (P,) of every state, or one bracket (X, P) per state.
 
-    Returns the global amplitudes, one read-only row per p, and the global
-    layout with one environment label ``E_<label>`` per system qubit (CADC
-    acts on both jointly), real where the input and the Kraus stack are.
+    Returns the global amplitudes, one read-only row per (x, p), x-major, and
+    the global layout with one environment label ``E_<label>`` per system
+    qubit (CADC acts on both jointly), real where the input and the Kraus
+    stack are.
     Raises ValueError when an input state does not fit the layout or is not
     normalized, when the system arity does not match the kind, when a
     depolarizing input has complex amplitudes (its identity-plus-sigma_y
@@ -177,9 +191,6 @@ def dilate_block(
             f"state of shape {psi.shape} does not end in layout dimension {sys_layout.dim}")
     check_norms(psi)
 
-    env_labels = tuple(f"E_{lab}" for lab in sys_layout.labels)
-    out_layout = qubits(*sys_layout.labels, *env_labels)
-
     if kind is ChannelKind.DC and float(np.abs(psi.imag).max()) > 1e-12:
         raise ValueError("the depolarizing dilation requires real amplitudes")
 
@@ -188,9 +199,17 @@ def dilate_block(
             "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
             "a two-qubit environment (take the operator sum of its _kraus_stack instead)"
         )
-    # one state is a stack of one, which the einsum broadcasts over p
-    out = np.einsum("pesc,pc->pse", _kraus_stack(kind, ps, mu), psi.reshape(-1, sys_layout.dim))
-    out = out.reshape(len(ps), out_layout.dim)
+    return _dilate(_kraus_stack(kind, ps, mu), psi, sys_layout)
+
+
+def _dilate(kraus: np.ndarray, psi: np.ndarray, sys_layout: SubsystemLayout):
+    """The global amplitudes of states ``psi`` (X, d) through a Kraus tensor
+    (P, nK, d, d) shared by every state, or one (X, P, nK, d, d) per state,
+    as read-only rows (X * P, d * nK), x-major, and their global layout;
+    one state (d,) gives P rows.  Unchecked: see :func:`dilate_block`."""
+    env_labels = tuple(f"E_{lab}" for lab in sys_layout.labels)
+    out_layout = qubits(*sys_layout.labels, *env_labels)
+    out = np.einsum("...pesc,...c->...pse", kraus, psi).reshape(-1, out_layout.dim)
     out.setflags(write=False)
     return out, out_layout
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .channels import _TWO_QUBIT_KINDS, ChannelKind, _kraus_stack, _operator_sums, dilate_block
+from .channels import _TWO_QUBIT_KINDS, ChannelKind, _dilate, _is_a, _kraus_stack, _operator_sums
 from .linalg import SubsystemLayout, check_density
 from .measures import PPT_TOL, _sectors
 from .reports import (
@@ -63,12 +63,6 @@ CSV_COLUMNS = (
 )
 
 
-def _is_a(value, kind: type) -> bool:
-    """Whether ``value`` is a number of ``kind`` (numbers.Real, ...) and not
-    a bool, which Python counts as an integer."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     channels: tuple[ChannelKind, ...] = tuple(ChannelKind)
@@ -99,6 +93,9 @@ class SweepConfig:
             raise ValueError(f"p_count: must be an integer, got {self.p_count!r}")
         if not 2 <= self.p_count <= MAX_P_COUNT:
             raise ValueError(f"p_count: must lie in [2, {MAX_P_COUNT}], got {self.p_count}")
+        for key in ("p_start", "p_stop", "mu", "tolerance"):
+            if not _is_a(value := getattr(self, key), numbers.Real):
+                raise ValueError(f"{key}: must be a real number, got {value!r}")
         if not 0.0 <= self.p_start < self.p_stop <= 1.0:
             raise ValueError(
                 f"p_start/p_stop: need 0 <= start < stop <= 1, got {self.p_start}, {self.p_stop}"
@@ -119,23 +116,25 @@ class SweepConfig:
         return np.linspace(self.p_start, self.p_stop, self.p_count)
 
 
-#: The most rows (x, p) the engine evaluates as one block: whole x values of
-#: a (kind, mu) are stacked up to it, four x of the default 101 p.  Peak
-#: memory grows with the rows of a block while the time saved flattens out:
-#: against one x per block, the default verify walk took 0.64 of the time at
-#: 1.03 times the peak RSS with 404 rows, 0.61 at 1.08 with 707 rows and
-#: 0.57 at 1.15 with all 1 313 rows of a kind (2-core host, numpy 2.4).
-_BLOCK_ROWS = 500
+#: The most dilated amplitudes the engine evaluates as one block, 500
+#: two-qubit rows (x, p) of 16 amplitudes: whole x values of a (kind, mu) are
+#: stacked up to it, four x of the default 101 p for a two-qubit kind and all
+#: 13 x of the verify walk (5 252 amplitudes) for a one-qubit kind.  Peak
+#: memory grows with a block while the time saved flattens out: against one
+#: x per block, the default verify walk took 0.64 of the time at 1.03 times
+#: the peak RSS with 404 two-qubit rows, 0.61 at 1.08 with 707 rows and 0.57
+#: at 1.15 with all 1 313 rows of a kind (2-core host, numpy 2.4).
+_BLOCK_AMPLITUDES = 500 * 16
 
 
 def _blocks(cfg: SweepConfig, x_values) -> Iterator[tuple[ChannelKind, float, np.ndarray]]:
     """The (kind, mu, xs) of each block over ``x_values`` and the p grid,
     ordered channel / x asc: xs is an ascending array of whole x values of
-    at most _BLOCK_ROWS rows, or one x when a single x has more.  mu is the
-    config's for CADC and 0 for every other kind, and the bit flip channel
-    is evaluated at x = 1/sqrt(2) only."""
-    per_block = max(1, _BLOCK_ROWS // cfg.p_count)
+    at most _BLOCK_AMPLITUDES dilated amplitudes, or one x when a single x
+    has more.  mu is the config's for CADC and 0 for every other kind, and
+    the bit flip channel is evaluated at x = 1/sqrt(2) only."""
     for kind in cfg.channels:
+        per_block = max(1, _BLOCK_AMPLITUDES // (cfg.p_count * 4**kind.n_system_qubits))
         mu = cfg.mu if kind is ChannelKind.CADC else 0.0
         xs = np.array([BALANCED_X] if kind is ChannelKind.BFC else sorted(x_values))
         for start in range(0, len(xs), per_block):
@@ -162,7 +161,7 @@ def sweep_table(cfg: SweepConfig) -> Table:
     table = []
     for kind, mu, xs in _blocks(cfg, cfg.x_values):
         x_rows, p_rows = _rows(xs, ps)
-        _, m, *_ = _block_columns(kind, mu, x_rows, p_rows)
+        _, m, *_ = _block_columns(kind, mu, xs, ps)
         headline = IDENTITIES[APPLICABLE_IDENTITIES[kind][0]]
         in_domain = np.broadcast_to(headline.domain(kind, mu, x_rows, p_rows), len(p_rows))
         columns = {name: m[name].tolist() if name in m else [None] * len(p_rows)
@@ -289,7 +288,7 @@ def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
     ps = cfg.p_grid()
     for kind, mu, xs in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
         x_rows, p_rows = _rows(xs, ps)
-        _, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x_rows, p_rows)
+        _, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, xs, ps)
         m = {**m, "p": p_rows}
         if kind.n_system_qubits == 2:
             m.update(_state_columns(m, ppt_min, amplitudes, layout))
@@ -308,41 +307,42 @@ def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> None:
 
 
 def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
-    """The dilation of each (kind, mu, x) over the p grid against the
-    operator-sum route, applied to the grid's Kraus operators as one stack,
-    and the CADC images at mu = 0 against amplitude damping of both qubits
-    in closed form."""
+    """The dilation of each (kind, mu) over the grid of two x and the p grid
+    against the operator-sum route, both from one channel tensor, and the
+    CADC images at mu = 0 against amplitude damping of both qubits in closed
+    form."""
     ps = cfg.p_grid()
-    xs = (0.5, BALANCED_X)
+    xs = np.array([0.5, BALANCED_X])
     for kind in cfg.channels:
-        states = [initial_state(kind, x) for x in xs]
+        psi, layout = initial_state(kind, xs)
+        rhos = psi[:, :, np.newaxis] * psi[:, np.newaxis, :].conj()
         for mu in (0.0, 0.5, 1.0) if kind is ChannelKind.CADC else (0.0,):
             def where(i: int) -> str:
-                return f"{kind.value} p={ps[i]:g} mu={mu:g}"
+                return f"{kind.value} p={ps[i % len(ps)]:g} mu={mu:g}"
 
             # mu = 0.5 has no two-qubit-environment dilation to compare
-            rhos = None if mu == 0.5 else np.array([np.outer(psi, psi.conj()) for psi, _ in states])
-            defects, via_kraus = _operator_sums(_kraus_stack(kind, ps, mu), rhos)
+            kraus = _kraus_stack(kind, ps, mu)
+            defects, via_kraus = _operator_sums(kraus, None if mu == 0.5 else rhos)
             t.track("kraus_completeness", defects, where)
             if via_kraus is None:
                 continue
             check_density(via_kraus)
             if kind is ChannelKind.CADC and mu == 0.0:
                 # x = 0.5 against amplitude damping of both qubits in closed form
-                x, y = xs[0], states[0][0][-1]
+                x, y = psi[0, 0], psi[0, -1]
                 split = y * y * ps * (1.0 - ps)
                 diag = np.stack([x * x + (y * ps) ** 2, split, split, (y * (1.0 - ps)) ** 2], -1)
                 closed = diag[:, np.newaxis, :] * np.eye(4)
                 closed[:, 0, 3] = closed[:, 3, 0] = x * y * (1.0 - ps)
                 t.track("cadc_memoryless_limit", np.abs(via_kraus[0] - closed).max(axis=(1, 2)),
                         lambda i: f"cadc p={ps[i]:g}")
-            for x, (psi, layout), images in zip(xs, states, via_kraus):
-                amplitudes, global_layout = dilate_block(kind, ps, mu, psi, layout)
-                norms = (amplitudes.conj() * amplitudes).real.sum(axis=-1)
-                t.track("dilation_norm", abs(norms - 1.0), where)
-                via_dilation = _reduced(amplitudes, global_layout, layout.labels)[0]
-                t.track("dilation_kraus_agreement", np.abs(via_dilation - images).max(axis=(1, 2)),
-                        lambda i: f"{where(i)} x={x:g}")
+            amplitudes, global_layout = _dilate(kraus, psi, layout)
+            norms = (amplitudes.conj() * amplitudes).real.sum(axis=-1)
+            t.track("dilation_norm", abs(norms - 1.0), where)
+            via_dilation = _reduced(amplitudes, global_layout, layout.labels)[0]
+            t.track("dilation_kraus_agreement",
+                    np.abs(via_dilation - via_kraus.reshape(via_dilation.shape)).max(axis=(1, 2)),
+                    lambda i: f"{where(i)} x={xs[i // len(ps)]:g}")
 
 
 def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:

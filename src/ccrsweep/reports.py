@@ -5,9 +5,10 @@ x|0..0> + sqrt(1-x^2)|1..1> is dilated through the channel, every applicable
 predictability / coherence / correlation measure of the resulting global
 pure state is computed, and the residual of every identity the channel obeys
 is recorded.  The engine evaluates a block at a time, one (kind, mu) over
-rows of (x, p); :func:`ccr_report` is a block of one.
-Every quantity is measured on the dilated state; X-shaped pairs and pure two-qubit
-states are read in closed form, and the test suite, not the engine, pins the X shape.
+a grid of x and p; :func:`ccr_report` is a grid of one x and one p.
+Every quantity is measured on the dilated state; X-shaped pairs, phase damping's
+A-E_A and A-E_B pairs and pure two-qubit states are read in closed form, and the
+test suite, not the engine, pins the X shape and those pairs' zero coherence on A.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, dilate_block
-from .linalg import SubsystemLayout, qubits
+from .channels import ChannelKind, ChannelSpec, _is_a, dilate_block
+from .linalg import SubsystemLayout, _partial_transpose, qubits
 from .measures import (
     PPT_TOL,
     _entropy_terms,
@@ -29,7 +31,6 @@ from .measures import (
     _hs_predictability,
     _linear_entropy,
     _off_x,
-    _ppt_min,
     _qubit_eigenvalues,
     _sectors,
     _x_concurrence,
@@ -151,13 +152,15 @@ INITIAL_COLUMNS = ("P_hs_A_initial", "C_hs_A_initial", "S_l_initial")
 
 
 def local_measures(rho_a: np.ndarray, initial: np.ndarray) -> dict[str, np.ndarray]:
-    """Predictability, coherence and linear entropy of A's marginals (P, 2, 2)
-    and of the initial marginals, one (1, 2, 2) or one per row (P, 2, 2),
-    measured as one stack, unchecked."""
+    """Predictability, coherence and linear entropy of A's marginals (X * P,
+    2, 2), x-major, and of the X initial marginals (X, 2, 2), measured as one
+    stack, unchecked; each initial column is repeated over its x's P rows."""
     both, n = np.concatenate([rho_a, initial]), len(rho_a)
     values = (_hs_predictability(both), _hs_coherence(both), _linear_entropy(both))
+    per_x = n // len(initial)  # a block of one p needs no repeat
     return {**{name: v[:n] for name, v in zip(LOCAL_COLUMNS, values)},
-            **{name: v[n:] for name, v in zip(INITIAL_COLUMNS, values)}}
+            **{name: v[n:] if per_x == 1 else v[n:].repeat(per_x)
+               for name, v in zip(INITIAL_COLUMNS, values)}}
 
 
 #: The two-factor partitions of the global state a report measures, each
@@ -208,16 +211,16 @@ def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: tuple[str,
 
 def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: np.ndarray):
     """Every measure column but the sector columns, as arrays over the block,
-    of dilated states (P, dim) and of the initial marginals of A (see
-    :func:`local_measures`), and
-    the (K, P) smallest partial-transpose eigenvalues of the pair stack in
+    of dilated states (R, dim), R = X * P rows x-major, and of the X initial
+    marginals of A (see :func:`local_measures`), and
+    the (K, R) smallest partial-transpose eigenvalues of the pair stack in
     stack order (A-B's first, where the layout has it).  The pairs of ``PAIRS``
-    the layout has form one stack (K, P, 4, 4) and each measure runs once on
+    the layout has form one stack (K, R, 4, 4) and each measure runs once on
     it; its one-factor marginals are read from its entries and give A's
     marginal, the Cc_*, Cc_ABE and the A-B mutual information."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
-    # each pair's one-qubit marginals (K, P, 2, 2), each entry a sum of two of its entries
+    # each pair's one-qubit marginals (K, R, 2, 2), each entry a sum of two of its entries
     t = stack.reshape(stack.shape[:-2] + (2, 2, 2, 2))
     firsts, seconds = t[..., :, 0, :, 0] + t[..., :, 1, :, 1], t[..., 0, :, 0, :] + t[..., 1, :, 1, :]
     m = local_measures(firsts[names.index("AEA")], initial)
@@ -231,20 +234,32 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     cross, ab_columns = int("AB" in names), {}
     if cross:
         # one table of Hermitian 2x2 blocks (a, d, |b|) solved at once: the A-B
-        # pair's X blocks {0, 3} and {1, 2}, its A and B marginals, and the
-        # partially transposed blocks of the A-B pair and of the cross pairs if
-        # all are X-shaped, which are each pair's own blocks with the
-        # anti-diagonal moduli swapped
+        # pair's X blocks {0, 3} and {1, 2}, its A and B marginals, and the two
+        # blocks of a partial transpose per pair.  Those of an X-shaped pair
+        # (the A-B pair, and every pair if all are X-shaped) are its own X
+        # blocks with the anti-diagonal moduli swapped.  Otherwise (phase
+        # damping) the A-E_A and A-E_B pairs have no coherence on A
+        # (m[:2, 2:] = 0): each is its own partial transpose, with blocks
+        # {0, 1} and {2, 3}; the E_A-E_B pair is solved as a matrix
         x_shaped = not _off_x(stack[1:]).any()
-        diag, a03, a12 = _x_entries(stack if x_shaped else stack[:1])
+        diag, a03, a12 = _x_entries(stack)
         rows = [(diag[:1, :, 0], diag[:1, :, 3], a03[:1]), (diag[:1, :, 1], diag[:1, :, 2], a12[:1]),
                 (firsts[:1, :, 0, 0].real, firsts[:1, :, 1, 1].real, off_first[:1]),
-                (seconds[:1, :, 0, 0].real, seconds[:1, :, 1, 1].real, off_second[:1]),
-                (diag[..., 0], diag[..., 3], a12), (diag[..., 1], diag[..., 2], a03)]
+                (seconds[:1, :, 0, 0].real, seconds[:1, :, 1, 1].real, off_second[:1])]
+        if x_shaped:
+            rows += [(diag[..., 0], diag[..., 3], a12), (diag[..., 1], diag[..., 2], a03)]
+        else:
+            d = diag[1:3]
+            rows += [(diag[:1, :, 0], diag[:1, :, 3], a12[:1]),
+                     (d[..., 0], d[..., 1], np.abs(stack[1:3, :, 0, 1])),
+                     (diag[:1, :, 1], diag[:1, :, 2], a03[:1]),
+                     (d[..., 2], d[..., 3], np.abs(stack[1:3, :, 2, 3]))]
         lam = _qubit_eigenvalues(*map(np.concatenate, zip(*rows)))
-        ppt_min = np.minimum(lam[0, 4:4 + len(diag)], lam[0, 4 + len(diag):])
+        half = (lam.shape[1] - 4) // 2
+        ppt_min = np.minimum(lam[0, 4:4 + half], lam[0, 4 + half:])
         if not x_shaped:
-            ppt_min = np.concatenate([ppt_min, _ppt_min(stack[1:])])
+            ppt_min = np.concatenate([ppt_min, np.linalg.eigvalsh(
+                _partial_transpose(stack[3:], (2, 2), 0))[..., 0]])
         # each entropy sums its terms in ascending order of block and eigenvalue
         e = _entropy_terms(lam[:, :4])
         s_ab = -(((e[0, 0] + e[1, 0]) + e[0, 1]) + e[1, 1])
@@ -269,38 +284,41 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     return m, ppt_min
 
 
-def _block_columns(kind: ChannelKind, mu: float, x, ps: np.ndarray):
-    """One (kind, mu) block over rows (x, p), evaluated as one stack: ``x`` is
-    one x for every noise value of ``ps`` (a number or an array of one) or an
-    array of one x per row.
+def _block_columns(kind: ChannelKind, mu: float, xs, ps: np.ndarray):
+    """One (kind, mu) block over the grid of the x values ``xs`` (a number or
+    an array (X,)) and the noise values ``ps`` (P,), evaluated as one stack
+    of X * P rows, x-major: the initial states, their A marginals and the
+    ``*_initial`` columns are computed once per x, the channel once per p.
     Returns the x evaluated (see :func:`ccr_report`), the measure columns, the
-    dilated amplitudes (P, dim), their layout, and the partial-transpose minima
-    of the pair stack (A-B's first) the measures were taken on; every column
-    is computed per row, so a row's values do not depend on its block.
+    dilated amplitudes (X * P, dim), their layout, and the partial-transpose
+    minima of the pair stack (A-B's first) the measures were taken on; every
+    column is computed per row, so a row's values do not depend on its block.
     Phase damping's sector columns are left to the readers that read them.
     Only the input states are checked (by :func:`dilate_block`): their isometry
     image has unit norm, and each state reduced from that image, M M^dag, is a
     density matrix by construction.  Each reader evaluates the rows of IDENTITIES it reads."""
-    psi, sys_layout = initial_state(kind, x)
+    psi, sys_layout = initial_state(kind, xs)
     if kind is ChannelKind.BFC:
-        x = BALANCED_X if np.ndim(x) == 0 else np.full(np.shape(x), BALANCED_X)
-        psi, _ = initial_state(kind, x)
+        xs = BALANCED_X if np.ndim(xs) == 0 else np.full(np.shape(xs), BALANCED_X)
+        psi, _ = initial_state(kind, xs)
 
     amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
     a = psi.reshape(-1, 2, psi.shape[-1] // 2)  # A's amplitudes against the rest of the system
     initial = a @ a.conj().swapaxes(-1, -2)
     measures, ppt_min = _measure_columns(amplitudes, layout, initial)
-    return x, measures, amplitudes, layout, ppt_min
+    return xs, measures, amplitudes, layout, ppt_min
 
 
 def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     """Evolve the initial state through the channel and measure everything:
-    a block of one of the engine.
+    a block of the engine over a grid of one x and one p.
 
-    ``x`` parameterizes the initial state and must lie in [0, 1]; for the
-    bit flip channel it is pinned to 1/sqrt(2), the only point the analysis
-    is formulated for.
+    ``x`` parameterizes the initial state and must be a real number in
+    [0, 1] (not a bool); for the bit flip channel it is pinned to 1/sqrt(2),
+    the only point the analysis is formulated for.
     """
+    if not _is_a(x, numbers.Real):
+        raise ValueError(f"x must lie in [0, 1], got {x!r}")
     x, columns, amplitudes, layout, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
     if spec.kind is ChannelKind.PDC:
         columns.update(_sector_columns(_sectors(amplitudes, len(layout.labels))))
@@ -312,20 +330,21 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
 
 def _sudden_death_bisection(xs) -> np.ndarray:
     """Largest p with positive concurrence for each x of an array (any
-    shape), bracketed by ten amplitude damping blocks of 65 points per x:
-    each narrows every bracket 64-fold, to a width of 2^-60 after the last.
-    A round stacks the brackets of all x into one block and runs only the
-    engine stages the A-B concurrence needs: the dilation and the A-B pair."""
+    shape), bracketed by fifteen amplitude damping blocks of 17 points per x:
+    each narrows every bracket 16-fold, to a width of 2^-60 after the last.
+    A round dilates each x's state over its own bracket in one block and runs
+    only the engine stages the A-B concurrence needs: the dilation and the
+    A-B pair."""
     xs = np.asarray(xs, dtype=float)
-    psi = np.repeat(initial_state(ChannelKind.ADC, xs.ravel())[0], 65, axis=0)
-    rows, sys_layout = np.arange(xs.size), qubits("A", "B")
+    psi, sys_layout = initial_state(ChannelKind.ADC, xs.ravel())
+    rows = np.arange(xs.size)
     lo, hi = np.zeros(xs.size), np.ones(xs.size)
-    for _ in range(10):  # the concurrence is positive at lo and not at hi
-        ps = np.linspace(lo, hi, 65, axis=-1)
-        amplitudes, layout = dilate_block(ChannelKind.ADC, ps.reshape(-1), 0.0, psi, sys_layout)
+    for _ in range(15):  # the concurrence is positive at lo and not at hi
+        ps = np.linspace(lo, hi, 17, axis=-1)
+        amplitudes, layout = dilate_block(ChannelKind.ADC, ps, 0.0, psi, sys_layout)
         ab = _reduced(amplitudes, layout, PAIRS["AB"])[0]
         alive = (_x_concurrence(*_x_entries(ab)) > 0.0).reshape(ps.shape)
-        i = 64 - alive[:, ::-1].argmax(axis=-1)  # the last p alive
+        i = 16 - alive[:, ::-1].argmax(axis=-1)  # the last p alive
         lo, hi = ps[rows, i], ps[rows, i + 1]
     return (0.5 * (lo + hi)).reshape(xs.shape)
 

@@ -86,6 +86,20 @@ class TestChannelSpec:
         with pytest.raises(ValueError, match=f"kind: {kind!r} is not a ChannelKind"):
             ChannelSpec(kind, 0.3)
 
+    @pytest.mark.parametrize("field", ["p", "mu"])
+    @pytest.mark.parametrize("value", ["0.3", True, False, np.True_, 0.3j, None],
+                             ids=["str", "true", "false", "numpy-bool", "complex", "none"])
+    def test_p_and_mu_must_be_real(self, field, value):
+        # a bool is not taken as 0 or 1, and no TypeError leaks out of a comparison
+        args = {"p": 0.3, "mu": 0.0, field: value}
+        with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\], got "):
+            ChannelSpec(ChannelKind.CADC, **args)
+
+    def test_numpy_and_integer_numbers_accepted_as_given(self):
+        spec = ChannelSpec(ChannelKind.CADC, np.float64(0.25), 1)
+        assert (spec.p, spec.mu) == (0.25, 1) and type(spec.mu) is int
+        assert ChannelSpec(ChannelKind.ADC, np.int64(1)).p == 1
+
     def test_mu_only_for_cadc(self):
         with pytest.raises(ValueError, match="mu is only meaningful"):
             ChannelSpec(ChannelKind.PDC, 0.5, mu=0.3)
@@ -476,13 +490,19 @@ class TestRealChannels:
         ids=lambda v: getattr(v, "value", f"mu={v}"),
     )
     def test_one_state_per_p_matches_each_state_alone_bytewise(self, kind, mu):
+        # one state per x over a shared p grid (P,), or over its own p (X, P),
+        # gives x-major rows, each the state dilated alone at its p
         ps = np.linspace(0.0, 1.0, 7)
         states = [initial_state(kind, x) for x in np.linspace(0.0, 1.0, 7)]
         layout = states[0][1]
-        amplitudes, _ = dilate_block(kind, ps, mu, np.stack([psi for psi, _ in states]), layout)
-        for row, p, (psi, _) in zip(amplitudes, ps, states):
-            alone, _ = dilate_block(kind, np.array([p]), mu, psi, layout)
-            assert row.tobytes() == alone[0].tobytes()
+        psis = np.stack([psi for psi, _ in states])
+        per_state, _ = dilate_block(kind, ps[:, np.newaxis], mu, psis, layout)
+        grid, _ = dilate_block(kind, ps, mu, psis, layout)
+        assert (per_state.shape[0], grid.shape[0]) == (7, 7 * 7)
+        for i, (psi, _) in enumerate(states):
+            alone, _ = dilate_block(kind, ps, mu, psi, layout)
+            assert per_state[i].tobytes() == alone[i].tobytes()
+            assert grid[7 * i:7 * (i + 1)].tobytes() == alone.tobytes()
 
     def test_a_state_of_the_wrong_dimension_is_rejected(self):
         psi, layout = initial_state(ChannelKind.ADC, 0.37)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ccrsweep import measures, reports
+from ccrsweep import channels, cli, measures, reports
 from ccrsweep.channels import ChannelKind, ChannelSpec
 from ccrsweep.linalg import outer, partial_trace
 from ccrsweep.measures import correlated_coherence_hs, is_ppt, sector_decomposition
@@ -23,10 +23,9 @@ from ccrsweep.cli import (
     DEFAULT_X,
     MAX_P_COUNT,
     TENTHS,
-    _BLOCK_ROWS,
+    _BLOCK_AMPLITUDES,
     SweepConfig,
     _blocks,
-    _rows,
     _state_columns,
     _Tracker,
     _verify_blocks,
@@ -110,6 +109,21 @@ class TestConfigValidation:
         # not coerced: 3.5 would otherwise reach np.linspace as a TypeError
         with pytest.raises(ValueError, match=r"p_count: must be an integer, got "):
             small_config(channels=(ChannelKind.PFC,), p_count=p_count)
+
+    @pytest.mark.parametrize("key", ["p_start", "p_stop", "mu", "tolerance"])
+    @pytest.mark.parametrize("value", ["0.5", True, False, np.True_, 0.5j, None],
+                             ids=["str", "true", "false", "numpy-bool", "complex", "none"])
+    def test_interval_values_must_be_real(self, key, value):
+        # checked before the ranges: a bool is not taken as 0 or 1, and no
+        # TypeError leaks out of a comparison
+        with pytest.raises(ValueError, match=rf"{key}: must be a real number, got "):
+            small_config(**{key: value})
+
+    def test_numpy_and_integer_interval_values_accepted_as_given(self):
+        cfg = small_config(channels=(ChannelKind.CADC,), p_start=0, p_stop=np.float64(0.5),
+                           mu=1, tolerance=np.float64(1e-9))
+        assert (cfg.p_start, cfg.p_stop, cfg.mu, cfg.tolerance) == (0, 0.5, 1, 1e-9)
+        assert cfg.p_grid().tolist() == [0.0, 0.125, 0.25, 0.375, 0.5]
 
     def test_numpy_and_integer_numbers_accepted_as_given(self):
         cfg = small_config(x_values=(np.float64(0.25), 1), p_count=np.int64(3))
@@ -533,24 +547,53 @@ def test_verify_walk_solves_one_eigen_table_per_two_qubit_block(monkeypatch):
 
 
 def test_sudden_death_check_dilates_one_stacked_block_per_round(monkeypatch):
+    # fifteen rounds, each one block: the five x states, each over its own
+    # 17-point bracket
     calls, dilate_block = [], reports.dilate_block
 
     def counted(kind, ps, mu, system, sys_layout):
-        calls.append((len(ps), np.shape(system)))
+        calls.append((np.shape(ps), np.shape(system)))
         return dilate_block(kind, ps, mu, system, sys_layout)
 
     monkeypatch.setattr(reports, "dilate_block", counted)
     t = _Tracker()
     _verify_sudden_death(SweepConfig(), t)
-    assert calls == [(5 * 65, (5 * 65, 4))] * 10
+    assert calls == [((5, 17), (5, 4))] * 15
     assert t.worst["adc_sudden_death"][0] <= 1e-15
+
+
+def test_verify_builds_one_channel_tensor_per_block_and_kraus_stage(monkeypatch):
+    # the walk builds each block's tensor once over the p grid, not once per
+    # (x, p) row, and the Kraus stage one per (kind, mu), shared by its
+    # operator sums and its dilation of both x
+    calls, kraus_stack = [], channels._kraus_stack
+
+    def counted(kind, ps, mu):
+        calls.append((kind, mu, len(ps)))
+        return kraus_stack(kind, ps, mu)
+
+    for module in (channels, cli):  # cli binds the name on import
+        monkeypatch.setattr(module, "_kraus_stack", counted)
+    cfg = SweepConfig()
+    _verify_blocks(cfg, _Tracker())
+    blocks = list(_blocks(cfg, set(cfg.x_values) | set(TENTHS)))
+    assert len(blocks) == 16  # 4 groups of x for adc, cadc and pdc, one for each other kind
+    assert calls == [(kind, mu, 101) for kind, mu, _ in blocks]
+    calls.clear()
+    _verify_kraus(cfg, _Tracker())
+    kind_mu = [(kind, mu) for kind in ChannelKind
+               for mu in ((0.0, 0.5, 1.0) if kind is ChannelKind.CADC else (0.0,))]
+    # cadc at mu = 0.5 stacks the tensors at mu = 0 and mu = 1, which it builds inside
+    inner = {(ChannelKind.CADC, 0.5): [(ChannelKind.CADC, 0.0, 101), (ChannelKind.CADC, 1.0, 101)]}
+    assert calls == [call for kind, mu in kind_mu
+                     for call in [(kind, mu, 101), *inner.get((kind, mu), [])]]
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)
 def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
     # verify's checks add no eigen-solve to the engine's: they reuse its
     # cross-pair PPT minima, and the A-B PPT test of an X state is closed-form;
-    # the engine itself solves only phase damping's cross pairs, one call per
+    # the engine itself solves only phase damping's E_A-E_B pair, one call per
     # stacked group of x
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -564,7 +607,7 @@ def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
     groups = list(_blocks(cfg, set(cfg.x_values) | set(TENTHS)))
     assert len(groups) == 1  # the 11 x of 5 p, or bfc's one x, fit one block
     for _, mu, xs in groups:
-        _block_columns(kind, mu, *_rows(xs, cfg.p_grid()))
+        _block_columns(kind, mu, xs, cfg.p_grid())
     engine = len(calls)
     calls.clear()
     _verify_blocks(cfg, _Tracker())
@@ -575,22 +618,24 @@ KIND_MU = [(kind, mu) for kind in ChannelKind
            for mu in ((0.0, 1.0) if kind is ChannelKind.CADC else (0.0,))]
 
 
-@pytest.mark.parametrize("p_count", [101, 11, 1001, _BLOCK_ROWS // 4],
+@pytest.mark.parametrize("p_count", [101, 11, 1001, None],
                          ids=["default", "p11", "p1001", "cut-at-budget"])
 @pytest.mark.parametrize("kind, mu", KIND_MU,
                          ids=lambda v: getattr(v, "value", f"mu={v}"))
 def test_stacked_groups_equal_the_per_x_blocks_bytewise(kind, mu, p_count):
     # every engine stage works per row, so a row's bytes do not depend on the
     # x stacked beside it; the per-x blocks are the reference
+    amplitudes_per_row = 4**kind.n_system_qubits
+    if p_count is None:  # groups of four x that fill the budget exactly
+        p_count = _BLOCK_AMPLITUDES // (4 * amplitudes_per_row)
     cfg = SweepConfig(channels=(kind,), mu=mu, p_count=p_count)
     ps = cfg.p_grid()
     n = len(ps)
     groups = [xs for _, _, xs in _blocks(cfg, set(cfg.x_values) | set(TENTHS))]
-    if p_count == _BLOCK_ROWS // 4 and kind is not ChannelKind.BFC:
-        assert [len(xs) * n for xs in groups[:3]] == [_BLOCK_ROWS] * 3
+    if 4 * n * amplitudes_per_row == _BLOCK_AMPLITUDES and kind is not ChannelKind.BFC:
+        assert [len(xs) for xs in groups] == [4, 4, 4, 1]
     for xs in groups:
-        x_rows, p_rows = _rows(xs, ps)
-        _, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x_rows, p_rows)
+        _, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, xs, ps)
         for i, x in enumerate(xs):
             rows = slice(i * n, (i + 1) * n)
             _, ref, ref_amplitudes, _, ref_min = _block_columns(kind, mu, x, ps)
@@ -605,12 +650,17 @@ def test_stacked_groups_equal_the_per_x_blocks_bytewise(kind, mu, p_count):
                     ref_amplitudes, len(layout.labels)).tobytes()
 
 
-@pytest.mark.parametrize("p_count", [2, 3, 11, 101, _BLOCK_ROWS // 4 - 1, _BLOCK_ROWS // 4,
-                                     _BLOCK_ROWS // 4 + 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+#: Two-qubit rows of 16 amplitudes that fill the budget.
+TWO_QUBIT_ROWS = _BLOCK_AMPLITUDES // 16
+
+
+@pytest.mark.parametrize("p_count", [2, 3, 11, 101, TWO_QUBIT_ROWS // 4 - 1, TWO_QUBIT_ROWS // 4,
+                                     TWO_QUBIT_ROWS // 4 + 1, TWO_QUBIT_ROWS, TWO_QUBIT_ROWS + 1,
                                      1001, MAX_P_COUNT])
 def test_blocks_stay_within_the_row_budget(p_count):
-    # ascending groups of whole x, as large as the budget allows, and a
-    # single x over the budget alone
+    # ascending groups of whole x, as large as the amplitude budget allows,
+    # and a single x over the budget alone: a two-qubit row holds 16
+    # amplitudes, a one-qubit row 4
     cfg = SweepConfig(p_count=p_count)
     x_values = set(cfg.x_values) | set(TENTHS)
     groups = list(_blocks(cfg, x_values))
@@ -618,10 +668,13 @@ def test_blocks_stay_within_the_row_budget(p_count):
         xs = [xs for k, _, xs in groups if k is kind]
         assert np.concatenate(xs).tolist() == (
             [BALANCED_X] if kind is ChannelKind.BFC else sorted(x_values))
+        amplitudes = p_count * 4**kind.n_system_qubits  # per x
         for group in xs:
-            assert len(group) * p_count <= _BLOCK_ROWS or len(group) == 1
+            assert len(group) * amplitudes <= _BLOCK_AMPLITUDES or len(group) == 1
         for group in xs[:-1]:
-            assert (len(group) + 1) * p_count > _BLOCK_ROWS
+            assert (len(group) + 1) * amplitudes > _BLOCK_AMPLITUDES
+    if p_count == 101:  # the default walk: 13 x in groups of 4, 4, 4, 1 for two qubits
+        assert [len(xs) for _, _, xs in groups] == [4, 4, 4, 1] * 3 + [1] + [13] * 3
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)

@@ -92,7 +92,8 @@ def assert_initial_columns_match(kind: str, mu: float, x: float) -> None:
     x_evaluated, m, *_ = _block_columns(ChannelKind(kind), mu, x, np.array([0.0, 0.37, 1.0]))
     assert x_evaluated == (INV_SQRT2 if kind == "bfc" else x)
     for name, value in initial_columns(kind, x_evaluated).items():
-        assert abs(m[name] - value) <= 1e-12, (name, x)
+        assert m[name].shape == (3,), name  # the x's column, repeated over its rows
+        assert np.abs(m[name] - value).max() <= 1e-12, (name, x)
 
 
 @pytest.mark.parametrize("kind, mu", BLOCKS, ids=lambda v: v if isinstance(v, str) else f"mu={v}")

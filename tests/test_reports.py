@@ -10,7 +10,7 @@ from unittest import mock
 from ccrsweep import channels, linalg, measures, reports
 from ccrsweep.channels import ChannelKind, ChannelSpec, dilate_block
 from ccrsweep.linalg import check_density
-from ccrsweep.measures import _off_x, _sectors, factor_marginals
+from ccrsweep.measures import _off_x, _sectors, factor_marginals, is_ppt, ppt_min_eigenvalue
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
@@ -69,6 +69,19 @@ class TestReportValues:
     def test_x_out_of_range(self):
         with pytest.raises(ValueError, match="x must lie"):
             ccr_report(ChannelSpec(ChannelKind.ADC, 0.5), 1.2)
+
+    @pytest.mark.parametrize("x", ["0.5", True, False, np.True_, 0.5j, None],
+                             ids=["str", "true", "false", "numpy-bool", "complex", "none"])
+    def test_report_x_must_be_real(self, x):
+        # a bool is not evaluated as 1 (and recorded as True), and no
+        # TypeError leaks out of a comparison
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\], got "):
+            ccr_report(ChannelSpec(ChannelKind.ADC, 0.3), x)
+
+    def test_report_keeps_a_numpy_or_integer_x_as_given(self):
+        assert ccr_report(ChannelSpec(ChannelKind.ADC, 0.3), 1).x == 1
+        assert type(ccr_report(ChannelSpec(ChannelKind.PFC, 0.3), 0).x) is int
+        assert ccr_report(ChannelSpec(ChannelKind.ADC, 0.3), np.float64(0.5)).x == 0.5
 
     @pytest.mark.parametrize("kind, x", [(ChannelKind.ADC, -0.5), (ChannelKind.PFC, 1.5),
                                          (ChannelKind.DC, math.nan)],
@@ -304,15 +317,16 @@ class TestSuddenDeath:
 
     @pytest.mark.parametrize("x", [0.1, 0.2, 0.25, 0.3, 0.5])
     def test_bisection_finds_the_root_in_ten_blocks(self, monkeypatch, x):
+        # fifteen blocks of one 17-point bracket each narrow it 16-fold
         calls, dilate_block = [], reports.dilate_block
 
         def counted(kind, ps, *args):
-            calls.append(len(ps))
+            calls.append(np.shape(ps))
             return dilate_block(kind, ps, *args)
 
         monkeypatch.setattr(reports, "dilate_block", counted)
         assert abs(_sudden_death_bisection(x) - x / math.sqrt(1 - x * x)) <= 1e-15
-        assert calls == [65] * 10
+        assert calls == [(1, 17)] * 15
 
     def test_domain_validation(self):
         with pytest.raises(ValueError, match="strictly inside"):
@@ -411,10 +425,10 @@ def test_derived_states_are_density_matrices(kind, mu, x, ps):
 def test_bisection_pairs_are_density_matrices(x):
     with mock.patch.object(reports, "_x_entries", wraps=reports._x_entries) as reading:
         _sudden_death_bisection(x)
-    assert reading.call_count == 10
+    assert reading.call_count == 15
     for call in reading.call_args_list:
         ab = call.args[0]
-        assert ab.shape == (65, 4, 4)
+        assert ab.shape == (17, 4, 4)
         check_density(ab)
         # the X readings take the off-X entries as zero, and they are
         assert not _off_x(ab).any()
@@ -422,7 +436,9 @@ def test_bisection_pairs_are_density_matrices(x):
 
 #: Pairs whose off-X entries the engine's closed-form spectra rely on being
 #: exactly zero, by (kind, mu): every pair of amplitude damping and bit flip,
-#: and phase damping's A-B pair (its cross pairs take the eigvalsh path).
+#: and phase damping's A-B pair (its A-E_A and A-E_B pairs are read by their
+#: zero A-coherence block, PDC_A_DIAGONAL_PAIRS below; E_A-E_B takes the
+#: eigvalsh path).
 X_SHAPED_PAIRS = [(ChannelKind.ADC, 0.0, tuple(PAIRS)), (ChannelKind.CADC, 0.0, tuple(PAIRS)),
                   (ChannelKind.CADC, 1.0, tuple(PAIRS)), (ChannelKind.BFC, 0.0, tuple(PAIRS)),
                   (ChannelKind.PDC, 0.0, ("AB",))]
@@ -442,6 +458,40 @@ def test_x_shaped_pairs_have_exactly_zero_off_x_entries(kind, mu, names, x):
     off_x = _off_x(stack)
     assert off_x.shape == (len(names), len(ps), 8)
     assert np.all(off_x == 0.0)
+
+
+#: Phase damping's cross pairs with no coherence on A: each is its own
+#: partial transpose, and the engine reads its spectrum from its diagonal
+#: 2x2 blocks {0, 1} and {2, 3} (Peres, PRL 77, 1413 (1996)) without
+#: checking the zeros, which the test below pins.
+PDC_A_DIAGONAL_PAIRS = ("AEA", "AEB")
+EDGE_PS = np.array([0.0, 5e-324, 1e-300, 0.37, 1.0 - 2.0**-53, 1.0])
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, INV_SQRT2, 1.0])
+def test_phase_damping_a_diagonal_pairs_have_exactly_zero_a_coherence(x):
+    # p at and next to the ends of [0, 1], as for the X-shaped pairs
+    psi, sys_layout = initial_state(ChannelKind.PDC, x)
+    amplitudes, layout = dilate_block(ChannelKind.PDC, EDGE_PS, 0.0, psi, sys_layout)
+    stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in PDC_A_DIAGONAL_PAIRS))
+    coherence = stack[..., :2, 2:]
+    assert coherence.shape == (2, len(EDGE_PS), 2, 2)
+    assert np.all(coherence == 0.0)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, INV_SQRT2, 1.0])
+@pytest.mark.parametrize("ps", [EDGE_PS, *EDGE_PS[:, np.newaxis]],
+                         ids=["edges", *(f"p={p!r}" for p in EDGE_PS.tolist())])
+def test_phase_damping_a_diagonal_minima_match_the_public_ppt_test(x, ps):
+    # the engine's minima and flags of A-E_A and A-E_B against the public
+    # partial transpose and its eigen-solve, in a block and alone
+    _, m, amplitudes, layout, ppt_min = _block_columns(ChannelKind.PDC, 0.0, x, ps)
+    names = list(PAIRS)
+    for name in PDC_A_DIAGONAL_PAIRS:
+        pair = _reduced(amplitudes, layout, PAIRS[name])[0]
+        want = ppt_min_eigenvalue(pair)
+        assert np.abs(ppt_min[names.index(name)] - want).max() <= 1e-15, name
+        assert m[f"ppt_{name}"].tolist() == is_ppt(pair).astype(float).tolist(), name
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0])

@@ -7,7 +7,7 @@ acts jointly on the two-qubit system through one operator per state of a
 shared two-qubit environment.  ``_kraus_stack`` gives a channel over an array
 of p as one tensor K[P, e, s, c] = <s, e|U|c, 0>_E, which is both its Kraus
 operators and the isometry of its dilation with the environment starting in
-|0>: ``dilate_block`` contracts it with the input states and
+|0>: ``_dilate`` contracts it with the input states and
 ``_operator_sums`` sums over it, so the dilate-then-trace route and the
 operator-sum route realize the same map by construction.  A block is a grid,
 one state per x against one tensor over the distinct p; one point is a grid
@@ -45,10 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SubsystemLayout, check_norms, qubits
-
-#: A Kraus set applied to a state may deviate from completeness by at most this.
-COMPLETENESS_TOL = 1e-10
-
 
 class ChannelKind(enum.Enum):
     ADC = "adc"
@@ -161,6 +157,11 @@ def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
         ps.shape + (4, 4, 4))
 
 
+#: Why CADC at 0 < mu < 1 is not dilated (dilate_block and ccr_report raise it).
+_NO_DILATION = ("CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
+                "a two-qubit environment (take the operator sum of its _kraus_stack instead)")
+
+
 def dilate_block(
     kind: ChannelKind, ps: np.ndarray, mu: float, system, sys_layout: SubsystemLayout
 ) -> tuple[np.ndarray, SubsystemLayout]:
@@ -195,10 +196,7 @@ def dilate_block(
         raise ValueError("the depolarizing dilation requires real amplitudes")
 
     if mu not in (0.0, 1.0):
-        raise ValueError(
-            "CADC with 0 < mu < 1 is a proper mixture; it has no dilation on "
-            "a two-qubit environment (take the operator sum of its _kraus_stack instead)"
-        )
+        raise ValueError(_NO_DILATION)
     return _dilate(_kraus_stack(kind, ps, mu), psi, sys_layout)
 
 
@@ -217,14 +215,12 @@ def _dilate(kraus: np.ndarray, psi: np.ndarray, sys_layout: SubsystemLayout):
 def _operator_sums(ops: np.ndarray, rhos: np.ndarray | None = None):
     """Completeness defects max_ij |sum_e K^dag K - I|_ij (P,) of the sets of
     an operator stack (P, nK, d, d) and, given states ``rhos`` (R, d, d), their
-    images sum_e K rho K^dag (R, P, d, d), else None.  Images of a set whose
-    defect exceeds ``COMPLETENESS_TOL`` raise ValueError (trace not kept)."""
+    images sum_e K rho K^dag (R, P, d, d), else None.  Unchecked: an image
+    keeps the trace only as far as its set's defect allows."""
     completeness = np.einsum("pkji,pkjl->pil", ops.conj(), ops)
     defects = np.abs(completeness - np.eye(ops.shape[-1])).max(axis=(-2, -1))
     if rhos is None:
         return defects, None
-    if defects.max() > COMPLETENESS_TOL:
-        raise ValueError(f"incomplete Kraus set: defect {float(defects.max())!r}")
     # sum_k (K_k rho) K_k^dag, as two stacked products (R, P, nK, d, d)
     images = (ops @ rhos[:, np.newaxis, np.newaxis]) @ ops.conj().swapaxes(-1, -2)
     return defects, images.sum(axis=2)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, _is_a, dilate_block
+from .channels import _NO_DILATION, ChannelKind, ChannelSpec, _dilate, _is_a, _kraus_stack
 from .linalg import SubsystemLayout, _partial_transpose, qubits
 from .measures import (
     PPT_TOL,
@@ -136,10 +136,12 @@ class CCRReport:
 
 def initial_state(kind: ChannelKind, x) -> tuple[np.ndarray, SubsystemLayout]:
     """x|0..0> + sqrt(1-x^2)|1..1> on the kind's system layout, as real
-    (float64) amplitudes: one state for a number x, one per entry (..., d)
-    for an array of them; an x outside [0, 1] (NaN too) raises ValueError."""
-    shape, lo, hi = (x.shape, x.min(), x.max()) if isinstance(x, np.ndarray) else ((), x, x)
-    if not 0.0 <= lo <= hi <= 1.0:
+    (float64) amplitudes: one state for a real number x (not a bool), one per
+    entry (..., d) for a non-empty integer or float array of them; any other
+    x, or one outside [0, 1] (NaN too), raises ValueError."""
+    array = isinstance(x, np.ndarray) and x.dtype.kind in "iuf" and x.size
+    shape, lo, hi = (x.shape, x.min(), x.max()) if array else ((), x, x)
+    if not ((array or _is_a(x, numbers.Real)) and 0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     labels = ("A", "B")[: kind.n_system_qubits]
     psi = np.zeros(shape + (2 ** len(labels),))
@@ -157,10 +159,8 @@ def local_measures(rho_a: np.ndarray, initial: np.ndarray) -> dict[str, np.ndarr
     stack, unchecked; each initial column is repeated over its x's P rows."""
     both, n = np.concatenate([rho_a, initial]), len(rho_a)
     values = (_hs_predictability(both), _hs_coherence(both), _linear_entropy(both))
-    per_x = n // len(initial)  # a block of one p needs no repeat
     return {**{name: v[:n] for name, v in zip(LOCAL_COLUMNS, values)},
-            **{name: v[n:] if per_x == 1 else v[n:].repeat(per_x)
-               for name, v in zip(INITIAL_COLUMNS, values)}}
+            **{name: v[n:].repeat(n // len(initial)) for name, v in zip(INITIAL_COLUMNS, values)}}
 
 
 #: The two-factor partitions of the global state a report measures, each
@@ -289,24 +289,22 @@ def _block_columns(kind: ChannelKind, mu: float, xs, ps: np.ndarray):
     an array (X,)) and the noise values ``ps`` (P,), evaluated as one stack
     of X * P rows, x-major: the initial states, their A marginals and the
     ``*_initial`` columns are computed once per x, the channel once per p.
-    Returns the x evaluated (see :func:`ccr_report`), the measure columns, the
-    dilated amplitudes (X * P, dim), their layout, and the partial-transpose
-    minima of the pair stack (A-B's first) the measures were taken on; every
-    column is computed per row, so a row's values do not depend on its block.
-    Phase damping's sector columns are left to the readers that read them.
-    Only the input states are checked (by :func:`dilate_block`): their isometry
-    image has unit norm, and each state reduced from that image, M M^dag, is a
-    density matrix by construction.  Each reader evaluates the rows of IDENTITIES it reads."""
+    Returns the measure columns, the dilated amplitudes (X * P, dim), their
+    layout, and the partial-transpose minima of the pair stack (A-B's first)
+    the measures were taken on; every column is computed per row, so a row's
+    values do not depend on its block.  Phase damping's sector columns are
+    left to the readers that read them.  The block is evaluated as given: x,
+    p and mu were checked, and bit flip's x pinned, where they entered
+    (:func:`ccr_report`, the sweep configuration and walk).  The states of
+    :func:`initial_state` are normalized, their isometry image keeps the norm,
+    and each state reduced from it, M M^dag, is a density matrix by
+    construction.  Each reader evaluates the rows of IDENTITIES it reads."""
     psi, sys_layout = initial_state(kind, xs)
-    if kind is ChannelKind.BFC:
-        xs = BALANCED_X if np.ndim(xs) == 0 else np.full(np.shape(xs), BALANCED_X)
-        psi, _ = initial_state(kind, xs)
-
-    amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
+    amplitudes, layout = _dilate(_kraus_stack(kind, ps, mu), psi, sys_layout)
     a = psi.reshape(-1, 2, psi.shape[-1] // 2)  # A's amplitudes against the rest of the system
     initial = a @ a.conj().swapaxes(-1, -2)
     measures, ppt_min = _measure_columns(amplitudes, layout, initial)
-    return xs, measures, amplitudes, layout, ppt_min
+    return measures, amplitudes, layout, ppt_min
 
 
 def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
@@ -315,11 +313,15 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
 
     ``x`` parameterizes the initial state and must be a real number in
     [0, 1] (not a bool); for the bit flip channel it is pinned to 1/sqrt(2),
-    the only point the analysis is formulated for.
+    the only point the analysis is formulated for.  CADC with 0 < mu < 1
+    raises ValueError: the mixture has no dilation to measure.
     """
-    if not _is_a(x, numbers.Real):
+    if not (_is_a(x, numbers.Real) and 0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    x, columns, amplitudes, layout, *_ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
+    if spec.mu not in (0.0, 1.0):
+        raise ValueError(_NO_DILATION)
+    x = BALANCED_X if spec.kind is ChannelKind.BFC else x
+    columns, amplitudes, layout, _ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
     if spec.kind is ChannelKind.PDC:
         columns.update(_sector_columns(_sectors(amplitudes, len(layout.labels))))
     measures = {name: v.item() for name, v in columns.items()}
@@ -341,7 +343,7 @@ def _sudden_death_bisection(xs) -> np.ndarray:
     lo, hi = np.zeros(xs.size), np.ones(xs.size)
     for _ in range(15):  # the concurrence is positive at lo and not at hi
         ps = np.linspace(lo, hi, 17, axis=-1)
-        amplitudes, layout = dilate_block(ChannelKind.ADC, ps, 0.0, psi, sys_layout)
+        amplitudes, layout = _dilate(_kraus_stack(ChannelKind.ADC, ps, 0.0), psi, sys_layout)
         ab = _reduced(amplitudes, layout, PAIRS["AB"])[0]
         alive = (_x_concurrence(*_x_entries(ab)) > 0.0).reshape(ps.shape)
         i = 16 - alive[:, ::-1].argmax(axis=-1)  # the last p alive
@@ -357,7 +359,7 @@ def sudden_death_point(x: float) -> float | None:
     (they must agree to 1e-8).  For x >= 1/sqrt(2) the concurrence stays
     positive on [0, 1) and the function returns None.
     """
-    if not 0.0 < x < 1.0:
+    if not (_is_a(x, numbers.Real) and 0.0 < x < 1.0):
         raise ValueError(f"x must lie strictly inside (0, 1), got {x!r}")
     if x >= BALANCED_X:
         return None

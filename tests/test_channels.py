@@ -323,9 +323,14 @@ class TestApplyKraus:
         assert np.abs(out - rho).max() == 0.0
 
     def test_incomplete_set_rejected(self):
+        # the defect is returned with the image, whose trace it lowers;
+        # verify's kraus_completeness row is the one check of it
         psi, lay = system_state(ChannelKind.PFC, 0.8)
-        with pytest.raises(ValueError, match="incomplete"):
-            operator_sum(0.9 * np.eye(2, dtype=complex)[np.newaxis], outer(psi, lay).mat)
+        rho = outer(psi, lay).mat
+        defects, images = _operator_sums(0.9 * np.eye(2, dtype=complex)[np.newaxis, np.newaxis],
+                                         rho[np.newaxis])
+        assert defects.tolist() == [pytest.approx(0.19, abs=1e-15)]
+        assert np.abs(images[0, 0] - 0.81 * rho).max() <= 1e-15
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("p", P_GRID)
@@ -426,13 +431,17 @@ class TestOperatorSums:
                                     for p in ps]
 
     def test_one_incomplete_set_rejects_the_block(self):
+        # the block's images come with every set's defect, the incomplete one's too
         ops = _kraus_stack(ChannelKind.PFC, np.array([0.0, 0.5, 1.0]), 0.0)
         ops[1] *= 0.9
         psi, lay = system_state(ChannelKind.PFC, 0.8)
-        defects, _ = _operator_sums(ops)  # measuring the defects is allowed
+        alone, _ = _operator_sums(ops)
+        defects, images = _operator_sums(ops, outer(psi, lay).mat[np.newaxis])
+        assert defects.tolist() == alone.tolist()
         assert defects[1] == pytest.approx(0.19, abs=1e-15)
-        with pytest.raises(ValueError, match="incomplete"):
-            _operator_sums(ops, outer(psi, lay).mat[np.newaxis])
+        assert max(defects[0], defects[2]) <= 1e-15
+        traces = np.einsum("rpii->rp", images).real
+        assert np.abs(traces - [1.0, 0.81, 1.0]).max() <= 1e-15
 
 
     SIZES = {"P=1": np.array([0.37]), "P=101": np.linspace(0.0, 1.0, 101),

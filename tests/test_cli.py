@@ -189,7 +189,7 @@ class TestRunSweep:
         ps = cfg.p_grid()
         rows, worst = 0, {}
         for kind, mu, x in _blocks(cfg, cfg.x_values):
-            x, m, amplitudes, layout, *_ = _block_columns(kind, mu, x, ps)
+            m, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
             if kind is ChannelKind.PDC:  # the columns of pdc_nl_sum
                 m.update(_sector_columns(measures._sectors(amplitudes, len(layout.labels))))
             rows += len(ps)
@@ -421,6 +421,20 @@ class TestVerifyCommand:
         ]
         assert lines[-1] == "22/22 checks within tolerance 1e-10"
 
+    def test_an_incomplete_kraus_set_is_reported_not_raised(self, monkeypatch, capsys):
+        # a phase flip whose K_1 weight is 1% too large: verify prints its
+        # FAIL lines and exits 1; only the images' density check skips that set
+        weights, matrix = channels._KRAUS_PAIRS[ChannelKind.PFC]
+        monkeypatch.setitem(channels._KRAUS_PAIRS, ChannelKind.PFC,
+                            (lambda p: (*weights(p)[:2], 1.01 * weights(p)[2]), matrix))
+        assert main(["verify", "--channels", "pfc"]) == 1
+        *checks, total = capsys.readouterr().out.splitlines()
+        lines = {line.split()[1]: line for line in checks}
+        assert lines["kraus_completeness"].startswith("FAIL")
+        assert lines["kraus_completeness"].endswith("at pfc p=1 mu=0")
+        assert lines["dilation_norm"].startswith("FAIL")
+        assert total == "2/7 checks within tolerance 1e-10"
+
     def test_channel_filter_limits_checks(self, capsys):
         cfg = small_config(channels=(ChannelKind.PFC,), p_count=6)
         assert verify_command(cfg) == 0
@@ -506,7 +520,7 @@ def test_state_columns_match_the_per_point_route(kind, x):
     # partial_trace, PPT by a transpose written here and an eigensolve per matrix
     mu = 1.0 if kind is ChannelKind.CADC else 0.0
     ps = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
-    x, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
+    m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
     columns = _state_columns(m, ppt_min, amplitudes, layout)
     for i, psi in enumerate(amplitudes):
         rho_g = outer(psi, layout)
@@ -549,13 +563,13 @@ def test_verify_walk_solves_one_eigen_table_per_two_qubit_block(monkeypatch):
 def test_sudden_death_check_dilates_one_stacked_block_per_round(monkeypatch):
     # fifteen rounds, each one block: the five x states, each over its own
     # 17-point bracket
-    calls, dilate_block = [], reports.dilate_block
+    calls, dilate = [], reports._dilate
 
-    def counted(kind, ps, mu, system, sys_layout):
-        calls.append((np.shape(ps), np.shape(system)))
-        return dilate_block(kind, ps, mu, system, sys_layout)
+    def counted(kraus, psi, sys_layout):  # the p shape of the Kraus tensor (..., nK, d, d)
+        calls.append((kraus.shape[:-3], psi.shape))
+        return dilate(kraus, psi, sys_layout)
 
-    monkeypatch.setattr(reports, "dilate_block", counted)
+    monkeypatch.setattr(reports, "_dilate", counted)
     t = _Tracker()
     _verify_sudden_death(SweepConfig(), t)
     assert calls == [((5, 17), (5, 4))] * 15
@@ -572,7 +586,7 @@ def test_verify_builds_one_channel_tensor_per_block_and_kraus_stage(monkeypatch)
         calls.append((kind, mu, len(ps)))
         return kraus_stack(kind, ps, mu)
 
-    for module in (channels, cli):  # cli binds the name on import
+    for module in (channels, cli, reports):  # cli and reports bind the name on import
         monkeypatch.setattr(module, "_kraus_stack", counted)
     cfg = SweepConfig()
     _verify_blocks(cfg, _Tracker())
@@ -635,10 +649,10 @@ def test_stacked_groups_equal_the_per_x_blocks_bytewise(kind, mu, p_count):
     if 4 * n * amplitudes_per_row == _BLOCK_AMPLITUDES and kind is not ChannelKind.BFC:
         assert [len(xs) for xs in groups] == [4, 4, 4, 1]
     for xs in groups:
-        _, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, xs, ps)
+        m, amplitudes, layout, ppt_min = _block_columns(kind, mu, xs, ps)
         for i, x in enumerate(xs):
             rows = slice(i * n, (i + 1) * n)
-            _, ref, ref_amplitudes, _, ref_min = _block_columns(kind, mu, x, ps)
+            ref, ref_amplitudes, _, ref_min = _block_columns(kind, mu, x, ps)
             assert m.keys() == ref.keys()
             for name, column in ref.items():  # the *_initial columns span the rows
                 assert np.broadcast_to(column, n).tobytes() == m[name][rows].tobytes(), name

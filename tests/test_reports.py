@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from unittest import mock
 
 from ccrsweep import channels, linalg, measures, reports
 from ccrsweep.channels import ChannelKind, ChannelSpec, dilate_block
-from ccrsweep.linalg import check_density
+from ccrsweep.cli import DEFAULT_X, TENTHS
+from ccrsweep.linalg import check_density, check_norms
 from ccrsweep.measures import _off_x, _sectors, factor_marginals, is_ppt, ppt_min_eigenvalue
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
@@ -92,9 +94,38 @@ class TestReportValues:
         with pytest.raises(ValueError, match=r"x must lie in \[0, 1\], got "):
             initial_state(kind, x)
 
+    @pytest.mark.parametrize("x", ["0.5", None, 0.5j, True, [0.2, 0.3], np.array([]),
+                                   np.array([True, False]), np.array([0.5j])],
+                             ids=["str", "none", "complex", "true", "list", "empty-array",
+                                  "bool-array", "complex-array"])
+    def test_initial_state_x_must_be_a_real_number_or_array(self, x):
+        # no TypeError or numpy reduction error leaks out, and True is not x = 1
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\], got "):
+            initial_state(ChannelKind.ADC, x)
+
     def test_bit_flip_pins_x(self):
         r = ccr_report(ChannelSpec(ChannelKind.BFC, 0.3), 0.2)
         assert r.x == BALANCED_X
+
+    @pytest.mark.parametrize("x", [-0.1, 1.5, math.nan, True, "0.5", 0.5j, None],
+                             ids=["negative", "above-one", "nan", "bool", "str", "complex", "none"])
+    def test_bit_flip_x_is_checked_before_the_pin(self, x):
+        # the message names the x handed in, not the pinned 1/sqrt(2)
+        with pytest.raises(ValueError, match=rf"x must lie in \[0, 1\], got {re.escape(repr(x))}$"):
+            ccr_report(ChannelSpec(ChannelKind.BFC, 0.3), x)
+
+    def test_bit_flip_report_is_the_balanced_report_bytewise(self):
+        pinned = ccr_report(ChannelSpec(ChannelKind.BFC, 0.3), 0.3)
+        balanced = ccr_report(ChannelSpec(ChannelKind.BFC, 0.3), BALANCED_X)
+        assert pinned.x == BALANCED_X
+        assert repr(pinned) == repr(balanced)
+        assert np.array(list(pinned.measures.values())).tobytes() == np.array(
+            list(balanced.measures.values())).tobytes()
+
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 0.9])
+    def test_fractional_mu_report_has_no_dilation(self, mu):
+        with pytest.raises(ValueError, match="no dilation on a two-qubit environment"):
+            ccr_report(ChannelSpec(ChannelKind.CADC, 0.3, mu), 0.5)
 
     def test_one_qubit_reports_omit_pair_measures(self):
         r = ccr_report(ChannelSpec(ChannelKind.DC, 0.4), 0.5)
@@ -275,11 +306,11 @@ class TestBlockCost:
 
     @pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
     def test_one_norm_check_per_report(self, monkeypatch, kind, mu):
-        # the input state is checked where it enters; the dilated amplitudes,
-        # phase damping's sector split included, are not checked again
+        # x is checked where it enters; the states built from it, the dilated
+        # amplitudes and phase damping's sector split are not checked again
         counts = self.counting(monkeypatch)
         ccr_report(ChannelSpec(kind, 0.5, mu), 0.5)
-        assert counts["check_norms"] == 1
+        assert counts.get("check_norms", 0) == 0
 
     def test_undephased_cross_pairs_are_solved_in_closed_form(self, monkeypatch):
         # at p = 0 phase damping has not yet touched the environment, so its
@@ -318,13 +349,13 @@ class TestSuddenDeath:
     @pytest.mark.parametrize("x", [0.1, 0.2, 0.25, 0.3, 0.5])
     def test_bisection_finds_the_root_in_ten_blocks(self, monkeypatch, x):
         # fifteen blocks of one 17-point bracket each narrow it 16-fold
-        calls, dilate_block = [], reports.dilate_block
+        calls, dilate = [], reports._dilate
 
-        def counted(kind, ps, *args):
-            calls.append(np.shape(ps))
-            return dilate_block(kind, ps, *args)
+        def counted(kraus, *args):  # the p shape of the Kraus tensor (..., nK, d, d)
+            calls.append(kraus.shape[:-3])
+            return dilate(kraus, *args)
 
-        monkeypatch.setattr(reports, "dilate_block", counted)
+        monkeypatch.setattr(reports, "_dilate", counted)
         assert abs(_sudden_death_bisection(x) - x / math.sqrt(1 - x * x)) <= 1e-15
         assert calls == [(1, 17)] * 15
 
@@ -333,6 +364,40 @@ class TestSuddenDeath:
             sudden_death_point(0.0)
         with pytest.raises(ValueError, match="strictly inside"):
             sudden_death_point(1.0)
+
+    @pytest.mark.parametrize("x", ["0.5", None, 0.5j, True, np.array([0.3]), np.array([0.2, 0.3])],
+                             ids=["str", "none", "complex", "bool", "one-array", "array"])
+    def test_x_must_be_a_real_number(self, x):
+        # no TypeError or numpy truth-value error leaks out
+        with pytest.raises(ValueError, match=r"x must lie strictly inside \(0, 1\), got "):
+            sudden_death_point(x)
+
+
+def assert_normalized_real_states(kind, x):
+    psi, layout = initial_state(kind, x)
+    assert psi.dtype == np.float64
+    assert psi.shape == np.shape(x) + (2**kind.n_system_qubits,) == np.shape(x) + (layout.dim,)
+    check_norms(psi)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda k: k.value)
+def test_initial_states_are_normalized_real_amplitudes(kind):
+    # the engine dilates these states unchecked (dilate_block keeps its checks
+    # for states from outside): one per number x and one per entry of an array
+    grid = np.array(sorted(set(DEFAULT_X) | set(TENTHS)))
+    for x in (*DEFAULT_X, *TENTHS, 0, 1, grid, grid.reshape(1, -1), np.array([0, 1])):
+        assert_normalized_real_states(kind, x)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda k: k.value)
+@settings(max_examples=25, deadline=None)
+@given(
+    x=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, INV_SQRT2]),
+    xs=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=1, max_size=12),
+)
+def test_initial_states_are_normalized_real_amplitudes_property(kind, x, xs):
+    assert_normalized_real_states(kind, x)
+    assert_normalized_real_states(kind, np.array(xs))
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda k: k.value)
@@ -369,7 +434,8 @@ def test_report_identities_property(kind, x, p, mu):
 def test_block_rows_match_single_reports(kind, x, ps, mu):
     # no row of a block may leak into another: each equals the block of one at its p
     mu = mu if kind is ChannelKind.CADC else 0.0
-    block_x, measures, amplitudes, layout, *_ = _block_columns(kind, mu, x, np.array(ps))
+    block_x = BALANCED_X if kind is ChannelKind.BFC else x  # ccr_report's pin
+    measures, amplitudes, layout, _ = _block_columns(kind, mu, block_x, np.array(ps))
     assert len(amplitudes) == len(ps)
     if kind is ChannelKind.PDC:  # the sector columns ccr_report adds for phase damping
         measures.update(_sector_columns(_sectors(amplitudes, len(layout.labels))))
@@ -408,7 +474,7 @@ def test_derived_states_are_density_matrices(kind, mu, x, ps):
     # from them is M M^dag of normalized amplitudes, so a density matrix
     ps = np.array([0.0, *ps, 1.0])
     with mock.patch.object(reports, "local_measures", wraps=reports.local_measures) as local:
-        _, _, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
+        _, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
     pairs = [pair for pair in PAIRS.values() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *pairs)
     assert stack.shape == (len(pairs), len(ps), 4, 4)
@@ -485,7 +551,7 @@ def test_phase_damping_a_diagonal_pairs_have_exactly_zero_a_coherence(x):
 def test_phase_damping_a_diagonal_minima_match_the_public_ppt_test(x, ps):
     # the engine's minima and flags of A-E_A and A-E_B against the public
     # partial transpose and its eigen-solve, in a block and alone
-    _, m, amplitudes, layout, ppt_min = _block_columns(ChannelKind.PDC, 0.0, x, ps)
+    m, amplitudes, layout, ppt_min = _block_columns(ChannelKind.PDC, 0.0, x, ps)
     names = list(PAIRS)
     for name in PDC_A_DIAGONAL_PAIRS:
         pair = _reduced(amplitudes, layout, PAIRS[name])[0]
@@ -498,7 +564,7 @@ def test_phase_damping_a_diagonal_minima_match_the_public_ppt_test(x, ps):
 @pytest.mark.parametrize("ps", [[0.0], [0.0, 0.25, 0.5, 0.75, 1.0]], ids=["one_p", "five_p"])
 def test_absent_phase_damping_sectors_are_zero_columns(x, ps):
     # at x = 0 or 1 some sectors (at x = 1 every one) have no weight in any row
-    _, measures, amplitudes, layout, *_ = _block_columns(ChannelKind.PDC, 0.0, x, np.array(ps))
+    measures, amplitudes, layout, _ = _block_columns(ChannelKind.PDC, 0.0, x, np.array(ps))
     measures.update(_sector_columns(_sectors(amplitudes, len(layout.labels))))
     sectors = [name for name in measures if name.startswith("sector_")]
     assert len(sectors) == 7

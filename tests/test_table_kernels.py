@@ -150,7 +150,7 @@ def test_engine_sector_rows_are_the_decomposition_bytewise(block, ps):
     kind, mu = block
     absent = 0
     for x in XS:
-        x, m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
+        m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
         weights = _sectors(amplitudes, len(layout.labels))
         assert (weights.shape, weights.dtype) == ((15, len(ps)), np.float64)
         listed = sector_decomposition(amplitudes, layout)
@@ -236,7 +236,7 @@ def test_pair_entry_columns_match_the_traced_route(block, ps):
     kind, mu = block
     assert len(ps) in (1, 101)
     for x in (0.0, 1e-8, 0.37, 1 / math.sqrt(2), 1.0):
-        x, got, amplitudes, layout, *_ = _block_columns(kind, mu, x, ps)
+        got, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
         psi, sys_layout = initial_state(kind, x)
         want = measure_columns_by_traces(
             amplitudes, layout, _reduced(psi[np.newaxis], sys_layout, ("A",))[0])
@@ -250,7 +250,7 @@ def test_pair_entry_columns_match_the_traced_route(block, ps):
 
 def test_a_non_x_pair_is_rejected_by_the_public_concurrence():
     # the engine's X reading is unchecked; the public X reader checks the shape
-    _, _, amplitudes, layout, _ = _block_columns(ChannelKind.ADC, 0.0, 0.37, np.array([0.2, 0.6]))
+    _, amplitudes, layout, _ = _block_columns(ChannelKind.ADC, 0.0, 0.37, np.array([0.2, 0.6]))
     leaky = _reduced(amplitudes, layout, PAIRS["AB"])[0].copy()
     leaky[1, 0, 1] = leaky[1, 1, 0] = 1e-9
     with pytest.raises(ValueError, match=r"not an X state: entry of modulus 1e-09 "):
@@ -298,7 +298,7 @@ def test_ab_ppt_minimum_from_the_table_matches_the_x_blocks_bytewise(block, ps):
     # eigen-table; the reference is _ppt_min of the pair, as verify solved it
     kind, mu = block
     for x in XS:
-        _, _, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
+        _, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
         assert ppt_min.shape == (4, len(ps))
         assert_same_bytes(ppt_min[0], _ppt_min(_reduced(amplitudes, layout, PAIRS["AB"])[0]))
 

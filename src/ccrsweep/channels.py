@@ -64,9 +64,11 @@ _TWO_QUBIT_KINDS = frozenset(
 )
 
 
-#: A real number: an int, a float, a numpy integer or a numpy float (not a
-#: Fraction, which numpy's ufuncs cannot take); an integer: an int or a numpy integer.
-_REAL, _INTEGER = (int, float, np.integer, np.floating), (int, np.integer)
+#: A real number: an int, a float, a numpy integer or a numpy float that
+#: float64 holds exactly (not a Fraction, which numpy's ufuncs cannot take, nor
+#: a longdouble, which float64 would round and json cannot write); an integer:
+#: an int or a numpy integer.
+_REAL, _INTEGER = (int, float, np.integer, np.float16, np.float32), (int, np.integer)
 
 
 def _is_a(value, kind: tuple[type, ...]) -> bool:

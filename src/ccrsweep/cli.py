@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import (
     _INTEGER, _REAL, _TWO_QUBIT_KINDS, ChannelKind, _dilate, _is_a, _kraus_stack, _operator_sums)
-from .linalg import SubsystemLayout, check_density
+from .linalg import TRACE_TOL, SubsystemLayout, check_density
 from .measures import PPT_TOL, _sectors
 from .reports import (
     APPLICABLE_IDENTITIES,
@@ -35,10 +35,10 @@ from .reports import (
     Identity,
     IdentityId,
     _block_columns,
+    _initial_state,
     _reduced,
     _sector_columns,
     _sudden_death_bisection,
-    initial_state,
     is_balanced,
 )
 
@@ -114,7 +114,8 @@ class SweepConfig:
             raise ValueError(f"tolerance: must lie strictly between 0 and 1, got {self.tolerance}")
 
     def p_grid(self) -> np.ndarray:
-        return np.linspace(self.p_start, self.p_stop, self.p_count)
+        """The p values in float64: a narrower p_start or p_stop is widened, which is exact."""
+        return np.linspace(float(self.p_start), float(self.p_stop), self.p_count)
 
 
 #: The most dilated amplitudes the engine evaluates as one block, 500
@@ -315,11 +316,14 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
     ps = cfg.p_grid()
     xs = np.array([0.5, BALANCED_X])
     for kind in cfg.channels:
-        psi, layout = initial_state(kind, xs)
+        psi, layout = _initial_state(kind, xs)
         rhos = psi[:, :, np.newaxis] * psi[:, np.newaxis, :].conj()
         for mu in (0.0, 0.5, 1.0) if kind is ChannelKind.CADC else (0.0,):
             def where(i: int) -> str:
                 return f"{kind.value} p={ps[i % len(ps)]:g} mu={mu:g}"
+
+            def where_x(i: int) -> str:  # over the (x, p) grid, x-major
+                return f"{where(i)} x={xs[i // len(ps)]:g}"
 
             # mu = 0.5 has no two-qubit-environment dilation to compare
             kraus = _kraus_stack(kind, ps, mu)
@@ -327,8 +331,12 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
             t.track("kraus_completeness", defects, where)
             if via_kraus is None:
                 continue
-            if (complete := defects <= cfg.tolerance).any():  # kraus_completeness reports the rest
-                check_density(via_kraus[:, complete])
+            # the images keep the trace as far as their set's defect allows: each
+            # trace defect is a row, and the images within TRACE_TOL are checked
+            traces = np.abs(np.einsum("...ii->...", via_kraus) - 1.0)
+            t.track("kraus_image_trace", traces.ravel(), where_x)
+            if (within := traces <= TRACE_TOL).any():
+                check_density(via_kraus[within])
             if kind is ChannelKind.CADC and mu == 0.0:
                 # x = 0.5 against amplitude damping of both qubits in closed form
                 x, y = psi[0, 0], psi[0, -1]
@@ -344,7 +352,7 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
             via_dilation = _reduced(amplitudes, global_layout, layout.labels)[0]
             t.track("dilation_kraus_agreement",
                     np.abs(via_dilation - via_kraus.reshape(via_dilation.shape)).max(axis=(1, 2)),
-                    lambda i: f"{where(i)} x={xs[i // len(ps)]:g}")
+                    where_x)
 
 
 def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:

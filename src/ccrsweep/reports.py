@@ -27,8 +27,6 @@ from .measures import (
     PPT_TOL,
     _entropy_terms,
     _hs_coherence,
-    _hs_predictability,
-    _linear_entropy,
     _off_x,
     _qubit_eigenvalues,
     _sectors,
@@ -136,30 +134,23 @@ class CCRReport:
 def initial_state(kind: ChannelKind, x) -> tuple[np.ndarray, SubsystemLayout]:
     """x|0..0> + sqrt(1-x^2)|1..1> on the kind's system layout, as real
     (float64) amplitudes: one state for a real number x (not a bool), one per
-    entry (..., d) for a non-empty integer or float array of them; any other
-    x, or one outside [0, 1] (NaN too), raises ValueError."""
-    array = isinstance(x, np.ndarray) and x.dtype.kind in "iuf" and x.size
-    shape, lo, hi = (x.shape, x.min(), x.max()) if array else ((), x, x)
+    entry (..., d) for a non-empty array of them; any other x, or one outside
+    [0, 1] (NaN too), raises ValueError."""
+    array = isinstance(x, np.ndarray) and issubclass(x.dtype.type, _REAL) and x.size
+    lo, hi = (x.min(), x.max()) if array else (x, x)
     if not ((array or _is_a(x, _REAL)) and 0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
+    return _initial_state(kind, x)
+
+
+def _initial_state(kind: ChannelKind, x) -> tuple[np.ndarray, SubsystemLayout]:
+    """The states of :func:`initial_state` for an x checked where it entered,
+    unchecked; x is widened to float64, which is exact."""
+    x = np.asarray(x, dtype=float)
     labels = ("A", "B")[: kind.n_system_qubits]
-    psi = np.zeros(shape + (2 ** len(labels),))
+    psi = np.zeros(x.shape + (2 ** len(labels),))
     psi[..., 0], psi[..., -1] = x, np.sqrt(1.0 - x * x)
     return psi, qubits(*labels)
-
-
-LOCAL_COLUMNS = ("P_hs_A", "C_hs_A", "S_l_A")
-INITIAL_COLUMNS = ("P_hs_A_initial", "C_hs_A_initial", "S_l_initial")
-
-
-def local_measures(rho_a: np.ndarray, initial: np.ndarray) -> dict[str, np.ndarray]:
-    """Predictability, coherence and linear entropy of A's marginals (X * P,
-    2, 2), x-major, and of the X initial marginals (X, 2, 2), measured as one
-    stack, unchecked; each initial column is repeated over its x's P rows."""
-    both, n = np.concatenate([rho_a, initial]), len(rho_a)
-    values = (_hs_predictability(both), _hs_coherence(both), _linear_entropy(both))
-    return {**{name: v[:n] for name, v in zip(LOCAL_COLUMNS, values)},
-            **{name: v[n:].repeat(n // len(initial)) for name, v in zip(INITIAL_COLUMNS, values)}}
 
 
 #: The two-factor partitions of the global state a report measures, each
@@ -208,55 +199,71 @@ def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: tuple[str,
     return m @ m.conj().swapaxes(-1, -2)
 
 
+#: The entries of a pair state rho (4, 4) the measure stage reads, each the
+#: modulus of a sum of flat entries rho.flat[4 i + j] (a diagonal entry is
+#: nonnegative): the diagonal (0-3), rho_03 and rho_12 (4, 5), the first and
+#: second factors' marginals (a, d, b) (6-8, 9-11) and rho_01, rho_23 (12, 13).
+_ENTRIES = ((0,), (5,), (10,), (15,), (3,), (6,), (0, 5), (10, 15), (2, 7),
+            (0, 10), (5, 15), (1, 11), (1,), (11,))
+#: Their 0/1 matrix (16, 14), for one product: a product by 0 or 1 is exact, so
+#: each entry of no more than two terms has the bits of their direct sum.
+_SELECT = np.array([[float(i in flat) for flat in _ENTRIES] for i in range(16)])
+#: A two-qubit block's eigen-tables of Hermitian 2x2 blocks, columns (pair in
+#: stack order, a, d, |b|) of entry indices: the A-B pair's X blocks {0, 3},
+#: {1, 2} and marginals, then each pair's partially transposed blocks.  An
+#: X-shaped pair's are its X blocks with the anti-diagonal moduli swapped (the
+#: first table, for all X-shaped); else (phase damping) the A-E_A and A-E_B
+#: pairs are their own transposes, with no coherence on A (m[:2, 2:] = 0),
+#: blocks {0, 1} and {2, 3}, and the E_A-E_B pair is solved as a matrix.
+_EIGEN_TABLES = tuple(
+    np.array([(0, 0, 3, 4), (0, 1, 2, 5), (0, 6, 7, 8), (0, 9, 10, 11), *blocks]).T for blocks in (
+        [*((k, 0, 3, 5) for k in range(4)), *((k, 1, 2, 4) for k in range(4))],
+        [(0, 0, 3, 5), (1, 0, 1, 12), (2, 0, 1, 12), (0, 1, 2, 4), (1, 2, 3, 13), (2, 2, 3, 13)]))
+for _table in (_SELECT, *_EIGEN_TABLES):
+    _table.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(layout: SubsystemLayout):
+    """How the blocks of ``layout`` are measured, built once and shared: the
+    pairs of PAIRS it has, in stack order, the index of A-E_A (A's marginal
+    is its first factor's), each pair's ``Cc_*`` column and each cross pair's
+    (all but A-B) ``ppt_*`` column, and the eigen-tables with an A-B pair."""
+    names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
+    aea = names.index("AEA")  # the cross pairs follow A-B, where the layout has it
+    return (tuple(PAIRS[name] for name in names), aea, tuple(f"Cc_{name}" for name in names),
+            tuple(f"ppt_{name}" for name in names[aea:]), _EIGEN_TABLES if aea else None)
+
+
 def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: np.ndarray):
     """Every measure column but the sector columns, as arrays over the block,
     of dilated states (R, dim), R = X * P rows x-major, and of the X initial
-    marginals of A (see :func:`local_measures`), and
-    the (K, R) smallest partial-transpose eigenvalues of the pair stack in
-    stack order (A-B's first, where the layout has it).  The pairs of ``PAIRS``
-    the layout has form one stack (K, R, 4, 4) and each measure runs once on
-    it; its one-factor marginals are read from its entries and give A's
-    marginal, the Cc_*, Cc_ABE and the A-B mutual information."""
-    names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
-    stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
-    # each pair's one-qubit marginals (K, R, 2, 2), each entry a sum of two of its entries
-    t = stack.reshape(stack.shape[:-2] + (2, 2, 2, 2))
-    firsts, seconds = t[..., :, 0, :, 0] + t[..., :, 1, :, 1], t[..., 0, :, 0, :] + t[..., 1, :, 1, :]
-    m = local_measures(firsts[names.index("AEA")], initial)
+    marginals (X, 2, 2) of A, and the (K, R) smallest partial-transpose
+    eigenvalues of the pair stack in stack order (A-B's first, where the
+    layout has it).  The layout's pairs form one stack (K, R, 4, 4); each 2x2
+    block the measures read, marginal, X or transposed, is read from its entries."""
+    pairs, aea, cc_columns, ppt_columns, eigen_tables = _plan(layout)
+    stack = _reduced(amplitudes, layout, *pairs)
+    entries = np.abs(stack.reshape(stack.shape[:2] + (16,)) @ _SELECT)  # (K, R, 14)
+    # A's (a, d, |b|) and the initial marginals' over their x's P rows; each
+    # measure sums in the order of the matrix measures (S_l = 1 - tr rho^2)
+    initial = np.abs(initial.reshape(-1, 4).T[[0, 3, 1]]).repeat(len(amplitudes) // len(initial), 1)
+    squares = np.concatenate([entries[aea, :, 6:9].T, initial]) ** 2
+    a2, d2, b2 = squares.reshape(2, 3, -1).swapaxes(0, 1)  # (2, R) each, A's then the initial
+    p_hs, c_hs, s_l = a2 + d2 - 0.5, 2.0 * b2, 1.0 - ((a2 + b2) + (b2 + d2))
+    m = {"P_hs_A": p_hs[0], "C_hs_A": c_hs[0], "S_l_A": s_l[0],
+         "P_hs_A_initial": p_hs[1], "C_hs_A_initial": c_hs[1], "S_l_initial": s_l[1]}
     m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
-    # correlated_coherence_hs of each pair; a qubit's HS coherence is 2|rho_01|^2
+    # correlated_coherence_hs of each pair; a qubit's HS coherence is 2|b|^2
     hs_joint = _hs_coherence(stack)
-    off_first, off_second = np.abs(firsts[..., 0, 1]), np.abs(seconds[..., 0, 1])
-    hs_first, hs_second = 2.0 * off_first**2, 2.0 * off_second**2
-    m.update(zip([f"Cc_{name}" for name in names], hs_joint - hs_first - hs_second))
-    # A-B entanglement is reported as a concurrence; AB, where present, is first
-    cross, ab_columns = int("AB" in names), {}
-    if cross:
-        # one table of Hermitian 2x2 blocks (a, d, |b|) solved at once: the A-B
-        # pair's X blocks {0, 3} and {1, 2}, its A and B marginals, and the two
-        # blocks of a partial transpose per pair.  Those of an X-shaped pair
-        # (the A-B pair, and every pair if all are X-shaped) are its own X
-        # blocks with the anti-diagonal moduli swapped.  Otherwise (phase
-        # damping) the A-E_A and A-E_B pairs have no coherence on A
-        # (m[:2, 2:] = 0): each is its own partial transpose, with blocks
-        # {0, 1} and {2, 3}; the E_A-E_B pair is solved as a matrix
-        x_shaped = not _off_x(stack[1:]).any()
-        diag, a03, a12 = _x_entries(stack)
-        rows = [(diag[:1, :, 0], diag[:1, :, 3], a03[:1]), (diag[:1, :, 1], diag[:1, :, 2], a12[:1]),
-                (firsts[:1, :, 0, 0].real, firsts[:1, :, 1, 1].real, off_first[:1]),
-                (seconds[:1, :, 0, 0].real, seconds[:1, :, 1, 1].real, off_second[:1])]
-        if x_shaped:
-            rows += [(diag[..., 0], diag[..., 3], a12), (diag[..., 1], diag[..., 2], a03)]
-        else:
-            d = diag[1:3]
-            rows += [(diag[:1, :, 0], diag[:1, :, 3], a12[:1]),
-                     (d[..., 0], d[..., 1], np.abs(stack[1:3, :, 0, 1])),
-                     (diag[:1, :, 1], diag[:1, :, 2], a03[:1]),
-                     (d[..., 2], d[..., 3], np.abs(stack[1:3, :, 2, 3]))]
-        lam = _qubit_eigenvalues(*map(np.concatenate, zip(*rows)))
-        half = (lam.shape[1] - 4) // 2
-        ppt_min = np.minimum(lam[0, 4:4 + half], lam[0, 4 + half:])
-        if not x_shaped:
+    hs_first, hs_second = 2.0 * entries[..., 8] ** 2, 2.0 * entries[..., 11] ** 2
+    m.update(zip(cc_columns, hs_joint - hs_first - hs_second))
+    ab_columns = {}
+    if eigen_tables is not None:  # A-B entanglement is reported as a concurrence
+        table = eigen_tables[bool(_off_x(stack[1:]).any())]
+        lam = _qubit_eigenvalues(*entries[table[0], :, table[1:]])
+        ppt_min = np.minimum(*lam[0, 4:].reshape(2, -1, lam.shape[-1]))  # per pair, two blocks
+        if table is eigen_tables[1]:
             ppt_min = np.concatenate([ppt_min, np.linalg.eigvalsh(
                 _partial_transpose(stack[3:], (2, 2), 0))[..., 0]])
         # each entropy sums its terms in ascending order of block and eigenvalue
@@ -266,19 +273,16 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
         # the joint coherence of the pure global state is C_global
         local = hs_first + hs_second
         ab_columns = dict(
-            Cc_ABE=m["C_global"] - (local[0] + local[names.index("EAEB")]),
-            C_env=hs_joint[names.index("EAEB")],
-            concurrence_AB=_x_concurrence(diag[0], a03[0], a12[0]),
-            mutual_info_AB=s_a + s_b - s_ab,
-        )
+            Cc_ABE=m["C_global"] - (local[0] + local[3]), C_env=hs_joint[3],
+            concurrence_AB=_x_concurrence(entries[0, :, :4], entries[0, :, 4], entries[0, :, 5]),
+            mutual_info_AB=s_a + s_b - s_ab)
     else:
         # the one cross pair, A-E_A, is the pure global state c: its partial
         # transpose has spectrum {l1^2, l2^2, +-l1 l2} over its Schmidt
         # coefficients, and l1 l2 = |c00 c11 - c01 c10|
         c = amplitudes
         ppt_min = -np.abs(c[:, 0] * c[:, 3] - c[:, 1] * c[:, 2])[np.newaxis]
-    m.update(zip([f"ppt_{name}" for name in names[cross:]],
-                 (ppt_min[cross:] >= -PPT_TOL).astype(float)))
+    m.update(zip(ppt_columns, (ppt_min[aea:] >= -PPT_TOL).astype(float)))
     m.update(ab_columns)
     return m, ppt_min
 
@@ -298,7 +302,7 @@ def _block_columns(kind: ChannelKind, mu: float, xs, ps: np.ndarray):
     :func:`initial_state` are normalized, their isometry image keeps the norm,
     and each state reduced from it, M M^dag, is a density matrix by
     construction.  Each reader evaluates the rows of IDENTITIES it reads."""
-    psi, sys_layout = initial_state(kind, xs)
+    psi, sys_layout = _initial_state(kind, xs)
     amplitudes, layout = _dilate(_kraus_stack(kind, ps, mu), psi, sys_layout)
     a = psi.reshape(-1, 2, psi.shape[-1] // 2)  # A's amplitudes against the rest of the system
     initial = a @ a.conj().swapaxes(-1, -2)
@@ -320,7 +324,8 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     if spec.mu not in (0.0, 1.0):
         raise ValueError(_NO_DILATION)
     x = BALANCED_X if spec.kind is ChannelKind.BFC else x
-    columns, amplitudes, layout, _ = _block_columns(spec.kind, spec.mu, x, np.array([spec.p]))
+    ps = np.array([spec.p], dtype=float)  # widened to float64, as every x is
+    columns, amplitudes, layout, _ = _block_columns(spec.kind, spec.mu, x, ps)
     if spec.kind is ChannelKind.PDC:
         columns.update(_sector_columns(_sectors(amplitudes, len(layout.labels))))
     measures = {name: v.item() for name, v in columns.items()}
@@ -337,7 +342,7 @@ def _sudden_death_bisection(xs) -> np.ndarray:
     only the engine stages the A-B concurrence needs: the dilation and the
     A-B pair."""
     xs = np.asarray(xs, dtype=float)
-    psi, sys_layout = initial_state(ChannelKind.ADC, xs.ravel())
+    psi, sys_layout = _initial_state(ChannelKind.ADC, xs.ravel())
     rows = np.arange(xs.size)
     lo, hi = np.zeros(xs.size), np.ones(xs.size)
     for _ in range(15):  # the concurrence is positive at lo and not at hi
@@ -362,6 +367,7 @@ def sudden_death_point(x: float) -> float | None:
         raise ValueError(f"x must lie strictly inside (0, 1), got {x!r}")
     if x >= BALANCED_X:
         return None
+    x = float(x)  # widened to float64, which is exact
     closed = x / math.sqrt(1.0 - x * x)
     bisected = float(_sudden_death_bisection(x))
     if abs(closed - bisected) > 1e-8:

@@ -88,12 +88,14 @@ class TestChannelSpec:
             ChannelSpec(kind, 0.3)
 
     @pytest.mark.parametrize("field", ["p", "mu"])
-    @pytest.mark.parametrize("value", ["0.3", True, False, np.True_, 0.3j, None, Fraction(3, 10)],
+    @pytest.mark.parametrize("value", ["0.3", True, False, np.True_, 0.3j, None, Fraction(3, 10),
+                                       np.longdouble(0.3)],
                              ids=["str", "true", "false", "numpy-bool", "complex", "none",
-                                  "fraction"])
+                                  "fraction", "longdouble"])
     def test_p_and_mu_must_be_real(self, field, value):
         # a bool is not taken as 0 or 1, no TypeError leaks out of a comparison,
-        # and a Fraction, which numpy's ufuncs cannot take, does not reach the engine
+        # and a Fraction, which numpy's ufuncs cannot take, does not reach the
+        # engine, nor a longdouble, which float64 would round
         args = {"p": 0.3, "mu": 0.0, field: value}
         with pytest.raises(ValueError, match=rf"{field} must lie in \[0, 1\], got "):
             ChannelSpec(ChannelKind.CADC, **args)

@@ -98,8 +98,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="x:"):
             small_config(x_values=(1.5,))
 
-    @pytest.mark.parametrize("x", ["0.5", True, np.True_, 0.5j, None, Fraction(1, 2)],
-                             ids=["str", "bool", "numpy-bool", "complex", "none", "fraction"])
+    @pytest.mark.parametrize("x", ["0.5", True, np.True_, 0.5j, None, Fraction(1, 2),
+                                   np.longdouble(0.5)],
+                             ids=["str", "bool", "numpy-bool", "complex", "none", "fraction",
+                                  "longdouble"])
     def test_x_must_be_real(self, x):
         # checked before the range, so no TypeError leaks out of a comparison
         with pytest.raises(ValueError, match=r"x: .* is not a real number"):
@@ -113,13 +115,15 @@ class TestConfigValidation:
             small_config(channels=(ChannelKind.PFC,), p_count=p_count)
 
     @pytest.mark.parametrize("key", ["p_start", "p_stop", "mu", "tolerance"])
-    @pytest.mark.parametrize("value", ["0.5", True, False, np.True_, 0.5j, None, Fraction(1, 2)],
+    @pytest.mark.parametrize("value", ["0.5", True, False, np.True_, 0.5j, None, Fraction(1, 2),
+                                       np.longdouble(0.5)],
                              ids=["str", "true", "false", "numpy-bool", "complex", "none",
-                                  "fraction"])
+                                  "fraction", "longdouble"])
     def test_interval_values_must_be_real(self, key, value):
         # checked before the ranges: a bool is not taken as 0 or 1, no
         # TypeError leaks out of a comparison, and a Fraction, which numpy's
-        # ufuncs cannot take, does not reach the p grid
+        # ufuncs cannot take, does not reach the p grid, nor a longdouble,
+        # which float64 would round and json cannot write
         with pytest.raises(ValueError, match=rf"{key}: must be a real number, got "):
             small_config(**{key: value})
 
@@ -128,6 +132,19 @@ class TestConfigValidation:
                            mu=1, tolerance=np.float64(1e-9))
         assert (cfg.p_start, cfg.p_stop, cfg.mu, cfg.tolerance) == (0, 0.5, 1, 1e-9)
         assert cfg.p_grid().tolist() == [0.0, 0.125, 0.25, 0.375, 0.5]
+
+    @pytest.mark.parametrize("p_stop", [np.float32(0.5), np.float32(0.3)], ids=["0.5", "0.3"])
+    def test_a_float32_p_stop_verifies_as_its_float64_value(self, capsys, p_stop):
+        # widened where it enters the p grid: not a float32 engine at 3e-7
+        wide = SweepConfig(channels=(ChannelKind.ADC,), p_stop=float(p_stop))
+        narrow = SweepConfig(channels=(ChannelKind.ADC,), p_stop=p_stop)
+        assert narrow.p_stop is p_stop
+        assert narrow.p_grid().dtype == np.float64
+        assert narrow.p_grid().tobytes() == wide.p_grid().tobytes()
+        assert verify_command(wide) == 0
+        want = capsys.readouterr().out
+        assert verify_command(narrow) == 0
+        assert capsys.readouterr().out == want
 
     def test_numpy_and_integer_numbers_accepted_as_given(self):
         cfg = small_config(x_values=(np.float64(0.25), 1), p_count=np.int64(3))
@@ -433,26 +450,45 @@ class TestVerifyCommand:
             "adc_symmetric_columns", "bfc_four_term", "cadc_env_complement",
             "cadc_memoryless_limit", "cadc_redistribution", "ccr_universal",
             "cross_partition_ppt", "dc_terminal_locality", "dilation_kraus_agreement",
-            "dilation_norm", "kraus_completeness", "pdc_nl_sum",
+            "dilation_norm", "kraus_completeness", "kraus_image_trace", "pdc_nl_sum",
             "pdc_predictability_invariance", "pdc_subtraction", "pfc_coherence_split",
             "pfc_predictability_invariance", "sector_total_consistency", "three_halves",
             "xstate_ppt_consistency",
         ]
-        assert lines[-1] == "22/22 checks within tolerance 1e-10"
+        assert lines[-1] == "23/23 checks within tolerance 1e-10"
+
+    #: K_1's weight scaled: 1% too large, its defects FAIL the default
+    #: tolerance; 1e-6 too large, they pass a loose one, where the images'
+    #: trace once failed as a density check with a traceback
+    KRAUS_SCALES = [
+        (1.01, [], 1, {"dilation_norm", "kraus_completeness", "kraus_image_trace",
+                       "pfc_coherence_split", "pfc_predictability_invariance", "three_halves"},
+         "2/8 checks within tolerance 1e-10"),
+        (1.000001, ["--tolerance", "1e-3"], 0, set(), "8/8 checks within tolerance 0.001"),
+    ]
 
     def test_an_incomplete_kraus_set_is_reported_not_raised(self, monkeypatch, capsys):
-        # a phase flip whose K_1 weight is 1% too large: verify prints its
-        # FAIL lines and exits 1; only the images' density check skips that set
+        # a phase flip whose K_1 weight is too large: verify prints a line per
+        # check, with its image trace defect as a row, and raises nothing; only
+        # the images off trace 1 skip the density check
         weights, matrix = channels._KRAUS_PAIRS[ChannelKind.PFC]
-        monkeypatch.setitem(channels._KRAUS_PAIRS, ChannelKind.PFC,
-                            (lambda p: (*weights(p)[:2], 1.01 * weights(p)[2]), matrix))
-        assert main(["verify", "--channels", "pfc"]) == 1
-        *checks, total = capsys.readouterr().out.splitlines()
-        lines = {line.split()[1]: line for line in checks}
-        assert lines["kraus_completeness"].startswith("FAIL")
-        assert lines["kraus_completeness"].endswith("at pfc p=1 mu=0")
-        assert lines["dilation_norm"].startswith("FAIL")
-        assert total == "2/7 checks within tolerance 1e-10"
+        for scale, tolerance, rc, failing, total in self.KRAUS_SCALES:
+            monkeypatch.setitem(channels._KRAUS_PAIRS, ChannelKind.PFC,
+                                (lambda p, s=scale: (*weights(p)[:2], s * weights(p)[2]), matrix))
+            assert main(["verify", "--channels", "pfc", *tolerance]) == rc
+            out, err = capsys.readouterr()
+            assert err == ""
+            *checks, last = out.splitlines()
+            lines = {line.split()[1]: line for line in checks}
+            assert all(line.startswith(("PASS", "FAIL")) for line in checks)
+            assert {name for name, line in lines.items() if line.startswith("FAIL")} == failing
+            defect = 2.0 * (scale - 1.0) + (scale - 1.0) ** 2  # |K_1|^2's at p = 1
+            for name, at in (("kraus_completeness", "pfc p=1 mu=0"),
+                             ("kraus_image_trace", "pfc p=1 mu=0 x=0.707107")):
+                worst = float(lines[name].split("worst ")[1].split()[0])
+                assert worst == pytest.approx(defect, rel=1e-3), name
+                assert lines[name].endswith(f"at {at}"), name
+            assert last == total
 
     def test_channel_filter_limits_checks(self, capsys):
         cfg = small_config(channels=(ChannelKind.PFC,), p_count=6)
@@ -474,11 +510,11 @@ class TestVerifyCommand:
         assert lines[-1] == f"{len(checked)}/{len(checked)} checks within tolerance 1e-10"
 
     @pytest.mark.parametrize("argv, skipped, checks", [
-        (["--x", "0.999"], ["adc_symmetric_columns"], 21),  # no x = 1/sqrt(2)
-        (["--p-start", "0.2", "--p-stop", "0.3"], ["dc_terminal_locality"], 21),  # no p = 1
+        (["--x", "0.999"], ["adc_symmetric_columns"], 22),  # no x = 1/sqrt(2)
+        (["--p-start", "0.2", "--p-stop", "0.3"], ["dc_terminal_locality"], 22),  # no p = 1
         # bpfc's 3/2 relation holds at x = 1/sqrt(2) only, pfc's at every x
-        (["--channels", "bpfc", "--x", "0.2"], ["three_halves"], 4),
-        (["--channels", "pfc,bpfc", "--x", "0.2"], [], 7),
+        (["--channels", "bpfc", "--x", "0.2"], ["three_halves"], 5),
+        (["--channels", "pfc,bpfc", "--x", "0.2"], [], 8),
     ], ids=["no_balanced_x", "no_p_of_one", "bpfc_off_balance", "pfc_beside_bpfc"])
     def test_a_check_without_grid_points_is_named_as_skipped(self, capsys, argv, skipped, checks):
         assert main(["verify", *argv]) == 0

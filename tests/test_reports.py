@@ -73,9 +73,10 @@ class TestReportValues:
         with pytest.raises(ValueError, match="x must lie"):
             ccr_report(ChannelSpec(ChannelKind.ADC, 0.5), 1.2)
 
-    @pytest.mark.parametrize("x", ["0.5", True, False, np.True_, 0.5j, None, Fraction(1, 2)],
+    @pytest.mark.parametrize("x", ["0.5", True, False, np.True_, 0.5j, None, Fraction(1, 2),
+                                   np.longdouble(0.5)],
                              ids=["str", "true", "false", "numpy-bool", "complex", "none",
-                                  "fraction"])
+                                  "fraction", "longdouble"])
     def test_report_x_must_be_real(self, x):
         # a bool is not evaluated as 1 (and recorded as True), and no
         # TypeError leaks out of a comparison
@@ -87,6 +88,17 @@ class TestReportValues:
         assert type(ccr_report(ChannelSpec(ChannelKind.PFC, 0.3), 0).x) is int
         assert ccr_report(ChannelSpec(ChannelKind.ADC, 0.3), np.float64(0.5)).x == 0.5
 
+    @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda k: k.value)
+    def test_a_float32_report_is_its_float64_twin_bytewise(self, kind):
+        # p and x are widened where they enter the engine, which is exact
+        mu = 1.0 if kind is ChannelKind.CADC else 0.0
+        narrow = ccr_report(ChannelSpec(kind, np.float32(0.3), np.float32(mu)), np.float32(0.6))
+        wide = ccr_report(ChannelSpec(kind, float(np.float32(0.3)), mu), float(np.float32(0.6)))
+        assert narrow.x == wide.x and narrow.p == wide.p
+        for got, want in ((narrow.measures, wide.measures), (narrow.residuals, wide.residuals)):
+            assert list(got) == list(want)
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
     @pytest.mark.parametrize("kind, x", [(ChannelKind.ADC, -0.5), (ChannelKind.PFC, 1.5),
                                          (ChannelKind.DC, math.nan)],
                              ids=["adc-negative", "pfc-above-one", "dc-nan"])
@@ -97,9 +109,11 @@ class TestReportValues:
             initial_state(kind, x)
 
     @pytest.mark.parametrize("x", ["0.5", None, 0.5j, True, [0.2, 0.3], np.array([]),
-                                   np.array([True, False]), np.array([0.5j]), Fraction(1, 2)],
+                                   np.array([True, False]), np.array([0.5j]), Fraction(1, 2),
+                                   np.longdouble(0.5), np.array([0.5], dtype=np.longdouble)],
                              ids=["str", "none", "complex", "true", "list", "empty-array",
-                                  "bool-array", "complex-array", "fraction"])
+                                  "bool-array", "complex-array", "fraction", "longdouble",
+                                  "longdouble-array"])
     def test_initial_state_x_must_be_a_real_number_or_array(self, x):
         # no TypeError or numpy reduction error leaks out, and True is not x = 1
         with pytest.raises(ValueError, match=r"x must lie in \[0, 1\], got "):
@@ -280,7 +294,8 @@ class TestBlockCost:
         # kernel only since it solves one table)
         for name, modules in (("_partial_trace", (linalg, measures)),
                               ("_qubit_eigenvalues", (measures, reports)),
-                              ("check_norms", (linalg, measures, channels))):
+                              ("check_norms", (linalg, measures, channels)),
+                              ("_plan", (reports,)), ("_gather", (reports,))):
             call = counted(name.lstrip("_"), getattr(modules[0], name))
             for module in modules:
                 monkeypatch.setattr(module, name, call, raising=False)
@@ -305,6 +320,16 @@ class TestBlockCost:
             counts.clear()
             _block_columns(kind, mu, 0.5, ps)
             assert counts.get("qubit_eigenvalues", 0) == self.QUBIT_EIGENVALUES[kind]
+
+    @pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
+    def test_one_table_read_per_block(self, monkeypatch, kind, mu):
+        # the block's layout plan and its pair gather table are each looked
+        # up once; every 2x2 block is read from the one entry table
+        counts = self.counting(monkeypatch)
+        for ps in (np.array([0.5]), np.linspace(0.0, 1.0, 101)):
+            counts.clear()
+            _block_columns(kind, mu, 0.5, ps)
+            assert (counts.get("plan"), counts.get("gather")) == (1, 1)
 
     @pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
     def test_one_norm_check_per_report(self, monkeypatch, kind, mu):
@@ -368,13 +393,21 @@ class TestSuddenDeath:
             sudden_death_point(1.0)
 
     @pytest.mark.parametrize("x", ["0.5", None, 0.5j, True, np.array([0.3]), np.array([0.2, 0.3]),
-                                   Fraction(1, 2)],
+                                   Fraction(1, 2), np.longdouble(0.5)],
                              ids=["str", "none", "complex", "bool", "one-array", "array",
-                                  "fraction"])
+                                  "fraction", "longdouble"])
     def test_x_must_be_a_real_number(self, x):
         # no TypeError or numpy truth-value error leaks out
         with pytest.raises(ValueError, match=r"x must lie strictly inside \(0, 1\), got "):
             sudden_death_point(x)
+
+    @pytest.mark.parametrize("x", [0.2, 0.6], ids=["0.2", "0.6"])
+    def test_a_float32_x_is_its_float64_twin(self, x):
+        # widened after the check: a float32 closed form once missed the
+        # bisection by more than 1e-8 at 0.6
+        got = sudden_death_point(np.float32(x))
+        assert type(got) is float
+        assert got == sudden_death_point(float(np.float32(x)))
 
 
 def assert_normalized_real_states(kind, x):
@@ -477,7 +510,7 @@ def test_derived_states_are_density_matrices(kind, mu, x, ps):
     # the engine checks only the dilated amplitudes; every state it reduces
     # from them is M M^dag of normalized amplitudes, so a density matrix
     ps = np.array([0.0, *ps, 1.0])
-    with mock.patch.object(reports, "local_measures", wraps=reports.local_measures) as local:
+    with mock.patch.object(reports, "_measure_columns", wraps=reports._measure_columns) as stage:
         _, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
     pairs = [pair for pair in PAIRS.values() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *pairs)
@@ -485,8 +518,11 @@ def test_derived_states_are_density_matrices(kind, mu, x, ps):
     check_density(stack)
     for marginals in factor_marginals(stack, (2, 2)):
         check_density(marginals)
-    rho_a, initial = local.call_args.args
-    check_density(rho_a)
+    # A's marginal, the A-E_A pair's first factor, and the initial marginal
+    # the measure stage reads its local and *_initial columns from
+    check_density(factor_marginals(stack[pairs.index(PAIRS["AEA"])], (2, 2))[0])
+    initial = stage.call_args.args[2]
+    assert initial.shape == (1, 2, 2)
     check_density(initial)
 
 

@@ -6,10 +6,11 @@ one row per mask; ``sector_decomposition`` lists its present rows.  The
 reference functions below are the former per-keep transpose loop and
 per-mask loop; both kernels must give the same bytes and the same dict key
 order, and the engine's sector rows must be those bytes, or +0.0 where a
-sector is absent.  ``reports._measure_columns`` reads every pair's
-marginals from its entries and the A-B pair's closed forms from one X
-reading; the former traced route is kept below as the reference, which
-every column must match to 1e-15 and every ``ppt_*`` flag exactly.  The
+sector is absent.  ``reports._measure_columns`` reads every 2x2 block it
+measures, each pair's marginals and each X or partial-transpose block, from
+one entry table of the pair stack through the layout's cached plan; the
+former traced route is kept below as the reference, which every column must
+match to 1e-15 and every ``ppt_*`` flag exactly.  The
 real channels' amplitudes are float64, and measuring them gives the bytes
 that measuring them as complex gives.  The sudden-death bisection brackets
 every x in one stacked block per round; the former loop over x, one block
@@ -38,19 +39,23 @@ from ccrsweep.measures import (
     concurrence_x_state,
     factor_marginals,
     hs_coherence,
+    hs_predictability,
+    linear_entropy,
     sector_decomposition,
 )
 from ccrsweep.reports import (
     PAIRS,
+    _ENTRIES,
     _SECTOR_COLUMNS,
+    _SELECT,
     _block_columns,
     _gather,
     _measure_columns,
+    _plan,
     _reduced,
     _sector_columns,
     _sudden_death_bisection,
     initial_state,
-    local_measures,
 )
 
 BLOCKS = [(kind, mu) for kind in ChannelKind
@@ -186,6 +191,46 @@ def test_cached_tables_are_shared_and_read_only():
         flips[0, 0] = 1
 
 
+@pytest.mark.parametrize("labels", [("A", "B", "E_A", "E_B"), ("A", "E_A")],
+                         ids=["two-qubit", "one-qubit"])
+def test_measure_plan_is_shared_and_read_only(labels):
+    layout = qubits(*labels)
+    plan = _plan(layout)
+    assert plan is _plan(layout)
+    assert isinstance(plan, tuple)
+    pairs, aea, cc_columns, ppt_columns, eigen_tables = plan
+    names = [name for name, pair in PAIRS.items() if set(pair) <= set(labels)]
+    assert pairs == tuple(PAIRS[name] for name in names)
+    assert pairs[aea] == PAIRS["AEA"]
+    assert cc_columns == tuple(f"Cc_{name}" for name in names)
+    assert ppt_columns == tuple(f"ppt_{name}" for name in names if name != "AB")
+    assert (eigen_tables is None) is ("AB" not in names)
+    for table in (_SELECT, *(eigen_tables or ())):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+    # the eigen-tables index the pairs in the two-qubit stack order
+    assert eigen_tables is None or names == list(PAIRS)
+
+
+@pytest.mark.parametrize("ps", PS.values(), ids=PS.keys())
+@pytest.mark.parametrize("block", BLOCKS, ids=block_ids)
+def test_entry_table_holds_the_listed_sums_bytewise(block, ps):
+    # each entry, read by one product with the 0/1 matrix, has the bits of
+    # the modulus of its terms added directly
+    kind, mu = block
+    for x in XS:
+        _, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
+        stack = _reduced(amplitudes, layout, *_plan(layout)[0])
+        flat = stack.reshape(stack.shape[:2] + (16,))
+        got = np.abs(flat @ _SELECT)
+        assert got.shape == stack.shape[:2] + (len(_ENTRIES),)
+        for column, terms in enumerate(_ENTRIES):
+            total = flat[..., terms[0]]
+            for term in terms[1:]:
+                total = total + flat[..., term]
+            assert got[..., column].tobytes() == np.abs(total).tobytes(), (x, terms)
+
+
 def entropy(lam):
     """Von Neumann entropy of spectra (..., n): minus the sum of their terms."""
     return -_entropy_terms(lam).sum(axis=-1)
@@ -194,13 +239,19 @@ def entropy(lam):
 def measure_columns_by_traces(amplitudes, layout, initial):
     """The measure columns by the former route: each pair's marginals traced
     (factor_marginals) and measured by hs_coherence and the spectrum kernel,
-    S(AB) from the sorted X block eigenvalues (the spectrum kernel's former
-    X branch) and the concurrence by concurrence_x_state."""
+    A's marginal and the initial marginals (X, 2, 2) by the public matrix
+    measures, S(AB) from the sorted X block eigenvalues (the spectrum
+    kernel's former X branch) and the concurrence by concurrence_x_state."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     stack = _reduced(amplitudes, layout, *(PAIRS[name] for name in names))
     pairs = dict(zip(names, stack))
     firsts, seconds = factor_marginals(stack, (2, 2))
-    m = local_measures(firsts[names.index("AEA")], initial)
+    rho_a, per_x = firsts[names.index("AEA")], len(amplitudes) // len(initial)
+    m = {}
+    for suffix, states, repeat in (("A", rho_a, 1), ("A_initial", initial, per_x)):
+        m[f"P_hs_{suffix}"] = hs_predictability(states).repeat(repeat)
+        m[f"C_hs_{suffix}"] = hs_coherence(states).repeat(repeat)
+        m["S_l_A" if suffix == "A" else "S_l_initial"] = linear_entropy(states).repeat(repeat)
     m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
     hs_joint, hs_first, hs_second = hs_coherence(stack), hs_coherence(firsts), hs_coherence(seconds)
     m.update(zip([f"Cc_{name}" for name in names], hs_joint - hs_first - hs_second))

@@ -28,6 +28,9 @@ from ccrsweep.linalg import qubits
 from ccrsweep.measures import (
     PPT_TOL,
     _entropy_terms,
+    _hs_coherence,
+    _hs_predictability,
+    _linear_entropy,
     _mask_table,
     _off_x,
     _ppt_min,
@@ -197,7 +200,6 @@ def test_measure_plan_is_shared_and_read_only(labels):
     layout = qubits(*labels)
     plan = _plan(layout)
     assert plan is _plan(layout)
-    assert isinstance(plan, tuple)
     pairs, aea, cc_columns, ppt_columns, eigen_tables = plan
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(labels)]
     assert pairs == tuple(PAIRS[name] for name in names)
@@ -248,10 +250,11 @@ def measure_columns_by_traces(amplitudes, layout, initial):
     firsts, seconds = factor_marginals(stack, (2, 2))
     rho_a, per_x = firsts[names.index("AEA")], len(amplitudes) // len(initial)
     m = {}
-    for suffix, states, repeat in (("A", rho_a, 1), ("A_initial", initial, per_x)):
-        m[f"P_hs_{suffix}"] = hs_predictability(states).repeat(repeat)
-        m[f"C_hs_{suffix}"] = hs_coherence(states).repeat(repeat)
-        m["S_l_A" if suffix == "A" else "S_l_initial"] = linear_entropy(states).repeat(repeat)
+    for columns, states, repeat in ((("P_hs_A", "C_hs_A", "S_l_A"), rho_a, 1),
+                                    (("P_hs_A_initial", "C_hs_A_initial", "S_l_initial"),
+                                     initial, per_x)):
+        for name, measure in zip(columns, (hs_predictability, hs_coherence, linear_entropy)):
+            m[name] = measure(states).repeat(repeat)
     m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
     hs_joint, hs_first, hs_second = hs_coherence(stack), hs_coherence(firsts), hs_coherence(seconds)
     m.update(zip([f"Cc_{name}" for name in names], hs_joint - hs_first - hs_second))
@@ -297,6 +300,25 @@ def test_pair_entry_columns_match_the_traced_route(block, ps):
                 assert np.array_equal(got[name], want[name]), (name, x)
             else:
                 assert np.abs(got[name] - want[name]).max() <= 1e-15, (name, x)
+
+
+@pytest.mark.parametrize("ps", BLOCK_PS.values(), ids=BLOCK_PS.keys())
+@pytest.mark.parametrize("block", BLOCKS, ids=block_ids)
+def test_local_columns_are_the_matrix_kernels_bytewise(block, ps):
+    # the local and *_initial columns, read from (a, d, |b|) entries, have the
+    # bits of the matrix kernels on A's marginal (the A-E_A pair's first
+    # factor, two slice sums of its entries) and on the initial marginals,
+    # each repeated over its x's P rows
+    kind, mu = block
+    xs = np.array([0.0, 1e-8, 0.37, 1 / math.sqrt(2), 1.0])
+    got, amplitudes, layout, _ = _block_columns(kind, mu, xs, ps)
+    t = _reduced(amplitudes, layout, PAIRS["AEA"])[0].reshape(-1, 2, 2, 2, 2)
+    a = initial_state(kind, xs)[0].reshape(len(xs), 2, -1)
+    for columns, states, repeat in (
+            (("P_hs_A", "C_hs_A", "S_l_A"), t[..., :, 0, :, 0] + t[..., :, 1, :, 1], 1),
+            (("P_hs_A_initial", "C_hs_A_initial", "S_l_initial"), a @ a.swapaxes(-1, -2), len(ps))):
+        for name, kernel in zip(columns, (_hs_predictability, _hs_coherence, _linear_entropy)):
+            assert_same_bytes(got[name], kernel(states).repeat(repeat))
 
 
 def test_a_non_x_pair_is_rejected_by_the_public_concurrence():

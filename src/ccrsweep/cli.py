@@ -20,13 +20,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .channels import (
     _INTEGER, _REAL, _TWO_QUBIT_KINDS, ChannelKind, _dilate, _is_a, _kraus_stack, _operator_sums)
-from .linalg import TRACE_TOL, SubsystemLayout, check_density
+from .linalg import TRACE_TOL, check_density
 from .measures import PPT_TOL, _sectors
 from .reports import (
     APPLICABLE_IDENTITIES,
@@ -80,6 +80,9 @@ class SweepConfig:
             raise ValueError("channels: must name at least one channel")
         if bad := [kind for kind in self.channels if not isinstance(kind, ChannelKind)]:
             raise ValueError(f"channels: {bad[0]!r} is not a ChannelKind")
+        for i, kind in enumerate(self.channels):
+            if kind in self.channels[:i]:
+                raise ValueError(f"channels: duplicate channel {kind.value}")
         if not isinstance(self.x_values, (tuple, list)) or not self.x_values:
             raise ValueError(
                 f"x: must name at least one value in a tuple or list, got {self.x_values!r}")
@@ -229,21 +232,25 @@ class _Tracker:
 
     worst: dict[str, tuple[float, str]] = field(default_factory=dict)
 
-    def track(self, name: str, values, where: Callable[[int], str]) -> None:
-        """Record the largest of ``values`` (the first on ties; NaN ranks above
-        every number) if it beats the worst so far, placed by ``where(index)``;
-        an empty array records nothing."""
+    def track(self, name: str, values, kind: ChannelKind, **coords) -> None:
+        """Record the largest of ``values`` (N,) (the first on ties; NaN ranks
+        above every number) if it beats the worst so far, placed at
+        "<kind> k=v ..." by each coordinate in the order given: a number, or an
+        array (N,) aligned with ``values``; an empty array records nothing."""
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
         i = int(values.argmax())  # the first NaN, if any
         new, old = float(values[i]), self.worst.get(name, (None,))[0]
         if old is None or new > old or math.isnan(new) > math.isnan(old):
-            self.worst[name] = (new, where(i))
+            at = (f"{k}={v[i] if np.ndim(v) else v:g}" for k, v in coords.items())
+            self.worst[name] = (new, " ".join([kind.value, *at]))
 
 
 #: The checks of verify beside IDENTITIES, by name, over a block's measure
-#: columns, its "p" column and, for two-qubit kinds, its _state_columns.
+#: columns, its "p" column and, for two-qubit kinds, its "ppt_min" (the
+#: engine's partial-transpose minima, the A-B pair's, then the cross pairs')
+#: and "sectors" (its sector weights, one row per mask).
 CHECKS: dict[str, Identity] = {
     "adc_entropy_dominance": Identity(
         (ChannelKind.ADC,), lambda m: np.maximum(0.0, m["Cc_AB"] - m["S_l_A"])),
@@ -258,30 +265,17 @@ CHECKS: dict[str, Identity] = {
     "dc_terminal_locality": Identity((ChannelKind.DC,), lambda m: np.maximum.reduce([
         abs(m["S_l_A"]), abs(m["C_global"] - m["C_hs_A"]), abs(m["Cc_AEA"])]),
         lambda kind, mu, x, p: p == 1.0),
-    "xstate_ppt_consistency": Identity(tuple(_TWO_QUBIT_KINDS), lambda m: m["entangled_but_ppt"]),
-    "cross_partition_ppt": Identity(
-        (ChannelKind.PDC, ChannelKind.BFC), lambda m: m["cross_ppt_defect"]),
+    "xstate_ppt_consistency": Identity(tuple(_TWO_QUBIT_KINDS), lambda m: (
+        (m["concurrence_AB"] > 1e-10) & (m["ppt_min"][0] >= -PPT_TOL)).astype(float)),
+    "cross_partition_ppt": Identity((ChannelKind.PDC, ChannelKind.BFC),
+                                    lambda m: np.maximum(0.0, -m["ppt_min"][1:].min(axis=0))),
+    # row by row in mask order; np.sum may reorder
     "sector_total_consistency": Identity(
-        tuple(_TWO_QUBIT_KINDS), lambda m: abs(m["sector_total"] - m["C_global"])),
+        tuple(_TWO_QUBIT_KINDS), lambda m: abs(sum(m["sectors"]) - m["C_global"])),
 }
 
 #: Every row verify checks, by name: IDENTITIES, then CHECKS.
 ROWS: dict[str, Identity] = {ident.value: row for ident, row in IDENTITIES.items()} | CHECKS
-
-
-def _state_columns(m: dict, ppt_min: np.ndarray, amplitudes: np.ndarray,
-                   layout: SubsystemLayout) -> dict:
-    """PPT and sector columns of a two-qubit block, from the engine's own
-    partial-transpose minima (the A-B pair's, then the cross pairs') and
-    dilated states, unchecked; the states are decomposed into sectors once, here."""
-    entangled_but_ppt = (m["concurrence_AB"] > 1e-10) & (ppt_min[0] >= -PPT_TOL)
-    weights = _sectors(amplitudes, len(layout.labels))
-    return {
-        "entangled_but_ppt": entangled_but_ppt.astype(float),
-        "cross_ppt_defect": np.maximum(0.0, -ppt_min[1:].min(axis=0)),
-        "sector_total": sum(weights),  # row by row in mask order; np.sum may reorder
-        **_sector_columns(weights),
-    }
 
 
 def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> set[str]:
@@ -294,17 +288,16 @@ def _verify_blocks(cfg: SweepConfig, t: _Tracker) -> set[str]:
         x_rows, p_rows = _rows(xs, ps)
         m, amplitudes, layout, ppt_min = _block_columns(kind, mu, xs, ps)
         m = {**m, "p": p_rows}
-        if kind.n_system_qubits == 2:
-            m.update(_state_columns(m, ppt_min, amplitudes, layout))
+        if kind.n_system_qubits == 2:  # decomposed into sectors once, here
+            m.update(ppt_min=ppt_min, sectors=_sectors(amplitudes, len(layout.labels)))
+            m.update(_sector_columns(m["sectors"]))
         for name, row in ROWS.items():
             domain = kind in row.kinds and row.domain(kind, mu, x_rows, p_rows)
             if not isinstance(domain, np.ndarray) and not domain:
                 continue
             applied.add(name)
-            residual, x_at, p_at = row.residual(m), x_rows, p_rows
-            if isinstance(domain, np.ndarray):  # a mask over the rows
-                residual, x_at, p_at = residual[domain], x_rows[domain], p_rows[domain]
-            t.track(name, residual, lambda i: f"{kind.value} x={x_at[i]:g} p={p_at[i]:g}")
+            at = domain if isinstance(domain, np.ndarray) else slice(None)  # a mask over the rows
+            t.track(name, row.residual(m)[at], kind, x=x_rows[at], p=p_rows[at])
     return applied
 
 
@@ -315,26 +308,21 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
     form."""
     ps = cfg.p_grid()
     xs = np.array([0.5, BALANCED_X])
+    x_rows, p_rows = _rows(xs, ps)
     for kind in cfg.channels:
         psi, layout = _initial_state(kind, xs)
         rhos = psi[:, :, np.newaxis] * psi[:, np.newaxis, :].conj()
         for mu in (0.0, 0.5, 1.0) if kind is ChannelKind.CADC else (0.0,):
-            def where(i: int) -> str:
-                return f"{kind.value} p={ps[i % len(ps)]:g} mu={mu:g}"
-
-            def where_x(i: int) -> str:  # over the (x, p) grid, x-major
-                return f"{where(i)} x={xs[i // len(ps)]:g}"
-
             # mu = 0.5 has no two-qubit-environment dilation to compare
             kraus = _kraus_stack(kind, ps, mu)
             defects, via_kraus = _operator_sums(kraus, None if mu == 0.5 else rhos)
-            t.track("kraus_completeness", defects, where)
+            t.track("kraus_completeness", defects, kind, p=ps, mu=mu)
             if via_kraus is None:
                 continue
             # the images keep the trace as far as their set's defect allows: each
             # trace defect is a row, and the images within TRACE_TOL are checked
             traces = np.abs(np.einsum("...ii->...", via_kraus) - 1.0)
-            t.track("kraus_image_trace", traces.ravel(), where_x)
+            t.track("kraus_image_trace", traces.ravel(), kind, p=p_rows, mu=mu, x=x_rows)
             if (within := traces <= TRACE_TOL).any():
                 check_density(via_kraus[within])
             if kind is ChannelKind.CADC and mu == 0.0:
@@ -345,14 +333,14 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
                 closed = diag[:, np.newaxis, :] * np.eye(4)
                 closed[:, 0, 3] = closed[:, 3, 0] = x * y * (1.0 - ps)
                 t.track("cadc_memoryless_limit", np.abs(via_kraus[0] - closed).max(axis=(1, 2)),
-                        lambda i: f"cadc p={ps[i]:g}")
+                        kind, p=ps)
             amplitudes, global_layout = _dilate(kraus, psi, layout)
             norms = (amplitudes.conj() * amplitudes).real.sum(axis=-1)
-            t.track("dilation_norm", abs(norms - 1.0), where)
+            t.track("dilation_norm", abs(norms - 1.0), kind, p=p_rows, mu=mu, x=x_rows)
             via_dilation = _reduced(amplitudes, global_layout, layout.labels)[0]
             t.track("dilation_kraus_agreement",
                     np.abs(via_dilation - via_kraus.reshape(via_dilation.shape)).max(axis=(1, 2)),
-                    where_x)
+                    kind, p=p_rows, mu=mu, x=x_rows)
 
 
 def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:
@@ -360,7 +348,7 @@ def _verify_sudden_death(cfg: SweepConfig, t: _Tracker) -> None:
         return
     xs = np.array([0.1, 0.2, 0.25, 0.3, 0.5])
     t.track("adc_sudden_death", np.abs(xs / np.sqrt(1.0 - xs * xs) - _sudden_death_bisection(xs)),
-            lambda i: f"adc x={xs[i]:g}")
+            ChannelKind.ADC, x=xs)
 
 
 def verify_command(cfg: SweepConfig) -> int:

@@ -237,17 +237,17 @@ def _plan(layout: SubsystemLayout):
 
 def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: np.ndarray):
     """Every measure column but the sector columns, as arrays over the block,
-    of dilated states (R, dim), R = X * P rows x-major, and of the X initial
-    marginals (X, 2, 2) of A, and the (K, R) smallest partial-transpose
-    eigenvalues of the pair stack in stack order (A-B's first, where the
-    layout has it).  The layout's pairs form one stack (K, R, 4, 4); each 2x2
-    block the measures read, marginal, X or transposed, is read from its entries."""
+    of dilated states (R, dim), R = X * P rows x-major, and of the entries
+    (a, d, b) (3, X) of A's X initial marginals, and the (K, R) smallest
+    partial-transpose eigenvalues of the pair stack in stack order (A-B's first,
+    where the layout has it).  The layout's pairs form one stack (K, R, 4, 4);
+    each 2x2 block the measures read, marginal, X or transposed, is read from its entries."""
     pairs, aea, cc_columns, ppt_columns, eigen_tables = _plan(layout)
     stack = _reduced(amplitudes, layout, *pairs)
     entries = np.abs(stack.reshape(stack.shape[:2] + (16,)) @ _SELECT)  # (K, R, 14)
     # A's (a, d, |b|) and the initial marginals' over their x's P rows; each
     # measure sums in the order of the matrix measures (S_l = 1 - tr rho^2)
-    initial = np.abs(initial.reshape(-1, 4).T[[0, 3, 1]]).repeat(len(amplitudes) // len(initial), 1)
+    initial = np.abs(initial).repeat(len(amplitudes) // initial.shape[1], 1)
     squares = np.concatenate([entries[aea, :, 6:9].T, initial]) ** 2
     a2, d2, b2 = squares.reshape(2, 3, -1).swapaxes(0, 1)  # (2, R) each, A's then the initial
     p_hs, c_hs, s_l = a2 + d2 - 0.5, 2.0 * b2, 1.0 - ((a2 + b2) + (b2 + d2))
@@ -304,8 +304,8 @@ def _block_columns(kind: ChannelKind, mu: float, xs, ps: np.ndarray):
     construction.  Each reader evaluates the rows of IDENTITIES it reads."""
     psi, sys_layout = _initial_state(kind, xs)
     amplitudes, layout = _dilate(_kraus_stack(kind, ps, mu), psi, sys_layout)
-    a = psi.reshape(-1, 2, psi.shape[-1] // 2)  # A's amplitudes against the rest of the system
-    initial = a @ a.conj().swapaxes(-1, -2)
+    c = psi.reshape(-1, psi.shape[-1]).T  # A's marginal (a, d, b): c1 = y on one qubit, 0 on two
+    initial = c[[0, -1, 0]] * c[[0, -1, 1]]
     measures, ppt_min = _measure_columns(amplitudes, layout, initial)
     return measures, amplitudes, layout, ppt_min
 

@@ -8,7 +8,8 @@ import pytest
 from ccrsweep import channels, cli, measures, reports
 from ccrsweep.channels import ChannelKind, ChannelSpec
 from ccrsweep.linalg import outer, partial_trace
-from ccrsweep.measures import correlated_coherence_hs, is_ppt, sector_decomposition
+from ccrsweep.measures import (
+    correlated_coherence_hs, hs_coherence, is_ppt, sector_decomposition)
 from ccrsweep.reports import (
     APPLICABLE_IDENTITIES,
     BALANCED_X,
@@ -28,8 +29,8 @@ from ccrsweep.cli import (
     _BLOCK_AMPLITUDES,
     SweepConfig,
     _blocks,
-    _state_columns,
     _Tracker,
+    _rows,
     _verify_blocks,
     _verify_kraus,
     _verify_sudden_death,
@@ -165,6 +166,11 @@ class TestConfigValidation:
     def test_x_duplicates_rejected(self):
         with pytest.raises(ValueError, match="x: duplicate value 0.5"):
             small_config(x_values=(0.2, 0.5, 0.5))
+
+    def test_channel_duplicates_rejected(self):
+        # no sweep writes the same row twice
+        with pytest.raises(ValueError, match="channels: duplicate channel adc"):
+            small_config(channels=(ChannelKind.ADC, ChannelKind.PDC, ChannelKind.ADC))
 
     def test_fractional_mu_with_correlated_damping(self):
         with pytest.raises(ValueError, match="mu"):
@@ -542,63 +548,132 @@ class TestVerifyCommand:
         assert "cadc_redistribution" not in out
 
 
+class Placed:
+    """A coordinate entry that records when the tracker formats it."""
+
+    def __init__(self, log, i):
+        self.log, self.i = log, i
+
+    def __format__(self, spec: str) -> str:
+        self.log(self.i)
+        return f"{self.i}"
+
+
 class TestTracker:
     def test_first_max_wins_and_only_the_winner_is_placed(self):
         placed = []
-
-        def where(i):
-            placed.append(i)
-            return f"row {i}"
-
+        rows = [Placed(placed.append, i) for i in range(4)]
         t = _Tracker()
-        t.track("c", [0.1, 0.3, 0.3, 0.2], where)
-        assert t.worst["c"] == (0.3, "row 1")
-        t.track("c", np.array([0.3]), where)  # a tie keeps the earlier worst
-        assert t.worst["c"] == (0.3, "row 1")
-        t.track("c", [0.5, 0.4], where)
-        assert t.worst["c"] == (0.5, "row 0")
-        assert placed == [1, 0]
+        t.track("c", [0.1, 0.3, 0.3, 0.2], ChannelKind.ADC, row=rows)
+        assert t.worst["c"] == (0.3, "adc row=1")
+        t.track("c", np.array([0.3]), ChannelKind.ADC, row=rows[:1])  # a tie keeps the first
+        assert t.worst["c"] == (0.3, "adc row=1")
+        t.track("c", [0.5, 0.4], ChannelKind.PDC, row=rows[2:], mu=0.5, x=np.array([0.25, 1.0]))
+        assert t.worst["c"] == (0.5, "pdc row=2 mu=0.5 x=0.25")  # in the order given
+        assert placed == [1, 2]
 
     def test_nan_ranks_as_the_worst_value(self):
         t = _Tracker()
-        t.track("c", [1e-16], lambda i: "finite")
-        t.track("c", [0.5, np.nan, np.nan], lambda i: f"nan {i}")
-        t.track("c", [np.inf], lambda i: "inf")
+        t.track("c", [1e-16], ChannelKind.ADC, p=0.5)
+        t.track("c", [0.5, np.nan, np.nan], ChannelKind.PFC, p=np.array([0.1, 0.2, 0.3]))
+        t.track("c", [np.inf], ChannelKind.DC, p=1.0)
         value, where = t.worst["c"]
-        assert math.isnan(value) and where == "nan 1"
+        assert math.isnan(value) and where == "pfc p=0.2"
 
     def test_empty_array_records_nothing(self):
         t = _Tracker()
-        t.track("c", np.array([]), lambda i: pytest.fail("an empty array was placed"))
+        t.track("c", np.array([]), ChannelKind.ADC, p=np.array([]),
+                mu=Placed(pytest.fail, "an empty array was placed"))
         assert t.worst == {}
 
 
 @pytest.mark.parametrize("kind", [k for k in ChannelKind if k.n_system_qubits == 2])
 @pytest.mark.parametrize("x", [0.0, 0.3, INV_SQRT2, 1.0])
 def test_state_columns_match_the_per_point_route(kind, x):
-    # reference: each dilated state as a DensityOperator, its pairs by
-    # partial_trace, PPT by a transpose written here and an eigensolve per matrix
+    # the rows that read the PPT minima and the sectors; reference: each
+    # dilated state as a DensityOperator, its pairs by partial_trace, PPT by
+    # a transpose written here and an eigensolve per matrix
     mu = 1.0 if kind is ChannelKind.CADC else 0.0
     ps = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
     m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
-    columns = _state_columns(m, ppt_min, amplitudes, layout)
+    # the block as verify's rows read it
+    m = {**m, "ppt_min": ppt_min, "sectors": measures._sectors(amplitudes, len(layout.labels))}
+    residuals = {name: cli.ROWS[name].residual(m) for name in (
+        "xstate_ppt_consistency", "cross_partition_ppt", "sector_total_consistency")}
     for i, psi in enumerate(amplitudes):
         rho_g = outer(psi, layout)
         cc_abe = correlated_coherence_hs(rho_g, ("A", "B", "E_A", "E_B"))
         assert abs(m["Cc_ABE"][i] - cc_abe) <= 1e-14
         rho_ab = partial_trace(rho_g, PAIRS["AB"])
         entangled_but_ppt = m["concurrence_AB"][i] > 1e-10 and is_ppt(rho_ab)
-        assert columns["entangled_but_ppt"][i] == float(entangled_but_ppt)
+        assert residuals["xstate_ppt_consistency"][i] == float(entangled_but_ppt)
         defect = 0.0
         for name in ("AEA", "AEB", "EAEB"):
             # the transpose on the pair's first qubit: (a, b, a', b') -> (a', b, a, b')
             pt = partial_trace(rho_g, PAIRS[name]).mat.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3)
             lam = np.linalg.eigvalsh(pt.reshape(4, 4))[0]
             defect = max(defect, -float(lam))
-        assert abs(columns["cross_ppt_defect"][i] - defect) <= 1e-14
+        assert abs(residuals["cross_partition_ppt"][i] - defect) <= 1e-14
         weights = sector_decomposition(psi, layout)
-        assert abs(columns["sector_total"][i] - sum(weights.values())) <= 1e-14
-        assert abs(columns["sector_AB"][i] - weights.get(frozenset(PAIRS["AB"]), 0.0)) <= 1e-14
+        total = abs(sum(weights.values()) - hs_coherence(rho_g))
+        assert abs(residuals["sector_total_consistency"][i] - total) <= 1e-14
+        sector_ab = _sector_columns(m["sectors"])["sector_AB"][i]
+        assert abs(sector_ab - weights.get(frozenset(PAIRS["AB"]), 0.0)) <= 1e-14
+
+
+#: The coordinates each check's location names: every check over an (x, p)
+#: grid names both, the Kraus stage's mu too.
+LOCATIONS = {
+    **{name: ["x", "p"] for name in cli.ROWS},
+    **{name: ["p", "mu", "x"] for name in (
+        "kraus_image_trace", "dilation_norm", "dilation_kraus_agreement")},
+    "kraus_completeness": ["p", "mu"],  # one Kraus set per p
+    "cadc_memoryless_limit": ["p"],  # x = 0.5 at mu = 0
+    "adc_sudden_death": ["x"],  # the largest p with entanglement, per x
+}
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_every_grid_check_names_its_x_and_its_p(mu):
+    t = _Tracker()
+    cfg = SweepConfig(mu=mu, p_count=11)
+    _verify_blocks(cfg, t)
+    _verify_kraus(cfg, t)
+    _verify_sudden_death(cfg, t)
+    assert t.worst.keys() <= LOCATIONS.keys()
+    assert "dilation_norm" in t.worst
+    for name, (_, where) in t.worst.items():
+        kind, *coords = where.split(" ")
+        assert name not in cli.ROWS or ChannelKind(kind) in cli.ROWS[name].kinds
+        assert [c.partition("=")[0] for c in coords] == LOCATIONS[name], (name, where)
+        assert all(float(c.partition("=")[2]) >= 0.0 for c in coords), (name, where)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_a_masked_row_names_an_in_domain_point(monkeypatch, mu):
+    # every residual is 1 on every row, so each row's first point wins; a
+    # masked row must name the first point of its mask, not of its block
+    ones = {name: Identity(row.kinds, lambda m: np.ones(len(m["p"])), row.domain)
+            for name, row in cli.ROWS.items()}
+    monkeypatch.setattr(cli, "ROWS", ones)
+    cfg = SweepConfig(mu=mu)
+    t = _Tracker()
+    _verify_blocks(cfg, t)
+    ps, in_domain, masked = cfg.p_grid(), {}, set()
+    for kind, block_mu, xs in _blocks(cfg, set(cfg.x_values) | set(TENTHS)):
+        x_rows, p_rows = _rows(xs, ps)
+        for name, row in cli.ROWS.items():
+            domain = kind in row.kinds and row.domain(kind, block_mu, x_rows, p_rows)
+            masked |= {name} if isinstance(domain, np.ndarray) else set()
+            for x, p, ok in zip(x_rows, p_rows, np.broadcast_to(domain, len(p_rows))):
+                where = f"{kind.value} x={x:g} p={p:g}"
+                in_domain[name, where] = in_domain.get((name, where), False) or bool(ok)
+    assert {"adc_symmetric_columns", "dc_terminal_locality", "three_halves"} <= masked
+    for name, (_, where) in t.worst.items():
+        assert in_domain[name, where], (name, where)
+    # a block's first row is off these masks
+    assert t.worst["dc_terminal_locality"][1].endswith(" p=1")
+    assert " x=0.707107 " in t.worst["adc_symmetric_columns"][1]
 
 
 def test_verify_walk_solves_one_eigen_table_per_two_qubit_block(monkeypatch):
@@ -927,6 +1002,17 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("channels", ["adc,adc", "adc,ADC"])
+    def test_duplicate_channels_is_config_error(self, tmp_path, capsys, command, channels):
+        argv = [command, "--channels", channels, "--x", "0.5", "--p-count", "2"]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "rows.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: channels: duplicate channel adc" in err
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(
@@ -960,7 +1046,8 @@ class TestMain:
         # the list parsers name their key already; it is not named twice
         ("x=0.5,abc", "error: x: could not convert string to float: 'abc'"),
         ("channels=adc,warp", "error: channels: unknown channel 'warp'"),
-    ], ids=["p_count", "mu", "x", "channels"])
+        ("channels=pdc, PDC", "error: channels: duplicate channel pdc"),
+    ], ids=["p_count", "mu", "x", "channels", "channels-duplicate"])
     def test_config_file_bad_value_names_its_key(self, tmp_path, capsys, line, message):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(line + "\n")

@@ -518,10 +518,12 @@ def test_derived_states_are_density_matrices(kind, mu, x, ps):
     check_density(stack)
     for marginals in factor_marginals(stack, (2, 2)):
         check_density(marginals)
-    # A's marginal, the A-E_A pair's first factor, and the initial marginal
-    # the measure stage reads its local and *_initial columns from
+    # A's marginal, the A-E_A pair's first factor, and the initial marginal,
+    # of the entries (a, d, b) the measure stage reads its local and
+    # *_initial columns from
     check_density(factor_marginals(stack[pairs.index(PAIRS["AEA"])], (2, 2))[0])
-    initial = stage.call_args.args[2]
+    a, d, b = stage.call_args.args[2]
+    initial = np.array([[a, b], [b, d]]).transpose(2, 0, 1)
     assert initial.shape == (1, 2, 2)
     check_density(initial)
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from ccrsweep.channels import ChannelKind, dilate_block
-from ccrsweep.cli import _state_columns
+from ccrsweep.cli import ROWS
 from ccrsweep.linalg import qubits
 from ccrsweep.measures import (
     PPT_TOL,
@@ -158,7 +158,7 @@ def test_engine_sector_rows_are_the_decomposition_bytewise(block, ps):
     kind, mu = block
     absent = 0
     for x in XS:
-        m, amplitudes, layout, ppt_min = _block_columns(kind, mu, x, ps)
+        m, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
         weights = _sectors(amplitudes, len(layout.labels))
         assert (weights.shape, weights.dtype) == ((15, len(ps)), np.float64)
         listed = sector_decomposition(amplitudes, layout)
@@ -169,9 +169,12 @@ def test_engine_sector_rows_are_the_decomposition_bytewise(block, ps):
             else:  # exactly +0.0, as the former zero fill
                 assert weights[mask - 1].tobytes() == np.zeros(len(ps)).tobytes(), (x, mask)
                 absent += 1
-        columns = _state_columns(m, ppt_min, amplitudes, layout)
+        # verify's sector total, the sector_total_consistency row, sums the
+        # rows in mask order, as the former sum over the listed sectors
         former_total = sum(listed.values(), np.zeros(len(ps)))
-        assert columns["sector_total"].tobytes() == former_total.tobytes(), x
+        residual = ROWS["sector_total_consistency"].residual({**m, "sectors": weights})
+        assert residual.tobytes() == abs(former_total - m["C_global"]).tobytes(), x
+        columns = _sector_columns(weights)
         for name, factors in SECTOR_FACTORS.items():
             want = listed.get(factors, np.zeros(len(ps)))
             assert columns[name].tobytes() == want.tobytes(), (x, name)
@@ -343,8 +346,8 @@ def test_real_amplitudes_measure_as_their_complex_copies_bytewise(block, ps):
         psi, sys_layout = initial_state(kind, x)
         amplitudes, layout = dilate_block(kind, ps, mu, psi, sys_layout)
         assert amplitudes.dtype == np.float64
-        a = psi.reshape(1, 2, -1)
-        initial = a @ a.swapaxes(-1, -2)
+        c = psi.reshape(1, -1).T  # the entries (a, d, b) of A's initial marginal
+        initial = np.stack([c[0] * c[0], c[-1] * c[-1], c[0] * c[1]])  # c0 c0, c-1 c-1, c0 c1
         got, got_min = _measure_columns(amplitudes, layout, initial)
         want, want_min = _measure_columns(
             amplitudes.astype(complex), layout, initial.astype(complex))

@@ -50,9 +50,9 @@ DEFAULT_X = (0.1, 0.2, 0.25, 0.5, BALANCED_X)
 TENTHS = tuple(round(0.1 * i, 1) for i in range(11))
 
 #: The largest p grid a run accepts, ten times the dense 1 001-point grid.  A
-#: sweep holds its table in memory: at 1 001 p the default grid peaks at 86 MB
-#: RSS as CSV (0.44-0.60 s) and 185 MB as JSON (2-core host, numpy 2.4),
-#: about linear in p.
+#: sweep holds its table in memory: at 1 001 p the default grid peaks at 75 MB
+#: RSS as CSV (0.33-0.55 s) and 185 MB as JSON (0.93 s) (2-core host, numpy
+#: 2.4), about linear in p.
 MAX_P_COUNT = 10_001
 
 CSV_COLUMNS = (
@@ -154,8 +154,12 @@ def _rows(xs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: A sweep table: one dict per (channel, x) block, in row order, mapping each
-#: of CSV_COLUMNS to the block's cells (str, real or None), p ascending.
-Table = list[dict[str, list]]
+#: of CSV_COLUMNS to the block's cells, p ascending.  "p" is the sweep's one
+#: p grid, shared by every block, and a measure or residual column a float64
+#: view of its engine block's column; "channel", "mu", "x" and a column
+#: holding a None are lists (of str, of the numbers as given, of reals and
+#: None).
+Table = list[dict[str, list | np.ndarray]]
 
 
 def sweep_table(cfg: SweepConfig) -> Table:
@@ -171,15 +175,19 @@ def sweep_table(cfg: SweepConfig) -> Table:
         m, *_ = _block_columns(kind, mu, xs, ps)
         headline = IDENTITIES[APPLICABLE_IDENTITIES[kind][0]]
         in_domain = np.broadcast_to(headline.domain(kind, mu, x_rows, p_rows), len(p_rows))
-        columns = {name: m[name].tolist() if name in m else [None] * len(p_rows)
-                   for name in CSV_COLUMNS[4:-2]}
-        columns["residual_ccr"] = IDENTITIES[IdentityId.CCR_UNIVERSAL].residual(m).tolist()
-        columns["residual_channel_identity"] = [
-            r if ok else None for r, ok in zip(headline.residual(m).tolist(), in_domain.tolist())]
+        columns = {name: m.get(name) for name in CSV_COLUMNS[4:-2]}
+        columns["residual_ccr"] = IDENTITIES[IdentityId.CCR_UNIVERSAL].residual(m)
+        columns["residual_channel_identity"] = headline.residual(m)
         for i, x in enumerate(xs.tolist()):
+            rows = slice(i * n, (i + 1) * n)
             block = {"channel": [kind.value] * n, "mu": [np.asarray(mu).item()] * n,
-                     "x": [given.get(x, x)] * n, "p": ps.tolist()}
-            block.update({name: cells[i * n:(i + 1) * n] for name, cells in columns.items()})
+                     "x": [given.get(x, x)] * n, "p": ps}
+            block.update({name: [None] * n if cells is None else cells[rows]
+                          for name, cells in columns.items()})
+            if not (ok := in_domain[rows]).all():  # a list of reals and None
+                block["residual_channel_identity"] = [
+                    r if k else None
+                    for r, k in zip(block["residual_channel_identity"].tolist(), ok.tolist())]
             table.append(block)
     return table
 
@@ -187,20 +195,23 @@ def sweep_table(cfg: SweepConfig) -> Table:
 def render_csv(table: Table) -> str:
     """The table as CSV: None as an empty cell, a str as itself and a real as
     ``repr(float(v))``, the shortest decimal that round-trips.  Every column
-    of reals goes into one float64 array, and each distinct bit pattern in
-    it is formatted once, so 0.0 and -0.0 keep their own texts; a column
-    holding a None or a str is formatted cell by cell."""
+    of reals, an array or a list, goes into one float64 array, and each
+    distinct bit pattern in it is formatted once, so 0.0 and -0.0 keep their
+    own texts; a column holding a None or a str is formatted cell by cell."""
     reals, blocks = array("d"), []
     for block in table:
         blocks.append(columns := [])
         for name in CSV_COLUMNS:
-            start = len(reals)
+            start, cells = len(reals), block[name]
             try:
-                reals.fromlist(block[name])  # converts as float(v) does; unchanged on TypeError
+                if isinstance(cells, np.ndarray):  # its float64 bytes, in one copy
+                    reals.frombytes(np.ascontiguousarray(cells, np.float64).view(np.uint8))
+                else:  # converts as float(v) does; unchanged on TypeError
+                    reals.fromlist(cells)
                 columns.append(slice(start, len(reals)))
             except TypeError:
                 columns.append(["" if v is None else v if isinstance(v, str) else repr(float(v))
-                                for v in block[name]])
+                                for v in cells])
     bits, inverse = np.unique(np.frombuffer(reals, np.uint64), return_inverse=True)
     texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], object)[inverse].tolist()
     del reals, inverse  # 16 bytes a real cell, not needed to join the rows
@@ -211,8 +222,9 @@ def render_csv(table: Table) -> str:
 
 
 def render_json(table: Table) -> str:
-    rows = [dict(zip(CSV_COLUMNS, cells)) for block in table
-            for cells in zip(*(block[name] for name in CSV_COLUMNS))]
+    rows = [dict(zip(CSV_COLUMNS, cells)) for block in table  # an array's cells as floats
+            for cells in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in map(block.__getitem__, CSV_COLUMNS)))]
     return json.dumps(rows, indent=2) + "\n"
 
 

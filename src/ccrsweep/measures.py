@@ -249,4 +249,5 @@ def _sectors(psi: np.ndarray, n: int) -> np.ndarray:
     # a fancy-indexed gather has a strided last axis and would sum in another order
     terms = np.take(prob, _mask_table(n), axis=-1)
     terms *= prob[..., np.newaxis, :]
-    return np.moveaxis(terms.sum(axis=-1), -1, 0)
+    weights = terms.sum(axis=-1)
+    return weights.transpose(-1, *range(weights.ndim - 1))  # the mask axis first

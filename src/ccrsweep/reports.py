@@ -253,7 +253,7 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     p_hs, c_hs, s_l = a2 + d2 - 0.5, 2.0 * b2, 1.0 - ((a2 + b2) + (b2 + d2))
     m = {"P_hs_A": p_hs[0], "C_hs_A": c_hs[0], "S_l_A": s_l[0],
          "P_hs_A_initial": p_hs[1], "C_hs_A_initial": c_hs[1], "S_l_initial": s_l[1]}
-    m["C_global"] = 1.0 - (np.abs(amplitudes) ** 4).sum(axis=-1)
+    m["C_global"] = 1.0 - np.square(np.square(np.abs(amplitudes))).sum(axis=-1)
     # correlated_coherence_hs of each pair; a qubit's HS coherence is 2|b|^2
     hs_joint = _hs_coherence(stack)
     hs_first, hs_second = 2.0 * entries[..., 8] ** 2, 2.0 * entries[..., 11] ** 2

@@ -370,17 +370,23 @@ REAL_CELL = st.one_of(FLOAT64, FLOAT64.map(np.float64), st.floats(width=32).map(
                       st.integers(-2**1023, 2**1023), st.booleans())
 
 
+def _float64_array(cells):
+    return np.array([float(v) for v in cells], np.float64)
+
+
 @st.composite
 def tables(draw):
     pool = draw(st.lists(REAL_CELL, min_size=1, max_size=4))  # values repeated across the table
     real = st.one_of(REAL_CELL, st.sampled_from(pool))
     text = st.text(max_size=3)
-    columns = [real, st.none(), text, st.one_of(real, st.none(), text)]
+    cells = [real, st.none(), text, st.one_of(real, st.none(), text)]
     table = []
     for _ in range(draw(st.integers(0, 3))):
         n = draw(st.integers(0, 4))
-        table.append({name: draw(st.lists(draw(st.sampled_from(columns)), min_size=n, max_size=n))
-                      for name in CSV_COLUMNS})
+        columns = [st.lists(c, min_size=n, max_size=n) for c in cells]
+        # a column of reals may also be a float64 array, as sweep_table writes one
+        columns.append(columns[0].map(_float64_array))
+        table.append({name: draw(draw(st.sampled_from(columns))) for name in CSV_COLUMNS})
     return table
 
 
@@ -447,7 +453,12 @@ class TestSweepTable:
         for block in table:
             assert list(block) == list(CSV_COLUMNS)
             assert all(len(cells) == 3 for cells in block.values())
-            assert block["p"] == [0.0, 0.5, 1.0]
+            assert block["p"] is table[0]["p"]  # every block shares the one p grid
+            assert block["p"].tolist() == [0.0, 0.5, 1.0]
+            # each measure and residual is a float64 array; the given cells are lists
+            arrays = {name for name, cells in block.items() if isinstance(cells, np.ndarray)}
+            assert arrays == set(CSV_COLUMNS[3:])
+            assert all(block[name].dtype == np.float64 for name in arrays)
 
     def test_empty_table_renders_as_empty_json_array(self):
         assert render_json([]) == json.dumps([], indent=2) + "\n"
@@ -461,13 +472,17 @@ class TestSweepTable:
              0.8309490013807878, 0.836417627133023)
         kinds = (ChannelKind.ADC, ChannelKind.CADC, ChannelKind.PDC, ChannelKind.BFC)
         table = sweep_table(SweepConfig(channels=kinds, x_values=x, p_count=101))
-        reals = [v for block in table for name in CSV_COLUMNS[1:] for v in block[name]]
-        assert len(reals) == 32_320 and all(type(v) is float for v in reals)
+        columns = [block[name] for block in table for name in CSV_COLUMNS[1:]]
+        given = [cells for cells in columns if isinstance(cells, list)]  # mu and x
+        assert len(given) == 2 * len(table) and all(type(v) is float for c in given for v in c)
+        assert all(cells.dtype == np.float64 for cells in columns if isinstance(cells, np.ndarray))
+        reals = np.concatenate([np.asarray(cells, np.float64) for cells in columns])
+        assert len(reals) == 32_320
         formatted = []
         monkeypatch.setattr(cli, "repr", lambda v: formatted.append(v) or repr(v), raising=False)
         text = render_csv(table)
         monkeypatch.undo()
-        distinct = set(np.array(reals).view(np.uint64).tolist())
+        distinct = set(reals.view(np.uint64).tolist())
         assert len(formatted) == len(distinct)
         assert set(np.array(formatted).view(np.uint64).tolist()) == distinct
         assert text == per_cell_csv(table)

@@ -39,6 +39,7 @@ Channel roster and noise parameter p in [0, 1]:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,13 +204,19 @@ def dilate_block(
     return _dilate(_kraus_stack(kind, ps, mu), psi, sys_layout)
 
 
+@functools.lru_cache(maxsize=64)
+def _global_layout(sys_layout: SubsystemLayout) -> SubsystemLayout:
+    """The layout of a dilated ``sys_layout`` state: the system qubits, then
+    one environment qubit ``E_<label>`` per system qubit, built once."""
+    return qubits(*sys_layout.labels, *(f"E_{lab}" for lab in sys_layout.labels))
+
+
 def _dilate(kraus: np.ndarray, psi: np.ndarray, sys_layout: SubsystemLayout):
     """The global amplitudes of states ``psi`` (X, d) through a Kraus tensor
     (P, nK, d, d) shared by every state, or one (X, P, nK, d, d) per state,
     as read-only rows (X * P, d * nK), x-major, and their global layout;
     one state (d,) gives P rows.  Unchecked: see :func:`dilate_block`."""
-    env_labels = tuple(f"E_{lab}" for lab in sys_layout.labels)
-    out_layout = qubits(*sys_layout.labels, *env_labels)
+    out_layout = _global_layout(sys_layout)
     out = np.einsum("...pesc,...c->...pse", kraus, psi).reshape(-1, out_layout.dim)
     out.setflags(write=False)
     return out, out_layout

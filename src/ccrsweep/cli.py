@@ -16,6 +16,7 @@ or I/O failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -398,7 +399,8 @@ def verify_command(cfg: SweepConfig) -> int:
 
 
 class _OptionError(ValueError, argparse.ArgumentTypeError):
-    """A bad list value; argparse prints its message, config files see a ValueError."""
+    """A bad list or real value, its message naming its key; argparse prints
+    it, config files see a ValueError."""
 
 
 def _parse_channels(text: str) -> tuple[ChannelKind, ...]:
@@ -415,11 +417,22 @@ def _parse_channels(text: str) -> tuple[ChannelKind, ...]:
     return tuple(kinds)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_real(key: str, text: str) -> float:
+    """``text`` as a float, or an error naming ``key`` when float() rejects it
+    or when it is nonzero and float64 rounds it to 0.0 (1e-400): such input
+    is not rewritten to zero.  0, 0e5 and -0.0 are zeros as typed."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        value = float(text)
     except ValueError as exc:
-        raise _OptionError(f"x: {exc}") from None
+        raise _OptionError(f"{key}: {exc}") from None
+    # float() reads the digits of any script; a nonzero mantissa digit is a nonzero text
+    if value == 0.0 and any(c.isdecimal() and int(c) for c in text.lower().partition("e")[0]):
+        raise _OptionError(f"{key}: {text!r} is nonzero but rounds to 0.0 in float64")
+    return value
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(_parse_real("x", tok) for tok in text.split(",") if tok.strip())
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -442,17 +455,18 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 #: Config-file key -> (SweepConfig field, parser).  Each key is also the
-#: argparse dest of its flag; SweepConfig supplies the defaults.
+#: argparse dest of its flag, which parses it by the same parser; SweepConfig
+#: supplies the defaults.
 _CONFIG_KEYS = {
     "channels": ("channels", _parse_channels),
     "x": ("x_values", _parse_floats),
-    "p_start": ("p_start", float),
-    "p_stop": ("p_stop", float),
+    "p_start": ("p_start", functools.partial(_parse_real, "p_start")),
+    "p_stop": ("p_stop", functools.partial(_parse_real, "p_stop")),
     "p_count": ("p_count", int),
-    "mu": ("mu", float),
+    "mu": ("mu", functools.partial(_parse_real, "mu")),
     "format": ("fmt", str),
     "out": ("output", str),
-    "tolerance": ("tolerance", float),
+    "tolerance": ("tolerance", functools.partial(_parse_real, "tolerance")),
 }
 
 
@@ -493,10 +507,11 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="adc,cadc,...", help="comma-separated channel kinds (default: all)")
     parser.add_argument("--x", action=_Once, type=_parse_floats, metavar="0.5,0.7071,...",
                         help="comma-separated initial-state amplitudes x")
-    parser.add_argument("--p-start", action=_Once, dest="p_start", type=float)
-    parser.add_argument("--p-stop", action=_Once, dest="p_stop", type=float)
+    parser.add_argument("--p-start", action=_Once, dest="p_start", type=_CONFIG_KEYS["p_start"][1])
+    parser.add_argument("--p-stop", action=_Once, dest="p_stop", type=_CONFIG_KEYS["p_stop"][1])
     parser.add_argument("--p-count", action=_Once, dest="p_count", type=int)
-    parser.add_argument("--mu", action=_Once, type=float, help="CADC memory weight (0 or 1)")
+    parser.add_argument("--mu", action=_Once, type=_CONFIG_KEYS["mu"][1],
+                        help="CADC memory weight (0 or 1)")
     parser.add_argument("--config", action=_Once, help="flat key=value config file; flags win")
 
 
@@ -514,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
 
     verify_p = sub.add_parser("verify", help="run the identity/invariant suite")
     _add_grid_flags(verify_p)
-    verify_p.add_argument("--tolerance", action=_Once, type=float,
+    verify_p.add_argument("--tolerance", action=_Once, type=_CONFIG_KEYS["tolerance"][1],
                           help="residual bound (default 1e-10)")
 
     args = parser.parse_args(argv)

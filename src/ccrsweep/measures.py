@@ -101,11 +101,16 @@ def _off_x(m: np.ndarray) -> np.ndarray:
     return m[..., _X_OFF]
 
 
+#: The signs of the lower and upper eigenvalue of a Hermitian 2x2 block.
+_SIGNS = np.array([-1.0, 1.0])
+_SIGNS.setflags(write=False)
+
+
 def _qubit_eigenvalues(a, d, modulus):
     """Eigenvalues (2, ...), lower then upper, of Hermitian 2x2 blocks with
     real diagonal (a, d) and off-diagonal entries of the given modulus."""
     mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), modulus)
-    return mean + np.multiply.outer((-1.0, 1.0), radius)
+    return mean + np.multiply.outer(_SIGNS, radius)
 
 
 def _x_entries(m: np.ndarray):
@@ -123,8 +128,8 @@ def _x_blocks(diag, a03, a12):
 def _x_concurrence(diag, a03, a12):
     """Concurrence of X states (Wootters, PRL 80, 2245 (1998))."""
     diag = np.maximum(diag, 0.0)
-    lam = np.maximum(a03 - np.sqrt(diag[..., 1] * diag[..., 2]),
-                     a12 - np.sqrt(diag[..., 0] * diag[..., 3]))
+    roots = np.sqrt(diag[..., :2] * diag[..., 3:1:-1])  # sqrt(d0 d3), sqrt(d1 d2)
+    lam = np.maximum(a03 - roots[..., 1], a12 - roots[..., 0])
     return 2.0 * np.where(lam > 0.0, lam, 0.0)
 
 

@@ -27,7 +27,6 @@ from .measures import (
     PPT_TOL,
     _entropy_terms,
     _hs_coherence,
-    _off_x,
     _qubit_eigenvalues,
     _sectors,
     _x_concurrence,
@@ -110,10 +109,16 @@ IDENTITIES: dict[IdentityId, Identity] = {
         (ChannelKind.PFC,), lambda m: abs(m["C_hs_A_initial"] - (m["C_hs_A"] + m["S_l_A"]))),
 }
 
+#: The (id, residual) of each row of IDENTITIES that lists the kind, in
+#: order, per channel kind: the rows a report of the kind evaluates.
+_REPORT_IDENTITIES: dict[ChannelKind, tuple[tuple[IdentityId, Callable], ...]] = {
+    kind: tuple((ident, row.residual) for ident, row in IDENTITIES.items() if kind in row.kinds)
+    for kind in ChannelKind
+}
+
 #: Identities applicable per channel kind besides CCR_UNIVERSAL, headline first.
 APPLICABLE_IDENTITIES: dict[ChannelKind, tuple[IdentityId, ...]] = {
-    kind: tuple(ident for ident, row in IDENTITIES.items() if kind in row.kinds)[1:]
-    for kind in ChannelKind
+    kind: tuple(ident for ident, _ in rows[1:]) for kind, rows in _REPORT_IDENTITIES.items()
 }
 
 
@@ -202,23 +207,29 @@ def _reduced(amplitudes: np.ndarray, layout: SubsystemLayout, *keeps: tuple[str,
 #: The entries of a pair state rho (4, 4) the measure stage reads, each the
 #: modulus of a sum of flat entries rho.flat[4 i + j] (a diagonal entry is
 #: nonnegative): the diagonal (0-3), rho_03 and rho_12 (4, 5), the first and
-#: second factors' marginals (a, d, b) (6-8, 9-11) and rho_01, rho_23 (12, 13).
+#: second factors' marginals (a, d, b) (6-8, 9-11) and the upper off-X
+#: entries rho_01, rho_23, rho_02, rho_13 (12-15), which are all zero exactly
+#: when the (Hermitian) pair is X-shaped.
 _ENTRIES = ((0,), (5,), (10,), (15,), (3,), (6,), (0, 5), (10, 15), (2, 7),
-            (0, 10), (5, 15), (1, 11), (1,), (11,))
-#: Their 0/1 matrix (16, 14), for one product: a product by 0 or 1 is exact, so
+            (0, 10), (5, 15), (1, 11), (1,), (11,), (2,), (7,))
+#: Their 0/1 matrix (16, 16), for one product: a product by 0 or 1 is exact, so
 #: each entry of no more than two terms has the bits of their direct sum.
 _SELECT = np.array([[float(i in flat) for flat in _ENTRIES] for i in range(16)])
-#: A two-qubit block's eigen-tables of Hermitian 2x2 blocks, columns (pair in
-#: stack order, a, d, |b|) of entry indices: the A-B pair's X blocks {0, 3},
-#: {1, 2} and marginals, then each pair's partially transposed blocks.  An
-#: X-shaped pair's are its X blocks with the anti-diagonal moduli swapped (the
-#: first table, for all X-shaped); else (phase damping) the A-E_A and A-E_B
-#: pairs are their own transposes, with no coherence on A (m[:2, 2:] = 0),
-#: blocks {0, 1} and {2, 3}, and the E_A-E_B pair is solved as a matrix.
+#: A two-qubit block's eigen-tables of Hermitian 2x2 blocks, each as two
+#: arrays of entry indices, the pair in stack order and the (a, d, |b|)
+#: columns: the A-B pair's X blocks {0, 3}, {1, 2} and marginals,
+#: then each pair's partially transposed blocks.  An X-shaped pair's are its
+#: X blocks with the anti-diagonal moduli swapped (the first table, for all
+#: X-shaped); else (phase damping) the A-E_A and A-E_B pairs are their own
+#: transposes, with no coherence on A (m[:2, 2:] = 0), blocks {0, 1} and
+#: {2, 3}, and the E_A-E_B pair is solved as a matrix.  Stored flat: the
+#: X-shaped table's pair rows (1, N) and columns (3, N), then the other's.
 _EIGEN_TABLES = tuple(
-    np.array([(0, 0, 3, 4), (0, 1, 2, 5), (0, 6, 7, 8), (0, 9, 10, 11), *blocks]).T for blocks in (
+    part for blocks in (
         [*((k, 0, 3, 5) for k in range(4)), *((k, 1, 2, 4) for k in range(4))],
-        [(0, 0, 3, 5), (1, 0, 1, 12), (2, 0, 1, 12), (0, 1, 2, 4), (1, 2, 3, 13), (2, 2, 3, 13)]))
+        [(0, 0, 3, 5), (1, 0, 1, 12), (2, 0, 1, 12), (0, 1, 2, 4), (1, 2, 3, 13), (2, 2, 3, 13)])
+    for part in np.split(np.array([(0, 0, 3, 4), (0, 1, 2, 5), (0, 6, 7, 8), (0, 9, 10, 11),
+                                   *blocks]).T.copy(), [1]))  # contiguous parts index faster
 for _table in (_SELECT, *_EIGEN_TABLES):
     _table.setflags(write=False)
 
@@ -228,7 +239,7 @@ def _plan(layout: SubsystemLayout):
     """How the blocks of ``layout`` are measured, built once and shared: the
     pairs of PAIRS it has, in stack order, the index of A-E_A (A's marginal
     is its first factor's), each pair's ``Cc_*`` column and each cross pair's
-    (all but A-B) ``ppt_*`` column, and the eigen-tables with an A-B pair."""
+    (all but A-B) ``ppt_*`` column, and the flat eigen-tables with an A-B pair."""
     names = [name for name, pair in PAIRS.items() if set(pair) <= set(layout.labels)]
     aea = names.index("AEA")  # the cross pairs follow A-B, where the layout has it
     return (tuple(PAIRS[name] for name in names), aea, tuple(f"Cc_{name}" for name in names),
@@ -244,26 +255,28 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     each 2x2 block the measures read, marginal, X or transposed, is read from its entries."""
     pairs, aea, cc_columns, ppt_columns, eigen_tables = _plan(layout)
     stack = _reduced(amplitudes, layout, *pairs)
-    entries = np.abs(stack.reshape(stack.shape[:2] + (16,)) @ _SELECT)  # (K, R, 14)
+    entries = np.abs(stack.reshape(stack.shape[:2] + (16,)) @ _SELECT)  # (K, R, 16)
+    sq = np.square(entries)
     # A's (a, d, |b|) and the initial marginals' over their x's P rows; each
     # measure sums in the order of the matrix measures (S_l = 1 - tr rho^2)
-    initial = np.abs(initial).repeat(len(amplitudes) // initial.shape[1], 1)
-    squares = np.concatenate([entries[aea, :, 6:9].T, initial]) ** 2
+    initial = np.square(np.abs(initial)).repeat(len(amplitudes) // initial.shape[1], 1)
+    squares = np.concatenate([sq[aea, :, 6:9].T, initial])
     a2, d2, b2 = squares.reshape(2, 3, -1).swapaxes(0, 1)  # (2, R) each, A's then the initial
     p_hs, c_hs, s_l = a2 + d2 - 0.5, 2.0 * b2, 1.0 - ((a2 + b2) + (b2 + d2))
     m = {"P_hs_A": p_hs[0], "C_hs_A": c_hs[0], "S_l_A": s_l[0],
          "P_hs_A_initial": p_hs[1], "C_hs_A_initial": c_hs[1], "S_l_initial": s_l[1]}
-    m["C_global"] = 1.0 - np.square(np.square(np.abs(amplitudes))).sum(axis=-1)
+    m["C_global"] = c_global = 1.0 - np.square(np.square(np.abs(amplitudes))).sum(axis=-1)
     # correlated_coherence_hs of each pair; a qubit's HS coherence is 2|b|^2
     hs_joint = _hs_coherence(stack)
-    hs_first, hs_second = 2.0 * entries[..., 8] ** 2, 2.0 * entries[..., 11] ** 2
+    hs_first, hs_second = (2.0 * sq[..., 8:12:3]).transpose(2, 0, 1)  # (K, R) each
     m.update(zip(cc_columns, hs_joint - hs_first - hs_second))
     ab_columns = {}
     if eigen_tables is not None:  # A-B entanglement is reported as a concurrence
-        table = eigen_tables[bool(_off_x(stack[1:]).any())]
-        lam = _qubit_eigenvalues(*entries[table[0], :, table[1:]])
+        off_x = entries[1:, :, 12:].any()  # a cross pair off the X shape: phase damping's
+        rows, columns = eigen_tables[2:] if off_x else eigen_tables[:2]
+        lam = _qubit_eigenvalues(*entries[rows, :, columns])
         ppt_min = np.minimum(*lam[0, 4:].reshape(2, -1, lam.shape[-1]))  # per pair, two blocks
-        if table is eigen_tables[1]:
+        if off_x:
             ppt_min = np.concatenate([ppt_min, np.linalg.eigvalsh(
                 _partial_transpose(stack[3:], (2, 2), 0))[..., 0]])
         # each entropy sums its terms in ascending order of block and eigenvalue
@@ -273,7 +286,7 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
         # the joint coherence of the pure global state is C_global
         local = hs_first + hs_second
         ab_columns = dict(
-            Cc_ABE=m["C_global"] - (local[0] + local[3]), C_env=hs_joint[3],
+            Cc_ABE=c_global - (local[0] + local[3]), C_env=hs_joint[3],
             concurrence_AB=_x_concurrence(entries[0, :, :4], entries[0, :, 4], entries[0, :, 5]),
             mutual_info_AB=s_a + s_b - s_ab)
     else:
@@ -285,6 +298,12 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
     m.update(zip(ppt_columns, (ppt_min[aea:] >= -PPT_TOL).astype(float)))
     m.update(ab_columns)
     return m, ppt_min
+
+
+#: The amplitude rows whose products are A's initial marginal (a, d, b):
+#: c_0 c_0, c_last c_last and c_0 c_1 of x|0..0> + y|1..1>.
+_MARGINAL_ROWS = np.array([[0, -1, 0], [0, -1, 1]])
+_MARGINAL_ROWS.setflags(write=False)
 
 
 def _block_columns(kind: ChannelKind, mu: float, xs, ps: np.ndarray):
@@ -305,7 +324,7 @@ def _block_columns(kind: ChannelKind, mu: float, xs, ps: np.ndarray):
     psi, sys_layout = _initial_state(kind, xs)
     amplitudes, layout = _dilate(_kraus_stack(kind, ps, mu), psi, sys_layout)
     c = psi.reshape(-1, psi.shape[-1]).T  # A's marginal (a, d, b): c1 = y on one qubit, 0 on two
-    initial = c[[0, -1, 0]] * c[[0, -1, 1]]
+    initial = np.multiply(*c.take(_MARGINAL_ROWS, 0))
     measures, ppt_min = _measure_columns(amplitudes, layout, initial)
     return measures, amplitudes, layout, ppt_min
 
@@ -329,8 +348,7 @@ def ccr_report(spec: ChannelSpec, x: float) -> CCRReport:
     if spec.kind is ChannelKind.PDC:
         columns.update(_sector_columns(_sectors(amplitudes, len(layout.labels))))
     measures = {name: v.item() for name, v in columns.items()}
-    residuals = {ident: row.residual(measures) for ident, row in IDENTITIES.items()
-                 if spec.kind in row.kinds}
+    residuals = {ident: residual(measures) for ident, residual in _REPORT_IDENTITIES[spec.kind]}
     return CCRReport(spec, x, measures, residuals)
 
 

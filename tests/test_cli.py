@@ -1162,6 +1162,72 @@ class TestMain:
         assert not out.exists()
 
 
+class TestRealsAsTyped:
+    """Every real option goes through one parser, which rejects nonzero text
+    that float64 rounds to 0.0 instead of running at zero."""
+
+    #: (command, flag, config key) of every real option
+    REALS = [("sweep", "--x", "x"), ("sweep", "--p-start", "p_start"),
+             ("sweep", "--p-stop", "p_stop"), ("sweep", "--mu", "mu"),
+             ("verify", "--tolerance", "tolerance")]
+    IDS = [key for *_, key in REALS]
+
+    @pytest.mark.parametrize("text", ["1e-400", "-1e-400", "0.5e-330", "1_0e-400", "\u0661e-400"])
+    @pytest.mark.parametrize("command, flag, key", REALS, ids=IDS)
+    def test_an_underflowing_flag_is_rejected_by_name(self, tmp_path, capsys,
+                                                        command, flag, key, text):
+        out = tmp_path / "rows.csv"
+        argv = [command, "--channels", "cadc", f"{flag}={text}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)] if command == "sweep" else argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {key}: {text!r} is nonzero but rounds to 0.0 in float64" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, key", REALS, ids=IDS)
+    def test_an_underflowing_config_value_is_rejected_by_name(self, tmp_path, capsys,
+                                                              command, flag, key):
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text(f"channels=cadc\n{key}=1e-400\n")
+        out = tmp_path / "rows.csv"
+        argv = [command, "--config", str(cfg_file)]
+        assert main(argv + ["--out", str(out)] if command == "sweep" else argv) == 2
+        assert f"error: {key}: '1e-400' is nonzero but rounds to 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_underflowing_list_token_is_named_as_typed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--x", "0.5, 1e-400", "--out", "x.csv"])
+        assert exc.value.code == 2
+        assert "argument --x: x: ' 1e-400' is nonzero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0", "0e5", "-0.0", "0.000", " 0 ", "0e-400", "\u0660"])
+    @pytest.mark.parametrize("key", IDS)
+    def test_typed_zeros_are_zeros(self, key, text):
+        parse = cli._CONFIG_KEYS[key][1]
+        value = parse(text)[0] if key == "x" else parse(text)
+        assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, float(text))
+
+    @pytest.mark.parametrize("flag, text", [("--x", "0e5"), ("--x", "-0.0"), ("--p-start", "0e5"),
+                                            ("--mu", "-0.0"), ("--mu", "0")])
+    def test_a_typed_zero_sweeps(self, tmp_path, flag, text):
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--channels", "cadc", "--p-count", "3", f"{flag}={text}", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * (1 if flag == "--x" else len(DEFAULT_X))
+
+    @pytest.mark.parametrize("key, text", [("p_start", "0.25"), ("mu", "1"), ("tolerance", "1e-300"),
+                                           ("p_stop", "5e-324")])
+    def test_nonzero_reals_parse_as_float(self, key, text):
+        assert cli._CONFIG_KEYS[key][1](text) == float(text) != 0.0
+
+    @pytest.mark.parametrize("key", IDS)
+    def test_text_float_rejects_is_named(self, key):
+        with pytest.raises(ValueError, match=f"^{key}: could not convert string to float: 'abc'$"):
+            cli._CONFIG_KEYS[key][1]("abc")
+
+
 class TestBuildConfigDefaults:
     def test_defaults(self):
         import argparse

@@ -172,6 +172,15 @@ class TestIdentityTable:
             ChannelKind.DC: IdentityId.THREE_HALVES,
         }
 
+    def test_report_identity_rows_are_the_table_filtered_by_kind(self):
+        # ccr_report reads each kind's rows from a table built at import: the
+        # rows of IDENTITIES that list the kind, in table order
+        for kind in ChannelKind:
+            want = [(ident, row.residual) for ident, row in IDENTITIES.items() if kind in row.kinds]
+            assert list(reports._REPORT_IDENTITIES[kind]) == want
+            r = ccr_report(spec_for(kind, 0.3), 0.5)
+            assert list(r.residuals) == [ident for ident, _ in want]
+
     def test_off_domain_residuals_still_reported(self):
         cadc, bpfc = IDENTITIES[IdentityId.CADC_REDISTRIBUTION], IDENTITIES[IdentityId.THREE_HALVES]
         r = ccr_report(ChannelSpec(ChannelKind.CADC, 0.5, 0.0), 0.5)
@@ -338,6 +347,22 @@ class TestBlockCost:
         counts = self.counting(monkeypatch)
         ccr_report(ChannelSpec(kind, 0.5, mu), 0.5)
         assert counts.get("check_norms", 0) == 0
+
+    @pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
+    def test_no_off_x_gather_per_block(self, monkeypatch, kind, mu):
+        # whether a cross pair is off the X shape is read from the entry
+        # table's off-X entries, not gathered from the pair stack
+        calls = []
+        off_x = measures._off_x
+
+        def counted(m):
+            calls.append(m.shape)
+            return off_x(m)
+        for module in (measures, reports):
+            monkeypatch.setattr(module, "_off_x", counted, raising=False)
+        for ps in (np.array([0.5]), np.linspace(0.0, 1.0, 101)):
+            _block_columns(kind, mu, 0.5, ps)
+        assert calls == []
 
     def test_undephased_cross_pairs_are_solved_in_closed_form(self, monkeypatch):
         # at p = 0 phase damping has not yet touched the environment, so its

@@ -236,6 +236,20 @@ def test_entry_table_holds_the_listed_sums_bytewise(block, ps):
             assert got[..., column].tobytes() == np.abs(total).tobytes(), (x, terms)
 
 
+@pytest.mark.parametrize("ps", PS.values(), ids=PS.keys())
+@pytest.mark.parametrize("block", BLOCKS, ids=block_ids)
+def test_entry_table_off_x_entries_are_the_off_x_test(block, ps):
+    # entries 12-15 are the upper off-X entries, one of each Hermitian pair of
+    # off-X positions, so a pair has a nonzero one exactly where _off_x does
+    assert _ENTRIES[12:] == ((1,), (11,), (2,), (7,))
+    kind, mu = block
+    for x in XS:
+        _, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
+        stack = _reduced(amplitudes, layout, *_plan(layout)[0])
+        entries = np.abs(stack.reshape(stack.shape[:2] + (16,)) @ _SELECT)
+        assert (entries[..., 12:].any(axis=-1) == _off_x(stack).any(axis=-1)).all()
+
+
 def entropy(lam):
     """Von Neumann entropy of spectra (..., n): minus the sum of their terms."""
     return -_entropy_terms(lam).sum(axis=-1)

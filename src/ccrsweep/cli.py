@@ -16,7 +16,6 @@ or I/O failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -28,7 +27,6 @@ import numpy as np
 
 from .channels import (
     _INTEGER, _REAL, _TWO_QUBIT_KINDS, ChannelKind, _dilate, _is_a, _kraus_stack, _operator_sums)
-from .linalg import TRACE_TOL, check_density
 from .measures import PPT_TOL, _sectors
 from .reports import (
     APPLICABLE_IDENTITIES,
@@ -340,12 +338,11 @@ def _verify_kraus(cfg: SweepConfig, t: _Tracker) -> None:
             t.track("kraus_completeness", defects, kind, p=ps, mu=mu)
             if via_kraus is None:
                 continue
-            # the images keep the trace as far as their set's defect allows: each
-            # trace defect is a row, and the images within TRACE_TOL are checked
+            # the images sum K rho K^dag are Hermitian and positive semidefinite
+            # by construction and keep the trace as far as their set's defect
+            # allows: each trace defect is a row
             traces = np.abs(np.einsum("...ii->...", via_kraus) - 1.0)
             t.track("kraus_image_trace", traces.ravel(), kind, p=p_rows, mu=mu, x=x_rows)
-            if (within := traces <= TRACE_TOL).any():
-                check_density(via_kraus[within])
             if kind is ChannelKind.CADC and mu == 0.0:
                 # x = 0.5 against amplitude damping of both qubits in closed form
                 x, y = psi[0, 0], psi[0, -1]
@@ -398,41 +395,49 @@ def verify_command(cfg: SweepConfig) -> int:
 # --------------------------------------------------------------------------
 
 
-class _OptionError(ValueError, argparse.ArgumentTypeError):
-    """A bad list or real value, its message naming its key; argparse prints
-    it, config files see a ValueError."""
-
-
 def _parse_channels(text: str) -> tuple[ChannelKind, ...]:
-    kinds = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        try:
-            kinds.append(ChannelKind(token))
-        except ValueError:
-            names = ",".join(k.value for k in ChannelKind)
-            raise _OptionError(f"channels: unknown channel {token!r} (choose from {names})")
-    return tuple(kinds)
+    kinds = {kind.value: kind for kind in ChannelKind}
+    tokens = [token.strip().lower() for token in text.split(",") if token.strip()]
+    if bad := [token for token in tokens if token not in kinds]:
+        raise ValueError(f"unknown channel {bad[0]!r} (choose from {','.join(kinds)})")
+    return tuple(map(kinds.__getitem__, tokens))
 
 
-def _parse_real(key: str, text: str) -> float:
-    """``text`` as a float, or an error naming ``key`` when float() rejects it
-    or when it is nonzero and float64 rounds it to 0.0 (1e-400): such input
-    is not rewritten to zero.  0, 0e5 and -0.0 are zeros as typed."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise _OptionError(f"{key}: {exc}") from None
+def _parse_real(text: str) -> float:
+    """``text`` as a float, rejected when it is nonzero and float64 rounds it
+    to 0.0 (1e-400): such input is not rewritten to zero.  0, 0e5 and -0.0
+    are zeros as typed."""
+    value = float(text)
     # float() reads the digits of any script; a nonzero mantissa digit is a nonzero text
     if value == 0.0 and any(c.isdecimal() and int(c) for c in text.lower().partition("e")[0]):
-        raise _OptionError(f"{key}: {text!r} is nonzero but rounds to 0.0 in float64")
+        raise ValueError(f"{text!r} is nonzero but rounds to 0.0 in float64")
     return value
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(_parse_real("x", tok) for tok in text.split(",") if tok.strip())
+    return tuple(_parse_real(tok) for tok in text.split(",") if tok.strip())
+
+
+_GRID = ("sweep", "verify")
+
+#: Every option by its config-file key, which is also the argparse dest of its
+#: flag --<key with "-" for "_">: (SweepConfig field, parser of its text, the
+#: commands that take the flag, the flag's metavar and help).  argparse only
+#: collects a flag's text; a flag and a file value go through the same parser,
+#: and SweepConfig checks the ranges and the format and supplies the defaults.
+_OPTIONS = {
+    "channels": ("channels", _parse_channels, _GRID, dict(
+        metavar="adc,cadc,...", help="comma-separated channel kinds (default: all)")),
+    "x": ("x_values", _parse_floats, _GRID, dict(
+        metavar="0.5,0.7071,...", help="comma-separated initial-state amplitudes x")),
+    "p_start": ("p_start", _parse_real, _GRID, {}),
+    "p_stop": ("p_stop", _parse_real, _GRID, {}),
+    "p_count": ("p_count", int, _GRID, {}),
+    "mu": ("mu", _parse_real, _GRID, dict(help="CADC memory weight (0 or 1)")),
+    "format": ("fmt", str, ("sweep",), dict(metavar="{csv,json}")),
+    "out": ("output", str, ("sweep",), dict(help="output file path")),
+    "tolerance": ("tolerance", _parse_real, ("verify",), dict(help="residual bound (default 1e-10)")),
+}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -446,50 +451,28 @@ def read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
+            key, _, value = map(str.strip, line.partition("="))
             if key in values:
                 raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
-            values[key] = value.strip()
+            values[key] = value
     return values
 
 
-#: Config-file key -> (SweepConfig field, parser).  Each key is also the
-#: argparse dest of its flag, which parses it by the same parser; SweepConfig
-#: supplies the defaults.
-_CONFIG_KEYS = {
-    "channels": ("channels", _parse_channels),
-    "x": ("x_values", _parse_floats),
-    "p_start": ("p_start", functools.partial(_parse_real, "p_start")),
-    "p_stop": ("p_stop", functools.partial(_parse_real, "p_stop")),
-    "p_count": ("p_count", int),
-    "mu": ("mu", functools.partial(_parse_real, "mu")),
-    "format": ("fmt", str),
-    "out": ("output", str),
-    "tolerance": ("tolerance", functools.partial(_parse_real, "tolerance")),
-}
-
-
 def build_config(args: argparse.Namespace) -> SweepConfig:
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = read_config_file(args.config)
-        unknown = file_values.keys() - _CONFIG_KEYS.keys()
-        if unknown:
-            raise ValueError(f"config file: unknown keys {sorted(unknown)}")
-
+    """The config of the flags' texts in ``args`` and the file ``args.config``,
+    a flag over the file: each text goes through its row's parser once."""
+    texts = read_config_file(args.config) if args.config else {}
+    if unknown := texts.keys() - _OPTIONS.keys():
+        raise ValueError(f"config file: unknown keys {sorted(unknown)}")
     given = {}
-    for key, (name, convert) in _CONFIG_KEYS.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            given[name] = flag_value
-        elif key in file_values:
-            try:
-                given[name] = convert(file_values[key])
-            except _OptionError:  # its message already names the key
-                raise
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
+    for key, (name, parse, *_) in _OPTIONS.items():
+        text = getattr(args, key, None)  # None: not given, or not a flag of the command
+        if text is None and (text := texts.get(key)) is None:
+            continue
+        try:
+            given[name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return SweepConfig(**given)
 
 
@@ -502,40 +485,36 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--channels", action=_Once, type=_parse_channels,
-                        metavar="adc,cadc,...", help="comma-separated channel kinds (default: all)")
-    parser.add_argument("--x", action=_Once, type=_parse_floats, metavar="0.5,0.7071,...",
-                        help="comma-separated initial-state amplitudes x")
-    parser.add_argument("--p-start", action=_Once, dest="p_start", type=_CONFIG_KEYS["p_start"][1])
-    parser.add_argument("--p-stop", action=_Once, dest="p_stop", type=_CONFIG_KEYS["p_stop"][1])
-    parser.add_argument("--p-count", action=_Once, dest="p_count", type=int)
-    parser.add_argument("--mu", action=_Once, type=_CONFIG_KEYS["mu"][1],
-                        help="CADC memory weight (0 or 1)")
-    parser.add_argument("--config", action=_Once, help="flat key=value config file; flags win")
+class _NegativeNumber:
+    """Stands in for a parser's private ``_negative_number_matcher`` (Python
+    3.10-3.13), which tells a value that starts with "-" from a flag: its
+    pattern misses -1e-400, -0e0 and -inf.  Here every text float() reads is a value."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            return math.copysign(1.0, float(text)) < 0.0
+        except ValueError:
+            return False
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="ccrsweep",
-        description="Sweep noisy-channel complementarity reports and verify identities.",
-    )
+        prog="ccrsweep", description="Sweep noisy-channel complementarity reports and verify identities.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep_p = sub.add_parser("sweep", help="evaluate a grid and write CSV/JSON")
-    _add_grid_flags(sweep_p)
-    sweep_p.add_argument("--format", action=_Once, choices=("csv", "json"))
-    sweep_p.add_argument("--out", action=_Once, help="output file path")
-
-    verify_p = sub.add_parser("verify", help="run the identity/invariant suite")
-    _add_grid_flags(verify_p)
-    verify_p.add_argument("--tolerance", action=_Once, type=_CONFIG_KEYS["tolerance"][1],
-                          help="residual bound (default 1e-10)")
+    for command, text in (("sweep", "evaluate a grid and write CSV/JSON"),
+                          ("verify", "run the identity/invariant suite")):
+        command_p = sub.add_parser(command, help=text)
+        command_p._negative_number_matcher = _NegativeNumber
+        for key, (_, _, commands, flag) in _OPTIONS.items():
+            if command in commands:
+                command_p.add_argument(f"--{key.replace('_', '-')}", action=_Once, **flag)
+        command_p.add_argument("--config", action=_Once, help="flat key=value config file; flags win")
 
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        if args.command == "sweep" and cfg.output is None:
+        if args.command == "sweep" and not cfg.output:
             raise ValueError("out: an output path is required for sweep")
     except (ValueError, OSError) as exc:
         print(f"ccrsweep: configuration error: {exc}", file=sys.stderr)

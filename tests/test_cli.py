@@ -1,5 +1,8 @@
+import argparse
+import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from ccrsweep import channels, cli, measures, reports
 from ccrsweep.channels import ChannelKind, ChannelSpec
-from ccrsweep.linalg import outer, partial_trace
+from ccrsweep.linalg import check_density, outer, partial_trace
 from ccrsweep.measures import (
     correlated_coherence_hs, hs_coherence, is_ppt, sector_decomposition)
 from ccrsweep.reports import (
@@ -961,10 +964,26 @@ def test_blocks_stay_within_the_row_budget(p_count):
         assert [len(xs) for _, _, xs in groups] == [4, 4, 4, 1] * 3 + [1] + [13] * 3
 
 
+@pytest.mark.parametrize("p_count", [2, 101, 1001])
+@pytest.mark.parametrize("kind, mu", [(kind, 0.0) for kind in ChannelKind]
+                         + [(ChannelKind.CADC, 0.5), (ChannelKind.CADC, 1.0)],
+                         ids=lambda v: v.value if isinstance(v, ChannelKind) else f"mu{v}")
+def test_kraus_images_are_density_matrices(kind, mu, p_count):
+    # verify's Kraus stage checks no image: sum K rho K^dag of a complete set
+    # is Hermitian, positive semidefinite and of unit trace by construction,
+    # which this keeps asserting for both of the stage's initial states
+    ps = np.linspace(0.0, 1.0, p_count)
+    psi, _ = reports._initial_state(kind, np.array([0.5, BALANCED_X]))
+    rhos = psi[:, :, np.newaxis] * psi[:, np.newaxis, :].conj()
+    _, images = channels._operator_sums(channels._kraus_stack(kind, ps, mu), rhos)
+    assert images.shape == (2, p_count, *rhos.shape[1:])
+    check_density(images)
+
+
 @pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)
-def test_verify_kraus_checks_each_image_stack_at_once(monkeypatch, kind):
-    # one eigen-solve per (kind, mu, x) image stack at most, and no
-    # DensityOperator per p, however many p the grid holds
+def test_verify_kraus_stage_makes_no_eigen_solve(monkeypatch, kind):
+    # the images are density matrices by construction (the test above), so
+    # the stage solves no spectrum and builds no DensityOperator at any p count
     from ccrsweep import linalg
 
     counts = {}
@@ -978,15 +997,11 @@ def test_verify_kraus_checks_each_image_stack_at_once(monkeypatch, kind):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(linalg.DensityOperator, "__post_init__",
                         counted("density_operator", linalg.DensityOperator.__post_init__))
-    stacks = 2 * (2 if kind is ChannelKind.CADC else 1)  # (mu with a dilation) x (two x)
-    per_grid = []
-    for p_count in (5, 101):
-        counts.clear()
-        _verify_kraus(small_config(channels=(kind,), p_count=p_count), _Tracker())
-        per_grid.append(dict(counts))
-    assert per_grid[0] == per_grid[1]
-    assert 0 < per_grid[0]["eigvalsh"] <= stacks
-    assert per_grid[0].get("density_operator", 0) <= stacks
+    for p_count in (2, 101, 1001):
+        t = _Tracker()
+        _verify_kraus(small_config(channels=(kind,), p_count=p_count), t)
+        assert "kraus_image_trace" in t.worst  # the stage made its images
+    assert counts == {}
 
 
 class TestMain:
@@ -1004,24 +1019,23 @@ class TestMain:
         assert main(["sweep", "--channels", "adc"]) == 2
         assert "out" in capsys.readouterr().err
 
-    def test_bad_channel_name(self, capsys):
-        # argparse rejects the value itself, which also exits with code 2
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--channels", "warp", "--out", "x.csv"])
-        assert exc.value.code == 2
+    def test_bad_channel_name(self, tmp_path, capsys):
+        # argparse only collects the text; the option's parser rejects it
+        assert main(["sweep", "--channels", "warp", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == ("ccrsweep: configuration error: channels: unknown "
+                                           "channel 'warp' (choose from adc,cadc,pdc,bfc,pfc,bpfc,dc)\n")
 
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--channels", "adc,warp", "unknown channel 'warp' (choose from adc,cadc,pdc,"),
-            ("--x", "0.5,abc", "argument --x: x: could not convert string to float: 'abc'"),
+            ("--channels", "adc,warp",
+             "channels: unknown channel 'warp' (choose from adc,cadc,pdc,bfc,pfc,bpfc,dc)"),
+            ("--x", "0.5,abc", "x: could not convert string to float: 'abc'"),
         ],
     )
-    def test_bad_list_token_named(self, capsys, flag, value, message):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", flag, value, "--out", "x.csv"])
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+    def test_bad_list_token_named(self, tmp_path, capsys, flag, value, message):
+        assert main(["sweep", flag, value, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"ccrsweep: configuration error: {message}\n"
 
     def test_empty_p_interval_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -1172,17 +1186,17 @@ class TestRealsAsTyped:
              ("verify", "--tolerance", "tolerance")]
     IDS = [key for *_, key in REALS]
 
+    @pytest.mark.parametrize("joined", [True, False], ids=["flag=text", "flag_text"])
     @pytest.mark.parametrize("text", ["1e-400", "-1e-400", "0.5e-330", "1_0e-400", "\u0661e-400"])
     @pytest.mark.parametrize("command, flag, key", REALS, ids=IDS)
     def test_an_underflowing_flag_is_rejected_by_name(self, tmp_path, capsys,
-                                                        command, flag, key, text):
+                                                        command, flag, key, text, joined):
+        # "--p-stop -1e-400" too: any text float() reads is a value, not a flag
         out = tmp_path / "rows.csv"
-        argv = [command, "--channels", "cadc", f"{flag}={text}"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(out)] if command == "sweep" else argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument {flag}: {key}: {text!r} is nonzero but rounds to 0.0 in float64" in err
+        argv = [command, "--channels", "cadc", *([f"{flag}={text}"] if joined else [flag, text])]
+        assert main(argv + ["--out", str(out)] if command == "sweep" else argv) == 2
+        assert capsys.readouterr().err == (
+            f"ccrsweep: configuration error: {key}: {text!r} is nonzero but rounds to 0.0 in float64\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, key", REALS, ids=IDS)
@@ -1196,16 +1210,15 @@ class TestRealsAsTyped:
         assert f"error: {key}: '1e-400' is nonzero but rounds to 0.0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_an_underflowing_list_token_is_named_as_typed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--x", "0.5, 1e-400", "--out", "x.csv"])
-        assert exc.value.code == 2
-        assert "argument --x: x: ' 1e-400' is nonzero" in capsys.readouterr().err
+    def test_an_underflowing_list_token_is_named_as_typed(self, tmp_path, capsys):
+        assert main(["sweep", "--x", "0.5, 1e-400", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "ccrsweep: configuration error: x: ' 1e-400' is nonzero but rounds to 0.0 in float64\n")
 
     @pytest.mark.parametrize("text", ["0", "0e5", "-0.0", "0.000", " 0 ", "0e-400", "\u0660"])
     @pytest.mark.parametrize("key", IDS)
     def test_typed_zeros_are_zeros(self, key, text):
-        parse = cli._CONFIG_KEYS[key][1]
+        parse = cli._OPTIONS[key][1]
         value = parse(text)[0] if key == "x" else parse(text)
         assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, float(text))
 
@@ -1220,23 +1233,102 @@ class TestRealsAsTyped:
     @pytest.mark.parametrize("key, text", [("p_start", "0.25"), ("mu", "1"), ("tolerance", "1e-300"),
                                            ("p_stop", "5e-324")])
     def test_nonzero_reals_parse_as_float(self, key, text):
-        assert cli._CONFIG_KEYS[key][1](text) == float(text) != 0.0
+        assert cli._OPTIONS[key][1](text) == float(text) != 0.0
 
     @pytest.mark.parametrize("key", IDS)
     def test_text_float_rejects_is_named(self, key):
+        # the parser gives float()'s reason, and build_config names the key once
+        with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+            cli._OPTIONS[key][1]("abc")
+        args = argparse.Namespace(**{**dict.fromkeys(cli._OPTIONS), "config": None, key: "abc"})
         with pytest.raises(ValueError, match=f"^{key}: could not convert string to float: 'abc'$"):
-            cli._CONFIG_KEYS[key][1]("abc")
+            build_config(args)
+
+    def test_a_negative_zero_in_exponent_form_sweeps_from_zero(self, tmp_path):
+        # fails if argparse takes "-0e0" for a flag again (its own pattern
+        # reads only -1 and -.5 forms as negative numbers)
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--channels", "adc", "--x", "0.5", "--p-count", "3", "--p-start", "-0e0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [float(row.split(",")[3]) for row in rows] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--mu", "-1e0"], "mu: must lie in [0, 1], got -1.0"),
+        (["sweep", "--mu", "-inf"], "mu: must lie in [0, 1], got -inf"),
+        (["sweep", "--p-start", "-5E-1"], "p_start/p_stop: need 0 <= start < stop <= 1, got -0.5, 1.0"),
+        (["verify", "--tolerance", "-1e-3"],
+         "tolerance: must lie strictly between 0 and 1, got -0.001"),
+    ], ids=["mu", "mu-inf", "p_start", "tolerance"])
+    def test_a_negative_real_in_any_float_spelling_reaches_its_range_check(self, tmp_path, capsys,
+                                                                           argv, message):
+        out = tmp_path / "rows.csv"
+        assert main(argv + ["--out", str(out)] if argv[0] == "sweep" else argv) == 2
+        assert capsys.readouterr().err == f"ccrsweep: configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, negative", [
+        ("-1e-400", True), ("-0e0", True), ("-inf", True), ("-nan", True), ("-1_0", True),
+        ("-\u0661", True), ("-.5", True), ("--x", False), ("-h", False), ("-", False), ("-1e", False),
+    ])
+    def test_negative_number_test_is_float(self, text, negative):
+        assert cli._NegativeNumber.match(text) is negative
+
+
+def flag_of(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+#: A bad text per option besides the empty text, which is bad for every one
+BAD_TEXTS = {"channels": "adc,warp", "x": "0.5,abc", "p_start": "-1e-400", "p_stop": "1_0e-400",
+             "p_count": "2.5", "mu": "-1e0", "format": "xml", "tolerance": "-1e-3"}
+
+
+class TestOptionTable:
+    """Each option is one row of cli._OPTIONS: its flag and its config-file
+    key share one parser and so one error line."""
+
+    CASES = [(key, command, text) for key, (_, _, commands, _) in cli._OPTIONS.items()
+             for command in commands for text in dict.fromkeys(["", BAD_TEXTS.get(key, "")])]
+
+    @pytest.mark.parametrize("key, command, text", CASES,
+                             ids=[f"{key}-{command}-{text!r}" for key, command, text in CASES])
+    def test_a_bad_value_reads_the_same_from_a_flag_and_a_file(self, tmp_path, capsys,
+                                                                key, command, text):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"{key}={text}\n", encoding="utf-8")
+        errs = []
+        for argv in ([command, flag_of(key), text], [command, "--config", str(cfg_file)]):
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"ccrsweep: configuration error: {key}: ")
+        assert errs[0].count("\n") == 1 and errs[0].endswith("\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_help_lists_the_flags_of_the_command_rows(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        rows = {flag_of(key) for key, (*_, commands, _) in cli._OPTIONS.items() if command in commands}
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == rows | {
+            "--config", "--help"}
+
+    def test_each_row_sets_its_own_config_field(self):
+        fields = [field for field, *_ in cli._OPTIONS.values()]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(SweepConfig))
+
+    def test_the_command_line_surface(self):
+        # the config-file keys, and the commands whose flags they are
+        grid = ("sweep", "verify")
+        assert {key: commands for key, (_, _, commands, _) in cli._OPTIONS.items()} == {
+            "channels": grid, "x": grid, "p_start": grid, "p_stop": grid, "p_count": grid,
+            "mu": grid, "format": ("sweep",), "out": ("sweep",), "tolerance": ("verify",)}
 
 
 class TestBuildConfigDefaults:
     def test_defaults(self):
-        import argparse
-
-        ns = argparse.Namespace(
-            channels=None, x=None, p_start=None, p_stop=None, p_count=None,
-            mu=None, config=None,
-        )
-        cfg = build_config(ns)
+        cfg = build_config(argparse.Namespace(config=None, **dict.fromkeys(cli._OPTIONS)))
         assert cfg.channels == tuple(ChannelKind)
         assert cfg.x_values == DEFAULT_X
         assert cfg.p_count == 101

@@ -504,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, text in (("sweep", "evaluate a grid and write CSV/JSON"),
                           ("verify", "run the identity/invariant suite")):
-        command_p = sub.add_parser(command, help=text)
+        command_p = sub.add_parser(command, help=text, allow_abbrev=False)  # as config keys
         command_p._negative_number_matcher = _NegativeNumber
         for key, (_, _, commands, flag) in _OPTIONS.items():
             if command in commands:

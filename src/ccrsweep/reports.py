@@ -6,9 +6,9 @@ predictability / coherence / correlation measure of the resulting global
 pure state is computed, and the residual of every identity the channel obeys
 is recorded.  The engine evaluates a block at a time, one (kind, mu) over
 a grid of x and p; :func:`ccr_report` is a grid of one x and one p.
-Every quantity is measured on the dilated state; X-shaped pairs, phase damping's
-A-E_A and A-E_B pairs and pure two-qubit states are read in closed form, and the
-test suite, not the engine, pins the X shape and those pairs' zero coherence on A.
+Every quantity is measured on the dilated state, with no eigen-solve: X-shaped
+pairs, phase damping's cross pairs and pure two-qubit states are read in closed
+form, and the test suite, not the engine, pins the structure each is read by.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import _NO_DILATION, ChannelKind, ChannelSpec, _dilate, _REAL, _is_a, _kraus_stack
-from .linalg import SubsystemLayout, _partial_transpose, qubits
+from .linalg import SubsystemLayout, qubits
 from .measures import (
     PPT_TOL,
     _entropy_terms,
@@ -222,12 +222,15 @@ _SELECT = np.array([[float(i in flat) for flat in _ENTRIES] for i in range(16)])
 #: X blocks with the anti-diagonal moduli swapped (the first table, for all
 #: X-shaped); else (phase damping) the A-E_A and A-E_B pairs are their own
 #: transposes, with no coherence on A (m[:2, 2:] = 0), blocks {0, 1} and
-#: {2, 3}, and the E_A-E_B pair is solved as a matrix.  Stored flat: the
-#: X-shaped table's pair rows (1, N) and columns (3, N), then the other's.
+#: {2, 3}, and the E_A-E_B pair, x^2|00><00| + y^2|ee><ee| with a real |e>,
+#: is its own transpose and, as A-B's complement in a pure state, has A-B's
+#: spectrum: its blocks are A-B's X blocks.  Stored flat: the X-shaped
+#: table's pair rows (1, N) and columns (3, N), then the other's.
 _EIGEN_TABLES = tuple(
     part for blocks in (
         [*((k, 0, 3, 5) for k in range(4)), *((k, 1, 2, 4) for k in range(4))],
-        [(0, 0, 3, 5), (1, 0, 1, 12), (2, 0, 1, 12), (0, 1, 2, 4), (1, 2, 3, 13), (2, 2, 3, 13)])
+        [(0, 0, 3, 5), (1, 0, 1, 12), (2, 0, 1, 12), (0, 0, 3, 4),
+         (0, 1, 2, 4), (1, 2, 3, 13), (2, 2, 3, 13), (0, 1, 2, 5)])
     for part in np.split(np.array([(0, 0, 3, 4), (0, 1, 2, 5), (0, 6, 7, 8), (0, 9, 10, 11),
                                    *blocks]).T.copy(), [1]))  # contiguous parts index faster
 for _table in (_SELECT, *_EIGEN_TABLES):
@@ -275,10 +278,7 @@ def _measure_columns(amplitudes: np.ndarray, layout: SubsystemLayout, initial: n
         off_x = entries[1:, :, 12:].any()  # a cross pair off the X shape: phase damping's
         rows, columns = eigen_tables[2:] if off_x else eigen_tables[:2]
         lam = _qubit_eigenvalues(*entries[rows, :, columns])
-        ppt_min = np.minimum(*lam[0, 4:].reshape(2, -1, lam.shape[-1]))  # per pair, two blocks
-        if off_x:
-            ppt_min = np.concatenate([ppt_min, np.linalg.eigvalsh(
-                _partial_transpose(stack[3:], (2, 2), 0))[..., 0]])
+        ppt_min = np.minimum(*lam[0, 4:].reshape(2, 4, -1))  # per pair, two blocks
         # each entropy sums its terms in ascending order of block and eigenvalue
         e = _entropy_terms(lam[:, :4])
         s_ab = -(((e[0, 0] + e[1, 0]) + e[0, 1]) + e[1, 1])

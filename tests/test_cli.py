@@ -828,8 +828,7 @@ def test_verify_builds_one_channel_tensor_per_block_and_kraus_stage(monkeypatch)
 def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
     # verify's checks add no eigen-solve to the engine's: they reuse its
     # cross-pair PPT minima, and the A-B PPT test of an X state is closed-form;
-    # the engine itself solves only phase damping's E_A-E_B pair, one call per
-    # stacked group of x
+    # the engine itself makes none, for every kind
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -846,7 +845,7 @@ def test_verify_blocks_reuse_the_engine_spectra(monkeypatch, kind):
     engine = len(calls)
     calls.clear()
     _verify_blocks(cfg, _Tracker())
-    assert len(calls) == engine == int(kind is ChannelKind.PDC)
+    assert len(calls) == engine == 0
 
 
 def spy_on_rows(monkeypatch, domain=None) -> list:
@@ -1304,6 +1303,26 @@ class TestOptionTable:
         assert errs[0] == errs[1]
         assert errs[0].startswith(f"ccrsweep: configuration error: {key}: ")
         assert errs[0].count("\n") == 1 and errs[0].endswith("\n")
+
+    #: A good text per option, so that only the flag's spelling can fail
+    GOOD_TEXTS = {"channels": "pfc", "x": "0.5", "p_start": "0", "p_stop": "1", "p_count": "3",
+                  "mu": "0", "format": "csv", "out": "rows.csv", "tolerance": "1e-3"}
+    #: Each row with a shorter form of its flag (--x has none), per command
+    ROWS = [(key, command) for key, (_, _, commands, _) in cli._OPTIONS.items()
+            for command in commands if len(flag_of(key)) > 3]
+
+    @pytest.mark.parametrize("key, command", ROWS, ids=[f"{key}-{command}" for key, command in ROWS])
+    def test_a_flag_is_taken_only_in_full(self, tmp_path, monkeypatch, capsys, key, command):
+        # as a config-file key is: a prefix of a flag is an unknown argument
+        monkeypatch.chdir(tmp_path)
+        flag = flag_of(key)
+        for prefix in (flag[:n] for n in range(3, len(flag))):
+            argv = [command, prefix, self.GOOD_TEXTS[key]]
+            with pytest.raises(SystemExit) as exc:
+                main(argv + (["--out", "rows.csv"] if command == "sweep" and key != "out" else []))
+            assert exc.value.code == 2, prefix
+            assert f"unrecognized arguments: {prefix} " in capsys.readouterr().err, prefix
+        assert not (tmp_path / "rows.csv").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     def test_help_lists_the_flags_of_the_command_rows(self, capsys, command):

@@ -266,16 +266,17 @@ class TestGridProperties:
 
 
 class TestBlockCost:
-    """Each measure runs once per block on a stack, so a block's eigen-solves
-    and partial traces are few and do not depend on how many p it holds."""
+    """Each measure runs once per block on a stack, so a block's kernel calls
+    do not depend on how many p it holds; it makes no eigen-solve and no
+    partial trace."""
 
-    #: eigvalsh calls per block: the X-shaped pair stacks of amplitude
-    #: damping and bit flip and every qubit marginal have closed-form
-    #: spectra, and the one-qubit kinds' A-E_A pair is the pure global state,
-    #: whose smallest partial-transpose eigenvalue is closed-form too, so
-    #: only the phase-damping cross pairs are solved, once per block
-    EIGVALSH = {ChannelKind.ADC: 0, ChannelKind.CADC: 0, ChannelKind.BFC: 0, ChannelKind.PDC: 1,
-                ChannelKind.PFC: 0, ChannelKind.BPFC: 0, ChannelKind.DC: 0}
+    #: eigvalsh calls per block, for every kind: the X-shaped pair stacks of
+    #: amplitude damping and bit flip and every qubit marginal have
+    #: closed-form spectra, phase damping's cross pairs are read from A-B's
+    #: X blocks and their own diagonal blocks, and the one-qubit kinds' A-E_A
+    #: pair is the pure global state, whose smallest partial-transpose
+    #: eigenvalue is closed-form too
+    EIGVALSH = 0
     #: partial traces per block, for every kind: each one-qubit marginal is
     #: read from its pair's entries
     MOST_TRACES = 0
@@ -319,7 +320,7 @@ class TestBlockCost:
             _block_columns(kind, mu, 0.5, ps)
             per_block.append(dict(counts))
         assert per_block[0] == per_block[1]
-        assert per_block[0].get("eigvalsh", 0) == self.EIGVALSH[kind]
+        assert per_block[0].get("eigvalsh", 0) == self.EIGVALSH
         assert per_block[0].get("partial_trace", 0) <= self.MOST_TRACES
 
     @pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
@@ -570,8 +571,8 @@ def test_bisection_pairs_are_density_matrices(x):
 #: Pairs whose off-X entries the engine's closed-form spectra rely on being
 #: exactly zero, by (kind, mu): every pair of amplitude damping and bit flip,
 #: and phase damping's A-B pair (its A-E_A and A-E_B pairs are read by their
-#: zero A-coherence block, PDC_A_DIAGONAL_PAIRS below; E_A-E_B takes the
-#: eigvalsh path).
+#: zero A-coherence block, PDC_A_DIAGONAL_PAIRS below, and its E_A-E_B pair
+#: by A-B's spectrum, PDC_EAEB_PS below).
 X_SHAPED_PAIRS = [(ChannelKind.ADC, 0.0, tuple(PAIRS)), (ChannelKind.CADC, 0.0, tuple(PAIRS)),
                   (ChannelKind.CADC, 1.0, tuple(PAIRS)), (ChannelKind.BFC, 0.0, tuple(PAIRS)),
                   (ChannelKind.PDC, 0.0, ("AB",))]
@@ -616,15 +617,34 @@ def test_phase_damping_a_diagonal_pairs_have_exactly_zero_a_coherence(x):
 @pytest.mark.parametrize("ps", [EDGE_PS, *EDGE_PS[:, np.newaxis]],
                          ids=["edges", *(f"p={p!r}" for p in EDGE_PS.tolist())])
 def test_phase_damping_a_diagonal_minima_match_the_public_ppt_test(x, ps):
-    # the engine's minima and flags of A-E_A and A-E_B against the public
-    # partial transpose and its eigen-solve, in a block and alone
+    # the engine's minima and flags of A-E_A, A-E_B and E_A-E_B against the
+    # public partial transpose and its eigen-solve, in a block and alone
     m, amplitudes, layout, ppt_min = _block_columns(ChannelKind.PDC, 0.0, x, ps)
     names = list(PAIRS)
-    for name in PDC_A_DIAGONAL_PAIRS:
+    for name in (*PDC_A_DIAGONAL_PAIRS, "EAEB"):
         pair = _reduced(amplitudes, layout, PAIRS[name])[0]
         want = ppt_min_eigenvalue(pair)
         assert np.abs(ppt_min[names.index(name)] - want).max() <= 1e-15, name
         assert m[f"ppt_{name}"].tolist() == is_ppt(pair).astype(float).tolist(), name
+
+
+#: Phase damping's E_A-E_B pair, x^2|00><00| + y^2|ee><ee| with the real
+#: |e> = sqrt(1-p)|0> + sqrt(p)|1>, is its own partial transpose and, as the
+#: complement of A-B in a pure state, has A-B's spectrum (Schmidt): the
+#: engine reads its PPT minimum from A-B's X blocks without checking either,
+#: which the test below pins, at p at and next to 0 and 1 and on a grid.
+PDC_EAEB_PS = {"edges": np.array([0.0, 5e-324, 1e-300, 1e-8, 1.0 - 1e-8, 1.0 - 2.0**-53, 1.0]),
+               "grid": np.linspace(0.0, 1.0, 101)}
+
+
+@pytest.mark.parametrize("x", [0.0, 0.37, INV_SQRT2, 1.0])
+@pytest.mark.parametrize("ps", PDC_EAEB_PS.values(), ids=PDC_EAEB_PS.keys())
+def test_phase_damping_env_pair_is_its_own_transpose_with_the_ab_spectrum(x, ps):
+    psi, sys_layout = initial_state(ChannelKind.PDC, x)
+    amplitudes, layout = dilate_block(ChannelKind.PDC, ps, 0.0, psi, sys_layout)
+    ab, eaeb = _reduced(amplitudes, layout, PAIRS["AB"], PAIRS["EAEB"])
+    assert np.abs(linalg._partial_transpose(eaeb, (2, 2), 0) - eaeb).max() <= 2.0**-52
+    assert np.abs(np.linalg.eigvalsh(eaeb) - np.linalg.eigvalsh(ab)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0])

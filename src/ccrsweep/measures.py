@@ -4,7 +4,8 @@ Every measure takes a matrix or a stack (..., d, d) of them, as anything numpy
 reads as an array (a DensityOperator too), and gives one value per matrix.
 Coherences are taken in the computational product basis; entropies in bits.
 A matrix measure raises ValueError for a non-square, non-finite or
-non-Hermitian input; the engine calls the unchecked kernels (_hs_coherence, ...).
+non-Hermitian input and calls an unchecked kernel (_hs_coherence, ...), which
+the tests hold the engine's entry-table reads to.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _x_concurrence(diag, a03, a12):
     diag = np.maximum(diag, 0.0)
     roots = np.sqrt(diag[..., :2] * diag[..., 3:1:-1])  # sqrt(d0 d3), sqrt(d1 d2)
     lam = np.maximum(a03 - roots[..., 1], a12 - roots[..., 0])
-    return 2.0 * np.where(lam > 0.0, lam, 0.0)
+    return 2.0 * np.fmax(lam, 0.0)
 
 
 def _spectrum(m: np.ndarray) -> np.ndarray:
@@ -156,7 +157,7 @@ def _entropy_terms(lam: np.ndarray) -> np.ndarray:
     """lam log2 lam of each eigenvalue, round-off negatives clamped to 0: an
     entropy is minus their sum over a spectrum."""
     lam = np.maximum(lam, 0.0)
-    return lam * np.log2(np.where(lam > 0.0, lam, 1.0))
+    return lam * np.log2(lam + (lam == 0.0))  # log2 1 = 0 at a zero eigenvalue
 
 
 def von_neumann_entropy(rho):

@@ -15,9 +15,11 @@ from ccrsweep.linalg import (
 )
 from ccrsweep.measures import (
     _X_OFF,
+    _entropy_terms,
     _ppt_min,
     _spectrum,
     _x_blocks,
+    _x_concurrence,
     _x_entries,
     concurrence_x_state,
     correlated_coherence_hs,
@@ -537,3 +539,42 @@ def test_public_spectral_measures_check_their_input(measure, bad, message):
         measure(bad)
     with pytest.raises(ValueError, match=message):
         measure(np.stack([fine, bad]))
+
+
+def x_concurrence_by_where(diag, a03, a12):
+    """The former X-state concurrence, clamped by np.where."""
+    diag = np.maximum(diag, 0.0)
+    roots = np.sqrt(diag[..., :2] * diag[..., 3:1:-1])
+    lam = np.maximum(a03 - roots[..., 1], a12 - roots[..., 0])
+    return 2.0 * np.where(lam > 0.0, lam, 0.0)
+
+
+def entropy_terms_by_where(lam):
+    """The former lam log2 lam terms, the log's zeros replaced by np.where."""
+    lam = np.maximum(lam, 0.0)
+    return lam * np.log2(np.where(lam > 0.0, lam, 1.0))
+
+
+#: Every float64: ±0, ±inf, subnormals and NaNs of any sign and payload as
+#: bit patterns, and hypothesis's float edge cases by value.
+ANY_FLOAT64 = (st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64))
+               | st.floats(width=64)
+               | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                                  5e-324, -5e-324, 2.2250738585072009e-308, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(ANY_FLOAT64, min_size=6, max_size=6 * 40), data=st.data())
+def test_clamps_without_where_match_the_former_forms_bytewise(values, data):
+    # n rows of (diag (4), a03, a12): up to 40, so numpy's vector loops and
+    # their scalar tails both run; a spectrum takes the same values any shape
+    n = len(values) // 6
+    v = np.array(values[: 6 * n], dtype=np.float64).reshape(n, 6)
+    diag, a03, a12 = v[:, :4], v[:, 4], v[:, 5]
+    lam = v.reshape(data.draw(st.sampled_from([(-1,), (n, 6), (6, n), (2, 3, n)])))
+    with np.errstate(all="ignore"):
+        got = _x_concurrence(diag, a03, a12), _entropy_terms(lam)
+        want = x_concurrence_by_where(diag, a03, a12), entropy_terms_by_where(lam)
+    for g, w in zip(got, want):
+        assert (g.shape, g.dtype) == (w.shape, w.dtype)
+        assert g.tobytes() == w.tobytes()

@@ -267,8 +267,8 @@ class TestGridProperties:
 
 class TestBlockCost:
     """Each measure runs once per block on a stack, so a block's kernel calls
-    do not depend on how many p it holds; it makes no eigen-solve and no
-    partial trace."""
+    do not depend on how many p it holds; it makes no eigen-solve, no
+    partial trace and no matrix HS coherence."""
 
     #: eigvalsh calls per block, for every kind: the X-shaped pair stacks of
     #: amplitude damping and bit flip and every qubit marginal have
@@ -285,6 +285,9 @@ class TestBlockCost:
     #: pairs' partially transposed blocks as one table; a one-qubit block
     #: has no A-B pair and takes its one PPT minimum from the amplitudes
     QUBIT_EIGENVALUES = {kind: int(kind.n_system_qubits == 2) for kind in ChannelKind}
+    #: matrix HS coherence kernel calls per block, for every kind: each pair's
+    #: joint coherence is summed from the entry table's squared moduli
+    HS_COHERENCE = 0
     #: each (kind, mu) a block is evaluated at: cadc at both dilatable mu
     KIND_MU = ([(kind, 1.0 if kind is ChannelKind.CADC else 0.0) for kind in ChannelKind]
                + [(ChannelKind.CADC, 0.0)])
@@ -304,6 +307,7 @@ class TestBlockCost:
         # kernel only since it solves one table)
         for name, modules in (("_partial_trace", (linalg, measures)),
                               ("_qubit_eigenvalues", (measures, reports)),
+                              ("_hs_coherence", (measures, reports)),
                               ("check_norms", (linalg, measures, channels)),
                               ("_plan", (reports,)), ("_gather", (reports,))):
             call = counted(name.lstrip("_"), getattr(modules[0], name))
@@ -322,6 +326,7 @@ class TestBlockCost:
         assert per_block[0] == per_block[1]
         assert per_block[0].get("eigvalsh", 0) == self.EIGVALSH
         assert per_block[0].get("partial_trace", 0) <= self.MOST_TRACES
+        assert per_block[0].get("hs_coherence", 0) == self.HS_COHERENCE
 
     @pytest.mark.parametrize("kind, mu", KIND_MU, ids=lambda v: getattr(v, "value", f"mu={v}"))
     def test_one_eigen_table_per_block(self, monkeypatch, kind, mu):

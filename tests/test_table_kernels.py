@@ -8,7 +8,8 @@ per-mask loop; both kernels must give the same bytes and the same dict key
 order, and the engine's sector rows must be those bytes, or +0.0 where a
 sector is absent.  ``reports._measure_columns`` reads every 2x2 block it
 measures, each pair's marginals and each X or partial-transpose block, from
-one entry table of the pair stack through the layout's cached plan; the
+one entry table of the pair stack through the layout's cached plan, each
+pair's HS coherence too, with the bits of the matrix kernel _hs_coherence; the
 former traced route is kept below as the reference, which every column must
 match to 1e-15 and every ``ppt_*`` flag exactly.  The
 real channels' amplitudes are float64, and measuring them gives the bytes
@@ -49,6 +50,7 @@ from ccrsweep.measures import (
 from ccrsweep.reports import (
     PAIRS,
     _ENTRIES,
+    _HS_FLAT,
     _SECTOR_COLUMNS,
     _SELECT,
     _block_columns,
@@ -221,7 +223,7 @@ def test_measure_plan_is_shared_and_read_only(labels):
 @pytest.mark.parametrize("block", BLOCKS, ids=block_ids)
 def test_entry_table_holds_the_listed_sums_bytewise(block, ps):
     # each entry, read by one product with the 0/1 matrix, has the bits of
-    # the modulus of its terms added directly
+    # the modulus of its terms added directly; an entry of no terms is +0.0
     kind, mu = block
     for x in XS:
         _, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
@@ -230,6 +232,9 @@ def test_entry_table_holds_the_listed_sums_bytewise(block, ps):
         got = np.abs(flat @ _SELECT)
         assert got.shape == stack.shape[:2] + (len(_ENTRIES),)
         for column, terms in enumerate(_ENTRIES):
+            if not terms:
+                assert got[..., column].tobytes() == np.zeros(stack.shape[:2]).tobytes(), x
+                continue
             total = flat[..., terms[0]]
             for term in terms[1:]:
                 total = total + flat[..., term]
@@ -240,14 +245,41 @@ def test_entry_table_holds_the_listed_sums_bytewise(block, ps):
 @pytest.mark.parametrize("block", BLOCKS, ids=block_ids)
 def test_entry_table_off_x_entries_are_the_off_x_test(block, ps):
     # entries 12-15 are the upper off-X entries, one of each Hermitian pair of
-    # off-X positions, so a pair has a nonzero one exactly where _off_x does
-    assert _ENTRIES[12:] == ((1,), (11,), (2,), (7,))
+    # off-X positions, so a pair has a nonzero one exactly where _off_x does;
+    # the engine's off-X test reads entries[1:, :, 12:16]
+    assert _ENTRIES[12:16] == ((1,), (11,), (2,), (7,))
     kind, mu = block
     for x in XS:
         _, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
         stack = _reduced(amplitudes, layout, *_plan(layout)[0])
         entries = np.abs(stack.reshape(stack.shape[:2] + (16,)) @ _SELECT)
-        assert (entries[..., 12:].any(axis=-1) == _off_x(stack).any(axis=-1)).all()
+        assert (entries[..., 12:16].any(axis=-1) == _off_x(stack).any(axis=-1)).all()
+
+
+@pytest.mark.parametrize("ps", PS.values(), ids=PS.keys())
+@pytest.mark.parametrize("block", BLOCKS, ids=block_ids)
+def test_entry_table_hs_coherence_is_the_matrix_kernel_bytewise(block, ps):
+    # each pair's HS coherence is its squared entries taken through _HS_FLAT,
+    # the moduli at the 16 flat positions with the zero entry on the
+    # diagonal, and summed: the bits of _hs_coherence on the pair stack,
+    # which the engine's Cc_* columns and C_env subtract as they did from it
+    assert [_ENTRIES[k] for k in _HS_FLAT[[1, 2, 3, 6, 7, 11]]] == [(1,), (2,), (3,), (6,), (7,), (11,)]
+    assert (_HS_FLAT == _HS_FLAT.reshape(4, 4).T.ravel()).all()
+    assert (_HS_FLAT[::5] == 16).all() and _ENTRIES[16] == ()
+    kind, mu = block
+    for x in XS:
+        got, amplitudes, layout, _ = _block_columns(kind, mu, x, ps)
+        pairs = _plan(layout)[0]
+        stack = _reduced(amplitudes, layout, *pairs)
+        sq = np.square(np.abs(stack.reshape(stack.shape[:2] + (16,)) @ _SELECT))
+        want = _hs_coherence(stack)
+        assert_same_bytes(np.take(sq, _HS_FLAT, axis=-1).sum(axis=-1), want)
+        local = [2.0 * sq[..., 8], 2.0 * sq[..., 11]]  # each factor's 2|b|^2
+        names = [name for name, pair in PAIRS.items() if pair in pairs]
+        for k, name in enumerate(names):
+            assert_same_bytes(got[f"Cc_{name}"], want[k] - local[0][k] - local[1][k])
+        if "EAEB" in names:
+            assert_same_bytes(got["C_env"], want[names.index("EAEB")])
 
 
 def entropy(lam):

@@ -131,7 +131,9 @@ def _x_concurrence(diag, a03, a12):
     diag = np.maximum(diag, 0.0)
     roots = np.sqrt(diag[..., :2] * diag[..., 3:1:-1])  # sqrt(d0 d3), sqrt(d1 d2)
     lam = np.maximum(a03 - roots[..., 1], a12 - roots[..., 0])
-    return 2.0 * np.fmax(lam, 0.0)
+    # not np.fmax(lam, 0.0): numpy's scalar loop keeps a -0.0 and lets a
+    # signaling NaN through, which this form maps to +0.0
+    return 2.0 * np.where(lam > 0.0, lam, 0.0)
 
 
 def _spectrum(m: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccrsweep.linalg import (
@@ -542,7 +542,7 @@ def test_public_spectral_measures_check_their_input(measure, bad, message):
 
 
 def x_concurrence_by_where(diag, a03, a12):
-    """The former X-state concurrence, clamped by np.where."""
+    """The X-state concurrence with its np.where clamp, the reference form."""
     diag = np.maximum(diag, 0.0)
     roots = np.sqrt(diag[..., :2] * diag[..., 3:1:-1])
     lam = np.maximum(a03 - roots[..., 1], a12 - roots[..., 0])
@@ -561,17 +561,23 @@ ANY_FLOAT64 = (st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(n
                | st.floats(width=64)
                | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
                                   5e-324, -5e-324, 2.2250738585072009e-308, 1.0]))
+#: A signaling NaN: the quiet bit clear, a nonzero payload.
+SIGNALING_NAN = np.uint64(0x7FF5AF145A48AAB7).view(np.float64)
 
 
 @settings(max_examples=200, deadline=None)
-@given(values=st.lists(ANY_FLOAT64, min_size=6, max_size=6 * 40), data=st.data())
-def test_clamps_without_where_match_the_former_forms_bytewise(values, data):
+@given(values=st.lists(ANY_FLOAT64, min_size=6, max_size=6 * 40), shape=st.integers(0, 3))
+# lam = max(0 - 0, -0.0 - 0) = -0.0 in a one-row block: np.fmax(lam, 0.0)
+# returns -0.0 there, where the np.where clamp returns +0.0
+@example(values=[0.0] * 5 + [-0.0], shape=0)
+@example(values=[SIGNALING_NAN, -SIGNALING_NAN, 0.0, -0.0, 1.0, 0.5], shape=1)
+def test_clamps_match_the_former_where_forms_bytewise(values, shape):
     # n rows of (diag (4), a03, a12): up to 40, so numpy's vector loops and
     # their scalar tails both run; a spectrum takes the same values any shape
     n = len(values) // 6
     v = np.array(values[: 6 * n], dtype=np.float64).reshape(n, 6)
     diag, a03, a12 = v[:, :4], v[:, 4], v[:, 5]
-    lam = v.reshape(data.draw(st.sampled_from([(-1,), (n, 6), (6, n), (2, 3, n)])))
+    lam = v.reshape([(-1,), (n, 6), (6, n), (2, 3, n)][shape])
     with np.errstate(all="ignore"):
         got = _x_concurrence(diag, a03, a12), _entropy_terms(lam)
         want = x_concurrence_by_where(diag, a03, a12), entropy_terms_by_where(lam)

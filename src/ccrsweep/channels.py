@@ -1,17 +1,17 @@
 """Noisy qubit channels as their Kraus operators.
 
-Each memoryless channel is its Kraus pair on one qubit, one row of
-``_KRAUS_PAIRS`` as the README channel table gives it; a two-qubit kind
-applies the pair to each qubit.  The correlated amplitude damping channel
-acts jointly on the two-qubit system through one operator per state of a
-shared two-qubit environment.  ``_kraus_stack`` gives a channel over an array
-of p as one tensor K[P, e, s, c] = <s, e|U|c, 0>_E, which is both its Kraus
-operators and the isometry of its dilation with the environment starting in
-|0>: ``_dilate`` contracts it with the input states and
-``_operator_sums`` sums over it, so the dilate-then-trace route and the
-operator-sum route realize the same map by construction.  A block is a grid,
-one state per x against one tensor over the distinct p; one point is a grid
-of one x and one p.
+Each dilatable channel (kind, mu) is one real row of ``_KRAUS_PAIRS`` as
+the README channel table gives it.  A memoryless channel is its Kraus pair
+on one qubit, which a two-qubit kind applies to each qubit; the correlated
+amplitude damping channel acts jointly on the two-qubit system through one
+operator per state of a shared two-qubit environment.  ``_kraus_stack``
+gives a channel over an array of p as one float64 tensor
+K[P, e, s, c] = <s, e|U|c, 0>_E, which is both its Kraus operators and the
+isometry of its dilation with the environment starting in |0>: ``_dilate``
+contracts it with the input states and ``_operator_sums`` sums over it, so
+the dilate-then-trace route and the operator-sum route realize the same map
+by construction.  A block is a grid, one state per x against one tensor
+over the distinct p; one point is a grid of one x and one p.
 
 Channel roster and noise parameter p in [0, 1]:
 
@@ -27,10 +27,10 @@ Channel roster and noise parameter p in [0, 1]:
 * ``PFC``  phase flip: |1> acquires a pi phase with probability p.
   One-qubit system.
 * ``BPFC`` bit-phase flip: flip combined with the phase, i.e. a sigma_y
-  branch with probability p.  One-qubit system.
+  branch (the real XZ) with probability p.  One-qubit system.
 * ``DC``   depolarizing: the state survives intact with probability p and is
   otherwise replaced by the maximally mixed one; realized with an identity
-  branch of weight (1+p)/2 and a sigma_y branch of weight (1-p)/2, which
+  branch of weight (1+p)/2 and a sigma_y (XZ) branch of weight (1-p)/2, which
   reproduces that convex mixture for real-amplitude pure inputs.  Note the
   orientation: p = 1 is the identity channel, p = 0 full depolarization.
   One-qubit system.
@@ -100,65 +100,61 @@ class ChannelSpec:
             raise ValueError(f"mu is only meaningful for CADC, got mu={self.mu!r} for {self.kind}")
 
 
-#: K_1's matrix: the decay |0><1|, the projector |1><1| and the Pauli
-#: matrices, real but sigma_y; a kind's Kraus stack takes its matrix's dtype.
-_DECAY, _EXCITED, _X, _Z = (np.array(m, dtype=float) for m in (
-    [[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]))
-_Y = np.array([[0, -1j], [1j, 0]])
+#: The last operator's matrix: the decay |0><1|, the projector |1><1|, the
+#: Pauli X and Z, and XZ = [[0, -1], [1, 0]] = -i sigma_y; all real.
+_DECAY, _EXCITED, _X, _Z, _XZ = (np.array(m, dtype=float) for m in (
+    [[0, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1], [1, 0]]))
 
 
 def _unital(keep, flip):
     """The weights of the pair keep I, flip sigma."""
-    return keep, keep, flip
+    return (keep, keep), flip
 
 
-#: Each memoryless kind's Kraus pair on one qubit, as the README channel
-#: table writes it: K_0 = diag(a, b) and K_1 = w M, given as the weights
-#: p -> (a, b, w) at noise p (a number or an array) and the matrix M.  This
-#: is the one definition of the channel; a two-qubit kind applies its pair to
-#: each qubit, and CADC's memoryless part is amplitude damping.
+#: Each dilatable channel (kind, mu) as one real row of the README channel
+#: table, its one definition: K_0 = diag(a, ...) and the last operator w M,
+#: given as the weights p -> ((a, ...), w) at noise p (a number or an array)
+#: and the matrix M; an operator between them is zero.  A memoryless pair
+#: acts on each qubit of a two-qubit kind.  bpfc and dc take XZ: sigma_y =
+#: i XZ, and the phase cancels in K rho K^dag.  CADC at mu = 1 decays only
+#: |11>, jointly into |11>_E: one operator per shared environment state.
 _KRAUS_PAIRS = {
-    ChannelKind.ADC: (lambda p: (1, np.sqrt(1 - p), np.sqrt(p)), _DECAY),
-    ChannelKind.CADC: (lambda p: (1, np.sqrt(1 - p), np.sqrt(p)), _DECAY),
-    ChannelKind.PDC: (lambda p: (1, np.sqrt(1 - p), np.sqrt(p)), _EXCITED),
-    ChannelKind.BFC: (lambda p: _unital(np.sqrt(1 - p / 2), np.sqrt(p / 2)), _X),
-    ChannelKind.PFC: (lambda p: _unital(np.sqrt(1 - p), np.sqrt(p)), _Z),
-    ChannelKind.BPFC: (lambda p: _unital(np.sqrt(1 - p), np.sqrt(p)), _Y),
-    ChannelKind.DC: (lambda p: _unital(np.sqrt((1 + p) / 2), np.sqrt((1 - p) / 2)), _Y),
+    (ChannelKind.ADC, 0.0): (lambda p: ((1, np.sqrt(1 - p)), np.sqrt(p)), _DECAY),
+    (ChannelKind.CADC, 0.0): (lambda p: ((1, np.sqrt(1 - p)), np.sqrt(p)), _DECAY),
+    (ChannelKind.CADC, 1.0): (lambda p: ((1, 1, 1, np.sqrt(1 - p)), np.sqrt(p)), np.eye(4, k=3)),
+    (ChannelKind.PDC, 0.0): (lambda p: ((1, np.sqrt(1 - p)), np.sqrt(p)), _EXCITED),
+    (ChannelKind.BFC, 0.0): (lambda p: _unital(np.sqrt(1 - p / 2), np.sqrt(p / 2)), _X),
+    (ChannelKind.PFC, 0.0): (lambda p: _unital(np.sqrt(1 - p), np.sqrt(p)), _Z),
+    (ChannelKind.BPFC, 0.0): (lambda p: _unital(np.sqrt(1 - p), np.sqrt(p)), _XZ),
+    (ChannelKind.DC, 0.0): (lambda p: _unital(np.sqrt((1 + p) / 2), np.sqrt((1 - p) / 2)), _XZ),
 }
 
 
 def _kraus_stack(kind: ChannelKind, ps: np.ndarray, mu: float) -> np.ndarray:
     """The channel (kind, mu) at each noise value of ``ps`` as one contiguous,
-    unpruned (P, nK, d, d) stack K[p, e, s, c] = <s, e|U|c, 0>_E (for ps of
-    shape (P,); another shape replaces the leading axis): its Kraus
+    unpruned float64 (P, nK, d, d) stack K[p, e, s, c] = <s, e|U|c, 0>_E (for
+    ps of shape (P,); another shape replaces the leading axis): its Kraus
     operators, which are also the isometry of its dilation.
 
-    The kind's pair for one-qubit kinds, its tensor square for memoryless
-    two-qubit kinds (CADC at mu = 0 too), and at mu = 1 the correlated
-    operators, one per shared environment state: only |11> decays, jointly
-    into |11>_E.  CADC at fractional mu stacks the union
-    {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}.  Only the sigma_y
-    kinds' stacks (bpfc, dc) are complex; the others are float64."""
+    Every dilatable channel is built from its ``_KRAUS_PAIRS`` row alike:
+    K_0's diagonal, the last operator w M, and for a memoryless two-qubit
+    kind the tensor square of that pair.  CADC at fractional mu stacks the
+    union {sqrt(1-mu) K_e^(mu=0)} U {sqrt(mu) K_e^(mu=1)}."""
     if mu not in (0.0, 1.0):
         return np.concatenate([np.sqrt(w) * _kraus_stack(kind, ps, m)
                                for m, w in ((0.0, 1.0 - mu), (1.0, mu))], axis=-3)
-    if mu == 1.0:
-        K = np.zeros(ps.shape + (4, 4, 4))
-        K[..., 0, [0, 1, 2], [0, 1, 2]] = 1.0
-        K[..., 0, 3, 3] = np.sqrt(1.0 - ps)
-        K[..., 3, 0, 3] = np.sqrt(ps)
-        return K
-    weights, matrix = _KRAUS_PAIRS[kind]
-    a, b, w = weights(ps)
-    K = np.zeros(ps.shape + (2, 2, 2), dtype=matrix.dtype)
-    K[..., 0, 0, 0], K[..., 0, 1, 1] = a, b
-    K[..., 1, :, :] = np.multiply.outer(w, matrix)
-    if kind.n_system_qubits == 1:
-        return K
-    # the tensor square K[p, e, m, j] K[p, f, n, k] on axes (p, e, f, m, n, j, k)
-    return (K[..., :, None, :, None, :, None] * K[..., None, :, None, :, None, :]).reshape(
-        ps.shape + (4, 4, 4))
+    weights, matrix = _KRAUS_PAIRS[kind, mu]
+    diagonal, w = weights(ps)
+    d = len(matrix)
+    K = np.zeros(ps.shape + (d, d, d))
+    for i, a in enumerate(diagonal):
+        K[..., 0, i, i] = a
+    np.multiply(w[..., None, None], matrix, out=K[..., -1, :, :])
+    if d == 2 and kind in _TWO_QUBIT_KINDS:
+        # the tensor square K[p, e, m, j] K[p, f, n, k] on axes (p, e, f, m, n, j, k)
+        return (K[..., :, None, :, None, :, None] * K[..., None, :, None, :, None, :]).reshape(
+            ps.shape + (4, 4, 4))
+    return K
 
 
 #: Why CADC at 0 < mu < 1 is not dilated (dilate_block and ccr_report raise it).
@@ -175,16 +171,22 @@ def dilate_block(
 
     Returns the global amplitudes, one read-only row per (x, p), x-major, and
     the global layout with one environment label ``E_<label>`` per system
-    qubit (CADC acts on both jointly), real where the input and the Kraus
-    stack are.
-    Raises ValueError when an input state does not fit the layout or is not
-    normalized, when the system arity does not match the kind, when a
-    depolarizing input has complex amplitudes (its identity-plus-sigma_y
-    realization describes the intended mixture only on real amplitudes), or
-    for CADC with fractional mu.
-    ``ps`` and ``mu`` are taken as valid: :class:`ChannelSpec` and the sweep
-    configuration check them where they enter.
+    qubit (CADC acts on both jointly), float64 where the input is real.
+    Raises ValueError, with :class:`ChannelSpec`'s messages, for a p that is
+    not a real number in [0, 1] (NaN too) and for a nonzero mu of a kind but
+    CADC; for CADC with fractional mu; when an input state does not fit the
+    layout or is not normalized, when the system arity does not match the
+    kind, and when a depolarizing input has complex amplitudes (its
+    identity-plus-sigma_y realization describes the intended mixture only on
+    real amplitudes).
     """
+    ps = np.asarray(ps)
+    if ps.dtype.kind not in "iuf":
+        raise ValueError(f"p must lie in [0, 1], got {ps!r}")
+    outside = ps[~((ps >= 0.0) & (ps <= 1.0))]  # NaN fails both comparisons
+    ChannelSpec(kind, outside.flat[0].item() if outside.size else 0.0, mu)
+    if mu not in (0.0, 1.0):
+        raise ValueError(_NO_DILATION)
     n = kind.n_system_qubits
     if len(sys_layout.labels) != n or any(d != 2 for d in sys_layout.dims):
         raise ValueError(
@@ -198,9 +200,6 @@ def dilate_block(
 
     if kind is ChannelKind.DC and float(np.abs(psi.imag).max()) > 1e-12:
         raise ValueError("the depolarizing dilation requires real amplitudes")
-
-    if mu not in (0.0, 1.0):
-        raise ValueError(_NO_DILATION)
     return _dilate(_kraus_stack(kind, ps, mu), psi, sys_layout)
 
 

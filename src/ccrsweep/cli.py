@@ -107,7 +107,7 @@ class SweepConfig:
             )
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu: must lie in [0, 1], got {self.mu}")
-        if ChannelKind.CADC in self.channels and self.mu not in (0.0, 1.0):
+        if self.mu not in (0.0, 1.0):
             raise ValueError(
                 f"mu: CADC reports require mu of 0 or 1 (the mixed map has no "
                 f"two-qubit-environment dilation), got {self.mu}"

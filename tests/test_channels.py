@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccrsweep.channels import (
+    _KRAUS_PAIRS,
+    _NO_DILATION,
     ChannelKind,
     ChannelSpec,
     _kraus_stack,
@@ -15,7 +17,7 @@ from ccrsweep.channels import (
 )
 from ccrsweep.linalg import outer, partial_trace, qubits
 from ccrsweep.measures import linear_entropy
-from ccrsweep.reports import initial_state
+from ccrsweep.reports import PAIRS, _block_columns, _reduced, initial_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -23,6 +25,7 @@ SZ = np.diag([1, -1]).astype(complex)
 I2 = np.eye(2, dtype=complex)
 DECAY = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 EXCITED = np.diag([0, 1]).astype(complex)  # |1><1|
+XZ = np.array([[0, -1], [1, 0]], dtype=complex)  # -i sigma_y
 
 #: Each memoryless kind's Kraus pair on one qubit at noise p, written out
 #: from the README channel table.
@@ -32,9 +35,26 @@ README_PAIRS = {
     ChannelKind.PDC: lambda p: (np.diag([1, math.sqrt(1 - p)]), math.sqrt(p) * EXCITED),
     ChannelKind.BFC: lambda p: (math.sqrt(1 - p / 2) * I2, math.sqrt(p / 2) * SX),
     ChannelKind.PFC: lambda p: (math.sqrt(1 - p) * I2, math.sqrt(p) * SZ),
+    ChannelKind.BPFC: lambda p: (math.sqrt(1 - p) * I2, math.sqrt(p) * XZ),
+    ChannelKind.DC: lambda p: (math.sqrt((1 + p) / 2) * I2, math.sqrt((1 - p) / 2) * XZ),
+}
+
+#: The sigma_y kinds' pairs as the paper writes them, with sigma_y itself.
+SIGMA_Y_PAIRS = {
     ChannelKind.BPFC: lambda p: (math.sqrt(1 - p) * I2, math.sqrt(p) * SY),
     ChannelKind.DC: lambda p: (math.sqrt((1 + p) / 2) * I2, math.sqrt((1 - p) / 2) * SY),
 }
+
+
+def readme_correlated(p):
+    """CADC's row at mu = 1 from the README channel table: K_0 =
+    diag(1, 1, 1, sqrt(1-p)), K_3 = sqrt(p) |00><11| and K_1 = K_2 = 0."""
+    return [np.diag([1, 1, 1, math.sqrt(1 - p)]), np.zeros((4, 4)), np.zeros((4, 4)),
+            math.sqrt(p) * np.eye(4, k=3)]
+
+
+#: Every dilatable channel (kind, mu): the keys of the Kraus table.
+DILATABLE = [(kind, 0.0) for kind in ChannelKind] + [(ChannelKind.CADC, 1.0)]
 
 ALL_KINDS = list(ChannelKind)
 P_GRID = [round(0.1 * i, 1) for i in range(11)]
@@ -270,15 +290,56 @@ class TestKrausSet:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     @pytest.mark.parametrize("p", [0.3, 0.4])
     def test_memoryless_pair_matches_the_readme_table(self, kind, p):
-        # the one-qubit pair as the README channel table writes it; a
-        # two-qubit kind applies it to each qubit
+        # every row as the README channel table writes it: the one-qubit
+        # pair, which a two-qubit kind applies to each qubit, with XZ for
+        # the sigma_y kinds, and CADC's correlated row at mu = 1
         pair = README_PAIRS[kind](p)
         if kind.n_system_qubits == 2:
             pair = [np.kron(a, b) for a in pair for b in pair]
-        ops = kraus_ops(spec_for(kind, p, mu=0.0 if kind is ChannelKind.CADC else None))
-        assert len(ops) == len(pair)
-        for got, want in zip(ops, pair):
-            assert np.abs(got - want).max() <= 1e-15
+        rows = [(0.0, pair)] + [(1.0, readme_correlated(p))] * (kind is ChannelKind.CADC)
+        for mu, row in rows:
+            ops = kraus_ops(ChannelSpec(kind, p, mu))
+            assert len(ops) == len(row)
+            for got, want in zip(ops, row):
+                assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", SIGMA_Y_PAIRS, ids=lambda k: k.value)
+    def test_xz_rows_are_the_sigma_y_channel(self, kind):
+        # sigma_y = i XZ and the phase cancels in K rho K^dag: the real rows
+        # map every state, complex ones too, as the paper's sigma_y pairs do
+        rng = np.random.default_rng(36)
+        g = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+        rhos = g @ g.conj().swapaxes(-1, -2)
+        rhos /= np.trace(rhos, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis]
+        _, images = _operator_sums(_kraus_stack(kind, np.array(P_GRID), 0.0), rhos)
+        for i, p in enumerate(P_GRID):
+            for rho, image in zip(rhos, images[:, i]):
+                want = sum(k @ rho @ k.conj().T for k in SIGMA_Y_PAIRS[kind](p))
+                assert np.abs(image - want).max() <= 1e-15
+
+    @staticmethod
+    def hand_built_correlated_stack(ps):
+        """CADC's mu = 1 stack written out by hand, the reference for its
+        row of the Kraus table."""
+        K = np.zeros(ps.shape + (4, 4, 4))
+        K[..., 0, [0, 1, 2], [0, 1, 2]] = 1.0
+        K[..., 0, 3, 3] = np.sqrt(1.0 - ps)
+        K[..., 3, 0, 3] = np.sqrt(ps)
+        return K
+
+    @pytest.mark.parametrize("ps", [
+        np.array([0.0, 5e-324, 1e-300, 0.37, 0.5, 1 / math.sqrt(2), 1.0 - 2.0**-53, 1.0]),
+        np.sort(np.random.default_rng(17).random((5, 17)), axis=-1)], ids=["edge", "brackets"])
+    def test_correlated_row_is_the_hand_built_stack_bytewise(self, ps):
+        got = _kraus_stack(ChannelKind.CADC, ps, 1.0)
+        want = self.hand_built_correlated_stack(ps)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_table_has_one_real_row_per_dilatable_channel(self):
+        # no (kind, mu) reads another channel's operators: adc at mu = 1 has no row
+        assert len(_KRAUS_PAIRS) == 8 and set(_KRAUS_PAIRS) == set(DILATABLE)
+        assert all(matrix.dtype == np.float64 for _, matrix in _KRAUS_PAIRS.values())
 
     def test_correlated_memory_operators(self):
         # one operator per shared environment state; only |00>_E and |11>_E are reached
@@ -477,27 +538,38 @@ class TestOperatorSums:
 
 
 class TestRealChannels:
-    """Five kinds have real Kraus operators, so their Kraus stacks and the
-    amplitudes they dilate a real state to are float64; the sigma_y kinds
-    stay complex."""
-
-    REAL = {ChannelKind.ADC, ChannelKind.CADC, ChannelKind.PDC, ChannelKind.BFC, ChannelKind.PFC}
+    """Every row of the Kraus table is real, the sigma_y kinds' too (as XZ),
+    so every Kraus stack and the amplitudes it dilates a real state to are
+    float64."""
 
     @pytest.mark.parametrize(
         "kind, mu", [(kind, 0.0) for kind in ALL_KINDS] + [(ChannelKind.CADC, 1.0)],
         ids=lambda v: getattr(v, "value", f"mu={v}"),
     )
     def test_dtype_follows_the_kraus_table(self, kind, mu):
-        dtype = np.float64 if kind in self.REAL else np.complex128
         ps = np.linspace(0.0, 1.0, 11)
-        assert _kraus_stack(kind, ps, mu).dtype == dtype
+        assert _kraus_stack(kind, ps, mu).dtype == np.float64
         psi, layout = initial_state(kind, 0.37)
         assert psi.dtype == np.float64
         amplitudes, _ = dilate_block(kind, ps, mu, psi, layout)
-        assert amplitudes.dtype == dtype
+        assert amplitudes.dtype == np.float64
         # a complex input keeps its dtype through a real channel
-        if kind is not ChannelKind.DC:
-            assert dilate_block(kind, ps, mu, psi.astype(complex), layout)[0].dtype == np.complex128
+        assert dilate_block(kind, ps, mu, psi.astype(complex), layout)[0].dtype == np.complex128
+
+    @pytest.mark.parametrize("kind, mu", DILATABLE + [(ChannelKind.CADC, 0.5)],
+                             ids=lambda v: getattr(v, "value", f"mu={v}"))
+    def test_every_engine_array_is_float64(self, kind, mu):
+        # the Kraus stacks over a p grid and over brackets, and where the
+        # channel dilates, the engine block's rows, pair stack and PPT minima
+        ps = np.linspace(0.0, 1.0, 11)
+        for grid in (ps, np.stack([ps, ps[::-1]])):
+            assert _kraus_stack(kind, grid, mu).dtype == np.float64
+        if mu not in (0.0, 1.0):
+            return
+        _, amplitudes, layout, ppt_min = _block_columns(kind, mu, np.array([0.0, 0.37, 1.0]), ps)
+        pairs = [pair for pair in PAIRS.values() if set(pair) <= set(layout.labels)]
+        for array in (amplitudes, _reduced(amplitudes, layout, *pairs), ppt_min):
+            assert array.dtype == np.float64
 
     @pytest.mark.parametrize(
         "kind, mu", [(kind, 0.0) for kind in ALL_KINDS] + [(ChannelKind.CADC, 1.0)],
@@ -517,6 +589,40 @@ class TestRealChannels:
             alone, _ = dilate_block(kind, ps, mu, psi, layout)
             assert per_state[i].tobytes() == alone[i].tobytes()
             assert grid[7 * i:7 * (i + 1)].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("kind, mu, message", [
+        (ChannelKind.ADC, 1.0, "mu is only meaningful for CADC, got mu=1.0 for ChannelKind.ADC"),
+        (ChannelKind.PFC, 1.0, "mu is only meaningful for CADC, got mu=1.0 for ChannelKind.PFC"),
+        (ChannelKind.BFC, 0.5, "mu is only meaningful for CADC, got mu=0.5 for ChannelKind.BFC"),
+        (ChannelKind.CADC, 0.5, _NO_DILATION),
+        (ChannelKind.CADC, 1.5, "mu must lie in [0, 1], got 1.5"),
+    ], ids=["adc-mu1", "pfc-mu1", "bfc-mu0.5", "cadc-mu0.5", "cadc-mu1.5"])
+    def test_mu_is_checked_by_the_channel_spec_rules(self, kind, mu, message):
+        # no kind reads another channel's row: adc at mu = 1 is not CADC
+        psi, layout = initial_state(kind, 0.5)
+        with pytest.raises(ValueError) as info:
+            dilate_block(kind, np.array([0.3]), mu, psi, layout)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("ps, shown", [
+        (np.array([0.3, 1.5]), "1.5"), (np.array([-0.1, 0.3]), "-0.1"),
+        (np.array([0.3, np.nan]), "nan"), (np.array([[0.2, 0.3], [0.4, np.inf]]), "inf"),
+        (np.array([0.3 + 0j]), "array([0.3+0.j])"), (np.array([True]), "array([ True])"),
+    ], ids=["above-one", "negative", "nan", "inf-in-brackets", "complex", "bool"])
+    def test_each_p_is_a_real_number_in_the_unit_interval(self, ps, shown):
+        # ChannelSpec's message, before any NaN amplitude or RuntimeWarning
+        psi, layout = initial_state(ChannelKind.ADC, 0.5)
+        with pytest.raises(ValueError) as info:
+            dilate_block(ChannelKind.ADC, ps, 0.0, psi, layout)
+        assert str(info.value) == f"p must lie in [0, 1], got {shown}"
+
+    def test_every_valid_p_and_mu_dilates(self):
+        # the ends of [0, 1], integer and float32 grids, and CADC at mu 0 and 1
+        for kind, mu in DILATABLE:
+            psi, layout = initial_state(kind, 0.5)
+            for ps in (np.array([0.0, 1.0]), np.array([0, 1]), np.array([0.25], dtype=np.float32)):
+                amplitudes, _ = dilate_block(kind, ps, mu, psi, layout)
+                assert np.isfinite(amplitudes).all()
 
     def test_a_state_of_the_wrong_dimension_is_rejected(self):
         psi, layout = initial_state(ChannelKind.ADC, 0.37)

@@ -181,6 +181,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="mu"):
             small_config(channels=(ChannelKind.CADC,), mu=0.5)
 
+    def test_fractional_mu_without_correlated_damping(self):
+        # mu is CADC's memory weight, 0 or 1, whichever channels are listed;
+        # no sweep may take a fractional mu and write 0
+        with pytest.raises(ValueError, match=r"^mu: CADC reports require mu of 0 or 1 .*, got 0.5$"):
+            SweepConfig(channels=(ChannelKind.ADC,), mu=0.5)
+
+    def test_fractional_mu_is_a_config_error_for_any_channel(self, capsys):
+        assert main(["verify", "--channels", "pfc", "--mu", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccrsweep: configuration error: mu: CADC reports require mu of 0 or 1")
+        assert err.rstrip().endswith("got 0.3")
+
+    @pytest.mark.parametrize("mu", ["0", "1"])
+    def test_mu_of_0_or_1_runs_without_correlated_damping(self, tmp_path, capsys, mu):
+        out = tmp_path / "rows.csv"
+        argv = ["--channels", "adc", "--mu", mu, "--x", "0.5", "--p-count", "2"]
+        assert main(["sweep", *argv, "--out", str(out)]) == 0
+        assert main(["verify", *argv]) == 0
+        assert out.read_text().count("\nadc,0.0,0.5,") == 2  # mu is 0 for every kind but cadc
+
     def test_format_checked(self):
         with pytest.raises(ValueError, match="format"):
             small_config(fmt="xml")
@@ -563,10 +583,10 @@ class TestVerifyCommand:
         # a phase flip whose K_1 weight is too large: verify prints a line per
         # check, with its image trace defect as a row, and raises nothing; only
         # the images off trace 1 skip the density check
-        weights, matrix = channels._KRAUS_PAIRS[ChannelKind.PFC]
+        weights, matrix = channels._KRAUS_PAIRS[ChannelKind.PFC, 0.0]
         for scale, tolerance, rc, failing, total in self.KRAUS_SCALES:
-            monkeypatch.setitem(channels._KRAUS_PAIRS, ChannelKind.PFC,
-                                (lambda p, s=scale: (*weights(p)[:2], s * weights(p)[2]), matrix))
+            monkeypatch.setitem(channels._KRAUS_PAIRS, (ChannelKind.PFC, 0.0),
+                                (lambda p, s=scale: (weights(p)[0], s * weights(p)[1]), matrix))
             assert main(["verify", "--channels", "pfc", *tolerance]) == rc
             out, err = capsys.readouterr()
             assert err == ""
@@ -1078,9 +1098,10 @@ class TestMain:
         # so only the closed-form reference can notice it.
         from ccrsweep import channels
 
-        weights, matrix = channels._KRAUS_PAIRS[ChannelKind.ADC]
+        weights, matrix = channels._KRAUS_PAIRS[ChannelKind.ADC, 0.0]
         for kind in (ChannelKind.ADC, ChannelKind.CADC):
-            monkeypatch.setitem(channels._KRAUS_PAIRS, kind, (lambda p: weights(p * p), matrix))
+            monkeypatch.setitem(channels._KRAUS_PAIRS, (kind, 0.0),
+                                (lambda p: weights(p * p), matrix))
         argv = ["verify", "--channels", "cadc", "--mu", "0", "--x", "0.5", "--p-count", "5"]
         assert main(argv) == 1
         assert "FAIL  cadc_memoryless_limit" in capsys.readouterr().out

@@ -11,9 +11,10 @@ measures, each pair's marginals and each X or partial-transpose block, from
 one entry table of the pair stack through the layout's cached plan, each
 pair's HS coherence too, with the bits of the matrix kernel _hs_coherence; the
 former traced route is kept below as the reference, which every column must
-match to 1e-15 and every ``ppt_*`` flag exactly.  The
-real channels' amplitudes are float64, and measuring them gives the bytes
-that measuring them as complex gives.  The sudden-death bisection brackets
+match to 1e-15 and every ``ppt_*`` flag exactly.  Every
+channel's amplitudes are float64, and measuring them gives the bytes that
+measuring them as complex gives; the sigma_y kinds' amplitudes through the
+complex sigma_y stack measure to the bytes of their real XZ rows.  The sudden-death bisection brackets
 every x in one stacked block per round; the former loop over x, one block
 per x and round, is the reference for its bytes.
 """
@@ -23,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from ccrsweep.channels import ChannelKind, dilate_block
+from ccrsweep.channels import ChannelKind, _dilate, dilate_block
 from ccrsweep.cli import ROWS
 from ccrsweep.linalg import qubits
 from ccrsweep.measures import (
@@ -379,13 +380,8 @@ def test_a_non_x_pair_is_rejected_by_the_public_concurrence():
         concurrence_x_state(leaky)
 
 
-#: The kinds with real Kraus operators, at each dilatable mu.
-REAL_BLOCKS = [block for block in BLOCKS
-               if block[0] not in (ChannelKind.BPFC, ChannelKind.DC)]
-
-
 @pytest.mark.parametrize("ps", PS.values(), ids=PS.keys())
-@pytest.mark.parametrize("block", REAL_BLOCKS, ids=block_ids)
+@pytest.mark.parametrize("block", BLOCKS, ids=block_ids)
 def test_real_amplitudes_measure_as_their_complex_copies_bytewise(block, ps):
     kind, mu = block
     for x in XS:
@@ -406,6 +402,37 @@ def test_real_amplitudes_measure_as_their_complex_copies_bytewise(block, ps):
         assert got_pairs.tobytes() == want_pairs.real.tobytes()
         assert not want_pairs.imag.any()
         # every PPT minimum is read from the eigen-table, phase damping's too
+        assert_same_bytes(got_min, want_min)
+
+
+#: sigma_y, which the paper's bit-phase flip and depolarizing pairs take; the
+#: engine takes the real XZ = -i sigma_y.
+SY = np.array([[0, -1j], [1j, 0]])
+#: Each sigma_y kind's weights (keep, flip) at noise p.
+SIGMA_Y_WEIGHTS = {ChannelKind.BPFC: lambda p: (np.sqrt(1 - p), np.sqrt(p)),
+                   ChannelKind.DC: lambda p: (np.sqrt((1 + p) / 2), np.sqrt((1 - p) / 2))}
+
+
+@pytest.mark.parametrize("ps", BLOCK_PS.values(), ids=BLOCK_PS.keys())
+@pytest.mark.parametrize("kind", SIGMA_Y_WEIGHTS, ids=lambda k: k.value)
+def test_the_sigma_y_route_measures_as_the_real_route_bytewise(kind, ps):
+    # the engine's amplitudes are those of the complex stack [keep I,
+    # flip sigma_y] times -i where E is |1>, and every column and PPT minimum
+    # measured from the complex ones has the bits of the engine's real block
+    keep, flip = SIGMA_Y_WEIGHTS[kind](ps)
+    stack = np.stack([np.multiply.outer(keep, np.eye(2)), np.multiply.outer(flip, SY)], axis=1)
+    for x in XS:
+        got, amplitudes, layout, got_min = _block_columns(kind, 0.0, x, ps)
+        psi, sys_layout = initial_state(kind, x)
+        phased, phased_layout = _dilate(stack, psi, sys_layout)
+        assert phased.dtype == np.complex128 and phased_layout == layout
+        assert np.array_equal(phased * [1, -1j, 1, -1j], amplitudes)  # rows |s, e>
+        c = psi.reshape(1, -1).T
+        want, want_min = _measure_columns(phased, layout, np.stack([c[0] * c[0], c[1] * c[1],
+                                                                    c[0] * c[1]]))
+        assert list(got) == list(want)
+        for name in want:
+            assert_same_bytes(got[name], want[name])
         assert_same_bytes(got_min, want_min)
 
 
